@@ -28,7 +28,6 @@ for _var in THREAD_VARS:
 
 import argparse  # noqa: E402
 import json  # noqa: E402
-import resource  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
@@ -140,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --seconds must be positive and --seed non-negative", file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
-    from workloads import WORKLOADS, run_workload
+    from workloads import WORKLOADS, peak_rss_mb, run_workload
 
     if args.workload not in WORKLOADS:
         print(f"error: unknown workload {args.workload!r}; choose from {WORKLOADS}",
@@ -154,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
               "the pure-NumPy fallback", file=sys.stderr)
     OUT_DIR.mkdir(exist_ok=True)
     outcome = run_workload(args.workload, args.seed, args.seconds, bool(args.trace), OUT_DIR)
-    outcome.e2e["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    outcome.e2e["peak_rss_mb"] = peak_rss_mb()
 
     for key, value in outcome.notes.items():
         print(f"note {key:<22} {value}")

@@ -10,7 +10,9 @@ repeated), then measures closed-loop work until the time budget is spent:
 * ``train-cndids`` repeats Algorithm 1 (:func:`run_continual_method`) on
   one pre-built scenario.
 
-Every pass or repeat is checked (see ``README.md``); every failed check is
+Every timed call is host-normalised (:mod:`hostclock`): a fixed probe runs
+next to it, untimed, and the call's time is reported in probe units.  Every
+pass or repeat is checked (see ``README.md``); every failed check is
 counted in ``failed``.  With tracing on, the first half of the budget runs
 untraced and the second half runs with :class:`LayerTracer` wrappers, so the
 tracing overhead is measured inside the same run.
@@ -18,7 +20,10 @@ tracing overhead is measured inside the same run.
 
 from __future__ import annotations
 
+import ctypes
+import gc
 import json
+import resource
 import shutil
 import statistics
 import sys
@@ -57,6 +62,7 @@ from repro.serve.registry import ModelRegistry
 from repro.serve.service import DetectionService
 from repro.serve.sinks import JsonlSink, read_events
 
+from hostclock import LONG_CALL_PROBES, PROBE_REF_S, Stopwatch, normalised, probe
 from tracing import LayerTracer
 
 DATASET = "xiiotid"
@@ -75,10 +81,14 @@ POISON_FRACTION = 0.01
 #: Service scores vs one-shot ``score_samples``: encoder matmuls may differ
 #: in the last bits with the batch shape.
 SCORE_RTOL = 1e-9
-#: Rows per re-scoring call in the equivalence check.
-CHECK_BLOCK = 32768
-#: train-cndids quality vs the values stored in ``reference.json``.
+#: Rows (about) per re-scoring call in the equivalence check.
+CHECK_BLOCK = 8192
+#: Quality vs the values stored per seed in ``reference.json``.
 QUALITY_RTOL = 0.02
+#: ``reference.json`` holds every workload's quality for ``--seed`` 0 to
+#: ``REFERENCE_SEEDS - 1`` (train-cndids: scenario seeds 0 to
+#: ``REFERENCE_SEEDS * TRAIN_SCENARIOS - 1``).
+REFERENCE_SEEDS = 32
 #: Largest share of the traced loop wall time the layers may leave unexplained.
 UNACCOUNTED_TOL = 0.05
 SETUP_REPEATS = {"serve": 3, "train": 5}
@@ -135,34 +145,104 @@ class Outcome:
     notes: dict[str, Any] = field(default_factory=dict)
 
 
-def _median_setup(build: Callable[[], Any], repeats: int) -> tuple[Any, float]:
-    """Run ``build`` ``repeats`` times; return the last result and the median time."""
-    times, built = [], None
+def reset_peak_rss() -> bool:
+    """Restart the kernel's resident-memory high-water mark (``VmHWM``).
+
+    Freed memory is first handed back to the kernel (``malloc_trim``): what
+    the allocator keeps from the harness's own work would otherwise count or
+    not by the luck of glibc's trimming (one serve-cndids run read 197 MB
+    where others read 267 MB).  Returns False where the mark cannot be
+    restarted; :func:`peak_rss_mb` then reads the peak of the whole process.
+    """
+    gc.collect()
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+        malloc_trim.argtypes, malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+        malloc_trim(0)
+    except (OSError, AttributeError):
+        pass  # not glibc: nothing to trim
+    try:
+        Path("/proc/self/clear_refs").write_text("5")
+    except OSError:
+        return False
+    return True
+
+
+def peak_rss_mb() -> float:
+    """Peak resident memory in MB since the last :func:`reset_peak_rss`."""
+    try:
+        for line in Path("/proc/self/status").read_text().splitlines():
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    except (OSError, ValueError, IndexError):
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _check_stored(workload: str, seed: int, quality: dict[str, float]) -> int:
+    """Mismatches of ``quality`` against the values stored for ``seed``."""
+    expected = json.loads(REFERENCE_PATH.read_text()).get(workload, {}).get(str(seed))
+    if expected is None:
+        print(
+            f"warning: reference.json stores no {workload} quality for seed {seed} "
+            f"(it covers --seed 0-{REFERENCE_SEEDS - 1}); quality not checked",
+            file=sys.stderr,
+        )
+        return 0
+    mismatches = sum(
+        1
+        for key, value in expected.items()
+        if not np.isclose(quality[key], value, rtol=QUALITY_RTOL, atol=0.0)
+    )
+    if mismatches:
+        print(f"check failed: {workload} seed {seed} quality {quality} vs stored {expected}",
+              file=sys.stderr)
+    return mismatches
+
+
+def _no_lap() -> None:
+    pass
+
+
+def _median_setup(
+    build: Callable[[Callable[[], None]], Any], repeats: int
+) -> tuple[Any, float, float]:
+    """Run ``build(lap)`` ``repeats`` times.
+
+    ``build`` calls ``lap`` between its steps, so that each step is
+    normalised by the probes next to it.  Returns the last result and the
+    median normalised and raw times.
+    """
+    normal, raw, built = [], [], None
     for _ in range(repeats):
         built = None  # release the previous inputs before building new ones
-        start = perf_counter()
-        built = build()
-        times.append(perf_counter() - start)
-    return built, statistics.median(times)
+        watch = Stopwatch()
+        built = build(watch.lap)
+        watch.lap()
+        normal.append(watch.seconds)
+        raw.append(watch.raw_seconds)
+    return built, statistics.median(normal), statistics.median(raw)
 
 
-def _latency_metrics(latencies: np.ndarray) -> dict[str, float]:
-    """Median and p90 in ms.
+def _per_call(costs: list[np.ndarray]) -> np.ndarray:
+    """Each call's median normalised time over the passes (or cycles) that repeated it.
 
-    p90, not p95 or p99: on a shared host, batches stall in bursts while
-    other processes hold the CPU, and a higher percentile sits on the edge of
-    those bursts.  On refit-iforest the 3.5 % swap batches already push p95
-    to the 98.4th percentile of the other batches; the stalls themselves show
-    in ``rows_per_s``.
+    Every pass replays the same calls on the same inputs, so a call's
+    deterministic cost, a refit stall included, is in every repeat of it; a
+    cost that lands on one repeat only (a garbage collection, say) is not.
     """
-    p50, p90 = np.percentile(latencies, [50.0, 90.0])
+    return np.median(np.vstack(costs), axis=0)
+
+
+def _latency_metrics(per_call: np.ndarray) -> dict[str, float]:
+    """Median and p90 in ms of the calls' normalised times (see :func:`_per_call`).
+
+    p90, not p95 or p99: on refit-iforest the 3.5 % swap batches already
+    push p95 to the 98.4th percentile of the other batches; the stalls
+    themselves show in ``rows_per_s``.
+    """
+    p50, p90 = np.percentile(per_call, [50.0, 90.0])
     return {"batch_p50_ms": 1e3 * float(p50), "batch_p90_ms": 1e3 * float(p90)}
-
-
-def _median_rate(units: list, rows: Callable[[Any], int], seconds: Callable[[Any], float]) -> float:
-    """Median over passes (or repeats) of rows per second: robust to a burst
-    of contention from other processes during one of them."""
-    return statistics.median(rows(u) / seconds(u) for u in units)
 
 
 def _layer_metrics(tracer: LayerTracer, n_units: int, stats: dict) -> dict[str, float]:
@@ -200,12 +280,14 @@ def _install_layers(tracer: LayerTracer, stats: dict) -> None:
 def _measure(
     seconds: float, trace: bool, run_one: Callable[[int], Any], cycle: int = 1
 ) -> tuple[list[tuple[bool, Any]], LayerTracer, dict]:
-    """Call ``run_one(index)`` until the budget is spent, in whole cycles.
+    """Call ``run_one(index)`` in whole cycles until the budget is spent.
 
-    Untraced, every unit runs plain.  Traced, the first half of the budget
-    runs plain and the second half with the layer wrappers recording (at
-    least one cycle each).  Returns ``[(traced, unit), ...]``, the tracer and
-    the counts its hooks gathered.
+    A new cycle starts only while at least half a cycle's time is left, so a
+    phase overshoots its budget by at most half a cycle.  Untraced, every
+    unit runs plain.  Traced, the first half of the budget runs plain and
+    the second half with the layer wrappers recording (at least one cycle
+    each).  Returns ``[(traced, unit), ...]``, the tracer and the counts its
+    hooks gathered.
     """
     tracer = LayerTracer()
     stats: dict = {"native_rows": 0, "native_parallel_rows": 0, "chosen_k": []}
@@ -215,11 +297,12 @@ def _measure(
         tracer.active = traced
         try:
             start, first = perf_counter(), len(units)
-            while (
-                len(units) == first
-                or perf_counter() - start < budget
-                or (len(units) - first) % cycle
-            ):
+            while True:
+                done = len(units) - first
+                if done and done % cycle == 0:
+                    elapsed = perf_counter() - start
+                    if elapsed + 0.5 * elapsed / (done // cycle) >= budget:
+                        break
                 units.append((traced, run_one(len(units))))
         finally:
             tracer.active = False
@@ -302,11 +385,18 @@ def build_train_scenario(config: ExperimentConfig) -> ContinualScenario:
     )
 
 
-def build_stream_inputs(spec: ServeSpec, seed: int) -> StreamInputs:
-    """Dataset, poisoned stream batches and the fitted model for ``seed``."""
+def build_stream_inputs(
+    spec: ServeSpec, seed: int, lap: Callable[[], None] = _no_lap
+) -> StreamInputs:
+    """Dataset, poisoned stream batches and the fitted model for ``seed``.
+
+    ``lap`` is called between the steps (see :func:`_median_setup`).
+    """
     config = ExperimentConfig(scale=TRAIN_SCALE, seed=seed)
     scenario = build_train_scenario(config)
+    lap()
     dataset = load_dataset(DATASET, scale=STREAM_SCALE, seed=seed)
+    lap()
     stream = FlowStream(
         dataset,
         batch_size=spec.batch_size,
@@ -318,12 +408,15 @@ def build_stream_inputs(spec: ServeSpec, seed: int) -> StreamInputs:
     n_rows, n_features = X.shape
     poison = np.sort(rng.choice(n_rows, size=int(POISON_FRACTION * n_rows), replace=False))
     X[poison, rng.integers(0, n_features, size=poison.size)] = np.nan
+    lap()
     if spec.detector == "cndids":
         model = build_continual_method("CND-IDS", scenario.n_features, config)
         model.setup(scenario.clean_normal)
+        lap()
         model.fit_experience(scenario[0].X_train)
     else:
         model = _make_forest().fit(scenario.clean_normal)
+    lap()
     return StreamInputs(
         batches=[X[i : i + spec.batch_size] for i in range(0, n_rows, spec.batch_size)],
         labels=stream.y,
@@ -336,8 +429,9 @@ def build_stream_inputs(spec: ServeSpec, seed: int) -> StreamInputs:
 
 @dataclass
 class ServePass:
-    wall_s: float
+    wall_s: float  # the loop's wall time, probes excluded
     latencies: np.ndarray
+    costs: np.ndarray  # host-normalised latencies
     swap_batches: list[int]
     counts: dict[str, int]
     failed: int
@@ -372,12 +466,14 @@ def run_serve_pass(
     batches = inputs.batches
     n_batches = len(batches)
     latencies = np.empty(n_batches)
+    probes = np.empty(n_batches)
     results: list[Any] = [None] * n_batches
     models = {0: svc.detector}
     swap_batches: list[int] = []
     failed = 0
     start = perf_counter()
     for i, X in enumerate(batches):
+        probes[i] = probe()
         t0 = perf_counter()
         try:
             results[i] = svc.process_batch(X)
@@ -388,7 +484,7 @@ def run_serve_pass(
         if svc.epoch_ not in models:
             models[svc.epoch_] = svc.detector
             swap_batches.append(i)
-    wall = perf_counter() - start
+    wall = perf_counter() - start - float(probes.sum())
     sink.close()
     if svc.n_disabled_sinks_:
         failed += svc.n_disabled_sinks_
@@ -421,7 +517,8 @@ def run_serve_pass(
         if counts != ref["counts"]:
             print(f"check failed: pass {index} counts {counts} != {ref['counts']}", file=sys.stderr)
             failed += 1
-    return ServePass(wall, latencies, swap_batches, counts, failed)
+    costs = normalised(latencies, probes)
+    return ServePass(wall, latencies, costs, swap_batches, counts, failed)
 
 
 def _check_rows(spec: ServeSpec, inputs: StreamInputs, results: list) -> int:
@@ -444,28 +541,23 @@ def _check_rows(spec: ServeSpec, inputs: StreamInputs, results: list) -> int:
 def _check_against_one_shot(inputs: StreamInputs, results: list, models: dict) -> int:
     """Service scores equal re-scoring per served model in other batch shapes.
 
-    The clean rows of all batches a model served are re-scored together in
-    ``CHECK_BLOCK``-row calls (one call would hold the whole stream's encoder
-    activations in memory at once).
+    The batches a model served are re-scored a group at a time: the clean
+    rows of about ``CHECK_BLOCK // batch_size`` batches in one call.  Only one
+    group's rows and encoder activations are held at once.
     """
-    clean = [X[np.isfinite(X).all(axis=1)] for X in inputs.batches]
+    per_group = max(1, CHECK_BLOCK // inputs.batches[0].shape[0])
     failed = 0
     for epoch, model in models.items():
         idx = [i for i, r in enumerate(results) if r is not None and r.model_epoch == epoch]
-        if not idx:
-            continue
-        rows = np.vstack([clean[i] for i in idx])
-        one_shot = np.concatenate(
-            [
-                model.score_samples(rows[start : start + CHECK_BLOCK])
-                for start in range(0, rows.shape[0], CHECK_BLOCK)
-            ]
-        )
-        offsets = np.cumsum([0] + [clean[i].shape[0] for i in idx])
-        for k, i in enumerate(idx):
-            expected = one_shot[offsets[k] : offsets[k + 1]]
-            if not np.allclose(results[i].scores, expected, rtol=SCORE_RTOL, atol=0.0):
-                failed += 1
+        for first in range(0, len(idx), per_group):
+            group = idx[first : first + per_group]
+            clean = [inputs.batches[i][np.isfinite(inputs.batches[i]).all(axis=1)] for i in group]
+            one_shot = model.score_samples(np.vstack(clean))
+            offsets = np.cumsum([0] + [rows.shape[0] for rows in clean])
+            for k, i in enumerate(group):
+                expected = one_shot[offsets[k] : offsets[k + 1]]
+                if not np.allclose(results[i].scores, expected, rtol=SCORE_RTOL, atol=0.0):
+                    failed += 1
     if failed:
         print(f"check failed: {failed} batches differ from one-shot scoring", file=sys.stderr)
     return failed
@@ -488,13 +580,19 @@ def _store_reference(ref: dict, inputs: StreamInputs, results: list, counts: dic
 
 def serve_workload(name: str, seed: int, seconds: float, trace: bool, out_dir: Path) -> Outcome:
     spec = SERVE_SPECS[name]
-    inputs, setup_s = _median_setup(
-        lambda: build_stream_inputs(spec, seed), SETUP_REPEATS["serve"]
+    inputs, setup_s, setup_raw_s = _median_setup(
+        lambda lap: build_stream_inputs(spec, seed, lap), SETUP_REPEATS["serve"]
     )
+    peaks = {"setup_peak_rss_mb": peak_rss_mb(), "peak_rss_reset": reset_peak_rss()}
     ref: dict = {}
     workdir = Path(tempfile.mkdtemp(prefix="run-", dir=out_dir))
 
     def run_one(index: int) -> ServePass:
+        if index == 1:
+            # Pass 0 re-scores the stream for its checks; from here on the
+            # memory peak is the service's alone.
+            peaks["pass0_peak_rss_mb"] = peak_rss_mb()
+            reset_peak_rss()
         try:
             return run_serve_pass(spec, inputs, workdir / str(index), index, ref)
         finally:
@@ -509,27 +607,38 @@ def serve_workload(name: str, seed: int, seconds: float, trace: bool, out_dir: P
     plain = [u for traced, u in units if not traced]
     outcome = Outcome(
         attempted=sum(len(p.latencies) for p in passes),
-        failed=sum(p.failed for p in passes),
+        failed=sum(p.failed for p in passes)
+        + _check_stored(name, seed, {"alert_f1": ref["alert_f1"], "pr_auc": ref["pr_auc"]}),
     )
-    latencies = np.concatenate([p.latencies for p in plain])
+    per_batch = _per_call([p.costs for p in plain])
 
     def rate(ps: list) -> float:
-        return _median_rate(ps, lambda p: p.counts["rows.scored"], lambda p: p.wall_s)
+        """Rows per pass over the sum of the batches' normalised times."""
+        return ref["counts"]["rows.scored"] / float(_per_call([p.costs for p in ps]).sum())
 
-    stalls = [p.latencies[i] for p in plain for i in p.swap_batches]
+    stalls = per_batch[plain[0].swap_batches]
+    pass_rates = [p.counts["rows.scored"] / p.wall_s for p in plain]
+    probe_us = 1e6 * PROBE_REF_S * np.median(
+        np.concatenate([p.latencies / p.costs for p in plain])
+    )
     outcome.e2e = {
         "setup_s": setup_s,
         "rows_per_s": rate(plain),
-        **_latency_metrics(latencies),
+        **_latency_metrics(per_batch),
         "alert_f1": ref["alert_f1"],
         "pr_auc": ref["pr_auc"],
     }
     outcome.notes = {
-        "pass_rows_per_s": [round(p.counts["rows.scored"] / p.wall_s) for p in plain],
+        "setup_raw_s": setup_raw_s,
+        "probe_median_us": probe_us,
+        "pass_rows_per_s": [round(r) for r in pass_rates],
+        "median_pass_rows_per_s": statistics.median(pass_rates),
+        "all_batches_p50_ms": 1e3 * float(np.median(np.concatenate([p.latencies for p in plain]))),
         "passes": len(passes),
-        "latency_samples": int(latencies.size),
-        "swap_stall_ms": 1e3 * statistics.median(stalls) if stalls else 0.0,
-        "swap_samples": len(stalls),
+        "latency_samples": int(per_batch.size),
+        "swap_stall_ms": 1e3 * float(np.median(stalls)) if stalls.size else 0.0,
+        "swap_samples": int(stalls.size),
+        **peaks,
     }
     outcome.layers = {name_: float(v) for name_, v in ref["counts"].items()}
     outcome.layers["lifecycle.accept_frac"] = (
@@ -549,7 +658,8 @@ def serve_workload(name: str, seed: int, seconds: float, trace: bool, out_dir: P
 class TrainRepeat:
     wall_s: float
     train_s: float
-    predict_s: list[float]  # one per protocol evaluation call
+    fit_s: np.ndarray  # host-normalised, one per experience
+    predict_s: np.ndarray  # host-normalised, one per protocol evaluation call
     rows: int
     quality: dict[str, float]
     pca_rank: int
@@ -558,29 +668,42 @@ class TrainRepeat:
 def run_train_repeat(config: ExperimentConfig, scenario: Any) -> TrainRepeat:
     """Algorithm 1 once: every experience trained, every test split evaluated.
 
-    Each evaluation ``predict`` call is timed from outside: those are the
-    workload's batches (a test split scored and thresholded by the model
-    trained so far).
+    Each ``fit_experience`` and each evaluation ``predict`` call is timed
+    from outside and normalised by the probes taken just before and after it.
+    The predict calls are the workload's batches (a test split scored and
+    thresholded by the model trained so far).
     """
     method = build_continual_method("CND-IDS", scenario.n_features, config)
-    predict_s: list[float] = []
-    predict = method.predict
+    times: dict[str, list[float]] = {"fit_experience": [], "predict": []}
+    probe_s = [0.0]
 
-    def timed_predict(*args: Any, **kwargs: Any) -> Any:
-        start = perf_counter()
-        try:
-            return predict(*args, **kwargs)
-        finally:
-            predict_s.append(perf_counter() - start)
+    def timed(name: str) -> Callable[..., Any]:
+        call = getattr(method, name)
 
-    method.predict = timed_predict
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            probe_start = perf_counter()
+            before = probe(LONG_CALL_PROBES)
+            start = perf_counter()
+            try:
+                return call(*args, **kwargs)
+            finally:
+                end = perf_counter()
+                after = probe(LONG_CALL_PROBES)
+                probe_s[0] += (start - probe_start) + (perf_counter() - end)
+                times[name].append(normalised(end - start, 0.5 * (before + after)))
+
+        return wrapper
+
+    for name in times:
+        setattr(method, name, timed(name))
     start = perf_counter()
     result = run_continual_method(method, scenario)
-    wall = perf_counter() - start
+    wall = perf_counter() - start - probe_s[0]
     return TrainRepeat(
         wall_s=wall,
         train_s=result.train_time_s,
-        predict_s=predict_s,
+        fit_s=np.array(times["fit_experience"]),
+        predict_s=np.array(times["predict"]),
         rows=sum(e.n_train for e in scenario),
         quality={
             "avg_f1": result.avg_f1,
@@ -600,29 +723,23 @@ def _check_quality(seeds: list[int], repeats: list[TrainRepeat]) -> int:
         for key, value in r.quality.items()
         if not np.isclose(value, first[i % len(seeds)][key], rtol=SCORE_RTOL, atol=0.0)
     )
-    stored = json.loads(REFERENCE_PATH.read_text())
-    for sub_seed, quality in zip(seeds, first):
-        expected = stored.get(str(sub_seed))
-        if expected is None:
-            continue
-        mismatches = sum(
-            1
-            for key, value in quality.items()
-            if not np.isclose(value, expected[key], rtol=QUALITY_RTOL, atol=0.0)
-        )
-        if mismatches:
-            print(f"check failed: seed {sub_seed} quality {quality} vs stored {expected}",
-                  file=sys.stderr)
-        failed += mismatches
-    return failed
+    return failed + sum(
+        _check_stored("train-cndids", sub_seed, quality) for sub_seed, quality in zip(seeds, first)
+    )
 
 
 def train_workload(seed: int, seconds: float, trace: bool, out_dir: Path) -> Outcome:
     seeds = [seed * TRAIN_SCENARIOS + j for j in range(TRAIN_SCENARIOS)]
     configs = [ExperimentConfig(scale=TRAIN_SCALE, seed=s) for s in seeds]
-    scenarios, setup_s = _median_setup(
-        lambda: [build_train_scenario(c) for c in configs], SETUP_REPEATS["train"]
-    )
+    def build(lap: Callable[[], None]) -> list[ContinualScenario]:
+        scenarios = []
+        for config in configs:
+            scenarios.append(build_train_scenario(config))
+            lap()
+        return scenarios
+
+    scenarios, setup_s, setup_raw_s = _median_setup(build, SETUP_REPEATS["train"])
+    peaks = {"setup_peak_rss_mb": peak_rss_mb(), "peak_rss_reset": reset_peak_rss()}
     units, tracer, stats = _measure(
         seconds,
         trace,
@@ -635,15 +752,17 @@ def train_workload(seed: int, seconds: float, trace: bool, out_dir: Path) -> Out
         attempted=sum(len(r.predict_s) for r in repeats),
         failed=_check_quality(seeds, repeats),
     )
-    predict_s = np.concatenate([r.predict_s for r in plain])
+
+    def per_call(rs: list, key: str) -> np.ndarray:
+        """Per call, the median normalised time over the cycles; scenario after scenario."""
+        per_scenario = [rs[j :: len(seeds)] for j in range(len(seeds))]
+        return np.concatenate([_per_call([getattr(r, key) for r in s]) for s in per_scenario])
+
+    predict_s = per_call(plain, "predict_s")
 
     def rate(rs: list) -> float:
-        cycles = [rs[i : i + len(seeds)] for i in range(0, len(rs), len(seeds))]
-        return _median_rate(
-            cycles,
-            lambda c: sum(r.rows for r in c),
-            lambda c: sum(r.train_s for r in c),
-        )
+        """Training rows of a cycle over the sum of the experiences' normalised fit times."""
+        return sum(r.rows for r in rs[: len(seeds)]) / float(per_call(rs, "fit_s").sum())
 
     def mean(key: str) -> float:
         return float(np.mean([r.quality[key] for r in repeats[: len(seeds)]]))
@@ -656,10 +775,16 @@ def train_workload(seed: int, seconds: float, trace: bool, out_dir: Path) -> Out
         "pr_auc": mean("avg_prauc"),
     }
     outcome.notes = {
+        "setup_raw_s": setup_raw_s,
         "repeats": len(repeats),
+        "cycle_rows_per_s": [
+            round(sum(r.rows for r in c) / sum(r.train_s for r in c))
+            for c in (plain[i : i + len(seeds)] for i in range(0, len(plain), len(seeds)))
+        ],
         "latency_samples": int(predict_s.size),
         "train_s": statistics.median(r.train_s for r in plain),
         "fwd_transfer": mean("fwd_transfer"),
+        **peaks,
     }
     outcome.layers = {
         "train.train_s": outcome.notes["train_s"],
