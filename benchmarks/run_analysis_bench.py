@@ -9,7 +9,7 @@ key of ``BENCH_inference.json`` and ``check_bench_trend.py`` fails the build
 when any entry regresses:
 
 * ``lint_full[cold]`` — the full two-pass lint (parse, symbol table, call
-  graph, all twelve rules) over the real ``src/repro`` tree with no cache,
+  graph, all eleven rules) over the real ``src/repro`` tree with no cache,
   in files per second;
 * ``lint_full[warm_cache]`` — the same tree against a fully warm
   :class:`~repro.analysis.cache.LintCache` (content hashes unchanged, so

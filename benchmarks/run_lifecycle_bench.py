@@ -2,9 +2,8 @@
 
 An online-refit deployment pays two new costs on top of scoring: the time to
 train a candidate on the clean window (refit latency — happens at most once
-per drift episode) and the time the serving loop stalls while models swap
-(every worker must be idle at the round boundary that applies a coordinated
-swap).  This benchmark measures both and records them under the
+per drift episode) and the time the serving loop stalls while models swap.
+This benchmark measures both and records them under the
 ``"lifecycle"`` key of ``BENCH_inference.json`` so
 ``check_bench_trend.py`` fails the build when either regresses, exactly as
 it does for single-core inference (``results``) and the parallel layer
@@ -14,11 +13,7 @@ it does for single-core inference (``results``) and the parallel layer
   clean buffer, reported as window rows per second (plus ``refit_latency_s``);
 * ``DetectionService.reload_detector[iforest]`` — the sequential in-process
   swap (rolling/drift state reset included), reported as swaps per second
-  (plus ``swap_stall_s``);
-* ``coordinated_swap[thread,w=N]`` — swapping every shard service of a
-  thread-mode :class:`ShardedDetectionService` at a round boundary;
-* ``coordinated_swap[process,w=N]`` — the process-mode equivalent: publishing
-  the new epoch's snapshot the worker processes will load.
+  (plus ``swap_stall_s``).
 
 A second, separately trend-checked ``"shadow"`` section records what shadow
 evaluation (:mod:`repro.serve.lifecycle.shadow`) costs while a trial runs —
@@ -32,7 +27,7 @@ the serving loop scores every batch twice:
 Usage::
 
     PYTHONPATH=src python benchmarks/run_lifecycle_bench.py \
-        [--window 4096] [--n-features 16] [--workers 4] \
+        [--window 4096] [--n-features 16] \
         [--output BENCH_inference.json]
 """
 
@@ -40,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -49,9 +43,7 @@ import numpy as np
 from repro._version import __version__
 from repro.novelty import IsolationForest
 from repro.serve.lifecycle import FullRefit, ShadowEvaluator, WindowBuffer
-from repro.serve.parallel import ShardedDetectionService
 from repro.serve.service import DetectionService
-from repro.serve.snapshot import save_snapshot
 from repro.utils.timing import Timer
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_inference.json"
@@ -80,7 +72,6 @@ def run_bench(
     *,
     window: int = 4096,
     n_features: int = 16,
-    n_workers: int = 4,
     n_repeats: int = 3,
     seed: int = 0,
 ) -> dict[str, object]:
@@ -115,43 +106,12 @@ def run_bench(
         "swap_stall_s": swap_s,
     }
 
-    sharded = ShardedDetectionService(
-        detector, n_workers=n_workers, mode="thread", threshold="auto"
-    )
-    sharded._shard_services = [
-        sharded._make_shard_service() for _ in range(n_workers)
-    ]
-
-    def _swap_all_threads() -> None:
-        for shard_service in sharded._shard_services:
-            shard_service.reload_detector(candidate)
-
-    thread_swap_s = _best_time(_swap_all_threads, n_repeats, n_inner=100)
-    results[f"coordinated_swap[thread,w={n_workers}]"] = {
-        "samples_per_sec": 1.0 / thread_swap_s,
-        "swap_stall_s": thread_swap_s,
-    }
-
-    with tempfile.TemporaryDirectory(prefix="repro-lifecycle-bench-") as tmp:
-        epoch = [0]
-
-        def _publish_epoch_snapshot() -> None:
-            epoch[0] += 1
-            save_snapshot(candidate, Path(tmp) / f"model_e{epoch[0]}")
-
-        process_swap_s = _best_time(_publish_epoch_snapshot, n_repeats)
-    results[f"coordinated_swap[process,w={n_workers}]"] = {
-        "samples_per_sec": 1.0 / process_swap_s,
-        "swap_stall_s": process_swap_s,
-    }
-
     return {
         "benchmark": "lifecycle_costs",
         "version": __version__,
         "config": {
             "window": window,
             "n_features": n_features,
-            "n_workers": n_workers,
             "n_repeats": n_repeats,
             "seed": seed,
         },
@@ -242,17 +202,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--window", type=int, default=4096)
     parser.add_argument("--n-features", type=int, default=16)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--n-repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     args = parser.parse_args(argv)
-    if min(args.window, args.n_features, args.workers, args.n_repeats) < 1:
-        parser.error("--window, --n-features, --workers, --n-repeats must be >= 1")
+    if min(args.window, args.n_features, args.n_repeats) < 1:
+        parser.error("--window, --n-features, --n-repeats must be >= 1")
     payload = run_bench(
         window=args.window,
         n_features=args.n_features,
-        n_workers=args.workers,
         n_repeats=args.n_repeats,
         seed=args.seed,
     )

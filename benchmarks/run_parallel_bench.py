@@ -1,4 +1,4 @@
-"""Multi-core throughput benchmark: threaded kernels + sharded serving.
+"""Multi-core throughput benchmark: threaded kernels + the serving loop.
 
 Measures the parallelism layer end to end and records the numbers under the
 ``"parallel"`` key of ``BENCH_inference.json`` (the sequential engine keeps
@@ -9,9 +9,8 @@ inference:
 * ``IsolationForest.score_samples`` with the kernels capped at one thread
   versus all allowed threads (``REPRO_NUM_THREADS``) — the OpenMP/thread-pool
   row-block speedup in isolation;
-* ``DetectionService.run`` versus ``ShardedDetectionService.run`` (thread
-  workers) over the same batch stream — the serving-layer fan-out, reported
-  with ``speedup_vs_sequential``.
+* ``DetectionService.run`` over a batch stream — the serving loop on top of
+  the same kernels.
 
 On a single-core machine the speedups hover around 1.0x; the trend check
 compares like to like across runs of the same machine, so the entries remain
@@ -38,7 +37,6 @@ import numpy as np
 from repro._version import __version__
 from repro.ml import native
 from repro.novelty import IsolationForest
-from repro.serve.parallel import ShardedDetectionService
 from repro.serve.service import DetectionService
 from repro.utils.timing import Timer
 
@@ -104,20 +102,11 @@ def run_bench(
         "speedup_vs_sequential": kernel_par / kernel_seq if kernel_seq > 0 else 0.0,
     }
 
-    def _run_sequential() -> None:
+    def _run_service() -> None:
         DetectionService(detector, threshold="auto").run(batches)
 
-    def _run_sharded() -> None:
-        ShardedDetectionService(
-            detector, n_workers=n_workers, mode="thread", threshold="auto"
-        ).run(batches)
-
-    service_seq = _best_rate(_run_sequential, n_rows, n_repeats)
-    service_par = _best_rate(_run_sharded, n_rows, n_repeats)
-    results["DetectionService.run[iforest]"] = {"samples_per_sec": service_seq}
-    results[f"ShardedDetectionService.run[iforest,thread,w={n_workers}]"] = {
-        "samples_per_sec": service_par,
-        "speedup_vs_sequential": service_par / service_seq if service_seq > 0 else 0.0,
+    results["DetectionService.run[iforest]"] = {
+        "samples_per_sec": _best_rate(_run_service, n_rows, n_repeats)
     }
 
     return {
@@ -159,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n-features", type=int, default=16)
     parser.add_argument(
         "--workers", type=int, default=0,
-        help="worker/thread count (0 = auto: min(4, cpus), at least 2)",
+        help="kernel thread count (0 = auto: min(4, cpus), at least 2)",
     )
     parser.add_argument("--batch-size", type=int, default=512)
     parser.add_argument("--n-repeats", type=int, default=3)

@@ -4,8 +4,7 @@ Writes the ``"lifecycle"`` section of ``BENCH_inference.json`` (the trend
 check compares it across PRs) and sanity-checks the two operational costs of
 online refit: training a candidate on the clean window must stay far cheaper
 than re-scoring the stream it protects, and a hot-swap must stall the
-serving loop for well under a second — swaps happen at round boundaries, so
-a slow swap would freeze every worker.
+serving loop for well under a second.
 """
 
 from __future__ import annotations
@@ -32,13 +31,8 @@ def test_bench_lifecycle_costs():
     # catches an accidental quadratic blow-up
     assert refit["refit_latency_s"] < 30.0
 
-    n_workers = payload["config"]["n_workers"]
-    for key in (
-        "DetectionService.reload_detector[iforest]",
-        f"coordinated_swap[thread,w={n_workers}]",
-        f"coordinated_swap[process,w={n_workers}]",
-    ):
-        assert results[key]["swap_stall_s"] < 1.0, key
+    swap = results["DetectionService.reload_detector[iforest]"]
+    assert swap["swap_stall_s"] < 1.0
 
 
 def test_bench_shadow_overhead():

@@ -16,18 +16,12 @@ The deployment story of the paper, end to end:
    model for ``--shadow-rounds`` batches and only swaps when the two agree
    on live traffic), then republishes the survivor to the registry as a new
    version and hot-swaps it in — every decision lands in the registry's
-   ``history.jsonl`` lineage,
-4. with ``--workers N`` (N > 1), serve the same stream through a
-   **ShardedDetectionService** instead: batches fan out to N workers, alerts
-   and drift events re-merge in global stream order, per-shard drift
-   monitors *vote*, and on quorum the parent refits once and swaps every
-   worker at a round boundary (each batch is tagged with the model epoch
+   ``history.jsonl`` lineage (each batch is tagged with the model epoch
    that scored it).
 
 Run with::
 
     python examples/serve_iiot_stream.py [--dataset wustl_iiot] [--scale 0.002]
-    python examples/serve_iiot_stream.py --workers 4
 """
 
 from __future__ import annotations
@@ -50,14 +44,8 @@ from repro.serve import (
     ListSink,
     ModelRegistry,
     ShadowEvaluator,
-    ShardedDetectionService,
     WindowBuffer,
 )
-
-
-def make_drift_monitor() -> DriftMonitor:
-    """Per-shard monitor factory (module-level so process workers can pickle it)."""
-    return DriftMonitor(window=1024, threshold=0.5, min_samples=512)
 
 
 def make_fused_detector(seed: int) -> FusionDetector:
@@ -79,9 +67,6 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--drift-strength", type=float, default=2.5)
     parser.add_argument("--registry", default=None,
                         help="registry directory (default: a temporary directory)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="shard the stream across this many workers "
-                        "(drift-triggered refits are coordinated either way)")
     parser.add_argument("--refit-window", type=int, default=2048,
                         help="clean-window buffer capacity refits train on")
     parser.add_argument("--shadow-rounds", type=int, default=3,
@@ -139,43 +124,24 @@ def main() -> None:
         serving_version=info.version,
         shadow=shadow,
     )
-    if args.workers > 1:
-        service = ShardedDetectionService(
-            served,
-            n_workers=args.workers,
-            threshold="rolling",
-            rolling_quantile=0.95,
-            drift_monitor_factory=make_drift_monitor,
-            lifecycle=lifecycle,
-            quorum=0.5,
-            sinks=[sink],
-        )
-    else:
-        service = DetectionService(
-            served,
-            threshold="rolling",
-            rolling_quantile=0.95,
-            drift_monitor=make_drift_monitor(),
-            sinks=[sink],
-            lifecycle=lifecycle,
-        )
+    service = DetectionService(
+        served,
+        threshold="rolling",
+        rolling_quantile=0.95,
+        drift_monitor=DriftMonitor(window=1024, threshold=0.5, min_samples=512),
+        sinks=[sink],
+        lifecycle=lifecycle,
+    )
     stream = FlowStream(
         dataset,
         batch_size=args.batch_size,
         drift_strength=args.drift_strength,
         random_state=args.seed,
     )
-    if args.workers > 1:
-        print(
-            f"\nserving {stream.n_batches} batches of {args.batch_size} flows "
-            f"across {args.workers} {service.resolved_mode()} workers "
-            f"(drift strength {args.drift_strength}, swap quorum 50%) ...\n"
-        )
-    else:
-        print(
-            f"\nserving {stream.n_batches} batches of {args.batch_size} flows "
-            f"(drift strength {args.drift_strength}) ...\n"
-        )
+    print(
+        f"\nserving {stream.n_batches} batches of {args.batch_size} flows "
+        f"(drift strength {args.drift_strength}) ...\n"
+    )
     report = service.run(stream)
     print(report.summary())
 

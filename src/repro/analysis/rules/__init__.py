@@ -15,7 +15,6 @@ from repro.analysis.rules.rl003_pickle import PickleBanRule
 from repro.analysis.rules.rl004_events import SinkEventSchemaRule
 from repro.analysis.rules.rl005_exceptions import ExceptionHygieneRule
 from repro.analysis.rules.rl006_trace import TraceCoverageRule
-from repro.analysis.rules.rl007_shared_state import SharedStateRule
 from repro.analysis.rules.rl008_api import ApiSurfaceRule
 from repro.analysis.rules.rl009_resources import ResourceLifecycleRule
 from repro.analysis.rules.rl010_schema import EventSchemaConsistencyRule
@@ -33,7 +32,6 @@ __all__ = [
     "ResourceLifecycleRule",
     "Rule",
     "RULE_CLASSES",
-    "SharedStateRule",
     "SinkEventSchemaRule",
     "SnapshotCompletenessRule",
     "TraceCoverageRule",
@@ -48,7 +46,6 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     SinkEventSchemaRule,
     ExceptionHygieneRule,
     TraceCoverageRule,
-    SharedStateRule,
     ApiSurfaceRule,
     ResourceLifecycleRule,
     EventSchemaConsistencyRule,

@@ -16,23 +16,19 @@ fitted detector into something that can be *deployed*:
   distribution shift and can trigger a refit-from-registry,
 * :mod:`repro.serve.fusion` — score-level fusion of several detectors
   (mean / max / conflict-aware PCR-style weighting) served as one model,
-* :mod:`repro.serve.parallel` — :class:`ShardedDetectionService`, fanning a
-  stream out to thread/process workers with deterministic (round-robin or
-  greedy least-loaded) sharding, a global-order merge of alerts and drift
-  events, and an epoch-tagged coordinated hot-swap on drift quorum,
 * :mod:`repro.serve.lifecycle` — :class:`LifecycleManager` and friends: the
   online *drift → refit → gate → publish → swap* loop (clean-window
   buffering, Full/Continual/NoRefit policies, quality gate),
 * :mod:`repro.serve.sinks` — pluggable alert sinks (in-memory, JSONL,
   callback),
 * :mod:`repro.serve.faults` — the fault-tolerance layer threaded through all
-  of the above: poison-row quarantine, supervised worker restarts, resilient
-  sinks, retrying I/O, crash-safe registry recovery events, and the
+  of the above: poison-row quarantine, resilient sinks, retrying I/O,
+  crash-safe registry recovery events, and the
   deterministic :class:`FaultInjector` chaos harness behind
   ``repro serve --inject-faults``,
 * :mod:`repro.serve.telemetry` — the observability layer over all of the
-  above: a mergeable metrics registry (counters, gauges, log-bucketed
-  latency histograms that fold deterministically across workers), span
+  above: a metrics registry (counters, gauges, log-bucketed latency
+  histograms), span
   tracing of every pipeline stage (``serve --trace-file``), structured
   operator logging (``serve --log-level``), and auditable run reports with
   reproducibility hashes (``serve --run-dir`` / ``serve report``).
@@ -47,7 +43,6 @@ from repro.serve.faults import (
     RegistryRecovery,
     ResilientSink,
     SinkDisabled,
-    WorkerRestart,
     call_with_retry,
     emit_resilient,
     wrap_sinks,
@@ -68,7 +63,6 @@ from repro.serve.lifecycle import (
     WindowBuffer,
     clone_model,
 )
-from repro.serve.parallel import ShardedDetectionService
 from repro.serve.registry import ModelRegistry, SnapshotInfo
 from repro.serve.service import (
     Alert,
@@ -93,7 +87,6 @@ from repro.serve.telemetry import (
     build_report,
     build_run_summary,
     configure_logging,
-    deterministic_view,
     get_logger,
     log_event,
     render_markdown,
@@ -135,20 +128,17 @@ __all__ = [
     "ShadowEvaluator",
     "ShadowTrial",
     "ShadowVerdict",
-    "ShardedDetectionService",
     "SinkDisabled",
     "SnapshotError",
     "SnapshotInfo",
     "SNAPSHOT_FORMAT_VERSION",
     "SpanTracer",
     "WindowBuffer",
-    "WorkerRestart",
     "build_report",
     "build_run_summary",
     "call_with_retry",
     "clone_model",
     "configure_logging",
-    "deterministic_view",
     "emit_resilient",
     "get_logger",
     "load_snapshot",

@@ -7,20 +7,14 @@ Usage examples::
     repro serve --dataset wustl_iiot --scale 0.002 --detector iforest \
         --drift-strength 2.0 --threshold rolling
 
-    # shard the stream across 4 workers (alerts re-merge in stream order)
-    repro serve --dataset wustl_iiot --detector iforest --workers 4
-
     # publish the fitted model and serve from the registry afterwards
     repro serve --dataset wustl_iiot --detector knn --registry ./models --publish
     repro serve --dataset wustl_iiot --registry ./models --model knn-wustl_iiot
 
     # online refit: on drift, refit from the clean recent window, gate,
-    # republish and hot-swap (works sharded too: workers vote, the parent
-    # swaps everyone at a round boundary once the quorum is reached)
+    # republish and hot-swap
     repro serve --dataset wustl_iiot --detector iforest --threshold rolling \
         --registry ./models --publish --refit full --refit-window 4096
-    repro serve --dataset wustl_iiot --detector iforest --threshold rolling \
-        --registry ./models --publish --refit full --workers 4 --quorum 0.5
 
     # shadow evaluation: a gate-passed candidate is double-scored alongside
     # the live model for N batches and only swaps on live-stream agreement
@@ -36,9 +30,8 @@ Usage examples::
 
     # chaos-test the fault tolerance with deterministic injected faults
     # (grammar in repro.serve.faults), and scan/quarantine corrupt versions
-    repro serve --dataset wustl_iiot --detector iforest --workers 2 \
-        --worker-mode process \
-        --inject-faults 'worker_crash@every=2;nan_rows@rate=0.05'
+    repro serve --dataset wustl_iiot --detector iforest \
+        --inject-faults 'sink_raise@every=1;nan_rows@rate=0.05'
     repro registry recover --registry ./models
 
     # observability: operator logs, per-stage span traces, and an auditable
@@ -51,7 +44,7 @@ Usage examples::
     repro trace ./run/trace.jsonl --view tree --budget batch=100
 
     # live introspection + continuous memory profiling: /metrics (Prometheus),
-    # /health (heartbeat watchdog + degraded flag), /status (JSON summary)
+    # /health (heartbeat watchdog), /status (JSON summary)
     repro serve --dataset wustl_iiot --detector iforest \
         --status-port 9178 --health-deadline 30 --profile-mem
 
@@ -62,13 +55,9 @@ commands work as ``python -m repro.experiments.cli ...``.)
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import os
 import signal
 from pathlib import Path
-
-import numpy as np
 
 from repro.datasets.registry import load_dataset
 from repro.datasets.streaming import FlowStream
@@ -93,7 +82,6 @@ from repro.serve.lifecycle import (
     WindowBuffer,
 )
 from repro.serve.lifecycle.shadow import describe_agreement
-from repro.serve.parallel import ShardedDetectionService
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import DetectionService, make_registry_reload
 from repro.serve.sinks import JsonlSink, read_events
@@ -155,37 +143,16 @@ def _parser() -> argparse.ArgumentParser:
         help="upper bound on rows per scoring call (bounds peak memory)",
     )
     serve.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the stream across this many workers (1 = sequential); "
-        "batches are round-robin assigned and alerts re-merge in stream order",
-    )
-    serve.add_argument(
-        "--worker-mode", choices=["auto", "thread", "process"], default="auto",
-        help="worker backend with --workers > 1 (auto: threads when the "
-        "native kernels are available, processes otherwise)",
-    )
-    serve.add_argument(
-        "--shard-mode", choices=["round_robin", "greedy"], default="round_robin",
-        help="batch-to-worker assignment with --workers > 1: strict "
-        "round-robin, or greedy least-loaded (deterministic; better balance "
-        "for ragged batch sizes)",
-    )
-    serve.add_argument(
         "--refit", choices=["off", "full", "continual"], default="off",
         help="online refit on drift: 'full' refits the detector from scratch "
         "on the clean recent window, 'continual' routes the window through "
         "the model's continual update path; candidates must pass a quality "
         "gate, are republished to --registry when given, and hot-swap the "
-        "served model (coordinated across --workers at a round boundary)",
+        "served model",
     )
     serve.add_argument(
         "--refit-window", type=int, default=4096,
         help="capacity of the clean-window buffer refits are trained on",
-    )
-    serve.add_argument(
-        "--quorum", type=float, default=0.5,
-        help="with --workers > 1 and --refit: fraction of workers whose "
-        "drift monitors must vote before the parent coordinates a swap",
     )
     serve.add_argument(
         "--shadow-rounds", type=int, default=0,
@@ -228,14 +195,9 @@ def _parser() -> argparse.ArgumentParser:
         "--alerts", type=Path, default=None, help="write alerts/drift events as JSONL"
     )
     serve.add_argument(
-        "--max-worker-restarts", type=int, default=3,
-        help="with --workers > 1 in process mode: pool respawns allowed "
-        "after dead/hung workers before degrading to in-parent scoring",
-    )
-    serve.add_argument(
         "--inject-faults", default=None, metavar="SPEC",
         help="deterministic chaos testing: inject faults described by SPEC "
-        "(e.g. 'worker_crash@every=1;sink_raise@every=1;nan_rows@rate=0.05'; "
+        "(e.g. 'sink_raise@every=1;nan_rows@rate=0.05'; "
         "see repro.serve.faults for the grammar); never use in production",
     )
     serve.add_argument(
@@ -253,9 +215,9 @@ def _parser() -> argparse.ArgumentParser:
         "--status-port", type=int, default=None, metavar="PORT",
         help="serve a live introspection endpoint on 127.0.0.1:PORT while "
         "the stream runs: /metrics (Prometheus text exposition), /health "
-        "(200/503 from the batch heartbeat watchdog and the degraded-mode "
-        "flag) and /status (JSON: epoch, serving version, worker restarts, "
-        "disabled sinks, open shadow trial); PORT 0 picks a free port",
+        "(200/503 from the batch heartbeat watchdog) and /status (JSON: "
+        "epoch, serving version, disabled sinks, open shadow trial); PORT 0 "
+        "picks a free port",
     )
     serve.add_argument(
         "--health-deadline", type=float, default=30.0, metavar="SECONDS",
@@ -264,7 +226,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--profile-mem", action="store_true",
-        help="sample RSS + tracemalloc after every merged batch into the "
+        help="sample RSS + tracemalloc after every batch into the "
         "metrics registry (mem.* gauges, per-stage byte histograms) and a "
         "'memory' section of run_summary.json",
     )
@@ -337,12 +299,6 @@ def _split_model_selector(selector: str) -> tuple[str, str | None]:
     return name, (version or None)
 
 
-def _make_drift_monitor(ref_scores: np.ndarray, ref_X: np.ndarray) -> DriftMonitor:
-    """Per-shard drift-monitor factory (module-level so process workers can
-    unpickle the ``functools.partial`` built over it)."""
-    return DriftMonitor().set_reference(ref_scores, ref_X)
-
-
 class _Terminated(Exception):
     """Internal marker raised by the SIGTERM handler for a graceful exit."""
 
@@ -356,14 +312,7 @@ def _serve_stream(service, stream) -> int:
     returning.
     """
 
-    main_pid = os.getpid()
-
     def _on_sigterm(signum, frame):
-        # Forked process workers inherit this handler; a supervised pool
-        # teardown terminates them with SIGTERM, and raising through their
-        # blocked IPC read would only spray tracebacks.  They die quietly.
-        if os.getpid() != main_pid:
-            os._exit(143)
         raise _Terminated()
 
     previous = None
@@ -634,8 +583,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     except ValueError:
         threshold = args.threshold
 
-    if args.workers < 1:
-        raise SystemExit("--workers must be at least 1")
     sinks = [JsonlSink(args.alerts)] if args.alerts is not None else []
     if injector is not None:
         sinks = injector.wrap_sinks(sinks)
@@ -711,71 +658,30 @@ def _run_serve(args: argparse.Namespace) -> int:
         print(f"online refit on drift: policy={args.refit}, "
               f"window={args.refit_window} rows, {republish}{shadowing}")
 
-    if args.workers > 1:
-        if args.reload_on_drift:
+    monitor = DriftMonitor()
+    monitor.set_reference(ref_scores, normal)
+
+    on_drift = None
+    if args.reload_on_drift:
+        if registry is None or reload_selector is None:
             raise SystemExit(
-                "--reload-on-drift requires the sequential service (--workers 1); "
-                "use --refit for the coordinated swap across workers"
+                "--reload-on-drift requires --registry plus either --model or --publish"
             )
-        service: DetectionService | ShardedDetectionService = ShardedDetectionService(
-            detector,
-            n_workers=args.workers,
-            mode=args.worker_mode,
-            shard_mode=args.shard_mode,
-            threshold=threshold,
-            rolling_quantile=args.rolling_quantile,
-            micro_batch_size=args.micro_batch_size,
-            drift_monitor_factory=functools.partial(
-                _make_drift_monitor, ref_scores, normal
-            ),
-            lifecycle=lifecycle,
-            quorum=args.quorum,
-            sinks=sinks,
-            max_worker_restarts=args.max_worker_restarts,
-            fault_injector=injector,
-            tracer=tracer,
-            metrics_every=args.metrics_every,
-        )
-        print(
-            f"sharding across {args.workers} {service.resolved_mode()} workers "
-            f"({args.shard_mode} batches, global-order merge)"
-        )
-        if (
-            injector is not None
-            and injector.targets_workers
-            and service.resolved_mode() != "process"
-        ):
-            print(
-                "note: worker crash/hang faults only fire in process mode "
-                "(add --worker-mode process)"
-            )
-    else:
-        if injector is not None and injector.targets_workers:
-            print("note: worker crash/hang faults need --workers > 1 (ignored)")
-        monitor = DriftMonitor()
-        monitor.set_reference(ref_scores, normal)
+        name, version = reload_selector
+        on_drift = make_registry_reload(registry, name, version=version)
 
-        on_drift = None
-        if args.reload_on_drift:
-            if registry is None or reload_selector is None:
-                raise SystemExit(
-                    "--reload-on-drift requires --registry plus either --model or --publish"
-                )
-            name, version = reload_selector
-            on_drift = make_registry_reload(registry, name, version=version)
-
-        service = DetectionService(
-            detector,
-            threshold=threshold,
-            rolling_quantile=args.rolling_quantile,
-            micro_batch_size=args.micro_batch_size,
-            drift_monitor=monitor,
-            sinks=sinks,
-            on_drift=on_drift,
-            lifecycle=lifecycle,
-            tracer=tracer,
-            metrics_every=args.metrics_every,
-        )
+    service = DetectionService(
+        detector,
+        threshold=threshold,
+        rolling_quantile=args.rolling_quantile,
+        micro_batch_size=args.micro_batch_size,
+        drift_monitor=monitor,
+        sinks=sinks,
+        on_drift=on_drift,
+        lifecycle=lifecycle,
+        tracer=tracer,
+        metrics_every=args.metrics_every,
+    )
     profiler: MemoryProfiler | None = None
     if args.profile_mem:
         profiler = MemoryProfiler(service.telemetry, tracer=tracer)
@@ -786,21 +692,15 @@ def _run_serve(args: argparse.Namespace) -> int:
         service.heartbeat = watchdog
 
         def _status_payload() -> dict:
-            lifecycle_ = getattr(service, "lifecycle", None)
             return {
-                "mode": (
-                    service.resolved_mode() if args.workers > 1 else "sequential"
-                ),
-                "workers": args.workers,
-                "epoch": int(getattr(service, "epoch_", 0)),
+                "epoch": service.epoch_,
                 "serving_version": serving_version,
-                "n_batches": int(getattr(service, "n_batches_", 0)),
-                "n_samples": int(getattr(service, "n_samples_", 0)),
-                "n_alerts": int(getattr(service, "n_alerts_", 0)),
-                "worker_restarts": int(getattr(service, "n_worker_restarts_", 0)),
-                "disabled_sinks": int(getattr(service, "n_disabled_sinks_", 0)),
-                "shadow_trial_open": bool(
-                    getattr(lifecycle_, "shadow_pending", False)
+                "n_batches": service.n_batches_,
+                "n_samples": service.n_samples_,
+                "n_alerts": service.n_alerts_,
+                "disabled_sinks": service.n_disabled_sinks_,
+                "shadow_trial_open": (
+                    lifecycle is not None and lifecycle.shadow_pending()
                 ),
                 "profiling_memory": profiler is not None,
             }
@@ -809,7 +709,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             args.status_port,
             snapshot_fn=service.metrics_snapshot,
             status_fn=_status_payload,
-            degraded_fn=lambda: bool(getattr(service, "degraded_", False)),
             watchdog=watchdog,
         ).start()
         print(f"status endpoint live at {status_server.url('/status')}")

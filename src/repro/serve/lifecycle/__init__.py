@@ -4,7 +4,7 @@ PR 2's serving stack could only *reload an already-published snapshot* when
 drift fired; this package closes the continual-adaptation loop the paper
 claims: detect drift, refit on a clean recent window drawn from the stream
 itself, gate the candidate's quality, republish to the registry, and swap the
-served model — coordinated across every worker of a sharded deployment.
+served model.
 
 * :mod:`repro.serve.lifecycle.buffer` — :class:`WindowBuffer`, a bounded
   reservoir of recent below-threshold rows (refit data with bounded memory),
@@ -19,9 +19,7 @@ served model — coordinated across every worker of a sharded deployment.
   composes buffer + policy + gate + shadow + registry and drives the swap.
 
 Wire a manager into :class:`~repro.serve.service.DetectionService` via its
-``lifecycle=`` parameter, or into
-:class:`~repro.serve.parallel.ShardedDetectionService` (``lifecycle=`` +
-``quorum=``) for the epoch-tagged coordinated swap across workers.
+``lifecycle=`` parameter.
 """
 
 from repro.serve.lifecycle.buffer import WindowBuffer

@@ -182,9 +182,9 @@ class LifecycleManager:
         self.n_shadow_reject_ = 0
         self._shadow_trial: ShadowTrial | None = None
         #: Telemetry channel for the refit/gate/publish spans.  Left unset
-        #: here: the serving service that adopts this manager wires its own
-        #: registry/tracer in (``DetectionService``/``ShardedDetectionService``
-        #: auto-wire on construction); unwired, the spans are no-ops.
+        #: here: the ``DetectionService`` that adopts this manager wires its
+        #: own registry/tracer in on construction; unwired, the spans are
+        #: no-ops.
         self.telemetry = None
         self.tracer = None
 
@@ -242,9 +242,8 @@ class LifecycleManager:
     def produce_candidate(self, current: Any) -> tuple[Any | None, LifecycleEvent]:
         """Run refit + gate (+ publish) and return ``(candidate, event)``.
 
-        The caller is responsible for the actual swap — the sequential
-        service swaps itself (:meth:`handle_drift`), the sharded service
-        swaps every worker at the next round boundary.  ``candidate`` is
+        The caller is responsible for the actual swap — the service swaps
+        itself in :meth:`handle_drift`.  ``candidate`` is
         ``None`` when the current model should keep serving; the event's
         ``swapped``/``epoch`` fields are filled in by the caller via
         :meth:`record`.
@@ -385,8 +384,7 @@ class LifecycleManager:
         """Resolve a completed trial into ``(candidate, event)``, else ``None``.
 
         Mirrors :meth:`produce_candidate`'s contract: the caller applies the
-        swap (sequential service in-place, sharded service at the round
-        boundary so the verdict stays round-aligned) and fills in
+        swap (:meth:`handle_shadow` swaps the service in place) and fills in
         ``swapped``/``epoch`` via :meth:`record`.  A passing verdict
         publishes the candidate (the publish deferred at ``shadow_start``);
         a failing one discards it unpublished.

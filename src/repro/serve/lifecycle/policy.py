@@ -4,7 +4,7 @@ A :class:`RefitPolicy` receives the currently served model plus the clean
 recent window collected by :class:`~repro.serve.lifecycle.buffer.WindowBuffer`
 and returns a *candidate* model (or ``None`` to decline).  The candidate is
 never the served object itself — policies clone through the pickle-free
-snapshot codec (:func:`clone_model`) so workers can keep scoring the old
+snapshot codec (:func:`clone_model`) so the service can keep scoring the old
 model while the candidate trains, and a rejected candidate leaves no trace.
 
 Three policies cover the spectrum the paper's continual story needs:

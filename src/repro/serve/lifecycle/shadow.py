@@ -133,9 +133,7 @@ class ShadowEvaluator:
     ----------
     rounds:
         Number of scored stream batches the candidate shadows before the
-        verdict.  In a sharded service rounds are merged batches, so the
-        verdict is global (never per shard) and applied at the next round
-        boundary.
+        verdict.
     min_agreement:
         Minimum rate-matched alert-decision overlap (see module docstring),
         in ``(0, 1]``.  When the live model raised no alert during the whole
@@ -216,9 +214,8 @@ class ShadowTrial:
         """Fold one double-scored batch into the agreement statistics.
 
         Empty batches are not rounds (there is nothing to agree on), and a
-        completed trial ignores further observations — the sharded service
-        merges a whole round before the boundary resolves the verdict, so a
-        few extra batches may arrive after the round budget is spent.
+        completed trial ignores further observations: the verdict is fixed
+        once the round budget is spent.
         """
         if self.complete:
             return

@@ -23,7 +23,7 @@ online scorer with the operational pieces a deployment needs:
 * **telemetry** (:mod:`repro.serve.telemetry`) — every pipeline stage
   (quarantine scan, scoring, threshold update, drift check, sink emit,
   shadow double-score) runs under a :func:`~repro.serve.telemetry.trace_span`
-  feeding a mergeable :class:`~repro.serve.telemetry.MetricsRegistry`
+  feeding a :class:`~repro.serve.telemetry.MetricsRegistry`
   (``metrics_snapshot()``), with optional JSONL span traces (``tracer``) and
   a periodic :class:`~repro.serve.telemetry.MetricsEvent` through the sinks
   (``metrics_every``).
@@ -57,10 +57,10 @@ __all__ = [
 def _validate_stream_batch(
     X: np.ndarray, n_features: int | None
 ) -> tuple[np.ndarray, int]:
-    """Shared validate-once batch check (sequential and sharded services).
+    """Validate-once batch check.
 
     Returns the converted batch and the (possibly just-fixed) stream feature
-    width; raises with identical messages from every service flavor.
+    width.
     """
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
     if X.ndim != 2:
@@ -113,8 +113,8 @@ class BatchResult:
 
     ``model_epoch`` tags which served model scored the batch: it starts at 0
     and increments on every hot-swap (:meth:`DetectionService.reload_detector`),
-    so a consumer — and the sharded service's coordinated-swap tests — can
-    verify exactly which model version produced which scores.
+    so a consumer can verify exactly which model version produced which
+    scores.
     """
 
     index: int
@@ -158,7 +158,6 @@ class ServiceReport:
     batch_latency_p95_s: float = 0.0
     batch_latency_p99_s: float = 0.0
     n_quarantined: int = 0
-    n_worker_restarts: int = 0
     n_disabled_sinks: int = 0
 
     def to_dict(self) -> dict:
@@ -175,7 +174,6 @@ class ServiceReport:
             "batch_latency_p95_s": self.batch_latency_p95_s,
             "batch_latency_p99_s": self.batch_latency_p99_s,
             "n_quarantined": self.n_quarantined,
-            "n_worker_restarts": self.n_worker_restarts,
             "n_disabled_sinks": self.n_disabled_sinks,
         }
 
@@ -197,8 +195,6 @@ class ServiceReport:
             lines.append("drift: none flagged")
         if self.n_quarantined:
             lines.append(f"quarantined rows: {self.n_quarantined}")
-        if self.n_worker_restarts:
-            lines.append(f"worker restarts: {self.n_worker_restarts}")
         if self.n_disabled_sinks:
             lines.append(f"disabled sinks: {self.n_disabled_sinks}")
         return "\n".join(lines)
@@ -259,18 +255,16 @@ class DetectionService:
         :data:`~repro.serve.telemetry.DISABLED` to switch instrumentation
         off entirely.  ``metrics_snapshot()`` exports the registry.
     tracer:
-        Optional :class:`~repro.serve.telemetry.SpanTracer` (or
-        :class:`~repro.serve.telemetry.SpanBuffer` inside shard workers);
-        when set, every pipeline-stage span is also appended to its JSONL
-        trace file (``repro serve --trace-file``).
+        Optional :class:`~repro.serve.telemetry.SpanTracer` (or an
+        in-memory :class:`~repro.serve.telemetry.SpanBuffer`); when set,
+        every pipeline-stage span is also appended to its JSONL trace file
+        (``repro serve --trace-file``).
     trace_context:
         Optional :class:`~repro.serve.telemetry.TraceContext` giving every
         recorded span deterministic ``trace_id``/``span_id``/
         ``parent_span_id`` fields: each batch runs under one ``batch`` span
         whose children are the stage spans.  Defaults to a fresh root
-        context whenever a ``tracer`` is attached; shard workers are handed
-        a per-round fork by the sharded service instead, so their batch
-        spans nest under the parent's ``round_submit`` span.
+        context whenever a ``tracer`` is attached.
     metrics_every:
         Emit a :class:`~repro.serve.telemetry.MetricsEvent` carrying the
         current metrics snapshot through the sinks every N batches
@@ -331,8 +325,8 @@ class DetectionService:
         self.trace_context = trace_context
         #: Optional liveness/profiling hooks (``repro serve --status-port`` /
         #: ``--profile-mem``): the watchdog beats and the profiler samples
-        #: once per completed batch.  Plain attributes so the sharded service
-        #: and the CLI can attach them without widening every signature.
+        #: once per completed batch.  Plain attributes so the CLI can attach
+        #: them without widening every signature.
         self.heartbeat: Any = None
         self.profiler: Any = None
         self.metrics_every = metrics_every
@@ -467,12 +461,9 @@ class DetectionService:
     def _emit(self, event: Any) -> None:
         if not self.sinks:
             return
-        # Span only when there are sinks to pay for: the sharded service's
-        # sinkless shard workers record no emit spans, so folding their
-        # registries into the sink-owning parent's matches a sequential run.
-        # Emit spans parent to the *root* context, not the current batch: the
-        # sharded parent emits at merge time (outside any batch span), so
-        # root-level sink_emit is the one placement every mode agrees on.
+        # Span only when there are sinks to pay for.  Emit spans parent to
+        # the *root* context, not the current batch: root-level sink_emit is
+        # part of the span layout that trace consumers rely on.
         with trace_span(
             "sink_emit",
             metrics=self.telemetry,
@@ -499,7 +490,7 @@ class DetectionService:
 
         The whole batch runs under one ``batch`` span; with a trace context
         the stage spans inside nest under it, so every batch forms one
-        subtree of the trace in every worker mode.  The heartbeat watchdog
+        subtree of the trace.  The heartbeat watchdog
         and the memory profiler (when attached) fire once per completed
         batch, outside the span.
         """

@@ -2,26 +2,23 @@
 
 The observability substrate for :mod:`repro.serve`, in four pieces:
 
-* :mod:`~repro.serve.telemetry.metrics` — process-local, mergeable
+* :mod:`~repro.serve.telemetry.metrics` — process-local
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments behind
   a :class:`MetricsRegistry` with a dict :meth:`~MetricsRegistry.snapshot`,
-  a :class:`MetricsEvent` for the sink fabric, and
-  :func:`deterministic_view` — the timing-free snapshot subset that
-  sequential, thread and process runs of the same stream agree on exactly.
+  and a :class:`MetricsEvent` for the sink fabric.
 * :mod:`~repro.serve.telemetry.tracing` / :mod:`~repro.serve.telemetry.context`
   — :func:`trace_span` wraps each pipeline stage, recording wall time + rows
   into the registry and optionally to a :class:`SpanTracer` JSONL file
   (``serve --trace-file``); with a :class:`TraceContext` attached every span
-  carries deterministic ``trace_id``/``span_id``/``parent_span_id`` ids that
-  survive the thread/process worker boundary (:class:`SpanBuffer` ships
-  worker spans back to the coordinator).
+  carries deterministic ``trace_id``/``span_id``/``parent_span_id`` ids
+  (:class:`SpanBuffer` keeps spans in memory instead of a file).
 * :mod:`~repro.serve.telemetry.traceview` — the ``repro trace`` analyzer:
   tree reconstruction, per-stage aggregation, critical paths and
   ``--budget`` latency gates over span-JSONL files.
 * :mod:`~repro.serve.telemetry.statusd` / :mod:`~repro.serve.telemetry.exposition`
   — the opt-in live introspection endpoint (``serve --status-port``):
   :class:`StatusServer` answers ``/metrics`` (:func:`render_prometheus`),
-  ``/health`` (:class:`HeartbeatWatchdog` + degraded flag) and ``/status``.
+  ``/health`` (:class:`HeartbeatWatchdog`) and ``/status``.
 * :mod:`~repro.serve.telemetry.profiling` — :class:`MemoryProfiler` samples
   RSS/tracemalloc per stage (``serve --profile-mem``) into gauges, byte
   histograms and the ``memory`` section of ``run_summary.json``.
@@ -47,7 +44,6 @@ from .metrics import (
     Histogram,
     MetricsEvent,
     MetricsRegistry,
-    deterministic_view,
     log_spaced_buckets,
 )
 from .profiling import MemoryProfiler, read_rss_bytes
@@ -90,7 +86,6 @@ __all__ = [
     "config_sha256",
     "configure_logging",
     "critical_path",
-    "deterministic_view",
     "get_logger",
     "load_run_dir",
     "log_event",

@@ -1,7 +1,7 @@
 """Structured operator logging for ``repro.serve``.
 
-The serving stack signals degradations (disabled sink, worker restart,
-history-persist failure, truncated history line) to *API users* through
+The serving stack signals degradations (disabled sink, history-persist
+failure, truncated history line) to *API users* through
 ``warnings.warn(..., UserWarning)`` — those stay, because a library caller
 filters warnings, not log streams.  Operators running ``repro serve`` want
 the same facts as log records instead: greppable, timestamped, leveled.
@@ -33,7 +33,7 @@ _FORMAT = "%(asctime)s %(name)s %(levelname)s %(message)s"
 
 
 def get_logger(name: str | None = None) -> logging.Logger:
-    """The ``repro.serve`` logger, or a child (``get_logger("parallel")``)."""
+    """The ``repro.serve`` logger, or a child (``get_logger("faults")``)."""
     if not name:
         return logger
     return logger.getChild(name)

@@ -2,7 +2,7 @@
 
 :class:`MemoryProfiler` samples the process's resident set size and (when
 enabled) :mod:`tracemalloc`'s current/peak Python-heap usage once per stage
-event — the serve loop calls :meth:`sample` after each merged batch, so the
+event — the serve loop calls :meth:`sample` after each batch, so the
 profile rides the same cadence as the heartbeat and costs nothing when the
 flag is off.
 

@@ -14,9 +14,8 @@ the evidence it was judged on.  Sections:
    follows with per-stage span totals from the trace file, the worst
    critical path, and MET/NOT_MET verdicts against ``--budget``-style
    per-stage latency thresholds.)
-3. **Timeline** — ordered alert/drift/quarantine/restart/sink/swap events,
-   with checks on degradations (no sink disabled, restart budget intact,
-   quarantine fraction bounded).
+3. **Timeline** — ordered alert/drift/quarantine/sink/swap events, with
+   checks on degradations (no sink disabled, quarantine fraction bounded).
 4. **Lifecycle & shadow** — every shadow trial resolved, every swap carries
    a published version.
 5. **Reproducibility** — config SHA-256, model artifact SHA-256s and the
@@ -58,7 +57,6 @@ _TIMELINE_TYPES = frozenset(
         "alert",
         "drift",
         "quarantined_rows",
-        "worker_restart",
         "sink_disabled",
         "registry_recover",
         "lifecycle",
@@ -67,13 +65,9 @@ _TIMELINE_TYPES = frozenset(
 #: Event fields worth carrying into a condensed timeline entry.
 _TIMELINE_KEYS = (
     "batch_index",
-    "round_index",
     "reason",
     "sink",
     "n_errors",
-    "shards",
-    "restarts",
-    "degraded",
     "action",
     "swapped",
     "published_version",
@@ -420,11 +414,6 @@ def build_report(
         int(summary.get("n_disabled_sinks", 0)),
         event_counts.get("sink_disabled", 0),
     )
-    degraded_rounds = [
-        e
-        for e in events
-        if e.get("type") == "worker_restart" and e.get("degraded")
-    ]
     n_quarantined = int(summary.get("n_quarantined", 0))
     seen_rows = n_samples + n_quarantined
     quarantined_fraction = n_quarantined / seen_rows if seen_rows else 0.0
@@ -434,15 +423,6 @@ def build_report(
             "No alert sink was disabled",
             n_disabled == 0,
             evidence={"n_disabled_sinks": n_disabled},
-        ),
-        _check(
-            "TL-02",
-            "Worker restart budget not exhausted (no degraded rounds)",
-            not degraded_rounds,
-            evidence={
-                "n_worker_restarts": summary.get("n_worker_restarts", 0),
-                "n_degraded_rounds": len(degraded_rounds),
-            },
         ),
         _check(
             "TL-03",

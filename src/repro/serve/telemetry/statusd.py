@@ -8,17 +8,16 @@ routes:
   ``metrics_snapshot()`` (via
   :func:`~repro.serve.telemetry.exposition.render_prometheus`);
 * ``/health`` — ``200 OK`` / ``503 NOT_OK`` from the
-  :class:`HeartbeatWatchdog` (no batch completed within the deadline) OR the
-  fault layer's degraded-mode flag;
-* ``/status`` — a JSON summary (epoch, serving version, worker restarts,
-  disabled sinks, open shadow trial) from a caller-supplied callback.
+  :class:`HeartbeatWatchdog` (no batch completed within the deadline);
+* ``/status`` — a JSON summary (epoch, serving version, disabled sinks,
+  open shadow trial) from a caller-supplied callback.
 
-The server never *writes* service state: it holds three callables and a
+The server never *writes* service state: it holds two callables and a
 watchdog, so a scrape can race a batch at worst into a slightly stale
 snapshot.  Scrape-side instrumentation (the ``status_render`` and
 ``heartbeat`` spans) records into the server's **own private registry** —
 scrape counts are wall-clock-driven and must never leak into the service
-registry that the cross-mode determinism contract covers.
+registry, whose counters are deterministic per stream.
 
 :class:`HeartbeatWatchdog` reads :func:`time.monotonic` — a monotonic
 duration clock, which RL001 sanctions (it measures "how long since the last
@@ -43,7 +42,7 @@ __all__ = ["HeartbeatWatchdog", "StatusServer"]
 class HeartbeatWatchdog:
     """Liveness from batch completions: unhealthy after ``deadline_s`` quiet.
 
-    The serve loop calls :meth:`beat` after every merged batch; ``/health``
+    The serve loop calls :meth:`beat` after every batch; ``/health``
     calls :meth:`healthy`.  Uses the monotonic clock (RL001-sanctioned
     duration measurement — immune to wall-clock steps).
     """
@@ -127,13 +126,11 @@ class StatusServer:
         *,
         snapshot_fn: Callable[[], Mapping[str, Any]],
         status_fn: Callable[[], Mapping[str, Any]] | None = None,
-        degraded_fn: Callable[[], bool] | None = None,
         watchdog: HeartbeatWatchdog | None = None,
         host: str = "127.0.0.1",
     ) -> None:
         self.snapshot_fn = snapshot_fn
         self.status_fn = status_fn
-        self.degraded_fn = degraded_fn
         self.watchdog = watchdog
         self.telemetry = MetricsRegistry()
         self._server = ThreadingHTTPServer((host, int(port)), _Handler)
@@ -156,9 +153,8 @@ class StatusServer:
         return f"http://{self.host}:{self.port}{path}"
 
     def health(self) -> dict[str, Any]:
-        """The ``/health`` verdict: watchdog deadline AND degraded flag."""
-        degraded = bool(self.degraded_fn()) if self.degraded_fn else False
-        verdict: dict[str, Any] = {"status": "OK", "degraded": degraded}
+        """The ``/health`` verdict from the watchdog deadline."""
+        verdict: dict[str, Any] = {"status": "OK"}
         if self.watchdog is not None:
             since = self.watchdog.seconds_since_beat()
             verdict["seconds_since_beat"] = round(since, 3)
@@ -167,9 +163,6 @@ class StatusServer:
             if not self.watchdog.healthy():
                 verdict["status"] = "NOT_OK"
                 verdict["reason"] = "heartbeat deadline exceeded"
-        if degraded:
-            verdict["status"] = "NOT_OK"
-            verdict["reason"] = "service degraded (worker restart budget spent)"
         return verdict
 
     def status(self) -> dict[str, Any]:

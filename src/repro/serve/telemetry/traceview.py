@@ -14,10 +14,8 @@ structure), and derives:
   aggregate (``--budget-metric``, default ``p95``) — any violation makes
   :func:`main` return 1, which is what CI latency gates key off.
 
-:func:`tree_shape` and :func:`stage_multiset` are the comparison helpers the
-cross-mode tests use: sequential, thread and process runs of one stream must
-produce identical shapes (after eliding the coordinator-only
-``round_submit``/``round_merge`` wrappers when comparing against sequential).
+:func:`tree_shape` and :func:`stage_multiset` are the comparison helpers
+for span trees: two runs of one stream must produce identical shapes.
 
 The reader is tolerant by design: a line that does not parse as a JSON
 object (e.g. the torn tail of a run killed harder than SIGTERM) is skipped,
@@ -171,8 +169,8 @@ def tree_shape(
 
     Two runs have the same *tree shape* iff these structures are equal —
     ids and timings are dropped, parent/child edges and sibling order (by
-    span id) are kept.  ``elide`` splices wrapper stages out so a sharded
-    run's tree can be compared against a sequential one.
+    span id) are kept.  ``elide`` splices wrapper stages out, promoting
+    their children in place.
     """
 
     def shape(node: SpanNode) -> tuple:
@@ -187,7 +185,7 @@ def tree_shape(
 def stage_multiset(
     spans: Iterable[Mapping[str, Any]], *, elide: Sequence[str] = ()
 ) -> Counter:
-    """Stage-name multiset (order-free coverage comparison across modes)."""
+    """Stage-name multiset (order-free stage-coverage comparison)."""
     skip = frozenset(elide)
     return Counter(
         str(span.get("stage", "?"))

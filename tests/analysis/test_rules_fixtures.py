@@ -28,7 +28,6 @@ CASES = {
     "RL004": ("rl004_bad.py", "rl004_good.py", "src/repro/serve/fixture_events.py"),
     "RL005": ("rl005_bad.py", "rl005_good.py", "src/repro/serve/fixture_guard.py"),
     "RL006": ("rl006_bad.py", "rl006_good.py", "src/repro/serve/service.py"),
-    "RL007": ("rl007_bad.py", "rl007_good.py", "src/repro/serve/parallel.py"),
     "RL008": ("rl008_bad.py", "rl008_good.py", "src/repro/fixturepkg/__init__.py"),
     "RL009": ("rl009_bad.py", "rl009_good.py", "src/repro/serve/fixture_resources.py"),
     "RL010": ("rl010_bad.py", "rl010_good.py", "src/repro/serve/fixture_schema.py"),
@@ -76,17 +75,10 @@ def test_good_twin_is_clean(rule_id):
     assert findings == []
 
 
-#: RL006 treats ``parallel.py`` as a stage home module, so the RL007 good twin
-#: (which legitimately declares no trace spans) gets a neutral path here; its
-#: own-rule cleanliness is covered by test_good_twin_is_clean above.
-FULL_SET_PATH_OVERRIDES = {"RL007": "src/repro/serve/fixture_parallel_demo.py"}
-
-
 @pytest.mark.parametrize("rule_id", sorted(CASES))
 def test_good_twin_is_clean_under_full_rule_set(rule_id):
     """The good twins survive every rule, not just their own."""
     _, good_fixture, pretend_path = CASES[rule_id]
-    pretend_path = FULL_SET_PATH_OVERRIDES.get(rule_id, pretend_path)
     source = (FIXTURES / good_fixture).read_text(encoding="utf-8")
     module = parse_module(source, pretend_path)
     result = lint_parsed(LintContext(modules=[module]))
@@ -114,13 +106,10 @@ def test_rl001_allowlists_telemetry_modules():
 
 
 def test_serve_scoped_rules_ignore_code_outside_serve():
-    for rule_id, fixture in (("RL003", "rl003_bad.py"), ("RL007", "rl007_bad.py")):
-        source = (FIXTURES / fixture).read_text(encoding="utf-8")
-        module = parse_module(source, "benchmarks/fixture_mod.py")
-        result = lint_parsed(
-            LintContext(modules=[module]), rules=rules_by_id([rule_id])
-        )
-        assert result.findings == [], rule_id
+    source = (FIXTURES / "rl003_bad.py").read_text(encoding="utf-8")
+    module = parse_module(source, "benchmarks/fixture_mod.py")
+    result = lint_parsed(LintContext(modules=[module]), rules=rules_by_id(["RL003"]))
+    assert result.findings == []
 
 
 def test_rl008_readme_import_cross_check():

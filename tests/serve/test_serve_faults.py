@@ -2,15 +2,13 @@
 
 Every failure class the serving stack claims to survive is injected here
 deterministically (:class:`repro.serve.faults.FaultInjector`) and the
-degraded service is held to the acceptance bar: with a process worker killed
-every round, a sink raising on every emit and a 5% NaN-row stream, the
-sharded service must complete the stream with alerts identical to a
-fault-free sequential run on the same stream with the poisoned rows deleted
-— while recording ``worker_restart`` / ``sink_disabled`` /
-``quarantined_rows`` events for the operator.  Torn registry writes, hung
-workers, the degraded-to-sequential fallback and the satellite error paths
-(fusion member failure, truncated lineage, poisoned drift references,
-graceful SIGINT/SIGTERM) are covered alongside.
+degraded service is held to the acceptance bar: with a sink raising on every
+emit and a 5% NaN-row stream, the service must complete the stream with
+scores and alerts identical to a fault-free run on the same stream with the
+poisoned rows deleted — while recording ``sink_disabled`` /
+``quarantined_rows`` events for the operator.  Torn registry writes and the
+satellite error paths (fusion member failure, truncated lineage, poisoned
+drift references, graceful SIGINT/SIGTERM) are covered alongside.
 """
 
 from __future__ import annotations
@@ -38,11 +36,10 @@ from repro.serve import (
     ModelRegistry,
     QuarantinedRows,
     RaisingSink,
+    RegistryRecovery,
     ResilientSink,
-    ShardedDetectionService,
     SinkDisabled,
     SnapshotError,
-    WorkerRestart,
     call_with_retry,
     emit_resilient,
     load_snapshot,
@@ -182,7 +179,9 @@ class TestResilientSink:
     def test_events_are_strict_json(self):
         for event in (
             QuarantinedRows(batch_index=1, row_indices=(0, 3), reason="nan"),
-            WorkerRestart(round_index=2, shards=(0,), reason="died", restarts=1),
+            RegistryRecovery(
+                name="ids", version_dir="v2", reason="torn", quarantined_to="x"
+            ),
             SinkDisabled(sink="JsonlSink", n_errors=3, reason="full disk"),
         ):
             payload = json.dumps(event.to_dict(), allow_nan=False)
@@ -251,27 +250,23 @@ class TestCallWithRetry:
 class TestFaultInjectorSpec:
     def test_parses_the_acceptance_chaos_mix(self):
         injector = FaultInjector.from_spec(
-            "worker_crash@every=1;sink_raise@every=1;nan_rows@rate=0.05", seed=7
+            "sink_raise@every=1;nan_rows@rate=0.05", seed=7
         )
-        assert injector.crash_every == 1
-        assert injector.crash_shard == 0
         assert injector.sink_raise_every == 1
         assert injector.nan_rate == 0.05
         assert injector.seed == 7
         assert not injector.torn_write
-        assert injector.targets_workers
-        for part in ("worker crash", "sink raises", "NaN rows"):
+        for part in ("sink raises", "NaN rows"):
             assert part in injector.describe()
 
     def test_parses_every_clause_form(self):
         injector = FaultInjector.from_spec(
-            "worker_crash@round=3,shard=1; worker_hang@round=2,seconds=0.5;"
+            "sink_raise@every=3; stall@batch=2,seconds=0.5;"
             "nan_rows@every=4,rows=2; torn_write"
         )
-        assert injector.crash_round == 3
-        assert injector.crash_shard == 1
-        assert injector.hang_round == 2
-        assert injector.hang_seconds == 0.5
+        assert injector.sink_raise_every == 3
+        assert injector.stall_batch == 2
+        assert injector.stall_seconds == 0.5
         assert injector.nan_every == 4
         assert injector.nan_rows == 2
         assert injector.torn_write
@@ -279,20 +274,24 @@ class TestFaultInjectorSpec:
     def test_empty_spec_arms_nothing(self):
         injector = FaultInjector.from_spec("")
         assert injector.describe() == "no faults armed"
-        assert not injector.targets_workers
 
     @pytest.mark.parametrize(
         "spec, match",
         [
             ("disk_full", "unknown fault"),
-            ("worker_crash@round", "malformed parameter"),
-            ("worker_crash", "exactly one of round= or every="),
-            ("worker_crash@round=1,every=2", "exactly one of round= or every="),
-            ("worker_hang@seconds=1", "needs round="),
+            # a name outside the grammar is rejected before its parameters
+            # are parsed
+            ("worker_crash@every=1", "unknown fault"),
+            ("worker_crash@round=1,every=2", "unknown fault"),
+            ("worker_hang@round=0", "unknown fault"),
+            ("worker_hang@seconds=1", "unknown fault"),
+            ("sink_raise@every", "malformed parameter"),
+            ("stall", "needs batch="),
             ("sink_raise@every=0", "at least 1"),
             ("nan_rows@rate=1.5", "in \\[0, 1\\]"),
             ("nan_rows", "exactly one of rate= or every="),
-            ("worker_crash@every=1,color=red", "unknown parameter"),
+            ("nan_rows@rate=0.1,every=2", "exactly one of rate= or every="),
+            ("sink_raise@every=1,color=red", "unknown parameter"),
         ],
     )
     def test_bad_specs_raise_valueerror(self, spec, match):
@@ -446,12 +445,12 @@ class TestQuarantine:
         json.dumps(service.report().to_dict(), allow_nan=False)
 
 
-# -- chaos acceptance (sharded, process mode) --------------------------------------
+# -- chaos acceptance --------------------------------------------------------------
 class TestChaosAcceptance:
     def test_full_chaos_mix_matches_fault_free_sequential_run(self, fitted, batches):
         _, _, detector = fitted
         injector = FaultInjector.from_spec(
-            "worker_crash@every=1;sink_raise@every=1;nan_rows@rate=0.05", seed=7
+            "sink_raise@every=1;nan_rows@rate=0.05", seed=7
         )
 
         ref_sink = ListSink()
@@ -461,22 +460,15 @@ class TestChaosAcceptance:
         ]
 
         healthy = ListSink()
-        raising = RaisingSink(ListSink(), every=injector.sink_raise_every)
-        sharded = ShardedDetectionService(
+        service = DetectionService(
             detector,
-            n_workers=2,
-            mode="process",
             threshold="auto",
-            batches_per_round=4,
-            max_worker_restarts=100,
-            worker_timeout_s=120.0,
-            fault_injector=injector,
-            sinks=[raising, healthy],
+            sinks=injector.wrap_sinks([ListSink()]) + [healthy],
         )
-        results = list(sharded.process(injector.corrupt_stream(batches)))
-        report = sharded.report()
+        results = list(service.process(injector.corrupt_stream(batches)))
+        report = service.report()
 
-        # Identical outcome: same alerts (global sample indices), same scores,
+        # Identical outcome: same alerts (stream sample indices), same scores,
         # same epochs — the faults were absorbed, not reflected in the output.
         assert _alert_tuples(ref_sink.events)
         assert _alert_tuples(healthy.events) == _alert_tuples(ref_sink.events)
@@ -488,10 +480,8 @@ class TestChaosAcceptance:
         assert report.n_batches == len(batches)
         assert report.n_samples == reference.report().n_samples
 
-        # Every degradation left its auditable event.
-        assert report.n_worker_restarts >= 1
-        restarts = [e for e in healthy.events if isinstance(e, WorkerRestart)]
-        assert restarts and all(not e.degraded for e in restarts)
+        # Every degradation left its auditable event: the raising sink was
+        # disabled mid-stream, and the quarantine ledger is exact.
         assert report.n_disabled_sinks >= 1
         assert any(isinstance(e, SinkDisabled) for e in healthy.events)
         total_poisoned = sum(
@@ -501,69 +491,16 @@ class TestChaosAcceptance:
         assert report.n_quarantined == total_poisoned
         quarantined = [e for e in healthy.events if isinstance(e, QuarantinedRows)]
         assert sum(e.n_rows for e in quarantined) == total_poisoned
+        for event in quarantined:
+            np.testing.assert_array_equal(
+                np.asarray(event.row_indices),
+                injector.poisoned_rows(
+                    event.batch_index, batches[event.batch_index].shape[0]
+                ),
+            )
         json.dumps(report.to_dict(), allow_nan=False)
 
-    def test_hung_worker_is_timed_out_and_its_round_replayed(self, fitted, batches):
-        _, _, detector = fitted
-        injector = FaultInjector(seed=0, hang_round=0, hang_seconds=4.0)
-        reference = DetectionService(detector, threshold="auto")
-        ref_results = [reference.process_batch(X) for X in batches[:6]]
 
-        healthy = ListSink()
-        sharded = ShardedDetectionService(
-            detector,
-            n_workers=2,
-            mode="process",
-            threshold="auto",
-            batches_per_round=3,
-            max_worker_restarts=5,
-            worker_timeout_s=1.5,
-            fault_injector=injector,
-            sinks=[healthy],
-        )
-        results = list(sharded.process(batches[:6]))
-        report = sharded.report()
-
-        assert report.n_worker_restarts >= 1
-        assert any(isinstance(e, WorkerRestart) for e in healthy.events)
-        assert len(results) == 6
-        for result, ref_result in zip(results, ref_results):
-            np.testing.assert_array_equal(result.scores, ref_result.scores)
-
-    def test_exhausted_restart_budget_degrades_to_sequential(self, fitted, batches):
-        _, _, detector = fitted
-        injector = FaultInjector(seed=0, crash_every=1)
-        reference = DetectionService(detector, threshold="auto")
-        ref_results = [reference.process_batch(X) for X in batches[:6]]
-
-        healthy = ListSink()
-        sharded = ShardedDetectionService(
-            detector,
-            n_workers=2,
-            mode="process",
-            threshold="auto",
-            batches_per_round=3,
-            max_worker_restarts=0,  # first failure exhausts the budget
-            worker_timeout_s=120.0,
-            fault_injector=injector,
-            sinks=[healthy],
-        )
-        results = list(sharded.process(batches[:6]))
-        report = sharded.report()
-
-        assert sharded.degraded_
-        assert report.n_worker_restarts == 0  # degradation is not a restart
-        degraded_events = [
-            e for e in healthy.events if isinstance(e, WorkerRestart) and e.degraded
-        ]
-        assert degraded_events and "budget exhausted" in degraded_events[0].reason
-        # Degraded mode still completes the stream with identical results.
-        assert len(results) == 6
-        for result, ref_result in zip(results, ref_results):
-            np.testing.assert_array_equal(result.scores, ref_result.scores)
-
-
-# -- crash-safe registry -----------------------------------------------------------
 class TestRegistryCrashSafety:
     def test_torn_artifact_write_is_quarantined_and_previous_version_serves(
         self, fitted, tmp_path

@@ -1,9 +1,12 @@
 """Lifecycle subsystem: buffer, policies, gate, manager, registry retention.
 
-Covers the sequential drift -> refit -> gate -> publish -> swap loop plus the
+Covers the drift -> refit -> gate -> publish -> swap loop plus the
 satellite guarantees: snapshot artifact integrity (SHA-256), registry GC
-retention, and the drift-monitor rebootstrap regression (a refitted model
-must not re-trigger drift against the pre-swap reference).
+retention, the drift-monitor rebootstrap regression (a refitted model must
+not re-trigger drift against the pre-swap reference), and end-to-end
+recovery: on a stream with injected covariate drift, post-swap alert
+precision/recall comes back to within tolerance of a model fit directly on
+post-drift data.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import pytest
 
 from repro.continual.base import ContinualMethod
 from repro.core.model import CNDIDS
+from repro.datasets.streaming import inject_drift
+from repro.metrics.classification import precision_score, recall_score
 from repro.novelty import IsolationForest, MahalanobisDetector
 from repro.serve import (
     ContinualRefit,
@@ -601,3 +606,102 @@ class TestDegenerateStreams:
         # against; an empty window must raise instead of warning.
         with pytest.raises(ValueError, match="empty window"):
             _RingBuffer(8, 2).mean()
+
+
+# ---------------------------------------------------------------------------
+# End-to-end recovery on a drifting stream
+# ---------------------------------------------------------------------------
+BATCH = 128
+QUANTILE = 0.90
+TOLERANCE = 0.15
+
+
+def _recovery_factory():
+    return IsolationForest(
+        n_estimators=25, random_state=0, threshold_quantile=QUANTILE
+    )
+
+
+@pytest.fixture(scope="module")
+def drifted_stream():
+    """Covariate drift that ramps over the first half and then holds.
+
+    The plateau matters: after the lifecycle re-fits on post-drift traffic
+    the monitor must stop firing, leaving a long stable tail to measure
+    post-swap alert quality on.  Labels mark injected anomalies (+9 on all
+    features relative to their drifted position) that stay separable before
+    and after the shift.
+    """
+    rng = np.random.default_rng(7)
+    n, n_features = 6144, 8
+    half = n // 2
+    train = rng.normal(size=(2000, n_features))
+    base = rng.normal(size=(n, n_features))
+    X = base.copy()
+    ramp = inject_drift(
+        base[:half], strength=6.0, fraction_of_features=0.5, random_state=3
+    )
+    X[:half] = ramp
+    X[half:] = base[half:] + (ramp[-1] - base[half - 1])
+    y = (rng.random(n) < 0.03).astype(np.int64)
+    X[y == 1] += 9.0
+    detector = _recovery_factory().fit(train)
+    return train, X, y, detector
+
+
+class TestEndToEndRecovery:
+    def test_sequential_drift_refit_recovers(self, drifted_stream, tmp_path):
+        train, X, y, detector = drifted_stream
+        registry = ModelRegistry(tmp_path)
+        registry.publish(detector, "ids")
+        manager = LifecycleManager(
+            FullRefit(_recovery_factory),
+            buffer=WindowBuffer(1024),
+            registry=registry,
+            model_name="ids",
+            min_refit_rows=256,
+        )
+        monitor = DriftMonitor(window=512, min_samples=256, cooldown=4)
+        monitor.set_reference(detector.score_samples(train), train)
+        service = DetectionService(
+            detector,
+            threshold="rolling",
+            rolling_window=1024,
+            rolling_quantile=QUANTILE,
+            min_rolling=64,
+            drift_monitor=monitor,
+            lifecycle=manager,
+        )
+        results = [
+            service.process_batch(X[start : start + BATCH])
+            for start in range(0, X.shape[0], BATCH)
+        ]
+
+        assert service.n_drift_events_ >= 1
+        refits = [e for e in manager.events if e.action == "refit" and e.swapped]
+        assert refits, [e.action for e in manager.events]
+        assert service.epoch_ >= 1
+        # republished: every accepted refit is a new registry version
+        assert registry.versions("ids")[-1] == refits[-1].published_version
+
+        # Judge the tail scored entirely by the final model.
+        start = next(
+            i for i, r in enumerate(results) if r.model_epoch == service.epoch_
+        )
+        lo = start * BATCH
+        assert lo < X.shape[0] - 8 * BATCH, "swap settled too late to judge the tail"
+        predictions = np.concatenate([r.predictions for r in results])[lo:]
+        precision = precision_score(y[lo:], predictions)
+        recall = recall_score(y[lo:], predictions)
+        # ... against a model fit directly on post-drift clean data
+        tail_X, tail_y = X[lo:], y[lo:]
+        reference = _recovery_factory().fit(tail_X[tail_y == 0])
+        ref_predictions = (
+            reference.score_samples(tail_X) > reference.threshold_
+        ).astype(np.int64)
+        assert recall >= recall_score(tail_y, ref_predictions) - TOLERANCE
+        assert precision >= precision_score(tail_y, ref_predictions) - TOLERANCE
+        # and the recovery is attributable to the refit: the stale pre-drift
+        # model flags nearly every drifted-normal row on the same tail
+        stale = (detector.score_samples(tail_X) > detector.threshold_).astype(np.int64)
+        assert precision > precision_score(tail_y, stale) + 0.1

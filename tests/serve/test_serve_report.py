@@ -5,8 +5,8 @@ The contracts under test (see :mod:`repro.serve.telemetry.report`):
 * :func:`build_report` is pure — the committed golden fixtures in
   ``tests/serve/data`` lock byte-for-byte ``report.json`` *and*
   ``report.md`` output for fixed inputs;
-* a chaos run's degradations (quarantined rows, worker restarts, disabled
-  sinks) all surface on the report timeline with the matching checks
+* a chaos run's degradations (quarantined rows, disabled sinks) all
+  surface on the report timeline with the matching checks
   flipped to ``NOT_MET``;
 * ``repro serve --run-dir`` writes a run directory that ``repro serve
   report`` round-trips, with the config hash and model artifact hashes
@@ -24,8 +24,8 @@ import pytest
 from repro.datasets.streaming import FlowStream
 from repro.novelty import IsolationForest
 from repro.serve.cli import main
-from repro.serve.faults import FaultInjector, RaisingSink
-from repro.serve.parallel import ShardedDetectionService
+from repro.serve.faults import FaultInjector
+from repro.serve.service import DetectionService
 from repro.serve.sinks import ListSink, read_events
 from repro.serve.telemetry import (
     MetricsRegistry,
@@ -74,7 +74,6 @@ def golden_inputs() -> dict:
         "n_alerts": 37,
         "n_drift_events": 1,
         "n_quarantined": 6,
-        "n_worker_restarts": 1,
         "n_disabled_sinks": 0,
         "throughput_samples_per_sec": 50000.0,
         "total_time_s": 0.02048,
@@ -89,8 +88,6 @@ def golden_inputs() -> dict:
         {"type": "alert", "batch_index": 0, "sample_index": 9},
         {"type": "alert", "batch_index": 0, "sample_index": 11},
         {"type": "drift", "batch_index": 1},
-        {"type": "worker_restart", "round_index": 0, "shards": [0],
-         "restarts": 1, "degraded": False, "reason": "shard 0: crash"},
         {"type": "lifecycle", "action": "shadow_start", "epoch": 0},
         {"type": "lifecycle", "action": "shadow_pass", "epoch": 1,
          "swapped": True, "published_version": 2},
@@ -327,32 +324,25 @@ class TestChaosRunReport:
         normal = tiny_dataset.normal_data()
         detector = IsolationForest(n_estimators=10, random_state=0).fit(normal)
         injector = FaultInjector.from_spec(
-            "worker_crash@every=1;sink_raise@every=1;nan_rows@rate=0.05", seed=7
+            "sink_raise@every=1;nan_rows@rate=0.05", seed=7
         )
         stream = FlowStream(
             tiny_dataset, batch_size=64, drift_strength=2.0, random_state=0
         )
         batches = [np.asarray(X, dtype=np.float64) for X, _ in stream]
         healthy = ListSink()
-        raising = RaisingSink(ListSink(), every=injector.sink_raise_every)
-        sharded = ShardedDetectionService(
+        service = DetectionService(
             detector,
-            n_workers=2,
-            mode="process",
             threshold="auto",
-            batches_per_round=4,
-            max_worker_restarts=100,
-            worker_timeout_s=120.0,
-            fault_injector=injector,
-            sinks=[raising, healthy],
+            sinks=injector.wrap_sinks([ListSink()]) + [healthy],
         )
-        list(sharded.process(injector.corrupt_stream(batches)))
-        service_report = sharded.report()
+        list(service.process(injector.corrupt_stream(batches)))
+        service_report = service.report()
 
         events = [event.to_dict() for event in healthy.events]
         report = build_report(
             service_report.to_dict(),
-            metrics=sharded.metrics_snapshot(),
+            metrics=service.metrics_snapshot(),
             events=events,
             generated_at=GENERATED_AT,
         )
@@ -361,9 +351,8 @@ class TestChaosRunReport:
             s for s in report["sections"] if s["title"] == "Timeline"
         )
         kinds = {e["type"] for e in timeline["data"]["entries"]}
-        assert {"quarantined_rows", "worker_restart", "sink_disabled"} <= kinds
+        assert {"quarantined_rows", "sink_disabled"} <= kinds
         counts = timeline["data"]["event_counts"]
-        assert counts["worker_restart"] >= 1
         assert counts["sink_disabled"] >= 1
         assert counts["quarantined_rows"] >= 1
         # A disabled sink is a major timeline failure: the chaos is audited,
@@ -372,12 +361,9 @@ class TestChaosRunReport:
         assert tl01["verdict"] == "NOT_MET"
         assert timeline["verdict"] == "NOT_MET"
         assert report["overall"] == "NOT_MET"
-        # The worker restarts and quarantine totals agree with the service.
-        tl02 = next(c for c in timeline["checks"] if c["id"] == "TL-02")
-        assert (
-            tl02["evidence"]["n_worker_restarts"]
-            == service_report.n_worker_restarts
-        )
+        # The quarantine total agrees with the service.
+        tl03 = next(c for c in timeline["checks"] if c["id"] == "TL-03")
+        assert tl03["evidence"]["n_quarantined"] == service_report.n_quarantined
         json.dumps(report, allow_nan=False)
         render_markdown(report)
 

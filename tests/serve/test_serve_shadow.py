@@ -1,4 +1,4 @@
-"""Shadow evaluation: trial statistics, lifecycle wiring, e2e equivalence.
+"""Shadow evaluation: trial statistics, lifecycle wiring, end-to-end swap.
 
 The acceptance contract of the shadow layer (see
 :mod:`repro.serve.lifecycle.shadow`):
@@ -7,9 +7,8 @@ The acceptance contract of the shadow layer (see
   disagrees with the live model on live traffic — is rejected by the shadow
   trial: the served model never changes, nothing is published, and a
   ``shadow_reject`` event records why;
-* a *good* candidate swaps only after the verdict, with identical alerts and
-  model epochs across the sequential, thread-sharded and process-sharded
-  services (the sharded verdict is global and round-aligned);
+* a *good* candidate swaps only after the verdict: every batch of the trial
+  is scored by the live model, every batch after it by the candidate;
 * the registry's ``history.jsonl`` replays the full event lineage from a
   fresh process (a brand-new :class:`ModelRegistry` over the same directory).
 """
@@ -21,23 +20,20 @@ import pytest
 
 from repro.novelty import IsolationForest
 from repro.serve import (
-    Alert,
     DetectionService,
     DriftMonitor,
     FullRefit,
     LifecycleManager,
-    ListSink,
     ModelRegistry,
     ShadowEvaluator,
-    ShardedDetectionService,
     WindowBuffer,
 )
 
 BATCH = 64
 N_BATCHES = 40
 N_FEATURES = 6
-DRIFT_BATCH = 15  # last batch of a sharded round (2 workers x 4 batches/round)
-SHADOW_ROUNDS = 8  # one full sharded round, so seq and sharded verdicts align
+DRIFT_BATCH = 15  # the batch carrying the covariate transient
+SHADOW_ROUNDS = 8
 SWAP_BATCH = DRIFT_BATCH + SHADOW_ROUNDS + 1  # first batch scored post-swap
 
 
@@ -72,11 +68,9 @@ def shadow_stream():
     """Clean stream with one planted anomaly per batch and a one-batch
     covariate transient at ``DRIFT_BATCH``.
 
-    The transient fires every monitor that sees the batch exactly once
-    (feature mean moves ~0.75 sigma through a 256-sample window) and then
-    leaves the stream, so the refit window on either side of the sharding
-    split is identical and the three service flavors stay comparable
-    batch for batch.
+    The transient fires the monitor exactly once (feature mean moves ~0.75
+    sigma through a 256-sample window) and then leaves the stream, so one
+    shadow trial decides the swap.
     """
     rng = np.random.default_rng(42)
     train = rng.normal(size=(1500, N_FEATURES))
@@ -166,8 +160,8 @@ class TestShadowTrial:
         assert trial.complete
 
     def test_observations_after_completion_are_ignored(self, rng):
-        # The sharded service merges a whole round before the boundary
-        # resolves the verdict; the overshoot must not change the stats.
+        # Once the round budget is spent the verdict is fixed; later
+        # batches must not change the stats.
         trial = self._trial(rounds=1)
         scores = rng.normal(size=32)
         trial.observe(scores, 0.0, scores)
@@ -416,74 +410,36 @@ class TestSequentialShadow:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence: sequential vs thread-sharded vs process-sharded
+# End to end: a good candidate swaps after the verdict
 # ---------------------------------------------------------------------------
-class TestShadowEquivalence:
-    def _run(self, kind, shadow_stream, registry_dir):
+class TestShadowEndToEnd:
+    def _run(self, shadow_stream, registry_dir):
         train, X, detector, ref_scores = shadow_stream
         registry, manager = _manager(registry_dir, detector)
-        sink = ListSink()
-        if kind == "sequential":
-            service = DetectionService(
-                detector,
-                threshold="auto",
-                drift_monitor=_monitor(ref_scores, train),
-                lifecycle=manager,
-                sinks=[sink],
-            )
-        else:
-            service = ShardedDetectionService(
-                detector,
-                n_workers=2,
-                mode=kind,
-                threshold="auto",
-                drift_monitor_factory=lambda: _monitor(ref_scores, train),
-                lifecycle=manager,
-                quorum=0.5,
-                sinks=[sink],
-            )
-        results = sorted(
-            service.process(_batches(X)), key=lambda result: result.index
+        service = DetectionService(
+            detector,
+            threshold="auto",
+            drift_monitor=_monitor(ref_scores, train),
+            lifecycle=manager,
         )
-        alerts = [
-            (alert.batch_index, alert.sample_index, alert.score, alert.threshold)
-            for alert in sink.events
-            if isinstance(alert, Alert)
-        ]
-        return results, alerts, manager, registry
+        results = list(service.process(_batches(X)))
+        return results, manager, registry
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_good_candidate_swaps_identically(
-        self, shadow_stream, tmp_path, mode
-    ):
-        seq_results, seq_alerts, seq_manager, _ = self._run(
-            "sequential", shadow_stream, tmp_path / "seq"
-        )
-        sh_results, sh_alerts, sh_manager, _ = self._run(
-            mode, shadow_stream, tmp_path / mode
-        )
-        seq_epochs = [result.model_epoch for result in seq_results]
-        sh_epochs = [result.model_epoch for result in sh_results]
-        # the verdict lands at the same (round-aligned) batch everywhere:
+    def test_good_candidate_swaps_after_the_verdict(self, shadow_stream, tmp_path):
+        results, manager, _ = self._run(shadow_stream, tmp_path)
+        epochs = [result.model_epoch for result in results]
         # epoch 0 through the trial, epoch 1 from SWAP_BATCH on
-        assert seq_epochs == sh_epochs
-        assert seq_epochs[SWAP_BATCH - 1] == 0
-        assert seq_epochs[SWAP_BATCH] == 1
-        assert all(epoch == 1 for epoch in seq_epochs[SWAP_BATCH:])
-        # bit-identical alerts, pre- and post-swap
-        assert seq_alerts == sh_alerts
-        for manager in (seq_manager, sh_manager):
-            assert [event.action for event in manager.events] == [
-                "shadow_start",
-                "shadow_pass",
-            ]
-            assert manager.events[-1].swapped
-            assert manager.events[-1].published_version == 2
+        assert all(epoch == 0 for epoch in epochs[:SWAP_BATCH])
+        assert all(epoch == 1 for epoch in epochs[SWAP_BATCH:])
+        assert [event.action for event in manager.events] == [
+            "shadow_start",
+            "shadow_pass",
+        ]
+        assert manager.events[-1].swapped
+        assert manager.events[-1].published_version == 2
 
     def test_history_replays_after_restart(self, shadow_stream, tmp_path):
-        _, _, manager, registry = self._run(
-            "sequential", shadow_stream, tmp_path
-        )
+        _, manager, registry = self._run(shadow_stream, tmp_path)
         recorded = [event.to_dict() for event in manager.events]
         assert recorded  # shadow_start + shadow_pass at minimum
         # a fresh registry object over the same directory (= a new process)
@@ -503,7 +459,7 @@ class TestShadowEquivalence:
     ):
         from repro.serve.cli import main
 
-        self._run("sequential", shadow_stream, tmp_path)
+        self._run(shadow_stream, tmp_path)
         assert main(["registry", "history", "ids", "--registry", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "shadow_pass" in out and "agreement" in out

@@ -5,8 +5,8 @@ must be valid Prometheus text exposition rendered from the service's own
 snapshot, ``/health`` must flip to ``503 NOT_OK`` when the stream stalls
 past the heartbeat deadline (and back after a beat), ``/status`` must serve
 the operator JSON, and the scrape-side spans must land in the status
-server's private registry — never in the service registry the cross-mode
-determinism contract covers.  The ``stall`` fault clause and the
+server's private registry — never in the service registry, whose counters
+are deterministic per stream.  The ``stall`` fault clause and the
 ``--profile-mem`` sampler are exercised alongside.
 """
 
@@ -117,19 +117,17 @@ class TestStatusServer:
         registry.counter("pipeline.batches", unit="batches").inc(9)
         clock = _FakeClock()
         watchdog = HeartbeatWatchdog(10.0, clock=clock)
-        degraded = {"flag": False}
         server = StatusServer(
             0,
             snapshot_fn=registry.snapshot,
             status_fn=lambda: {"epoch": 3, "serving_version": "v2"},
-            degraded_fn=lambda: degraded["flag"],
             watchdog=watchdog,
         ).start()
-        yield server, registry, clock, degraded
+        yield server, registry, clock
         server.close()
 
     def test_metrics_route_serves_prometheus_text(self, setup):
-        server, registry, _, _ = setup
+        server, registry, _ = setup
         status, content_type, body = _get(server.url("/metrics"))
         assert status == 200
         assert content_type.startswith("text/plain")
@@ -137,7 +135,7 @@ class TestStatusServer:
         assert "repro_pipeline_batches_total 9" in body.decode()
 
     def test_health_flips_on_stalled_heartbeat_and_recovers(self, setup):
-        server, _, clock, _ = setup
+        server, _, clock = setup
         status, _, body = _get(server.url("/health"))
         assert status == 200
         assert json.loads(body)["status"] == "OK"
@@ -153,15 +151,8 @@ class TestStatusServer:
         assert status == 200
         assert json.loads(body)["n_beats"] == 1
 
-    def test_health_reports_degraded_service(self, setup):
-        server, _, _, degraded = setup
-        degraded["flag"] = True
-        status, _, body = _get(server.url("/health"))
-        assert status == 503
-        assert "degraded" in json.loads(body)["reason"]
-
     def test_status_route_merges_operator_payload(self, setup):
-        server, _, _, _ = setup
+        server, _, _ = setup
         status, content_type, body = _get(server.url("/status"))
         assert status == 200
         assert content_type.startswith("application/json")
@@ -171,11 +162,11 @@ class TestStatusServer:
         assert payload["serving_version"] == "v2"
 
     def test_unknown_route_is_404(self, setup):
-        server, _, _, _ = setup
+        server, _, _ = setup
         assert _get(server.url("/nope"))[0] == 404
 
     def test_scrape_spans_stay_in_the_private_registry(self, setup):
-        server, registry, _, _ = setup
+        server, registry, _ = setup
         before = registry.snapshot()
         _get(server.url("/metrics"))
         _get(server.url("/health"))

@@ -2,12 +2,10 @@
 
 The contracts under test (see :mod:`repro.serve.telemetry`):
 
-* instruments are O(1) memory, mergeable, and merge deterministically —
-  folding shard registries in global order reproduces a sequential run's
-  counters exactly, on thread *and* process workers;
+* instruments are O(1) memory with exact count/sum/min/max;
 * ``trace_span`` records wall time + row counts into the registry and
   (optionally) one JSONL record per span, and never alters control flow;
-* the serving services populate pipeline counters/histograms that agree
+* the serving service populates pipeline counters/histograms that agree
   with their own ``ServiceReport``, expose fusion member diagnostics as
   gauges, and emit periodic :class:`MetricsEvent` through the sink fabric;
 * degradations logged for operators land on the ``repro.serve`` logger in
@@ -30,7 +28,6 @@ from repro.novelty import HBOS, IsolationForest, KNNDetector
 from repro.serve.drift import DriftMonitor
 from repro.serve.faults import ResilientSink
 from repro.serve.fusion import FusionDetector
-from repro.serve.parallel import ShardedDetectionService
 from repro.serve.service import DetectionService
 from repro.serve.sinks import ListSink
 from repro.serve.telemetry import (
@@ -40,7 +37,6 @@ from repro.serve.telemetry import (
     MetricsEvent,
     MetricsRegistry,
     SpanTracer,
-    deterministic_view,
     log_event,
     log_spaced_buckets,
     trace_span,
@@ -75,22 +71,13 @@ class TestPrimitives:
         assert counter.value == 42
         with pytest.raises(ValueError):
             counter.inc(-1)
-        other = Counter("c", unit="rows")
-        other.inc(8)
-        counter.merge(other)
-        assert counter.value == 50
-        assert counter.export() == {"value": 50, "unit": "rows"}
+        assert counter.export() == {"value": 42, "unit": "rows"}
 
-    def test_gauge_merge_adopts_last_set_in_fold_order(self):
-        never_set = Gauge("g")
-        late = Gauge("g")
-        late.set(3.5)
-        never_set.merge(late)
-        assert never_set.value == 3.5
-        # Merging a never-set gauge must NOT clobber an adopted value.
-        late.merge(Gauge("g"))
-        assert late.value == 3.5
-        assert late.n_sets == 1
+    def test_gauge_holds_the_last_set_value(self):
+        gauge = Gauge("g", unit="mass")
+        gauge.set(3.5)
+        gauge.set(1)
+        assert gauge.export() == {"value": 1.0, "unit": "mass"}
 
     def test_histogram_exact_aggregates_and_percentiles(self):
         hist = Histogram("h", unit="seconds")
@@ -118,18 +105,6 @@ class TestPrimitives:
         assert export["min"] == 0.0 and export["max"] == 0.0
         assert export["p50"] == 0.0
 
-    def test_histogram_merge_requires_identical_buckets(self):
-        a = Histogram("h", unit="seconds")
-        b = Histogram("h", unit="seconds")
-        a.observe(1e-3)
-        b.observe(2e-3)
-        a.merge(b)
-        assert a.count == 2
-        assert a.sum == pytest.approx(3e-3)
-        odd = Histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError, match="bucket bounds differ"):
-            a.merge(odd)
-
     def test_histogram_overflow_bucket(self):
         hist = Histogram("h", buckets=(1.0, 2.0))
         hist.observe(1e9)
@@ -146,31 +121,6 @@ class TestRegistry:
             registry.gauge("pipeline.rows")
         assert "pipeline.rows" in registry
         assert registry.names() == ["pipeline.rows"]
-
-    def test_merge_unit_mismatch_raises(self):
-        a = MetricsRegistry()
-        a.counter("c", unit="rows").inc()
-        b = MetricsRegistry()
-        b.counter("c", unit="batches").inc()
-        with pytest.raises(ValueError, match="unit"):
-            a.merge(b)
-
-    def test_fold_is_pure_and_repeatable(self):
-        shards = []
-        for i in range(3):
-            shard = MetricsRegistry()
-            shard.counter("pipeline.rows", unit="rows").inc(10 * (i + 1))
-            shard.histogram("pipeline.batch_seconds").observe(1e-3 * (i + 1))
-            shard.gauge("fusion.conflict_mass", unit="mass").set(float(i))
-            shards.append(shard)
-        first = MetricsRegistry.fold(shards).snapshot()
-        second = MetricsRegistry.fold(shards).snapshot()
-        # Folding never mutates the inputs — repeat folds cannot double-count.
-        assert first == second
-        assert first["counters"]["pipeline.rows"]["value"] == 60
-        assert first["histograms"]["pipeline.batch_seconds"]["count"] == 3
-        # Gauges adopt the last-set value in fold order.
-        assert first["gauges"]["fusion.conflict_mass"]["value"] == 2.0
 
     def test_snapshot_is_json_serializable_and_sorted(self):
         registry = MetricsRegistry()
@@ -198,9 +148,6 @@ class TestRegistry:
             "histograms": {},
         }
         assert not DISABLED.enabled
-        live = MetricsRegistry()
-        live.counter("c").inc()
-        assert DISABLED.merge(live) is DISABLED
 
     def test_metrics_event_to_dict(self):
         registry = MetricsRegistry()
@@ -402,57 +349,3 @@ class TestOperatorLogging:
         messages = [r.message for r in caplog.records]
         assert any(m.startswith("sink_disabled sink='Broken'") for m in messages)
 
-
-class TestMergeDeterminism:
-    """Sequential == thread == process on the deterministic metrics view."""
-
-    @pytest.fixture(scope="class")
-    def runs(self, stream_setup):
-        dataset, _, detector = stream_setup
-
-        def stream():
-            return FlowStream(
-                dataset, batch_size=97, drift_strength=1.5, random_state=0
-            )
-
-        views = {}
-        sequential = DetectionService(detector, threshold="auto")
-        list(sequential.process(stream()))
-        views["sequential"] = deterministic_view(sequential.metrics_snapshot())
-        for mode in ("thread", "process"):
-            sharded = ShardedDetectionService(
-                detector, n_workers=3, mode=mode, threshold="auto"
-            )
-            list(sharded.process(stream()))
-            views[mode] = deterministic_view(sharded.metrics_snapshot())
-        return views
-
-    def test_thread_and_process_views_identical(self, runs):
-        assert runs["thread"] == runs["process"]
-
-    def test_sharded_matches_sequential_on_shared_metrics(self, runs):
-        sequential = runs["sequential"]
-        for mode in ("thread", "process"):
-            sharded = runs[mode]
-            for group in ("counters", "histograms"):
-                shared = set(sequential[group]) & set(sharded[group])
-                assert shared, group
-                for name in shared:
-                    assert sequential[group][name] == sharded[group][name], (
-                        mode,
-                        name,
-                    )
-            # Pipeline totals must be among the shared (folded) metrics.
-            assert "pipeline.rows" in sequential["counters"]
-            assert "pipeline.rows" in sharded["counters"]
-
-    def test_sharded_adds_only_parent_side_metrics(self, runs):
-        extras = set(runs["thread"]["counters"]) - set(
-            runs["sequential"]["counters"]
-        )
-        assert extras <= {
-            "pipeline.worker_restarts",
-            "pipeline.sink_disabled",
-            "stage.round_submit.rows",
-            "stage.round_merge.rows",
-        }

@@ -1,17 +1,12 @@
-"""Distributed trace propagation: deterministic span trees across modes.
+"""Trace ids: deterministic span trees for a served stream.
 
 The contracts under test (see :mod:`repro.serve.telemetry.context` and
 :mod:`repro.serve.telemetry.traceview`):
 
 * span ids come from per-context counters, never ``random`` or the wall
-  clock — the same stream replays to the same ids, and shard forks are
-  disjoint namespaces so concurrent workers cannot collide;
-* sequential, thread and process runs of one stream produce the same span
-  *tree shape*; thread and process agree on the full tree *including ids*,
-  and sequential matches once the coordinator-only ``round_submit`` /
-  ``round_merge`` wrappers are elided;
-* a round replayed after a worker crash re-allocates the *same* span ids
-  (no duplicates) and marks the replayed spans with ``retry``;
+  clock — the same stream replays to the same ids;
+* a served stream's trace carries the id triple on every span, never mints
+  an id twice, and nests one ``score`` span under every ``batch`` span;
 * :class:`SpanTracer` never leaves a truncated trailing line — interrupted
   writes and ``close()`` truncate back to the last complete record — and
   the reader skips a torn tail instead of dying on it.
@@ -22,13 +17,10 @@ from __future__ import annotations
 import json
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.datasets.streaming import FlowStream
 from repro.novelty import IsolationForest
-from repro.serve.faults import FaultInjector
-from repro.serve.parallel import ShardedDetectionService
 from repro.serve.service import DetectionService
 from repro.serve.telemetry import (
     SpanBuffer,
@@ -37,13 +29,9 @@ from repro.serve.telemetry import (
     read_spans,
     stage_multiset,
     trace_span,
-    tree_shape,
 )
 
 pytestmark = pytest.mark.serve
-
-#: Coordinator-only wrapper stages absent from a sequential run's tree.
-ROUND_WRAPPERS = ("round_submit", "round_merge")
 
 
 @pytest.fixture(scope="module")
@@ -71,24 +59,6 @@ class TestTraceContext:
         assert child.trace_id == root.trace_id
         assert child.span_id == span_id
         assert [child.allocate() for _ in range(2)] == ["1.1", "1.2"]
-
-    def test_fork_is_disjoint_and_does_not_consume_parent_ids(self):
-        root = TraceContext.root(0)
-        ctx = root.child(root.allocate())  # namespace under span "1"
-        fork_a = ctx.fork("s0")
-        fork_b = ctx.fork("s1")
-        assert fork_a.allocate() == "1.s0.1"
-        assert fork_b.allocate() == "1.s1.1"
-        # The parent's own counter is untouched by either fork.
-        assert ctx.allocate() == "1.1"
-        # Forks share the parent *span* (their spans attach to "1").
-        assert fork_a.span_id == ctx.span_id == "1"
-
-    def test_refork_replays_identical_ids(self):
-        ctx = TraceContext.root(0).child("2")
-        first = [ctx.fork("s1").allocate() for _ in range(2)]
-        second = [ctx.fork("s1").allocate() for _ in range(2)]
-        assert first == second == ["2.s1.1", "2.s1.1"]
 
     def test_pickle_roundtrip_preserves_the_counter(self):
         ctx = TraceContext.root(3)
@@ -130,17 +100,6 @@ class TestTraceSpanIds:
                 raise RuntimeError("boom")
         assert buffer.spans[0]["span_id"] == "1"
         assert buffer.spans[0]["error"] == "RuntimeError"
-
-    def test_buffer_flushes_to_tracer_in_order_and_clears(self, tmp_path):
-        buffer = SpanBuffer()
-        for i in range(3):
-            buffer.record({"stage": f"s{i}", "seconds": 0.0})
-        path = tmp_path / "trace.jsonl"
-        with SpanTracer(str(path)) as tracer:
-            buffer.flush_to(tracer)
-            assert tracer.n_spans == 3
-        assert buffer.spans == []
-        assert [s["stage"] for s in read_spans(str(path))] == ["s0", "s1", "s2"]
 
 
 class TestTracerTruncationSafety:
@@ -186,101 +145,33 @@ class TestTracerTruncationSafety:
         assert stage_multiset(spans)["batch"] == 2
 
 
-class TestCrossModeTraceTrees:
-    """The tentpole acceptance: one stream, three modes, one span tree."""
-
+class TestSequentialTraceTree:
     @pytest.fixture(scope="class")
-    def mode_spans(self, fitted, tmp_path_factory):
+    def spans(self, fitted, tmp_path_factory):
         dataset, detector = fitted
-        root = tmp_path_factory.mktemp("traces")
-        spans = {}
-        with SpanTracer(str(root / "sequential.jsonl")) as tracer:
+        path = tmp_path_factory.mktemp("traces") / "sequential.jsonl"
+        with SpanTracer(str(path)) as tracer:
             service = DetectionService(
                 detector, threshold="auto", tracer=tracer,
                 trace_context=TraceContext.root(0),
             )
             list(service.process(_stream(dataset)))
-        spans["sequential"] = read_spans(str(root / "sequential.jsonl"))
-        for mode in ("thread", "process"):
-            with SpanTracer(str(root / f"{mode}.jsonl")) as tracer:
-                sharded = ShardedDetectionService(
-                    detector, n_workers=3, mode=mode, threshold="auto",
-                    tracer=tracer, trace_context=TraceContext.root(0),
-                )
-                list(sharded.process(_stream(dataset)))
-            spans[mode] = read_spans(str(root / f"{mode}.jsonl"))
-        return spans
+        return read_spans(str(path))
 
-    def test_every_span_carries_the_id_triple(self, mode_spans):
-        for mode, spans in mode_spans.items():
-            assert spans, mode
-            for span in spans:
-                assert span["trace_id"] == "t0000", mode
-                assert span["span_id"], mode
+    def test_every_span_carries_the_id_triple(self, spans):
+        assert spans
+        for span in spans:
+            assert span["trace_id"] == "t0000"
+            assert span["span_id"]
 
-    def test_span_ids_are_unique_within_each_run(self, mode_spans):
-        for mode, spans in mode_spans.items():
-            ids = [(s["trace_id"], s["span_id"]) for s in spans]
-            assert len(ids) == len(set(ids)), mode
-
-    def test_thread_and_process_trees_identical_including_ids(self, mode_spans):
-        assert tree_shape(mode_spans["thread"]) == tree_shape(mode_spans["process"])
-        thread_ids = {(s["span_id"], s["stage"]) for s in mode_spans["thread"]}
-        process_ids = {(s["span_id"], s["stage"]) for s in mode_spans["process"]}
-        assert thread_ids == process_ids
-
-    def test_sequential_tree_matches_after_round_elision(self, mode_spans):
-        sequential = tree_shape(mode_spans["sequential"])
-        for mode in ("thread", "process"):
-            assert sequential == tree_shape(
-                mode_spans[mode], elide=ROUND_WRAPPERS
-            ), mode
-
-    def test_stage_multisets_agree_across_modes(self, mode_spans):
-        sequential = stage_multiset(mode_spans["sequential"])
-        for mode in ("thread", "process"):
-            assert sequential == stage_multiset(
-                mode_spans[mode], elide=ROUND_WRAPPERS
-            ), mode
-        # Every batch opened exactly one wrapper span with children under it.
-        assert sequential["batch"] > 0
-        assert sequential["score"] == sequential["batch"]
-
-
-class TestRetrySpans:
-    def test_replayed_round_reallocates_ids_and_marks_retries(
-        self, fitted, tmp_path
-    ):
-        dataset, detector = fitted
-        batches = [np.asarray(X, dtype=np.float64) for X, _ in _stream(dataset)][:6]
-
-        def run(injector, name):
-            path = tmp_path / name
-            with SpanTracer(str(path)) as tracer:
-                sharded = ShardedDetectionService(
-                    detector, n_workers=2, mode="process", threshold="auto",
-                    batches_per_round=3, max_worker_restarts=5,
-                    worker_timeout_s=120.0, fault_injector=injector,
-                    tracer=tracer, trace_context=TraceContext.root(7),
-                )
-                list(sharded.process(batches))
-                restarts = sharded.report().n_worker_restarts
-            return read_spans(str(path)), restarts
-
-        clean, clean_restarts = run(None, "clean.jsonl")
-        crashy, crash_restarts = run(
-            FaultInjector(seed=0, crash_round=0), "crashy.jsonl"
-        )
-        assert clean_restarts == 0 and crash_restarts >= 1
-
-        # Replay is idempotent: identical tree, no id minted twice.
-        assert tree_shape(crashy) == tree_shape(clean)
-        ids = [(s["trace_id"], s["span_id"]) for s in crashy]
+    def test_span_ids_are_unique_within_the_run(self, spans):
+        ids = [(s["trace_id"], s["span_id"]) for s in spans]
         assert len(ids) == len(set(ids))
 
-        # The replayed attempt's worker spans say so; the clean run's never do.
-        assert any(span.get("retry") for span in crashy)
-        assert not any(span.get("retry") for span in clean)
+    def test_every_batch_span_wraps_one_score_span(self, spans):
+        stages = stage_multiset(spans)
+        assert stages["batch"] > 0
+        assert stages["score"] == stages["batch"]
 
 
 class TestCliTracerCleanup:
