@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import check_array, check_fitted
+from repro.utils.validation import check_array, check_fitted, check_n_features
 
 __all__ = ["PCA"]
 
@@ -84,6 +84,7 @@ class PCA:
         """Project samples onto the principal components."""
         check_fitted(self, "components_")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self.mean_.shape[0], fitted_with="PCA was fitted")
         projected = (X - self.mean_) @ self.components_.T
         if self.whiten:
             projected /= np.sqrt(self.explained_variance_ + 1e-12)
@@ -92,7 +93,8 @@ class PCA:
     def inverse_transform(self, Z: np.ndarray) -> np.ndarray:
         """Map projected samples back to the original feature space."""
         check_fitted(self, "components_")
-        Z = np.asarray(Z, dtype=np.float64)
+        Z = check_array(Z, name="Z", allow_empty=True)
+        check_n_features(Z, self.n_components_, fitted_with="PCA was fitted")
         if self.whiten:
             Z = Z * np.sqrt(self.explained_variance_ + 1e-12)
         return Z @ self.components_ + self.mean_
@@ -103,9 +105,14 @@ class PCA:
     def reconstruction_error(self, X: np.ndarray) -> np.ndarray:
         """Per-sample feature reconstruction error ``||x - T^-1(T(x))||^2``.
 
-        This is the FRE anomaly score from the paper (Sec. III-D).
+        This is the FRE anomaly score from the paper (Sec. III-D). The residual
+        is computed in one pass as ``c - (c V^T) V`` with ``c = x - mean``. The
+        whitening scale cancels between the two transforms, so this covers
+        both settings and matches the round trip up to rounding.
         """
         check_fitted(self, "components_")
         X = check_array(X, name="X", allow_empty=True)
-        reconstructed = self.inverse_transform(self.transform(X))
-        return np.sum((X - reconstructed) ** 2, axis=1)
+        check_n_features(X, self.mean_.shape[0], fitted_with="PCA was fitted")
+        residual = X - self.mean_
+        residual -= (residual @ self.components_.T) @ self.components_
+        return np.einsum("ij,ij->i", residual, residual)

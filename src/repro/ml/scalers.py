@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import check_array, check_fitted
+from repro.utils.validation import check_array, check_fitted, check_n_features
 
 __all__ = ["StandardScaler", "MinMaxScaler"]
 
@@ -31,10 +31,7 @@ class StandardScaler:
     def transform(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "mean_")
         X = check_array(X, name="X", allow_empty=True)
-        if X.shape[1] != self.mean_.shape[0]:
-            raise ValueError(
-                f"X has {X.shape[1]} features, scaler was fitted with {self.mean_.shape[0]}"
-            )
+        check_n_features(X, self.mean_.shape[0], fitted_with="scaler was fitted")
         return (X - self.mean_) / self.scale_
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
@@ -43,6 +40,7 @@ class StandardScaler:
     def inverse_transform(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "mean_")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self.mean_.shape[0], fitted_with="scaler was fitted")
         return X * self.scale_ + self.mean_
 
 
@@ -64,10 +62,7 @@ class MinMaxScaler:
     def transform(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "min_")
         X = check_array(X, name="X", allow_empty=True)
-        if X.shape[1] != self.min_.shape[0]:
-            raise ValueError(
-                f"X has {X.shape[1]} features, scaler was fitted with {self.min_.shape[0]}"
-            )
+        check_n_features(X, self.min_.shape[0], fitted_with="scaler was fitted")
         return (X - self.min_) / self.range_
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
@@ -76,4 +71,5 @@ class MinMaxScaler:
     def inverse_transform(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "min_")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self.min_.shape[0], fitted_with="scaler was fitted")
         return X * self.range_ + self.min_

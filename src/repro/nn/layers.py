@@ -57,7 +57,9 @@ class Linear(Module):
                 f"expected input of shape (n, {self.in_features}), got {x.shape}"
             )
         self._input = x
-        return x @ self.weight.value + self.bias.value
+        out = x @ self.weight.value
+        out += self.bias.value
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
@@ -72,7 +74,12 @@ class Linear(Module):
 
 
 class ReLU(Module):
-    """Rectified linear unit."""
+    """Rectified linear unit.
+
+    NaN inputs propagate as NaN (PyTorch's semantics); every other input,
+    signed zeros and infinities included, maps to ``np.where(x > 0, x, 0.0)``
+    bit for bit.
+    """
 
     _snapshot_transient_ = ("_mask",)
 
@@ -82,7 +89,7 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:

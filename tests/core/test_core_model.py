@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.datasets import load_dataset
 from repro.metrics import f1_score
+from repro.nn import Linear, ReLU
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +200,36 @@ class TestCNDIDSLifecycle:
             return model.score_samples(experience.X_test)
 
         np.testing.assert_allclose(run(True), run(False))
+
+
+def _reference_scores(model: CNDIDS, X: np.ndarray) -> np.ndarray:
+    """Score with the textbook formulation: scaler, ``x @ W + b``, ``np.where``
+    ReLU, then the PCA project-and-reconstruct round trip."""
+    h = model.scaler.transform(X)
+    for layer in model.cfe.autoencoder.encoder.net.layers:
+        if isinstance(layer, Linear):
+            h = h @ layer.weight.value + layer.bias.value
+        else:
+            assert isinstance(layer, ReLU)
+            h = np.where(h > 0, h, 0.0)
+    pca = model.pca_
+    return ((h - pca.inverse_transform(pca.transform(h))) ** 2).sum(axis=1)
+
+
+class TestCNDIDSScoringTolerance:
+    """The scoring path stays within ``rtol=1e-12`` of the textbook formulation."""
+
+    def test_scores_match_reference_formulation(self, fitted_model):
+        model, scenario = fitted_model
+        X = scenario[0].X_test
+        np.testing.assert_allclose(model.score_samples(X), _reference_scores(model, X), rtol=1e-12)
+
+    def test_save_load_round_trip_scores_bit_identically(self, fitted_model, tmp_path):
+        model, scenario = fitted_model
+        X = scenario[0].X_test
+        model.save(tmp_path / "cnd")
+        loaded = CNDIDS.load(tmp_path / "cnd")
+        np.testing.assert_array_equal(loaded.score_samples(X), model.score_samples(X))
 
 
 class TestCNDIDSContinualBehaviour:

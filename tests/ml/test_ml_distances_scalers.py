@@ -108,3 +108,12 @@ class TestMinMaxScaler:
         scaler = MinMaxScaler().fit(np.random.default_rng(0).normal(size=(5, 3)))
         with pytest.raises(ValueError, match="features"):
             scaler.transform(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("scaler_cls", [StandardScaler, MinMaxScaler])
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_inverse_transform_rejects_wrong_width(scaler_cls, width):
+    """An ``(n, 1)`` batch used to broadcast against the fitted columns silently."""
+    scaler = scaler_cls().fit(np.random.default_rng(3).normal(size=(10, 3)))
+    with pytest.raises(ValueError, match="X has .* features, scaler was fitted with 3"):
+        scaler.inverse_transform(np.ones((5, width)))

@@ -109,3 +109,49 @@ class TestPCATransform:
         X = np.random.default_rng(n * 7 + d).normal(size=(n, d))
         pca = PCA(n_components=0.9).fit(X)
         assert np.all(pca.reconstruction_error(X) >= 0.0)
+
+
+class TestReconstructionErrorMatchesRoundTrip:
+    """The one-pass residual agrees with ``X - inverse_transform(transform(X))``."""
+
+    @pytest.mark.parametrize("whiten", [False, True])
+    @pytest.mark.parametrize("n_components", [None, 4, 0.8])
+    def test_matches_round_trip_formula(self, whiten, n_components):
+        rng = np.random.default_rng(6)
+        scale = np.arange(1, 13)
+        # Fewer fit rows than features, so even n_components=None leaves a
+        # residual for fresh points.
+        pca = PCA(n_components, whiten=whiten).fit(rng.normal(size=(10, 12)) * scale)
+        X = rng.normal(size=(200, 12)) * scale
+        reference = ((X - pca.inverse_transform(pca.transform(X))) ** 2).sum(axis=1)
+        np.testing.assert_allclose(pca.reconstruction_error(X), reference, rtol=1e-12)
+
+    def test_does_not_modify_input(self):
+        X = np.random.default_rng(7).normal(size=(30, 5))
+        pca = PCA(n_components=2).fit(X)
+        before = X.copy()
+        pca.reconstruction_error(X)
+        np.testing.assert_array_equal(X, before)
+
+
+class TestWrongWidthInput:
+    """A batch narrower or wider than the fitted width raises instead of broadcasting."""
+
+    @pytest.fixture
+    def pca(self):
+        return PCA(n_components=2).fit(np.random.default_rng(8).normal(size=(30, 4)))
+
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_transform(self, pca, width):
+        with pytest.raises(ValueError, match="X has .* features, PCA was fitted with 4"):
+            pca.transform(np.ones((6, width)))
+
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_reconstruction_error(self, pca, width):
+        with pytest.raises(ValueError, match="X has .* features, PCA was fitted with 4"):
+            pca.reconstruction_error(np.ones((6, width)))
+
+    @pytest.mark.parametrize("width", [1, 3, 4])
+    def test_inverse_transform_checks_against_n_components(self, pca, width):
+        with pytest.raises(ValueError, match="features, PCA was fitted with 2"):
+            pca.inverse_transform(np.ones((6, width)))

@@ -164,6 +164,49 @@ class TestActivationValues:
         np.testing.assert_allclose(Tanh()(x), np.tanh(x))
 
 
+_RELU_INPUTS = {
+    "random": np.random.default_rng(10).normal(size=(64, 33)),
+    "signed_zeros": np.array([[-0.0, 0.0, -0.0, 0.0]] * 40),
+    "infinities": np.array([[-np.inf, np.inf, -1.0, 1.0]] * 40),
+}
+
+
+class TestForwardMatchesReferenceFormula:
+    """``ReLU`` and ``Linear`` reproduce ``np.where(x > 0, x, 0)`` and ``x @ W + b`` bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_RELU_INPUTS))
+    def test_relu_is_bit_identical_to_where(self, name):
+        x = _RELU_INPUTS[name]
+        out = ReLU()(x)
+        reference = np.where(x > 0, x, 0.0)
+        np.testing.assert_array_equal(out, reference)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(reference))
+
+    def test_relu_propagates_nan(self):
+        out = ReLU()(np.array([[np.nan, -1.0, 1.0]]))
+        assert np.isnan(out[0, 0])
+        np.testing.assert_array_equal(out[0, 1:], [0.0, 1.0])
+
+    def test_relu_backward_uses_forward_mask(self):
+        layer = ReLU()
+        x = np.array([[-2.0, -0.0, 0.0, 3.0, np.nan]])
+        layer(x)
+        grad = layer.backward(np.full_like(x, 5.0))
+        np.testing.assert_array_equal(grad, [[0.0, 0.0, 0.0, 5.0, 0.0]])
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 17, 256])
+    def test_linear_is_bit_identical_and_leaves_operands_alone(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        layer = Linear(9, 5, random_state=0)
+        layer.bias.value = rng.normal(size=5)
+        x = rng.normal(size=(n_rows, 9))
+        before = (x.copy(), layer.weight.value.copy(), layer.bias.value.copy())
+        out = layer(x)
+        np.testing.assert_array_equal(out, before[0] @ before[1] + before[2])
+        for operand, original in zip((x, layer.weight.value, layer.bias.value), before):
+            np.testing.assert_array_equal(operand, original)
+
+
 class TestDropout:
     def test_identity_in_eval_mode(self):
         layer = Dropout(0.5, random_state=0)
