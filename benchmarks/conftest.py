@@ -19,8 +19,8 @@ def pytest_collection_modifyitems(config, items):
     The default addopts (``-m 'not bench'``) then keep the tier-1 run fast;
     ``pytest benchmarks -m bench`` runs the benchmark suite.  Tests that
     explicitly carry the ``tier1`` marker are exempt: they are cheap tooling
-    guards (syntax/trend-check self-tests) that must run in the default
-    tier-1 pass so a broken bench writer cannot land unnoticed.
+    guards (compile checks) that must run in the default tier-1 pass so a
+    broken bench module cannot land unnoticed.
     """
     for item in items:
         if str(item.fspath).startswith(str(_BENCH_DIR)) and not item.get_closest_marker(

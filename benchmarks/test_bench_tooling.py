@@ -1,51 +1,49 @@
 """Tier-1 tooling guards for the benchmark harness (no timing involved).
 
 These run in the default test pass (the ``tier1`` marker exempts them from
-the automatic ``bench`` marking — see ``conftest.py``): a bench writer with
-a syntax error, or a committed ``BENCH_inference.json`` the trend checker
-cannot read back, must fail the build *before* anyone tries to measure
-anything.
+the automatic ``bench`` marking — see ``conftest.py``): a syntax error in
+``src/``, in a bench module or in the ``perfbench/`` harness must fail the
+build *before* anyone tries to measure anything.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from check_bench_trend import main as trend_main
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 pytestmark = pytest.mark.tier1
 
 
-def test_compileall_src():
+def _compileall(directory: str, cache_dir: Path) -> None:
+    # Byte-code goes to a scratch prefix so the check leaves no __pycache__
+    # behind in the checked tree.
+    result = subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", str(REPO_ROOT / directory)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPYCACHEPREFIX": str(cache_dir)},
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_compileall_src(tmp_path):
     """Every module under src/ must at least compile (catches syntax errors)."""
-    result = subprocess.run(
-        [sys.executable, "-m", "compileall", "-q", str(REPO_ROOT / "src")],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
+    _compileall("src", tmp_path)
 
 
-def test_compileall_benchmarks():
-    """The bench writers themselves must compile — they are not imported by
-    tier-1 otherwise, so a broken runner could land silently."""
-    result = subprocess.run(
-        [sys.executable, "-m", "compileall", "-q", str(REPO_ROOT / "benchmarks")],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
+def test_compileall_benchmarks(tmp_path):
+    """The bench modules must compile — they are not imported by tier-1
+    otherwise, so a broken bench could land silently."""
+    _compileall("benchmarks", tmp_path)
 
 
-def test_trend_check_fresh_self_test(capsys):
-    """``--fresh <baseline>`` must compare the committed file against itself
-    cleanly: every section parses, no entry regresses, exit code 0."""
-    baseline = REPO_ROOT / "BENCH_inference.json"
-    assert trend_main(["--baseline", str(baseline), "--fresh", str(baseline)]) == 0
-    assert "trend OK" in capsys.readouterr().out
+def test_compileall_perfbench(tmp_path):
+    """The repository benchmark harness must compile — nothing in tier-1
+    imports ``perfbench/``, so a syntax error there would land unseen."""
+    _compileall("perfbench", tmp_path)

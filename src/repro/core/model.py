@@ -114,7 +114,6 @@ class CNDIDS(ContinualMethod):
             random_state=self._rng,
         )
         self.scaler = StandardScaler()
-        self._scaler_fitted = False
         self.clean_normal_: np.ndarray | None = None
         self.pca_: PCA | None = None
         self._clean_scores: np.ndarray | None = None
@@ -141,7 +140,6 @@ class CNDIDS(ContinualMethod):
             )
             clean_normal = clean_normal[idx]
         self.scaler.fit(clean_normal)
-        self._scaler_fitted = True
         self.clean_normal_ = self.scaler.transform(clean_normal)
 
     # -- Algorithm 1, training steps -------------------------------------------------

@@ -212,7 +212,7 @@ def measure_inference_time(
 ) -> float:
     """Median per-sample inference time (milliseconds) of ``score_fn`` over ``X``.
 
-    The rate math is shared with the throughput benchmark via
+    The rate math is shared with the serving loop's throughput report via
     :meth:`repro.utils.timing.Timer.throughput`.
     """
     if X.shape[0] == 0:

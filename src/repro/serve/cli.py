@@ -39,7 +39,7 @@ Usage examples::
     # report.json/.md); `serve report` re-renders the report after the fact,
     # `repro trace` analyzes the span tree and gates on per-stage budgets
     repro serve --dataset wustl_iiot --detector iforest --log-level info \
-        --trace-file ./trace.jsonl --run-dir ./run --baseline BENCH_inference.json
+        --trace-file ./trace.jsonl --run-dir ./run
     repro serve report ./run --budget score=50 --budget-metric p95
     repro trace ./run/trace.jsonl --view tree --budget batch=100
 
@@ -242,11 +242,6 @@ def _parser() -> argparse.ArgumentParser:
         "snapshot) and report.json/report.md (sectioned MET/NOT_MET verdicts); "
         "re-render later with 'repro serve report DIR'",
     )
-    serve.add_argument(
-        "--baseline", type=Path, default=None, metavar="PATH",
-        help="BENCH_inference.json to judge throughput against in the run "
-        "report (only meaningful with --run-dir)",
-    )
 
     serve_sub = serve.add_subparsers(dest="serve_command")
     serve_report = serve_sub.add_parser(
@@ -255,10 +250,6 @@ def _parser() -> argparse.ArgumentParser:
     serve_report.add_argument(
         "run_dir", type=Path,
         help="directory written by 'repro serve --run-dir'",
-    )
-    serve_report.add_argument(
-        "--baseline", type=Path, default=None, metavar="PATH",
-        help="BENCH_inference.json for the throughput-vs-baseline check",
     )
     serve_report.add_argument(
         "--budget", action="append", default=[], metavar="STAGE=MS",
@@ -339,7 +330,6 @@ _CONFIG_EXCLUDED = (
     "command",
     "serve_command",
     "alerts",
-    "baseline",
     "health_deadline",
     "log_level",
     "profile_mem",
@@ -348,15 +338,6 @@ _CONFIG_EXCLUDED = (
     "status_port",
     "trace_file",
 )
-
-
-def _load_baseline(path: Path | None) -> dict | None:
-    if path is None:
-        return None
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"--baseline: cannot read {path}: {exc}")
 
 
 def _model_provenance(
@@ -450,7 +431,6 @@ def _write_run_artifacts(
         metrics=summary_payload["metrics"],
         events=events,
         run_info=summary_payload,
-        baseline=_load_baseline(args.baseline),
         trace=trace,
     )
     _, md_path = write_report_files(run_dir, payload)
@@ -465,7 +445,6 @@ def _run_serve_report(args: argparse.Namespace) -> int:
     try:
         report = render_run_report(
             args.run_dir,
-            baseline=_load_baseline(args.baseline),
             trace_budgets=budgets or None,
             trace_budget_metric=args.budget_metric,
         )
@@ -512,8 +491,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             raise SystemExit(f"--log-level: {exc}")
     if args.metrics_every is not None and args.metrics_every < 1:
         raise SystemExit("--metrics-every must be at least 1")
-    if args.baseline is not None and args.run_dir is None:
-        raise SystemExit("--baseline is only used by the --run-dir report")
     if args.status_port is not None and args.status_port < 0:
         raise SystemExit("--status-port must be >= 0 (0 picks a free port)")
     if args.health_deadline <= 0:

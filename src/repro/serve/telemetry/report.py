@@ -7,8 +7,8 @@ artifact pair, ``report.json`` (machine-readable) + ``report.md``
 section carries an explicit verdict, every check carries its severity and
 the evidence it was judged on.  Sections:
 
-1. **Throughput** — did the stream complete, and does throughput hold up
-   against the committed ``BENCH_inference.json`` baseline entry?
+1. **Throughput** — did the stream complete with scored batches, and at
+   what rate?
 2. **Latency** — batch p50/p95/p99 and the per-stage span table.
    (When the run directory carries a ``trace.jsonl``, a **Trace** section
    follows with per-stage span totals from the trace file, the worst
@@ -171,24 +171,6 @@ def _section_verdict(checks: Sequence[Mapping[str, Any]]) -> str:
     return "MET"
 
 
-def _baseline_rate(baseline: Mapping[str, Any] | None, entry: str) -> float | None:
-    """Look up ``samples_per_sec`` for ``entry`` (``"section:name"`` or a
-    top-level ``"name"``) in a ``BENCH_inference.json`` payload."""
-    if not baseline:
-        return None
-    section, _, name = entry.rpartition(":")
-    results = (
-        baseline.get(section, {}).get("results", {})
-        if section
-        else baseline.get("results", {})
-    )
-    try:
-        rate = float(results[name]["samples_per_sec"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    return rate if rate > 0 else None
-
-
 def _condense_timeline(
     events: Iterable[Mapping[str, Any]], *, max_events: int
 ) -> tuple[list[dict], int]:
@@ -313,9 +295,6 @@ def build_report(
     events: Sequence[Mapping[str, Any]] = (),
     history: Sequence[Mapping[str, Any]] = (),
     run_info: Mapping[str, Any] | None = None,
-    baseline: Mapping[str, Any] | None = None,
-    baseline_entry: str = "faults:process_batch[clean]",
-    min_throughput_fraction: float = 0.5,
     max_quarantined_fraction: float = 0.10,
     max_timeline_events: int = 50,
     trace: Sequence[Mapping[str, Any]] | None = None,
@@ -330,8 +309,7 @@ def build_report(
     event dicts in emission order (e.g. read back from ``events.jsonl``);
     ``history`` is registry lifecycle lineage (used for the lifecycle
     section when sink events lack it); ``run_info`` is a
-    :func:`build_run_summary` payload; ``baseline`` is a parsed
-    ``BENCH_inference.json`` enabling the throughput-vs-baseline check.
+    :func:`build_run_summary` payload.
     ``trace`` is a list of span records (``trace.jsonl``); when given, a
     Trace section with per-stage span totals, the worst critical path and
     optional ``trace_budgets`` (stage -> ms, judged on
@@ -358,27 +336,6 @@ def build_report(
     throughput_data: dict[str, Any] = {
         "throughput_samples_per_sec": _round(throughput)
     }
-    base_rate = _baseline_rate(baseline, baseline_entry)
-    if base_rate is not None:
-        floor = min_throughput_fraction * base_rate
-        throughput_checks.append(
-            _check(
-                "THR-02",
-                f"Throughput within {min_throughput_fraction:.0%} of committed "
-                f"baseline `{baseline_entry}`",
-                throughput >= floor,
-                evidence={
-                    "throughput_samples_per_sec": throughput,
-                    "baseline_samples_per_sec": base_rate,
-                    "required_min": floor,
-                },
-            )
-        )
-    elif baseline is not None:
-        throughput_data["baseline_note"] = (
-            f"baseline entry {baseline_entry!r} not found; "
-            "throughput-vs-baseline check skipped"
-        )
 
     # -- 2. latency ------------------------------------------------------------
     p50 = float(summary.get("batch_latency_p50_s", 0.0))
@@ -624,9 +581,6 @@ def render_markdown(report: Mapping[str, Any]) -> str:
                 lines.append(f"{prefix} — {detail}" if detail else prefix)
             if data.get("truncated"):
                 lines.append(f"- … {data['truncated']} more entries truncated")
-        if data.get("baseline_note"):
-            lines.append("")
-            lines.append(f"> {data['baseline_note']}")
     lines.append("")
     return "\n".join(lines)
 
@@ -675,7 +629,6 @@ def load_run_dir(run_dir: str | Path) -> tuple[dict, list[dict]]:
 def render_run_report(
     run_dir: str | Path,
     *,
-    baseline: Mapping[str, Any] | None = None,
     history: Sequence[Mapping[str, Any]] = (),
     trace_budgets: Mapping[str, float] | None = None,
     trace_budget_metric: str = "p95",
@@ -699,7 +652,6 @@ def render_run_report(
         events=events,
         history=history,
         run_info=run_summary,
-        baseline=baseline,
         trace=trace,
         trace_budgets=trace_budgets,
         trace_budget_metric=trace_budget_metric,

@@ -46,8 +46,8 @@ class Timer:
     def throughput(self, n_items: int) -> float:
         """Items processed per second, assuming each timed block handled ``n_items``.
 
-        Shared rate math for the Table IV overhead measurement and the
-        inference throughput benchmark.  Returns 0.0 when the timer was never
+        Shared rate math for the Table IV overhead measurement and the serving
+        loop's throughput report.  Returns 0.0 when the timer was never
         used, and ``inf`` when time was measured but below the clock
         resolution — an immeasurably fast run must rank as the *fastest*
         rate, not the slowest, so medians over rates keep their order.

@@ -64,11 +64,15 @@ class TestTable1:
         assert "Table I" in text and "wustl_iiot" in text
 
 
+@pytest.fixture(scope="module")
+def fig1_rows():
+    return run_fig1(QUICK)
+
+
 class TestFig1:
-    def test_rows_structure(self):
-        rows = run_fig1(QUICK)
-        assert len(rows) == len(QUICK.datasets) * len(FIG1_MODEL_NAMES)
-        for row in rows:
+    def test_rows_structure(self, fig1_rows):
+        assert len(fig1_rows) == len(QUICK.datasets) * len(FIG1_MODEL_NAMES)
+        for row in fig1_rows:
             assert 0.0 <= row["known_accuracy"] <= 100.0
             assert 0.0 <= row["unknown_accuracy"] <= 100.0
 
@@ -78,8 +82,8 @@ class TestFig1:
         assert set(known).isdisjoint(unknown)
         assert set(known) | set(unknown) == set(dataset.attack_type_names)
 
-    def test_format(self):
-        assert "Fig. 1" in format_fig1(run_fig1(QUICK))
+    def test_format(self, fig1_rows):
+        assert "Fig. 1" in format_fig1(fig1_rows)
 
 
 class TestFig3AndTable2:

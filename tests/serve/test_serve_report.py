@@ -106,17 +106,11 @@ def golden_inputs() -> dict:
         metrics=metrics,
         generated_at=GENERATED_AT,
     )
-    baseline = {
-        "faults": {
-            "results": {"process_batch[clean]": {"samples_per_sec": 80000.0}}
-        }
-    }
     return {
         "summary": summary,
         "metrics": metrics,
         "events": events,
         "run_info": run_info,
-        "baseline": baseline,
     }
 
 
@@ -127,7 +121,6 @@ def build_golden_report() -> dict:
         metrics=inputs["metrics"],
         events=inputs["events"],
         run_info=inputs["run_info"],
-        baseline=inputs["baseline"],
         generated_at=GENERATED_AT,
     )
 
@@ -197,32 +190,6 @@ class TestBuildReport:
         )
         tl01 = next(c for c in timeline["checks"] if c["id"] == "TL-01")
         assert tl01["verdict"] == "NOT_MET"
-
-    def test_throughput_below_baseline_fails_thr02(self):
-        inputs = golden_inputs()
-        summary = dict(inputs["summary"], throughput_samples_per_sec=100.0)
-        report = build_report(
-            summary,
-            run_info=inputs["run_info"],
-            baseline=inputs["baseline"],
-            generated_at=GENERATED_AT,
-        )
-        throughput = report["sections"][0]
-        thr02 = next(c for c in throughput["checks"] if c["id"] == "THR-02")
-        assert thr02["verdict"] == "NOT_MET"
-        assert report["overall"] == "NOT_MET"
-
-    def test_missing_baseline_entry_noted_not_failed(self):
-        inputs = golden_inputs()
-        report = build_report(
-            inputs["summary"],
-            run_info=inputs["run_info"],
-            baseline={"results": {}},
-            generated_at=GENERATED_AT,
-        )
-        throughput = report["sections"][0]
-        assert all(c["id"] != "THR-02" for c in throughput["checks"])
-        assert "baseline_note" in throughput["data"]
 
     def test_consecutive_alerts_collapse_on_timeline(self):
         inputs = golden_inputs()
@@ -302,9 +269,7 @@ class TestRunDirRoundTrip:
         with open(tmp_path / "events.jsonl", "w", encoding="utf-8") as handle:
             for event in inputs["events"]:
                 handle.write(json.dumps(event, sort_keys=True) + "\n")
-        report = render_run_report(
-            tmp_path, baseline=inputs["baseline"], generated_at=GENERATED_AT
-        )
+        report = render_run_report(tmp_path, generated_at=GENERATED_AT)
         assert report == build_golden_report()
         assert json.loads(
             (tmp_path / "report.json").read_text(encoding="utf-8")
@@ -432,3 +397,17 @@ class TestCliRoundTrip:
     def test_serve_report_on_missing_dir_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="run_summary.json"):
             main(["serve", "report", str(tmp_path / "nope")])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "report", "run", "--baseline", "x.json"],
+            ["serve", "--baseline=x.json"],
+        ],
+        ids=["serve-report", "serve"],
+    )
+    def test_baseline_flag_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --baseline" in capsys.readouterr().err
