@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import LintContext, build_project, run_lint
-from repro.analysis.cache import LintCache
 from repro.core import CNDLossConfig, ContinualFeatureExtractor, compute_pseudo_labels
 from repro.ml import PCA, KMeans, pairwise_squared_euclidean
 from repro.novelty import (
@@ -338,18 +337,10 @@ def test_telemetry_unit_costs(iforest):
     ) < 1.0
 
 
-def test_lint_cache_payoff(tmp_path):
+def test_lint_cold_run():
     paths = [SRC_TREE]
-    probe = run_lint(paths)
-    n_files = probe.context.n_files
+    modules = list(run_lint(paths).context.modules)
     cold_s = _best_seconds(lambda: run_lint(paths))
-    cache_path = tmp_path / "reprolint-cache.json"
-    run_lint(paths, cache=LintCache(cache_path))
-    warm_s = _best_seconds(lambda: run_lint(paths, cache=LintCache(cache_path)))
-    # A no-change re-lint costs hashing plus the finalize passes, never the
-    # per-module rule walks: the real margin is two orders of magnitude.
-    assert cold_s / warm_s >= 5.0
-    # The cold lint is developer-facing latency in the tier-1 gate.
-    assert n_files / cold_s > 5.0
-    modules = list(probe.context.modules)
+    # The full-tree lint is developer-facing latency in the tier-1 gate.
+    assert len(modules) / cold_s > 5.0
     assert _best_seconds(lambda: build_project(LintContext(modules=modules))) < 5.0

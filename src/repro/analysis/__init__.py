@@ -1,27 +1,22 @@
 """reprolint: AST-based machine-checks for the serving stack's contracts.
 
-The serving layer's correctness rests on conventions — bit-identical
-sequential/thread/process runs, pickle-free seeded snapshots, every
+The serving layer's correctness rests on conventions — runs that replay
+bit-identically from a seed, pickle-free seeded snapshots, every
 degradation an auditable sink event, every pipeline stage traced — that no
 type checker sees.  This package encodes each convention as a small
-stdlib-``ast`` rule (``RL001``–``RL012``, see :mod:`repro.analysis.rules`),
-runs them through one shared parse (:func:`run_lint`), grandfathers
-deliberate exceptions through a committed baseline
-(:mod:`repro.analysis.baseline`), and reports in three formats — compiler
-text, ``read_events``-compatible JSONL, and sectioned MET/NOT_MET verdicts
-(:mod:`repro.analysis.report`).  Since v2 the engine is two-pass: pass 1
-builds a whole-tree symbol table and call graph
-(:mod:`repro.analysis.project`) that cross-module rules and the
-incremental cache (:mod:`repro.analysis.cache`) consume; safe autofixes
-live in :mod:`repro.analysis.fix`.  ``repro lint`` is the CLI; the tier-1
-test ``tests/analysis/test_lint_src_clean.py`` is the gate that keeps
-``src/`` clean forever.
+stdlib-``ast`` rule (``RL001``–``RL012``, see :mod:`repro.analysis.rules`)
+and has one lint path: :func:`run_lint` parses the tree once, builds a
+whole-tree symbol table and call graph (:mod:`repro.analysis.project`) for
+the cross-module rules, runs every rule, and marks the findings a committed
+baseline grandfathers (:mod:`repro.analysis.baseline`).  ``repro lint`` is
+the CLI and prints compiler-style text; the tier-1 test
+``tests/analysis/test_lint_src_clean.py`` is the gate that keeps ``src/``
+clean.
 """
 
 from __future__ import annotations
 
 from repro.analysis.baseline import Baseline, BaselineEntry, write_baseline
-from repro.analysis.cache import CachePlan, LintCache
 from repro.analysis.engine import (
     LintContext,
     LintResult,
@@ -31,46 +26,25 @@ from repro.analysis.engine import (
     run_lint,
 )
 from repro.analysis.findings import Finding
-from repro.analysis.fix import FixEdit, apply_fixes, plan_fixes, render_diff
 from repro.analysis.project import ProjectGraph, build_project, function_key
-from repro.analysis.report import (
-    build_lint_report,
-    load_lint_events,
-    render_lint_markdown,
-    render_text,
-    to_event_dicts,
-    write_lint_report_files,
-)
 from repro.analysis.rules import RULE_CLASSES, Rule, default_rules, rules_by_id
 
 __all__ = [
     "Baseline",
     "BaselineEntry",
-    "CachePlan",
     "Finding",
-    "FixEdit",
-    "LintCache",
     "LintContext",
     "LintResult",
     "ParsedModule",
     "ProjectGraph",
     "RULE_CLASSES",
     "Rule",
-    "apply_fixes",
-    "build_lint_report",
     "build_project",
     "default_rules",
     "function_key",
     "lint_parsed",
-    "load_lint_events",
     "parse_module",
-    "plan_fixes",
-    "render_diff",
-    "render_lint_markdown",
-    "render_text",
     "rules_by_id",
     "run_lint",
-    "to_event_dicts",
     "write_baseline",
-    "write_lint_report_files",
 ]

@@ -9,12 +9,13 @@ keep it grandfathered while any change to the offending line itself (or
 moving it to another function) un-baselines it and fails the build until
 re-justified.
 
-Baselined findings are still reported (marked ``baselined``) in every output
-format; they just do not affect the exit code.  ``repro lint
---write-baseline`` regenerates the file from the current findings, with a
-placeholder reason the author must replace — the tier-1 gate caps how many
-entries may exist, so the baseline can only ever be a short, documented
-list, not a dumping ground.
+Baselined findings are still reported (marked ``baselined``); they just do
+not affect the exit code.  ``repro lint --write-baseline`` regenerates the
+file from the current findings, with a placeholder reason the author must
+replace — the tier-1 gate caps how many entries may exist, so the baseline
+can only ever be a short, documented list, not a dumping ground.  Entries a
+subset run (``--rules``, or a subtree path) could not re-check are carried
+over unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from repro.analysis.findings import Finding
 
@@ -46,11 +47,16 @@ class BaselineEntry:
             return False
         if self.line_text != finding.line_text:
             return False
+        return self.matches_path(finding.path)
+
+    def matches_path(self, path: str) -> bool:
         # Suffix-tolerant path compare: the baseline stores repo-root
         # relative paths, but the CLI may be invoked from a subdirectory.
-        return finding.path == self.path or finding.path.endswith(
-            "/" + self.path
-        ) or self.path.endswith("/" + finding.path)
+        return (
+            path == self.path
+            or path.endswith("/" + self.path)
+            or self.path.endswith("/" + path)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -104,16 +110,34 @@ class Baseline:
 
 
 def write_baseline(
-    path: str | Path, findings: Iterable[Finding], *, keep: Baseline | None = None
+    path: str | Path,
+    findings: Iterable[Finding],
+    *,
+    keep: Baseline | None = None,
+    rule_ids: Collection[str] | None = None,
+    scanned_paths: Collection[str] | None = None,
 ) -> Baseline:
     """Write ``findings`` as the new baseline, preserving existing reasons.
 
     Entries already present in ``keep`` contribute their written reason;
     genuinely new entries get the placeholder reason, which
     :meth:`Baseline.undocumented` (and the tier-1 gate) will complain about
-    until a human replaces it.
+    until a human replaces it.  ``rule_ids`` and ``scanned_paths`` describe
+    the run that produced ``findings`` (``None``: everything); an entry of
+    ``keep`` whose rule did not run or whose file was not scanned could not
+    be re-checked, so it is carried over as it is.
     """
     entries: list[BaselineEntry] = []
+    if keep is not None:
+        entries = [
+            entry
+            for entry in keep.entries
+            if (rule_ids is not None and entry.rule not in rule_ids)
+            or (
+                scanned_paths is not None
+                and not any(entry.matches_path(p) for p in scanned_paths)
+            )
+        ]
     seen: set[tuple] = set()
     for finding in findings:
         key = finding.key()

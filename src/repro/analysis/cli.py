@@ -4,13 +4,8 @@ Usage::
 
     repro lint                          # lint src/ (plus README.md) from cwd
     repro lint src/repro benchmarks     # explicit paths
-    repro lint --format json --output lint.jsonl src/repro
-    repro lint --format report src/repro
     repro lint --rules RL001,RL005 src/repro
     repro lint --write-baseline src/repro
-    repro lint --changed                # only git-modified files (pre-commit)
-    repro lint --fix --dry-run          # preview safe autofixes as a diff
-    repro lint --fix                    # apply them
     repro lint --list-rules
 
 Exit codes: ``0`` — no new findings (baselined ones are reported but do not
@@ -18,32 +13,16 @@ fail), ``1`` — at least one new finding, ``2`` — usage error (bad path,
 unknown rule, unreadable baseline).  The baseline defaults to
 ``.reprolint-baseline.json`` in the current directory when present; pass
 ``--no-baseline`` to see everything fail again.
-
-Full-tree runs keep an incremental cache (``.reprolint-cache.json``) so an
-unchanged tree re-lints from stored findings; ``--rules`` subsets and
-``--changed`` runs bypass it, and ``--no-cache`` disables it outright.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import subprocess
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline, write_baseline
-from repro.analysis.cache import DEFAULT_CACHE_PATH, LintCache
-from repro.analysis.engine import run_lint
-from repro.analysis.fix import apply_fixes, plan_fixes, render_diff
-from repro.analysis.report import (
-    build_lint_report,
-    render_lint_markdown,
-    render_text,
-    to_event_dicts,
-    write_lint_report_files,
-)
+from repro.analysis.engine import LintResult, run_lint
 from repro.analysis.rules import RULE_CLASSES, rules_by_id
 
 __all__ = ["main"]
@@ -59,19 +38,6 @@ def _parser() -> argparse.ArgumentParser:
         nargs="*",
         default=None,
         help="files or directories to lint (default: ./src, falling back to .)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "report"),
-        default="text",
-        help="text diagnostics, JSONL events, or a MET/NOT_MET report",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="write output here instead of stdout (a directory for --format "
-        "report, which writes lint_report.json + lint_report.md)",
     )
     parser.add_argument(
         "--rules",
@@ -105,85 +71,31 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
     )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files git reports as modified or untracked "
-        "(falls back to a full run outside a git checkout)",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply safe autofixes: repair __all__ blocks (RL008), prune "
-        "stale baseline entries, and scaffold suppressions (--fix-suppress)",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="with --fix: print the would-be changes as a unified diff "
-        "without writing anything",
-    )
-    parser.add_argument(
-        "--fix-suppress",
-        action="append",
-        default=None,
-        metavar="RLNNN",
-        help="with --fix: append an inline suppression scaffold to each "
-        "line with a new finding of this rule id (repeatable)",
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=Path(DEFAULT_CACHE_PATH),
-        metavar="PATH",
-        help=f"incremental cache file (default: ./{DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="do not read or write the incremental cache",
-    )
     return parser
 
 
-def _changed_files(paths: list[str]) -> list[str] | None:
-    """Git-modified + untracked ``.py`` files under ``paths``; None = no git."""
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    roots = [Path(p).resolve() for p in paths]
-    changed: list[str] = []
-    seen: set[Path] = set()
-    for rel in (diff + untracked).splitlines():
-        if not rel.endswith(".py"):
-            continue
-        candidate = (Path(top) / rel).resolve()
-        if not candidate.is_file() or candidate in seen:
-            continue  # deleted files show in the diff but cannot be linted
-        if any(
-            root == candidate or root in candidate.parents for root in roots
-        ):
-            seen.add(candidate)
-            changed.append(str(candidate))
-    return sorted(changed)
+def _render_text(result: LintResult) -> str:
+    """Compiler-style ``path:line:col`` lines plus a summary."""
+    lines = []
+    by_rule: dict[str, int] = {}
+    for finding in result.findings:
+        suffix = "  [baselined]" if finding.baselined else ""
+        lines.append(
+            f"{finding.location()}: {finding.rule} [{finding.severity}] "
+            f"{finding.message}{suffix}"
+        )
+        by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
+    lines.append(
+        f"{len(result.findings)} finding(s) "
+        f"({len(result.new)} new, {len(result.baselined)} baselined) "
+        f"across {len(result.context.modules)} file(s)"
+    )
+    if by_rule:
+        lines.append(
+            "by rule: "
+            + ", ".join(f"{rule}={n}" for rule, n in sorted(by_rule.items()))
+        )
+    return "\n".join(lines)
 
 
 def _list_rules() -> str:
@@ -236,85 +148,23 @@ def main(argv: list[str] | None = None) -> int:
         readme = Path("README.md")
         docs = [readme] if readme.is_file() else []
 
-    if args.dry_run and not args.fix:
-        print("error: --dry-run requires --fix", file=sys.stderr)
-        return 2
-    if args.fix_suppress and not args.fix:
-        print("error: --fix-suppress requires --fix", file=sys.stderr)
-        return 2
-
-    paths = args.paths or _default_paths()
-    run_finalize = True
-    if args.changed:
-        changed = _changed_files(paths)
-        if changed is None:
-            print("note: not a git checkout; linting everything", file=sys.stderr)
-        elif not changed:
-            print("no changed Python files under the given paths; nothing to lint")
-            return 0
-        else:
-            paths = changed
-            # A diff slice lacks the evidence whole-tree contracts need
-            # (producers, parser homes, call graphs live elsewhere), so
-            # cross-module finalize rules are deferred to the full run.
-            run_finalize = False
-            print(
-                f"linting {len(changed)} changed file(s); cross-module "
-                "rules deferred to the next full run",
-                file=sys.stderr,
-            )
-
-    cache = None
-    if not args.no_cache and rules is None and not args.changed:
-        # --rules subsets and --changed slices see a partial tree; caching
-        # either would poison full-tree runs, so both bypass the cache.
-        cache = LintCache(args.cache)
-
     try:
         result = run_lint(
-            paths,
-            rules=rules,
-            docs=docs,
-            baseline=baseline,
-            cache=cache,
-            run_finalize=run_finalize,
+            args.paths or _default_paths(), rules=rules, docs=docs, baseline=baseline
         )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.fix:
-        edits = plan_fixes(
-            result,
-            suppress=args.fix_suppress or (),
-            baseline=baseline,
-            baseline_path=baseline_path,
-        )
-        if args.dry_run:
-            diff = render_diff(edits)
-            print(diff if diff else "nothing to fix")
-            return result.exit_code
-        if not edits:
-            print("nothing to fix")
-            return result.exit_code
-        apply_fixes(edits)
-        for edit in edits:
-            for note in edit.notes:
-                print(note)
-        print(f"fixed {len(edits)} file(s); re-linting")
-        reloaded = baseline
-        if baseline_path is not None and not args.no_baseline:
-            try:
-                reloaded = Baseline.load(baseline_path)
-            except (OSError, ValueError, KeyError):
-                reloaded = None
-        result = run_lint(
-            paths, rules=rules, docs=docs, baseline=reloaded, cache=cache
-        )
-
     if args.write_baseline:
         target = baseline_path if baseline_path is not None else Path(DEFAULT_BASELINE_NAME)
-        written = write_baseline(target, result.findings, keep=baseline)
+        written = write_baseline(
+            target,
+            result.findings,
+            keep=baseline,
+            rule_ids=None if rules is None else [rule.rule_id for rule in rules],
+            scanned_paths=result.context.scanned_paths,
+        )
         print(f"wrote {len(written)} baseline entr(y/ies) to {target}")
         undocumented = written.undocumented()
         if undocumented:
@@ -324,31 +174,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         return 0
 
-    if args.format == "text":
-        text = render_text(result)
-        if args.output is not None:
-            args.output.write_text(text + "\n", encoding="utf-8")
-        else:
-            print(text)
-    elif args.format == "json":
-        payload = "\n".join(
-            json.dumps(event, sort_keys=True) for event in to_event_dicts(result)
-        )
-        if args.output is not None:
-            args.output.write_text(payload + "\n", encoding="utf-8")
-        else:
-            print(payload)
-    else:  # report
-        generated_at = datetime.now(timezone.utc).isoformat(  # reprolint: disable=RL001
-            timespec="seconds"
-        )
-        report = build_lint_report(result, generated_at=generated_at)
-        if args.output is not None:
-            json_path, md_path = write_lint_report_files(args.output, report)
-            print(f"wrote {json_path} and {md_path}")
-        else:
-            print(render_lint_markdown(report))
-
+    print(_render_text(result))
     return result.exit_code
 
 

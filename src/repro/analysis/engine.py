@@ -9,7 +9,7 @@ The engine owns everything rule-agnostic:
   ``# reprolint: disable`` for all rules) drops findings anchored on that
   line;
 - baseline application — committed grandfathered findings are *marked*
-  (``Finding.baselined``), never hidden, so every output format can show
+  (``Finding.baselined``), never hidden, so the text output still lists
   them;
 - cross-module state: rules see each module via :meth:`Rule.check_module`
   and then get one :meth:`Rule.finalize` call with the full
@@ -132,15 +132,15 @@ class LintContext:
     #: Whole-tree symbol table / call graph (repro.analysis.project),
     #: built once per lint run before rules execute.
     project: object | None = None
-    #: Module count override for cache-reconstructed results, where the
-    #: original sources are no longer parsed.
-    n_files_hint: int | None = None
 
     @property
-    def n_files(self) -> int:
-        if self.n_files_hint is not None:
-            return self.n_files_hint
-        return len(self.modules)
+    def scanned_paths(self) -> list[str]:
+        """Display paths of every file and doc this run read."""
+        return (
+            [m.display_path for m in self.modules]
+            + [display for display, _ in self.parse_errors]
+            + [display for display, _ in self.docs]
+        )
 
     def module_by_suffix(self, suffix: str) -> ParsedModule | None:
         for module in self.modules:
@@ -161,12 +161,6 @@ class LintResult:
 
     findings: list[Finding]
     context: LintContext
-    #: Per-module ``check_module`` findings (post-suppression, pre-baseline),
-    #: keyed by display path — what the incremental cache stores and reuses.
-    module_findings: dict[str, list[Finding]] = field(default_factory=dict)
-    #: Findings not attributable to one module's ``check_module`` pass:
-    #: parse errors plus everything produced by ``finalize`` hooks.
-    cross_findings: list[Finding] = field(default_factory=list)
 
     @property
     def new(self) -> list[Finding]:
@@ -213,60 +207,30 @@ def run_lint(
     rules: Sequence | None = None,
     docs: Sequence[str | Path] = (),
     baseline=None,
-    cache=None,
-    run_finalize: bool = True,
 ) -> LintResult:
     """Run ``rules`` (default: the full registry) over ``paths``.
 
     ``docs`` are auxiliary non-Python files (README) offered to rules that
     cross-check prose against code.  ``baseline`` is a
     :class:`repro.analysis.baseline.Baseline`; matched findings are marked,
-    not removed.  ``cache`` is a :class:`repro.analysis.cache.LintCache`;
-    when given, unchanged modules reuse their stored per-module findings
-    (cross-module ``finalize`` passes always re-run) and a fully unchanged
-    tree skips parsing entirely.  ``run_finalize=False`` skips every
-    cross-module ``finalize`` pass — for diff-scoped runs (``--changed``),
-    where whole-tree contracts would see only a slice of their evidence
-    and misfire; a full run still checks them.
+    not removed.
     """
-    file_entries: list[tuple[Path, str, str]] = []
+    context = LintContext()
     for path in _collect_files(paths):
         display = _display_path(path)
-        file_entries.append((path, display, path.read_text(encoding="utf-8")))
-    doc_entries: list[tuple[str, str]] = []
+        try:
+            context.modules.append(
+                parse_module(path.read_text(encoding="utf-8"), display, path=path)
+            )
+        except SyntaxError as exc:
+            context.parse_errors.append((display, str(exc)))
     for doc in docs:
         doc_path = Path(doc)
         if doc_path.is_file():
-            doc_entries.append(
+            context.docs.append(
                 (_display_path(doc_path), doc_path.read_text(encoding="utf-8"))
             )
-
-    reuse = dirty = None
-    if cache is not None:
-        plan = cache.plan(file_entries, doc_entries, rules)
-        if plan.full_hit:
-            return cache.cached_result(baseline)
-        reuse, dirty = plan.reuse, plan.dirty
-
-    context = LintContext()
-    for path, display, source in file_entries:
-        try:
-            context.modules.append(parse_module(source, display, path=path))
-        except SyntaxError as exc:
-            context.parse_errors.append((display, str(exc)))
-    context.docs = doc_entries
-    result = lint_parsed(
-        context,
-        rules=rules,
-        baseline=baseline,
-        reuse=reuse,
-        dirty=dirty,
-        run_finalize=run_finalize,
-    )
-    if cache is not None:
-        cache.store(file_entries, doc_entries, rules, result)
-        cache.save()
-    return result
+    return lint_parsed(context, rules=rules, baseline=baseline)
 
 
 def lint_parsed(
@@ -274,21 +238,12 @@ def lint_parsed(
     *,
     rules: Sequence | None = None,
     baseline=None,
-    reuse=None,
-    dirty=None,
-    run_finalize: bool = True,
 ) -> LintResult:
     """Run ``rules`` over an already-built :class:`LintContext`.
 
     This is the back half of :func:`run_lint`; fixture tests use it to lint
     in-memory modules (built with :func:`parse_module` under a pretend path)
     through the identical suppression/baseline pipeline.
-
-    ``reuse`` maps display paths to cached per-module findings; modules in
-    ``reuse`` and not in ``dirty`` skip their ``check_module`` passes and
-    adopt the cached findings instead.  ``finalize`` hooks always run — the
-    cross-module contracts are exactly what incremental reuse must not
-    shortcut.
     """
     if rules is None:
         from repro.analysis.rules import default_rules
@@ -310,55 +265,31 @@ def lint_parsed(
             finding.line, finding.rule
         )
 
-    cross_findings: list[Finding] = []
-    for display, message in context.parse_errors:
-        cross_findings.append(
-            Finding(
-                rule="RL000",
-                severity="error",
-                path=display,
-                line=1,
-                col=0,
-                message=f"file does not parse: {message}",
-            )
+    kept = [
+        Finding(
+            rule="RL000",
+            severity="error",
+            path=display,
+            line=1,
+            col=0,
+            message=f"file does not parse: {message}",
         )
-
-    module_findings: dict[str, list[Finding]] = {
-        module.display_path: [] for module in context.modules
-    }
-    reused: set[str] = set()
-    if reuse is not None:
-        dirty = set() if dirty is None else set(dirty)
-        for module in context.modules:
-            display = module.display_path
-            if display in reuse and display not in dirty:
-                module_findings[display] = list(reuse[display])
-                reused.add(display)
-
+        for display, message in context.parse_errors
+    ]
     for rule in rules:
         for module in context.modules:
-            if module.display_path in reused:
-                continue
-            for finding in rule.check_module(module, context):
-                if not _suppressed(finding):
-                    module_findings[module.display_path].append(finding)
-        if run_finalize:
-            for finding in rule.finalize(context):
-                if not _suppressed(finding):
-                    cross_findings.append(finding)
-
-    kept: list[Finding] = list(cross_findings)
-    for bucket in module_findings.values():
-        kept.extend(bucket)
+            kept.extend(
+                finding
+                for finding in rule.check_module(module, context)
+                if not _suppressed(finding)
+            )
+        kept.extend(
+            finding for finding in rule.finalize(context) if not _suppressed(finding)
+        )
     if baseline is not None:
         kept = [
             finding.as_baselined() if baseline.matches(finding) else finding
             for finding in kept
         ]
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
-    return LintResult(
-        findings=kept,
-        context=context,
-        module_findings=module_findings,
-        cross_findings=cross_findings,
-    )
+    return LintResult(findings=kept, context=context)

@@ -4,20 +4,14 @@ A finding is identified for baseline purposes by ``(rule, path, context,
 line_text)`` rather than by line number: grandfathered findings keep matching
 after unrelated edits shift the file, but stop matching the moment the
 offending line itself changes — at which point the author must re-justify or
-fix it.  ``to_dict`` emits the same shape ``repro lint --format json`` writes,
-one JSON object per line, so the stream round-trips through
-:func:`repro.serve.sinks.read_events` like any other event log.
+fix it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-__all__ = ["Finding", "SEVERITIES"]
-
-#: Recognised severities, most severe first (report verdicts map ``error`` to
-#: a major check failure and ``warning`` to a minor one).
-SEVERITIES = ("error", "warning")
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True)
@@ -46,31 +40,3 @@ class Finding:
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "lint_finding",
-            "rule": self.rule,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "context": self.context,
-            "line_text": self.line_text,
-            "baselined": self.baselined,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Finding":
-        return cls(
-            rule=payload["rule"],
-            severity=payload["severity"],
-            path=payload["path"],
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            message=payload["message"],
-            context=payload.get("context", "<module>"),
-            line_text=payload.get("line_text", ""),
-            baselined=bool(payload.get("baselined", False)),
-        )

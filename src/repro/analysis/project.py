@@ -9,9 +9,7 @@ produces a :class:`ProjectGraph`:
   ``self.<attr>`` names each class writes), top-level functions, the
   ``__all__`` export list, and the import alias table with relative imports
   resolved against the module's dotted name;
-- a module dependency graph (``module_deps``) over the scanned files only —
-  the incremental cache uses its *reverse* edges to invalidate dependents
-  transitively when a module changes;
+- a module dependency graph (``module_deps``) over the scanned files only;
 - a call graph keyed by ``"<display_path>::<qualname>"``: direct calls to
   same-module functions, ``self.method()`` calls within a class, and calls
   through ``import``/``from … import`` aliases resolved to functions of
@@ -76,7 +74,7 @@ class ModuleInfo:
 
 @dataclass
 class ProjectGraph:
-    """The resolved whole-tree view rules and the cache consume."""
+    """The resolved whole-tree view the cross-module rules consume."""
 
     #: display path -> ModuleInfo.
     modules: dict[str, ModuleInfo] = field(default_factory=dict)
@@ -88,21 +86,6 @@ class ProjectGraph:
     call_edges: dict[str, dict[str, int]] = field(default_factory=dict)
     #: display path -> display paths of scanned modules it imports.
     module_deps: dict[str, set[str]] = field(default_factory=dict)
-
-    def dependents(self, displays: set[str]) -> set[str]:
-        """Transitive closure of modules importing anything in ``displays``."""
-        reverse: dict[str, set[str]] = {}
-        for importer, deps in self.module_deps.items():
-            for dep in deps:
-                reverse.setdefault(dep, set()).add(importer)
-        closed = set(displays)
-        frontier = list(displays)
-        while frontier:
-            for importer in reverse.get(frontier.pop(), ()):
-                if importer not in closed:
-                    closed.add(importer)
-                    frontier.append(importer)
-        return closed
 
     def callers_of(self, callee_key: str) -> dict[str, int]:
         """Caller key -> call-site line for every edge into ``callee_key``."""

@@ -31,10 +31,6 @@ Writing a new rule
    ``CASES`` entry in ``tests/analysis/test_rules_fixtures.py`` with exact
    rule-id + line assertions.  The good twin must stay clean under the
    *full* rule set, not just the new rule.
-6. Bump the rule's ``version`` class attribute whenever its semantics
-   change: the incremental cache (:mod:`repro.analysis.cache`) keys stored
-   findings on the engine + per-rule versions, so a semantics change
-   invalidates stale cached findings instead of silently replaying them.
 """
 
 from __future__ import annotations
@@ -110,9 +106,6 @@ class Rule:
     severity: str = "error"
     #: One-paragraph statement of what the rule intentionally does NOT catch.
     false_negatives: str = ""
-    #: Bumped on any semantics change; part of the incremental-cache
-    #: fingerprint so stale cached findings are invalidated, not replayed.
-    version: int = 1
 
     def check_module(
         self, module: ParsedModule, context: LintContext

@@ -1,7 +1,7 @@
 """RL001 — determinism: no unseeded global RNG, no wall-clock in repro code.
 
-The serving stack's headline contract is that sequential, thread and process
-runs are bit-identical and every experiment replays from one integer seed.
+The serving stack's headline contract is that every run and every
+experiment replays bit-identically from one integer seed.
 One ``np.random.shuffle`` against the global state, or one ``time.time()``
 feeding a score/threshold, silently breaks that.  This rule flags, anywhere
 under the ``repro`` package:

@@ -2,10 +2,9 @@
 
 Every component of the serving stack communicates through JSONL event dicts
 discriminated by a literal ``"type"`` key: sinks write them, ``report.py``
-condenses them into timelines, ``traceview`` and ``load_lint_events`` read
-them back.  Nothing but convention keeps a producer's key set and a
-consumer's literal reads in sync — until this rule.  Using the whole scanned
-tree it builds:
+condenses them into timelines, ``traceview`` reads them back.  Nothing but
+convention keeps a producer's key set and a consumer's literal reads in
+sync — until this rule.  Using the whole scanned tree it builds:
 
 - the **producer universe**: every dict literal containing a constant
   ``"type"`` key (``{"type": "alert", ...}``) plus every constant store

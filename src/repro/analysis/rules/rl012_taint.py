@@ -3,8 +3,8 @@
 RL001 flags a nondeterministic primitive *where it is called*.  That misses
 the dangerous pattern: a helper in ``repro/utils`` quietly calls
 ``time.time()``, and a scoring path in ``repro/serve`` calls the helper —
-no single module looks wrong, but the serving contract (bit-identical
-sequential/thread/process runs) is broken two modules away.  Using the
+no single module looks wrong, but the serving contract (a run replays
+bit-identically from its seed) is broken two modules away.  Using the
 pass-1 call graph (:mod:`repro.analysis.project`), this rule:
 
 1. collects **taint seeds** — every RL001 primitive site in a

@@ -8,7 +8,7 @@ Usage::
     python -m repro.experiments.cli serve --dataset wustl_iiot --detector iforest
     python -m repro.experiments.cli registry list --registry ./models
     python -m repro.experiments.cli trace ./run/trace.jsonl --budget score=50
-    python -m repro.experiments.cli lint src/repro --format report
+    python -m repro.experiments.cli lint src/repro --rules RL001,RL003
 
 Each experiment prints its formatted table; ``--output`` additionally writes
 one text file per experiment.  The ``serve`` and ``registry`` subcommands are

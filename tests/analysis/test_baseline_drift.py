@@ -9,13 +9,17 @@ corners worth pinning:
   (the survivor still matches);
 * renaming the enclosing function changes ``context``, so the entry stops
   matching and the finding comes back new — moving code must re-justify it;
-* an entry whose finding was genuinely fixed goes stale, and
-  ``--fix`` prunes exactly that entry while keeping live ones.
+* ``--write-baseline`` drops an entry whose finding was genuinely fixed,
+  but carries over every entry the run could not re-check — its rule was
+  not selected (``--rules``) or its file was outside the scanned paths.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.analysis import Baseline, BaselineEntry, LintContext, lint_parsed, parse_module
 from repro.analysis.cli import main as lint_main
@@ -98,27 +102,59 @@ class TestRenamedContext:
         assert again.exit_code == 0
 
 
-class TestFixPrunesResolvedEntries:
-    def test_cli_fix_drops_the_entry_once_the_finding_is_gone(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        pkg = tmp_path / "src" / "repro" / "novelty"
-        pkg.mkdir(parents=True)
-        target = pkg / "fixture_drift.py"
-        target.write_text(TWIN_LINES)
-        monkeypatch.chdir(tmp_path)
+CLOCK_PATH = "src/repro/serve/fixture_clock.py"
 
-        # Baseline the real findings, then actually fix the code.
-        assert lint_main(["src", "--write-baseline", "--no-cache"]) == 0
-        target.write_text(
+CLOCK = '''\
+"""A serve module reading the wall clock."""
+
+import time
+
+
+def stamp():
+    return time.time()
+'''
+
+
+class TestWriteBaselineScope:
+    @pytest.fixture
+    def tree(self, tmp_path, monkeypatch, capsys):
+        """Two RL001 findings in two packages, both baselined and documented."""
+        for rel, source in ((MOD_PATH, TWIN_LINES), (CLOCK_PATH, CLOCK)):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(source)
+        monkeypatch.chdir(tmp_path)
+        assert lint_main(["src", "--write-baseline"]) == 0
+        path = tmp_path / ".reprolint-baseline.json"
+        payload = json.loads(path.read_text())
+        for item in payload["findings"]:
+            item["reason"] = f"documented: {item['path']}"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        return path
+
+    @staticmethod
+    def reasons(path):
+        payload = json.loads(path.read_text())
+        return sorted(item["reason"] for item in payload["findings"])
+
+    def test_rules_subset_keeps_entries_of_rules_it_did_not_run(self, tree):
+        assert lint_main(["src", "--rules", "RL003", "--write-baseline"]) == 0
+        assert self.reasons(tree) == [
+            f"documented: {MOD_PATH}",
+            f"documented: {CLOCK_PATH}",
+        ]
+
+    def test_subtree_run_keeps_entries_of_files_it_did_not_scan(self, tree):
+        assert lint_main(["src/repro/serve", "--write-baseline"]) == 0
+        assert self.reasons(tree) == [
+            f"documented: {MOD_PATH}",
+            f"documented: {CLOCK_PATH}",
+        ]
+        assert lint_main(["src"]) == 0
+
+    def test_full_run_drops_the_entry_once_its_finding_is_fixed(self, tree):
+        Path(MOD_PATH).write_text(
             TWIN_LINES.replace("np.random.seed(0)", "rng = np.random.default_rng(0)")
         )
-        capsys.readouterr()
-
-        assert lint_main(["src", "--fix", "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "pruned stale entry RL001" in out
-        payload = json.loads(
-            (tmp_path / ".reprolint-baseline.json").read_text()
-        )
-        assert payload["findings"] == []
+        assert lint_main(["src", "--write-baseline"]) == 0
+        assert self.reasons(tree) == [f"documented: {CLOCK_PATH}"]

@@ -1,10 +1,9 @@
 """Pass-1 semantic model: symbol table, call graph, module dependencies.
 
 The project graph (:mod:`repro.analysis.project`) is the substrate every
-cross-module rule and the incremental cache stand on, so its resolution
-rules are pinned directly: same-module calls, ``self.method()`` dispatch,
-import-alias resolution into other scanned modules, and the reverse
-dependency closure the cache invalidates through.
+cross-module rule stands on, so its resolution rules are pinned directly:
+same-module calls, ``self.method()`` dispatch, import-alias resolution into
+other scanned modules, and the module import edges.
 """
 
 from __future__ import annotations
@@ -98,28 +97,3 @@ class TestModuleDeps:
         graph = build()
         assert HELPER_PATH in graph.module_deps[SCORING_PATH]
         assert graph.module_deps[HELPER_PATH] == set()
-
-    def test_dependents_closure_is_reverse_and_transitive(self):
-        graph = build()
-        assert graph.dependents({HELPER_PATH}) == {HELPER_PATH, SCORING_PATH}
-        assert graph.dependents({SCORING_PATH}) == {SCORING_PATH}
-
-    def test_transitive_chain(self):
-        top = parse_module(
-            "from repro.serve.fixture_scoring import run\n\n\n"
-            "def entry(rows):\n    return run(rows)\n",
-            "src/repro/serve/fixture_entry.py",
-        )
-        context = LintContext(
-            modules=[
-                parse_module(HELPER, HELPER_PATH),
-                parse_module(SCORING, SCORING_PATH),
-                top,
-            ]
-        )
-        graph = build_project(context)
-        assert graph.dependents({HELPER_PATH}) == {
-            HELPER_PATH,
-            SCORING_PATH,
-            "src/repro/serve/fixture_entry.py",
-        }
