@@ -25,8 +25,8 @@ must be released on every path.  Accepted disciplines, per acquisition:
   the same function — a release reachable only on the happy path is flagged
   with its own message;
 - an instance attribute (``self.x = acquire()``) on a class that releases
-  ``self.x`` in some method (the registered-``close()`` idiom used by
-  ``JsonlSink`` and ``SpanTracer`` themselves);
+  ``self.x`` in some method (the registered-``close()`` idiom of
+  ``JsonlSink``, the one JSONL appender);
 - ``flock(x, LOCK_EX)`` paired with ``flock(x, LOCK_UN)`` in a ``finally``
   block of the same function.
 

@@ -84,21 +84,19 @@ from repro.serve.lifecycle import (
 from repro.serve.lifecycle.shadow import describe_agreement
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import DetectionService, make_registry_reload
-from repro.serve.sinks import JsonlSink, read_events
+from repro.serve.sinks import JsonlSink
 from repro.serve.snapshot import read_manifest, save_snapshot
 from repro.serve.telemetry import (
     HeartbeatWatchdog,
     MemoryProfiler,
     SpanTracer,
     StatusServer,
-    build_report,
     build_run_summary,
     configure_logging,
     render_run_report,
-    write_report_files,
 )
 from repro.serve.telemetry import traceview
-from repro.serve.telemetry.traceview import parse_budget, read_spans
+from repro.serve.telemetry.traceview import parse_budget
 
 __all__ = ["main", "DETECTOR_FACTORIES"]
 
@@ -419,22 +417,10 @@ def _write_run_artifacts(
         json.dumps(summary_payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    events_path = run_dir / "events.jsonl"
-    events = read_events(events_path) if events_path.is_file() else []
-    # The report only sees the run dir's own trace.jsonl (not an external
-    # --trace-file), so the initial render and `serve report` re-renders
-    # always judge the same data.
-    trace_path = run_dir / "trace.jsonl"
-    trace = read_spans(str(trace_path)) if trace_path.is_file() else None
-    payload = build_report(
-        report.to_dict(),
-        metrics=summary_payload["metrics"],
-        events=events,
-        run_info=summary_payload,
-        trace=trace,
-    )
-    _, md_path = write_report_files(run_dir, payload)
-    print(f"run report: {payload['overall']} -> {md_path}")
+    # Rendered from the run dir's own files (not an external --trace-file),
+    # exactly as `serve report` re-renders it later.
+    payload = render_run_report(run_dir)
+    print(f"run report: {payload['overall']} -> {run_dir / 'report.md'}")
 
 
 def _run_serve_report(args: argparse.Namespace) -> int:

@@ -17,28 +17,29 @@ one :meth:`pin` call, without touching the serving code.
 
 Crash safety
 ------------
-Writes are atomic: :meth:`publish` saves into a hidden ``.tmp-*`` directory
-and ``os.replace``-renames it into place, and :meth:`append_history` rewrites
-the lineage file through a fsynced temp file — a ``kill -9`` at any point
-leaves either the old state or the new state, never a torn one.  Concurrent
-writers on one model are serialized through an ``flock``-based lock file
-(POSIX; a no-op where :mod:`fcntl` is unavailable).  On construction a
-recovery scan (:meth:`recover`) quarantines whatever an *earlier, pre-atomic*
-crash may have left behind — orphaned temp directories, version directories
-with a missing/unreadable manifest or a SHA-256 mismatch against their
-artifacts — into ``<name>/.corrupt/``, records a ``registry_recover`` lineage
-event, and lets ``resolve`` keep serving the newest intact version.
+:meth:`publish` is atomic: it saves into a hidden ``.tmp-*`` directory and
+``os.replace``-renames it into place, so a ``kill -9`` at any point leaves
+either the old version set or the new one, never a half-written version.
+:meth:`append_history` appends one line through
+:class:`~repro.serve.sinks.JsonlSink` and fsyncs it; :meth:`history` reads
+with :func:`~repro.serve.sinks.read_events`, which drops a torn trailing
+record with a warning, and the next append cuts that torn tail off first.
+Concurrent writers on one model are serialized through an ``flock``-based
+lock file (POSIX; a no-op where :mod:`fcntl` is unavailable).  On
+construction a recovery scan (:meth:`recover`) quarantines whatever an
+earlier crash may have left behind — orphaned temp directories, version
+directories with a missing/unreadable manifest or a SHA-256 mismatch against
+their artifacts — into ``<name>/.corrupt/``, records a ``registry_recover``
+lineage event, and lets ``resolve`` keep serving the newest intact version.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 import shutil
-import warnings
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
@@ -49,17 +50,15 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from repro.serve.faults import RegistryRecovery, call_with_retry
+from repro.serve.sinks import JsonlSink, read_events
 from repro.serve.snapshot import (
     _sha256_file,
     load_snapshot,
     read_manifest,
     save_snapshot,
 )
-from repro.serve.telemetry.log import get_logger, log_event
 
 __all__ = ["ModelRegistry", "SnapshotInfo"]
-
-_logger = get_logger("registry")
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _VERSION_DIR = re.compile(r"^v(\d+)$")
@@ -116,8 +115,8 @@ class ModelRegistry:
         """Exclusive per-model writer lock (``flock`` on ``<name>/.lock``).
 
         Serializes publishes/appends from concurrent processes on POSIX; a
-        no-op where :mod:`fcntl` is unavailable — the atomic renames then
-        still guarantee torn-write safety, just not a total write order.
+        no-op where :mod:`fcntl` is unavailable — the atomic renames and
+        one-line appends then still keep writes whole, just not in order.
         """
         model_dir = self.root / name
         model_dir.mkdir(parents=True, exist_ok=True)
@@ -214,71 +213,32 @@ class ModelRegistry:
         produced, so an operator can audit *why* each version was published
         — or a candidate rejected — after the serving process has exited.
         The file is append-only and survives :meth:`gc` (pruning old model
-        artifacts must not erase the audit trail).  The append is crash-safe:
-        the whole file is rewritten through a fsynced temp file and
-        ``os.replace``-renamed into place under the writer lock, so a crash
-        mid-append leaves the previous lineage intact rather than a torn
-        trailing record.
+        artifacts must not erase the audit trail).  The record goes through
+        :class:`~repro.serve.sinks.JsonlSink` under the writer lock, and the
+        sink is closed (fsynced) before the lock is released.  A failed write
+        leaves the file at its last complete record, and transient
+        ``OSError``\\ s are retried with backoff.
         """
         name = _check_name(name)
         path = self.history_path(name)
-        record = json.dumps(payload, sort_keys=True) + "\n"
+
+        def _write() -> None:
+            with closing(JsonlSink(path)) as sink:
+                sink.append(payload)
+
         with self._writer_lock(name):
-            existing = path.read_text() if path.is_file() else ""
-            tmp = path.with_name(f"{path.name}{_TMP_PREFIX}{os.getpid()}")
-
-            def _write() -> None:
-                with open(tmp, "w") as handle:
-                    handle.write(existing + record)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, path)
-
-            try:
-                call_with_retry(_write)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+            call_with_retry(_write)
         return path
 
     def history(self, name: str) -> list[dict[str, Any]]:
         """Replay ``name``'s lineage records, oldest first (empty when none).
 
-        A truncated *trailing* line — the signature a pre-atomic crash
-        mid-append leaves behind — is skipped with a warning so the lineage
-        stays replayable; corruption anywhere *before* the last record is
-        not a torn append and still raises.
+        Read with :func:`~repro.serve.sinks.read_events`: a torn trailing
+        record is skipped with a warning, corruption anywhere before it
+        raises ``ValueError``.
         """
         path = self.history_path(name)
-        if not path.is_file():
-            return []
-        lines = path.read_text().splitlines()
-        records: list[dict[str, Any]] = []
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if any(rest.strip() for rest in lines[i + 1 :]):
-                    raise
-                # Warned for API users *and* logged for operators: the same
-                # fact travels both channels (see repro.serve.telemetry.log).
-                log_event(
-                    logging.WARNING,
-                    "history_truncated_line",
-                    logger_=_logger,
-                    path=str(path),
-                    line_index=i,
-                )
-                warnings.warn(
-                    f"skipping truncated trailing record in {path} "
-                    "(crash mid-append); lineage up to it is intact",
-                    UserWarning,
-                    stacklevel=2,
-                )
-                break
-        return records
+        return read_events(path) if path.is_file() else []
 
     # -- recovery --------------------------------------------------------------
     @staticmethod

@@ -6,40 +6,81 @@ Sinks must be cheap: they run inside the scoring loop.  Implementations here
 cover the three deployment staples — keep events in memory (tests,
 notebooks), append them to a JSONL file (log shippers), or hand them to a
 callback (paging, metrics counters).
+
+Every JSONL file of :mod:`repro.serve` — sink events, span traces and
+registry lineage — is written by :class:`JsonlSink` and read by
+:func:`read_events`: one sorted-key JSON object per line, each line
+flushed as it is written.
 """
 
 from __future__ import annotations
 
 import json
+import logging
+import os
+import threading
+import warnings
 from pathlib import Path
-from typing import Any, Callable, Protocol
+from typing import IO, Any, Callable, Protocol
 
 __all__ = ["AlertSink", "ListSink", "JsonlSink", "CallbackSink", "read_events"]
 
 
 def read_events(path: str | Path) -> list[dict]:
-    """Load the JSONL event stream written by :class:`JsonlSink`.
+    """Load the records :class:`JsonlSink` wrote, in file order.
 
-    Returns the events as plain dicts in file order.  A truncated *trailing*
-    line (process killed mid-append) is silently dropped — the same
-    crash-recovery contract as the model-registry history — while a corrupt
-    line anywhere else raises ``ValueError``, since that signals real damage
-    rather than an interrupted write.
+    Blank lines are skipped.  An unparseable final record (a process killed
+    mid-append) is dropped with a ``UserWarning`` and a ``jsonl_torn_tail``
+    log record.  Any other line that is not a JSON object raises
+    ``ValueError`` naming the path and line.
     """
     path = Path(path)
-    events: list[dict] = []
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
+    last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
+    records: list[dict] = []
     for i, line in enumerate(lines):
         if not line.strip():
             continue
         try:
-            events.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
-            if i == len(lines) - 1:
-                break  # interrupted final append: recoverable by contract
-            raise ValueError(f"corrupt event line {i} in {path}") from exc
-    return events
+            if i != last:
+                raise ValueError(f"{path}:{i + 1}: not a JSON record") from exc
+            from repro.serve.telemetry.log import log_event  # avoids an import cycle
+
+            log_event(logging.WARNING, "jsonl_torn_tail", path=str(path), line=i + 1)
+            warnings.warn(
+                f"skipping truncated trailing record at {path}:{i + 1} "
+                "(crash mid-append)", UserWarning, stacklevel=2,
+            )
+            break
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}:{i + 1}: record is not a JSON object")
+        records.append(record)
+    return records
+
+
+def _repair_tail(handle: IO[bytes]) -> None:
+    """End the file on a newline: cut a torn last record off, or terminate
+    a whole one that only lacks its newline."""
+    end = cut = handle.seek(0, os.SEEK_END)
+    while cut > 0:
+        step = min(cut, 4096)
+        handle.seek(cut - step)
+        newline = handle.read(step).rfind(b"\n")
+        if newline >= 0:
+            cut += newline + 1 - step
+            break
+        cut -= step
+    if cut == end:
+        return
+    handle.seek(cut)
+    try:
+        json.loads(handle.read())
+        handle.write(b"\n")
+    except ValueError:
+        handle.truncate(cut)
 
 
 class AlertSink(Protocol):
@@ -71,24 +112,62 @@ class ListSink:
 
 
 class JsonlSink:
-    """Append one JSON object per event to a file (opened lazily)."""
+    """The JSONL appender: one sorted-key JSON object per line.
+
+    The file opens lazily, in append mode, after a torn tail left by a killed
+    writer is cut off, so it never glues onto the next record.  Each
+    :meth:`append` writes and flushes one line under a lock.  A write that
+    raises, and :meth:`close`, truncate back to the last complete line;
+    :meth:`close` also fsyncs.
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._handle = None
         self.n_written = 0
+        self._handle: IO[bytes] | None = None
+        self._good_offset = 0
+        self._lock = threading.Lock()
 
     def emit(self, event: Any) -> None:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a")
-        self._handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-        self.n_written += 1
+        self.append(event.to_dict())
+
+    def append(self, record: dict) -> None:
+        """Write ``record`` as one line and flush it to the OS."""
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        with self._lock:
+            if self._handle is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                with open(self.path, "ab+") as handle:
+                    _repair_tail(handle)
+                # Unbuffered: each write() is one write(2), i.e. one flush.
+                self._handle = open(self.path, "ab", buffering=0)
+                self._good_offset = self._handle.tell()
+            try:
+                if self._handle.write(line) != len(line):
+                    raise OSError(f"short write to {self.path}")
+            except BaseException:
+                self._truncate_to_good()
+                raise
+            self._good_offset = self._handle.tell()
+            self.n_written += 1
+
+    def _truncate_to_good(self) -> None:
+        """Drop a partially written trailing line (lock held, file open)."""
+        try:
+            if self._handle.tell() > self._good_offset:
+                self._handle.truncate(self._good_offset)
+        except OSError:
+            pass
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        with self._lock:
+            if self._handle is not None:
+                try:
+                    self._truncate_to_good()
+                    os.fsync(self._handle.fileno())
+                finally:
+                    self._handle.close()
+                    self._handle = None
 
 
 class CallbackSink:

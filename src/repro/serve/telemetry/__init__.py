@@ -9,7 +9,9 @@ The observability substrate for :mod:`repro.serve`, in four pieces:
 * :mod:`~repro.serve.telemetry.tracing` / :mod:`~repro.serve.telemetry.context`
   — :func:`trace_span` wraps each pipeline stage, recording wall time + rows
   into the registry and optionally to a :class:`SpanTracer` JSONL file
-  (``serve --trace-file``); with a :class:`TraceContext` attached every span
+  (``serve --trace-file``, written by :class:`~repro.serve.sinks.JsonlSink`
+  and read by :func:`~repro.serve.sinks.read_events` like every JSONL file
+  of the serving stack); with a :class:`TraceContext` attached every span
   carries deterministic ``trace_id``/``span_id``/``parent_span_id`` ids
   (:class:`SpanBuffer` keeps spans in memory instead of a file).
 * :mod:`~repro.serve.telemetry.traceview` — the ``repro trace`` analyzer:
@@ -61,7 +63,6 @@ from .tracing import SpanBuffer, SpanTracer, trace_span
 from .traceview import (
     build_forest,
     critical_path,
-    read_spans,
     stage_aggregate,
     stage_multiset,
     tree_shape,
@@ -92,7 +93,6 @@ __all__ = [
     "log_spaced_buckets",
     "logger",
     "read_rss_bytes",
-    "read_spans",
     "render_markdown",
     "render_prometheus",
     "render_run_report",

@@ -1,7 +1,7 @@
 """Structured operator logging for ``repro.serve``.
 
 The serving stack signals degradations (disabled sink, history-persist
-failure, truncated history line) to *API users* through
+failure, torn JSONL tail) to *API users* through
 ``warnings.warn(..., UserWarning)`` — those stay, because a library caller
 filters warnings, not log streams.  Operators running ``repro serve`` want
 the same facts as log records instead: greppable, timestamped, leveled.

@@ -39,6 +39,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from ..sinks import read_events
+
 __all__ = [
     "build_report",
     "build_run_summary",
@@ -609,8 +611,9 @@ def load_run_dir(run_dir: str | Path) -> tuple[dict, list[dict]]:
     """Load ``(run_summary, events)`` back from a ``serve --run-dir`` output.
 
     ``run_summary.json`` is required; ``events.jsonl`` is optional (a run
-    with no sink events still reports).  Truncated trailing event lines —
-    a crash mid-append — are skipped, mirroring registry history reads.
+    with no sink events still reports).  Both files are read with
+    :func:`~repro.serve.sinks.read_events`, which drops a torn trailing
+    record with a warning.
     """
     run_dir = Path(run_dir)
     summary_path = run_dir / "run_summary.json"
@@ -619,8 +622,6 @@ def load_run_dir(run_dir: str | Path) -> tuple[dict, list[dict]]:
             f"{summary_path} not found; was this run started with --run-dir?"
         )
     run_summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    from ..sinks import read_events  # local import: avoid package-init cycle
-
     events_path = run_dir / "events.jsonl"
     events = read_events(events_path) if events_path.is_file() else []
     return run_summary, events
@@ -642,10 +643,8 @@ def render_run_report(
     the serving process exited.
     """
     run_summary, events = load_run_dir(run_dir)
-    from .traceview import read_spans  # local import, keeps module load light
-
     trace_path = Path(run_dir) / "trace.jsonl"
-    trace = read_spans(trace_path) if trace_path.is_file() else None
+    trace = read_events(trace_path) if trace_path.is_file() else None
     report = build_report(
         run_summary.get("service_report") or {},
         metrics=run_summary.get("metrics"),

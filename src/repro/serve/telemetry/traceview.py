@@ -1,10 +1,11 @@
 """Trace analyzer behind ``repro trace`` (span-JSONL in, verdicts out).
 
 Reads one or more span files written by
-:class:`~repro.serve.telemetry.tracing.SpanTracer`, rebuilds the span tree
-from the deterministic ``trace_id``/``span_id``/``parent_span_id`` ids (the
-*file* lists children before parents — ids, not line order, carry the
-structure), and derives:
+:class:`~repro.serve.telemetry.tracing.SpanTracer` with
+:func:`~repro.serve.sinks.read_events`, the one JSONL reader, rebuilds the
+span tree from the deterministic ``trace_id``/``span_id``/``parent_span_id``
+ids (the *file* lists children before parents — ids, not line order, carry
+the structure), and derives:
 
 * a per-stage aggregation table (count, total, mean, exact p50/p95/p99, max);
 * a text tree / gantt rendering of the span forest;
@@ -17,19 +18,20 @@ structure), and derives:
 :func:`tree_shape` and :func:`stage_multiset` are the comparison helpers
 for span trees: two runs of one stream must produce identical shapes.
 
-The reader is tolerant by design: a line that does not parse as a JSON
-object (e.g. the torn tail of a run killed harder than SIGTERM) is skipped,
-not fatal.
+A torn final span (a run killed mid-write) is dropped with a warning, as
+for every JSONL file; any other line that is not a JSON object makes
+``repro trace`` exit with a one-line message naming the file and line.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 from collections import Counter
 from typing import Any, Iterable, Mapping, Sequence
+
+from ..sinks import read_events
 
 __all__ = [
     "SpanNode",
@@ -39,7 +41,6 @@ __all__ = [
     "critical_path",
     "main",
     "parse_budget",
-    "read_spans",
     "render_gantt",
     "render_stage_table",
     "render_tree",
@@ -97,23 +98,6 @@ class SpanNode:
         self.children.sort(key=lambda n: _id_key(n.span_id))
         for child in self.children:
             child.sort()
-
-
-def read_spans(path: str) -> list[dict[str, Any]]:
-    """Load one span-JSONL file, skipping lines that do not parse."""
-    spans: list[dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail of a killed run — skip, don't die
-            if isinstance(record, dict):
-                spans.append(record)
-    return spans
 
 
 def build_forest(spans: Iterable[Mapping[str, Any]]) -> list[SpanNode]:
@@ -391,8 +375,8 @@ def run(args: argparse.Namespace) -> int:
     spans: list[dict[str, Any]] = []
     for path in args.files:
         try:
-            spans.extend(read_spans(path))
-        except OSError as exc:
+            spans.extend(read_events(path))
+        except (OSError, ValueError) as exc:
             raise SystemExit(f"cannot read {path}: {exc}")
     print(f"spans: {len(spans)} from {len(args.files)} file(s)")
     if not spans:

@@ -7,7 +7,10 @@ records the stage's wall time into a ``stage.<name>.seconds`` histogram and
 its row count into a ``stage.<name>.rows`` counter on a
 :class:`~repro.serve.telemetry.metrics.MetricsRegistry` — and, when a
 :class:`SpanTracer` is attached (``repro serve --trace-file``), appends one
-JSONL record per span so a run leaves a replayable trace on disk.
+JSONL record per span so a run leaves a replayable trace on disk.  The
+trace file is written by :class:`~repro.serve.sinks.JsonlSink` and read
+back by :func:`~repro.serve.sinks.read_events`, like every JSONL file of
+the serving stack.
 
 With a :class:`~repro.serve.telemetry.context.TraceContext` attached, the
 span additionally carries ``trace_id`` / ``span_id`` / ``parent_span_id``
@@ -27,11 +30,10 @@ that do the actual work.
 
 from __future__ import annotations
 
-import json
-import threading
 from time import perf_counter
-from typing import IO, Any
+from typing import Any
 
+from ..sinks import JsonlSink
 from .context import TraceContext
 from .metrics import DISABLED, MetricsRegistry
 
@@ -39,61 +41,30 @@ __all__ = ["SpanBuffer", "SpanTracer", "trace_span"]
 
 
 class SpanTracer:
-    """Append-only JSONL span sink (one object per span, sorted keys).
+    """Append-only JSONL span file, written through a :class:`JsonlSink`.
 
-    The file opens lazily on the first span and every ``record`` appends one
-    line, so a crashed run still leaves every completed span on disk.  Span
-    timestamps are reported as ``t_offset_s`` relative to the tracer's
-    construction (monotonic clock), which keeps traces comparable across
-    runs without leaking wall-clock time into the format.
-
-    The tracer tracks the byte offset of the last fully-written line; an
-    interrupted write (SIGINT landing mid-``write``) and :meth:`close` both
-    truncate back to that offset, so a killed run never leaves a truncated
-    trailing span line in the file.
+    The file opens lazily on the first span and every ``record`` appends and
+    flushes one line, so a crashed run still leaves every completed span on
+    disk; torn-line handling is the sink's.  Span timestamps are reported as
+    ``t_offset_s`` relative to the tracer's construction (monotonic clock),
+    which keeps traces comparable across runs without leaking wall-clock
+    time into the format.
     """
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
-        self.n_spans = 0
         self._origin = perf_counter()
-        self._file: IO[str] | None = None
-        self._good_offset = 0
-        self._lock = threading.Lock()
+        self._sink = JsonlSink(path)
+
+    @property
+    def n_spans(self) -> int:
+        return self._sink.n_written
 
     def record(self, span: dict[str, Any]) -> None:
-        line = json.dumps(span, sort_keys=True)
-        with self._lock:
-            if self._file is None:
-                self._file = open(self.path, "a", encoding="utf-8")
-                self._good_offset = self._file.seek(0, 2)
-            try:
-                self._file.write(line + "\n")
-                self._file.flush()
-            except BaseException:
-                self._truncate_to_good()
-                raise
-            self._good_offset = self._file.tell()
-            self.n_spans += 1
-
-    def _truncate_to_good(self) -> None:
-        """Drop a partially-written trailing line (lock held, file open)."""
-        try:
-            self._file.flush()
-        except OSError:
-            pass
-        try:
-            if self._file.tell() > self._good_offset:
-                self._file.truncate(self._good_offset)
-        except OSError:
-            pass
+        self._sink.append(span)
 
     def close(self) -> None:
-        with self._lock:
-            if self._file is not None:
-                self._truncate_to_good()
-                self._file.close()
-                self._file = None
+        self._sink.close()
 
     def __enter__(self) -> "SpanTracer":
         return self

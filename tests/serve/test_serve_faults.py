@@ -616,27 +616,6 @@ class TestRegistryCrashSafety:
 
 
 class TestHistoryLineage:
-    def test_truncated_trailing_line_is_skipped_with_a_warning(self, tmp_path):
-        registry = ModelRegistry(tmp_path / "registry")
-        registry.append_history("ids", {"type": "lifecycle", "action": "refit"})
-        registry.append_history("ids", {"type": "lifecycle", "action": "reload"})
-        path = registry.history_path("ids")
-        path.write_text(path.read_text() + '{"type": "lifecycle", "act')
-        with pytest.warns(UserWarning, match="truncated trailing record"):
-            records = registry.history("ids")
-        assert [r["action"] for r in records] == ["refit", "reload"]
-
-    def test_mid_file_corruption_still_raises(self, tmp_path):
-        registry = ModelRegistry(tmp_path / "registry")
-        registry.append_history("ids", {"action": "refit"})
-        registry.append_history("ids", {"action": "reload"})
-        path = registry.history_path("ids")
-        lines = path.read_text().splitlines()
-        lines[0] = lines[0][:-4]  # corrupt a *non*-trailing record
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(json.JSONDecodeError):
-            registry.history("ids")
-
     def test_append_leaves_no_temp_files_behind(self, tmp_path):
         registry = ModelRegistry(tmp_path / "registry")
         registry.append_history("ids", {"action": "refit"})

@@ -252,14 +252,6 @@ class TestRunDirRoundTrip:
         with pytest.raises(FileNotFoundError, match="run_summary.json"):
             load_run_dir(tmp_path)
 
-    def test_read_events_skips_truncated_tail_only(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"type": "alert"}\n{"type": "dri', encoding="utf-8")
-        assert read_events(path) == [{"type": "alert"}]
-        path.write_text('{"bad\n{"type": "alert"}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="corrupt event line 0"):
-            read_events(path)
-
     def test_render_run_report_round_trips(self, tmp_path):
         inputs = golden_inputs()
         (tmp_path / "run_summary.json").write_text(

@@ -15,13 +15,13 @@ from pathlib import Path
 import pytest
 
 from repro.serve.cli import main as serve_cli_main
+from repro.serve.sinks import read_events
 from repro.serve.telemetry.traceview import (
     build_forest,
     check_budgets,
     critical_path,
     main,
     parse_budget,
-    read_spans,
     render_gantt,
     render_stage_table,
     render_tree,
@@ -37,7 +37,7 @@ GOLDEN = str(Path(__file__).parent / "data" / "golden_trace.jsonl")
 
 @pytest.fixture(scope="module")
 def golden():
-    return read_spans(GOLDEN)
+    return read_events(GOLDEN)
 
 
 class TestForest:
@@ -174,6 +174,16 @@ class TestCli:
     def test_unreadable_file_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):
             main([str(tmp_path / "missing.jsonl")])
+
+    def test_mid_file_corruption_is_a_usage_error(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"stage": "a"}\n{"stage": \n{"stage": "b"}\n')
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(trace)])
+        message = excinfo.value.code
+        assert isinstance(message, str)  # printed as one line, no traceback
+        assert "\n" not in message
+        assert f"{trace}:2:" in message
 
     def test_empty_trace_passes_without_budgets_fails_with(self, tmp_path):
         empty = tmp_path / "empty.jsonl"

@@ -7,9 +7,9 @@ The contracts under test (see :mod:`repro.serve.telemetry.context` and
   clock — the same stream replays to the same ids;
 * a served stream's trace carries the id triple on every span, never mints
   an id twice, and nests one ``score`` span under every ``batch`` span;
-* :class:`SpanTracer` never leaves a truncated trailing line — interrupted
-  writes and ``close()`` truncate back to the last complete record — and
-  the reader skips a torn tail instead of dying on it.
+* :class:`SpanTracer` never leaves a truncated trailing line — a failed
+  write and ``close()`` truncate back to the last complete record (the
+  reader side of the contract is in ``test_serve_jsonl.py``).
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ import pytest
 from repro.datasets.streaming import FlowStream
 from repro.novelty import IsolationForest
 from repro.serve.service import DetectionService
+from repro.serve.sinks import read_events
 from repro.serve.telemetry import (
     SpanBuffer,
     SpanTracer,
     TraceContext,
-    read_spans,
     stage_multiset,
     trace_span,
 )
@@ -103,22 +103,20 @@ class TestTraceSpanIds:
 
 
 class TestTracerTruncationSafety:
-    def test_close_truncates_a_partial_trailing_line(self, tmp_path):
+    def test_close_truncates_a_partial_trailing_line(self, tmp_path, torn_write):
         path = tmp_path / "trace.jsonl"
         tracer = SpanTracer(str(path))
         tracer.record({"stage": "a", "seconds": 0.0})
-        # Simulate a write interrupted mid-line (SIGINT landing in write()).
-        tracer._file.write('{"stage": "torn')
+        # A write torn mid-line whose own truncate-back fails too: the torn
+        # bytes stay on disk until close() cuts them off.
+        torn_write.arm(truncate_fails=True)
+        with pytest.raises(OSError):
+            tracer.record({"stage": "torn", "seconds": 0.0})
+        assert not path.read_text().endswith("\n")
         tracer.close()
         text = path.read_text()
         assert text.endswith("\n")
         assert [json.loads(line)["stage"] for line in text.splitlines()] == ["a"]
-
-    def test_reader_skips_a_torn_tail(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"stage": "a", "seconds": 0.0}\n{"stage": "to')
-        spans = read_spans(str(path))
-        assert [s["stage"] for s in spans] == ["a"]
 
     def test_interrupted_run_leaves_every_completed_span_parseable(
         self, fitted, tmp_path
@@ -156,7 +154,7 @@ class TestSequentialTraceTree:
                 trace_context=TraceContext.root(0),
             )
             list(service.process(_stream(dataset)))
-        return read_spans(str(path))
+        return read_events(path)
 
     def test_every_span_carries_the_id_triple(self, spans):
         assert spans
@@ -212,4 +210,4 @@ class TestCliTracerCleanup:
         # close() truncates to the last complete record; a zero-span run may
         # never have materialised the file, but if it did it must be readable.
         if trace_file.exists():
-            assert read_spans(str(trace_file)) == []
+            assert read_events(trace_file) == []
