@@ -159,8 +159,9 @@ def iforest(blobs):
 
 #: (fit, vectorized call, retained naive reference, minimum speedup).  The
 #: tree ensembles must beat their reference by 5x; every other reference only
-#: bounds the vectorized path from below (KMeans trades a little top-1 speed
-#: for blockwise memory bounding).
+#: bounds the vectorized path from below (KMeans.predict does the reference's
+#: arithmetic in ``block_size``-row blocks, one BLAS call per block, to bound
+#: its memory).
 _NAIVE_REFERENCES = {
     "DecisionTreeClassifier.predict": (
         lambda X, y: DecisionTreeClassifier(max_depth=8, random_state=0).fit(X, y),

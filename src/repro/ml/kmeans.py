@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.distances import pairwise_squared_euclidean, pairwise_topk
+from repro.ml.distances import pairwise_squared_euclidean
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_array, check_fitted
 
@@ -91,8 +91,9 @@ class KMeans:
         rng = check_random_state(self.random_state)
         best_inertia = np.inf
         best: tuple[np.ndarray, np.ndarray, int] | None = None
+        sq_x = np.sum(X**2, axis=1)
         for _ in range(self.n_init):
-            centers, labels, inertia, n_iter = self._single_run(X, rng)
+            centers, labels, inertia, n_iter = self._single_run(X, sq_x, rng)
             if inertia < best_inertia:
                 best_inertia = inertia
                 best = (centers, labels, n_iter)
@@ -101,21 +102,44 @@ class KMeans:
         self.inertia_ = float(best_inertia)
         return self
 
-    def _assign(self, X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest-centre label and squared distance per sample, blockwise."""
-        idx, dist = pairwise_topk(
-            X, centers, 1, block_size=self.block_size, squared=True
-        )
-        return idx[:, 0], dist[:, 0]
+    def _assign(
+        self, X: np.ndarray, sq_x: np.ndarray, centers: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest-centre label and squared distance per sample, blockwise.
+
+        ``sq_x`` holds the squared row norms of ``X``.  The distance block
+        ``||x||^2 + ||c||^2 - 2 x.c`` (clipped at 0) spans ``block_size`` rows;
+        ties go to the lowest centre index.
+        """
+        n = X.shape[0]
+        sq_c = np.sum(centers**2, axis=1)[None, :]
+        labels = np.empty(n, dtype=np.int64)
+        nearest_sq = np.empty(n, dtype=np.float64)
+        for start in range(0, n, self.block_size):
+            stop = min(start + self.block_size, n)
+            d2 = sq_x[start:stop, None] + sq_c - 2.0 * (X[start:stop] @ centers.T)
+            np.maximum(d2, 0.0, out=d2)
+            idx = d2.argmin(axis=1)
+            labels[start:stop] = idx
+            nearest_sq[start:stop] = d2[np.arange(stop - start), idx]
+        return labels, nearest_sq
 
     def _update_centers(
         self, X: np.ndarray, labels: np.ndarray, nearest_sq: np.ndarray, centers: np.ndarray
     ) -> np.ndarray:
-        """Mean of each cluster's members via bincount accumulation (no per-cluster loop)."""
-        counts = np.bincount(labels, minlength=self.n_clusters)
-        sums = np.empty((self.n_clusters, X.shape[1]), dtype=np.float64)
-        for j in range(X.shape[1]):
-            sums[:, j] = np.bincount(labels, weights=X[:, j], minlength=self.n_clusters)
+        """Mean of each cluster's members; empty clusters are re-seeded.
+
+        Each cluster's rows are summed in index order from zero, the same
+        additions a per-feature ``np.bincount`` makes, so the centres match a
+        bincount accumulation bit for bit.
+        """
+        k = self.n_clusters
+        counts = np.bincount(labels, minlength=k)
+        if X.shape[1] == 1:
+            # NumPy would sum a lone column pairwise; bincount keeps index order.
+            sums = np.bincount(labels, weights=X[:, 0], minlength=k)[:, None]
+        else:
+            sums = np.stack([X[labels == c].sum(axis=0) for c in range(k)])
         new_centers = centers.copy()
         nonempty = counts > 0
         new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -125,19 +149,19 @@ class KMeans:
         return new_centers
 
     def _single_run(
-        self, X: np.ndarray, rng: np.random.Generator
+        self, X: np.ndarray, sq_x: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
         centers = self._init_centers(X, rng)
         labels = np.zeros(X.shape[0], dtype=np.int64)
         n_iter = 0
         for n_iter in range(1, self.max_iter + 1):
-            labels, nearest_sq = self._assign(X, centers)
+            labels, nearest_sq = self._assign(X, sq_x, centers)
             new_centers = self._update_centers(X, labels, nearest_sq, centers)
             shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
             centers = new_centers
             if shift <= self.tol:
                 break
-        labels, nearest_sq = self._assign(X, centers)
+        labels, nearest_sq = self._assign(X, sq_x, centers)
         inertia = float(nearest_sq.sum())
         return centers, labels, inertia, n_iter
 
@@ -148,7 +172,7 @@ class KMeans:
         X = check_array(X, name="X", allow_empty=True)
         if X.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        return self._assign(X, self.cluster_centers_)[0]
+        return self._assign(X, np.sum(X**2, axis=1), self.cluster_centers_)[0]
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Distances from each sample to every cluster centre."""

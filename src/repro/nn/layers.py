@@ -21,7 +21,11 @@ __all__ = [
 
 
 class Linear(Module):
-    """Fully connected layer ``y = x W + b``."""
+    """Fully connected layer ``y = x W + b``.
+
+    Only training-mode forwards cache the input for ``backward``; eval mode
+    keeps no backward state.
+    """
 
     #: forward-pass cache, rebuilt on the next forward; skipped by snapshots.
     _snapshot_transient_ = ("_input",)
@@ -56,7 +60,8 @@ class Linear(Module):
             raise ValueError(
                 f"expected input of shape (n, {self.in_features}), got {x.shape}"
             )
-        self._input = x
+        if self.training:
+            self._input = x
         out = x @ self.weight.value
         out += self.bias.value
         return out
@@ -78,7 +83,8 @@ class ReLU(Module):
 
     NaN inputs propagate as NaN (PyTorch's semantics); every other input,
     signed zeros and infinities included, maps to ``np.where(x > 0, x, 0.0)``
-    bit for bit.
+    bit for bit.  Only training-mode forwards keep the mask for ``backward``;
+    eval mode keeps no backward state.
     """
 
     _snapshot_transient_ = ("_mask",)
@@ -88,7 +94,8 @@ class ReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
+        if self.training:
+            self._mask = x > 0
         return np.maximum(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -110,8 +117,10 @@ class LeakyReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        mask = x > 0
+        if self.training:
+            self._mask = mask
+        return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -129,8 +138,10 @@ class Tanh(Module):
         self._output: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(x)
-        return self._output
+        out = np.tanh(x)
+        if self.training:
+            self._output = out
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._output is None:
@@ -148,8 +159,10 @@ class Sigmoid(Module):
         self._output: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-        return self._output
+        out = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+        if self.training:
+            self._output = out
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._output is None:
@@ -190,7 +203,8 @@ class BatchNorm1d(Module):
     """Batch normalisation over the feature dimension.
 
     In training mode the batch mean/variance are used and running statistics
-    are updated; in evaluation mode the running statistics are used.
+    are updated; in evaluation mode the running statistics are used and no
+    backward state is kept.
     """
 
     _snapshot_transient_ = ("_cache",)
@@ -224,7 +238,8 @@ class BatchNorm1d(Module):
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         normalised = (x - mean) * inv_std
-        self._cache = (normalised, inv_std, x - mean)
+        if self.training:
+            self._cache = (normalised, inv_std, x - mean)
         return self.gamma.value * normalised + self.beta.value
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -235,8 +250,6 @@ class BatchNorm1d(Module):
         self.gamma.grad += np.sum(grad_output * normalised, axis=0)
         self.beta.grad += grad_output.sum(axis=0)
         grad_normalised = grad_output * self.gamma.value
-        if not self.training:
-            return grad_normalised * inv_std
         # Full batch-norm backward through the batch statistics.
         grad_var = np.sum(grad_normalised * centered * -0.5 * inv_std**3, axis=0)
         grad_mean = np.sum(-grad_normalised * inv_std, axis=0) + grad_var * np.mean(

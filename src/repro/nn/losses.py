@@ -132,27 +132,48 @@ class TripletMarginLoss:
         ``triplets_per_anchor`` random positives and negatives.  Returns an
         empty ``(0, 3)`` array when no valid triplet exists (e.g. a single
         pseudo-class in the batch).
+
+        RNG contract: one ``integers`` draw per positive and per negative, in
+        anchor order (positive, negative, positive, negative, ...), each
+        uniform over the anchor's positives (in index order, the anchor
+        excluded) or its negatives (in index order).  These are the draws of
+        one ``choice`` call per positive and per negative, so a seeded
+        generator yields the same triplets and ends in the same state as a
+        per-anchor sampling loop.
         """
         labels = np.asarray(labels)
-        triplets: list[tuple[int, int, int]] = []
-        unique = np.unique(labels)
-        if unique.size < 2:
+        n = labels.shape[0]
+        _, class_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        if sizes.size < 2:
             return np.empty((0, 3), dtype=np.int64)
-        indices_by_label = {label: np.flatnonzero(labels == label) for label in unique}
-        for anchor in range(labels.shape[0]):
-            label = labels[anchor]
-            positives = indices_by_label[label]
-            positives = positives[positives != anchor]
-            negatives = np.flatnonzero(labels != label)
-            if positives.size == 0 or negatives.size == 0:
-                continue
-            for _ in range(self.triplets_per_anchor):
-                pos = int(self._rng.choice(positives))
-                neg = int(self._rng.choice(negatives))
-                triplets.append((anchor, pos, neg))
-        if not triplets:
+        # Stable sort: class c is the run order[starts[c]:starts[c] + sizes[c]]
+        # of its member indices, increasing; slot is a position within its
+        # run and rank maps a sample to its slot.
+        order = np.argsort(class_of, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        run_class = np.repeat(np.arange(sizes.size), sizes)
+        slot = np.arange(n) - starts[run_class]
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = slot
+
+        anchors = np.repeat(np.flatnonzero(sizes[class_of] > 1), self.triplets_per_anchor)
+        if anchors.size == 0:
             return np.empty((0, 3), dtype=np.int64)
-        return np.asarray(triplets, dtype=np.int64)
+        cls = class_of[anchors]
+        highs = np.stack([sizes[cls] - 1, n - sizes[cls]], axis=1)
+        pos_draw, neg_draw = self._rng.integers(0, highs).T
+
+        # j-th positive: the j-th member of the run, stepping over the anchor.
+        positives = order[starts[cls] + pos_draw + (pos_draw >= rank[anchors])]
+        # j-th negative: a class's member m_i (slot i) has m_i - i non-members
+        # before it, so the j-th non-member is j plus the number of members
+        # with m_i - i <= j.  Offsetting class c by c * (n + 1) turns the
+        # per-class counts into one searchsorted over all runs.
+        gaps = order - slot + run_class * (n + 1)
+        negatives = neg_draw + (
+            np.searchsorted(gaps, neg_draw + cls * (n + 1), side="right") - starts[cls]
+        )
+        return np.stack([anchors, positives, negatives], axis=1)
 
     # -- loss ------------------------------------------------------------
     def __call__(

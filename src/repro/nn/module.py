@@ -79,8 +79,15 @@ class Module:
         return self
 
     def eval(self) -> "Module":
-        """Switch to evaluation mode."""
+        """Switch to evaluation mode and drop the forward caches.
+
+        The attributes a class names in ``_snapshot_transient_`` (the inputs,
+        masks and outputs ``backward`` needs) are reset to ``None``, so an
+        eval-mode model, and any clone of it, holds no batch activations.
+        """
         self.training = False
+        for name in getattr(self, "_snapshot_transient_", ()):
+            setattr(self, name, None)
         for child in self._children():
             child.eval()
         return self

@@ -143,3 +143,48 @@ class TestCFELossBehaviour:
         cfe.fit_experience(X, pseudo)
         assert len(cfe.training_losses_) == 1
         assert len(cfe.training_losses_[0]) == 3
+
+
+class _PerBatchPastEncodeCFE(ContinualFeatureExtractor):
+    """Reference: every past snapshot re-encodes every batch for its L_CL target."""
+
+    def _continual_targets(self):
+        return []
+
+    def _train_step(self, batch_x, batch_labels, batch_past, optimizer):
+        targets = [past.encode(batch_x) for past in super()._continual_targets()]
+        return super()._train_step(batch_x, batch_labels, targets, optimizer)
+
+
+def _train_three_experiences(cls, n_rows: int, loss_config=None):
+    cfe = cls(
+        10, latent_dim=6, hidden_dims=(16,), epochs=3, batch_size=64,
+        loss_config=loss_config, random_state=0,
+    )
+    for seed in range(3):
+        X, pseudo = _separable_batch(seed, shift=float(seed))
+        cfe.fit_experience(X[:n_rows], pseudo[:n_rows])
+    return cfe
+
+
+class TestCFEPastLatentsEncodedOnce:
+    @pytest.mark.parametrize(
+        "loss_config",
+        [None, CNDLossConfig(lambda_cl=0.5), CNDLossConfig.without_reconstruction_and_continual()],
+    )
+    def test_matches_per_batch_past_encode(self, loss_config):
+        fast = _train_three_experiences(ContinualFeatureExtractor, 210, loss_config)
+        naive = _train_three_experiences(_PerBatchPastEncodeCFE, 210, loss_config)
+        assert fast.training_losses_ == naive.training_losses_
+        for p, q in zip(fast.autoencoder.parameters(), naive.autoencoder.parameters()):
+            assert p.value.tobytes() == q.value.tobytes()
+        assert fast._rng.bit_generator.state == naive._rng.bit_generator.state
+
+    def test_one_row_final_batch_matches_to_rounding(self):
+        # 193 = 3 * 64 + 1: NumPy encodes a lone row with a matrix-vector
+        # product, whose last bits may differ from the chunked encode.
+        fast = _train_three_experiences(ContinualFeatureExtractor, 193)
+        naive = _train_three_experiences(_PerBatchPastEncodeCFE, 193)
+        np.testing.assert_allclose(fast.training_losses_, naive.training_losses_, rtol=1e-12)
+        for p, q in zip(fast.autoencoder.parameters(), naive.autoencoder.parameters()):
+            np.testing.assert_allclose(p.value, q.value, rtol=1e-9, atol=1e-12)

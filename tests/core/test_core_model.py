@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
@@ -287,3 +290,59 @@ class TestCNDIDSContinualBehaviour:
             return model.score_samples(scenario[0].X_test)
 
         np.testing.assert_allclose(scores(), scores())
+
+
+def _reachable_arrays(root) -> list[np.ndarray]:
+    """Every ndarray reachable from ``root`` through instance state."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen: set[int] = set()
+    stack, arrays = [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return arrays
+
+
+def _modules(module):
+    yield module
+    for child in module._children():
+        yield from _modules(child)
+
+
+class TestCNDIDSKeepsNoActivations:
+    """Scoring leaves no batch-sized array behind, in the model or its snapshots."""
+
+    @pytest.fixture(scope="class")
+    def scored_model(self, tiny_scenario_module):
+        scenario = tiny_scenario_module
+        model = CNDIDS(input_dim=scenario.n_features, epochs=1, random_state=0)
+        model.setup(scenario.clean_normal)
+        for experience in scenario:
+            model.fit_experience(experience.X_train)
+        rows = np.random.default_rng(0).integers(0, scenario[0].n_test, size=5000)
+        model.score_samples(scenario[0].X_test[rows])
+        return model
+
+    def test_no_array_larger_than_the_weights(self, scored_model):
+        largest_weight = max(p.value.nbytes for p in scored_model.cfe.autoencoder.parameters())
+        largest = max(_reachable_arrays(scored_model), key=lambda a: a.nbytes)
+        assert largest.nbytes <= largest_weight, largest.shape
+
+    def test_snapshots_hold_no_caches(self, scored_model):
+        assert scored_model.cfe.n_past_models == 2
+        for network in [scored_model.cfe.autoencoder, *scored_model.cfe._past_models]:
+            for module in _modules(network):
+                for name in getattr(module, "_snapshot_transient_", ()):
+                    assert getattr(module, name) is None, (type(module).__name__, name)
+
+    def test_backward_after_eval_forward_raises(self, scored_model):
+        autoencoder = scored_model.cfe.autoencoder
+        latent = autoencoder.encode(scored_model.clean_normal_)
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            autoencoder.backward_through_encoder(np.ones_like(latent))

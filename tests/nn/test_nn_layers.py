@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (
+    BatchNorm1d,
     Dropout,
     LeakyReLU,
     Linear,
@@ -273,3 +274,31 @@ class TestSequential:
         first_linear = model[0]
         numerical = numerical_gradient(loss_value, first_linear.weight.value)
         np.testing.assert_allclose(first_linear.weight.grad, numerical, atol=1e-6)
+
+
+_CACHING_LAYERS = {
+    "Linear": lambda: Linear(4, 4, random_state=0),
+    "ReLU": ReLU,
+    "LeakyReLU": LeakyReLU,
+    "Tanh": Tanh,
+    "Sigmoid": Sigmoid,
+    "BatchNorm1d": lambda: BatchNorm1d(4),
+}
+
+
+@pytest.mark.parametrize("make", list(_CACHING_LAYERS.values()), ids=list(_CACHING_LAYERS))
+class TestEvalModeKeepsNoBackwardState:
+    def test_eval_forward_caches_nothing(self, make):
+        layer = make().eval()
+        out = layer(np.random.default_rng(0).normal(size=(8, 4)))
+        assert all(getattr(layer, name) is None for name in layer._snapshot_transient_)
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            layer.backward(np.ones_like(out))
+
+    def test_eval_drops_training_cache(self, make):
+        layer = make().train()
+        out = layer(np.random.default_rng(1).normal(size=(8, 4)))
+        layer.eval()
+        assert all(getattr(layer, name) is None for name in layer._snapshot_transient_)
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            layer.backward(np.ones_like(out))

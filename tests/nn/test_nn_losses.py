@@ -184,3 +184,63 @@ class TestTripletMarginLoss:
     def test_labels_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             TripletMarginLoss(random_state=0)(np.zeros((4, 2)), np.zeros(3))
+
+
+def _mine_triplets_naive(loss_fn: TripletMarginLoss, labels: np.ndarray) -> np.ndarray:
+    """Per-anchor sampling loop: one ``choice`` per positive and per negative."""
+    labels = np.asarray(labels)
+    if np.unique(labels).size < 2:
+        return np.empty((0, 3), dtype=np.int64)
+    triplets = []
+    for anchor in range(labels.shape[0]):
+        positives = np.flatnonzero(labels == labels[anchor])
+        positives = positives[positives != anchor]
+        negatives = np.flatnonzero(labels != labels[anchor])
+        if positives.size == 0 or negatives.size == 0:
+            continue
+        for _ in range(loss_fn.triplets_per_anchor):
+            pos = int(loss_fn._rng.choice(positives))
+            neg = int(loss_fn._rng.choice(negatives))
+            triplets.append((anchor, pos, neg))
+    if not triplets:
+        return np.empty((0, 3), dtype=np.int64)
+    return np.asarray(triplets, dtype=np.int64)
+
+
+_MINING_CASES = {
+    "binary": np.random.default_rng(0).integers(0, 2, size=128),
+    "three-class": np.random.default_rng(1).integers(0, 3, size=97),
+    "non-contiguous": np.random.default_rng(2).choice([-1, 5], size=64),
+    "singleton-classes": np.array([3, 0, 0, 7, 0, 1, 1, 0, 9]),
+    "all-singletons": np.array([4, 2, 8]),
+    "single-class": np.zeros(10, dtype=np.int64),
+    "pairs": np.array([1, 0, 1, 0]),
+    "empty": np.empty(0, dtype=np.int64),
+}
+
+
+class TestTripletMiningMatchesPerAnchorLoop:
+    @pytest.mark.parametrize("triplets_per_anchor", [1, 2])
+    @pytest.mark.parametrize("case", sorted(_MINING_CASES))
+    def test_same_triplets_and_generator_state(self, case, triplets_per_anchor):
+        labels = _MINING_CASES[case]
+        fast = TripletMarginLoss(triplets_per_anchor=triplets_per_anchor, random_state=7)
+        naive = TripletMarginLoss(triplets_per_anchor=triplets_per_anchor, random_state=7)
+        for _ in range(3):  # consecutive batches share the generator
+            expected = _mine_triplets_naive(naive, labels)
+            got = fast.mine_triplets(labels)
+            assert got.dtype == expected.dtype == np.int64
+            np.testing.assert_array_equal(got, expected)
+        assert fast._rng.bit_generator.state == naive._rng.bit_generator.state
+
+    @given(
+        labels=st.lists(st.integers(-3, 3), min_size=0, max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_label_vectors(self, labels, seed):
+        labels = np.asarray(labels, dtype=np.int64)
+        fast = TripletMarginLoss(random_state=seed)
+        naive = TripletMarginLoss(random_state=seed)
+        expected = _mine_triplets_naive(naive, labels)
+        np.testing.assert_array_equal(fast.mine_triplets(labels), expected)
+        assert fast._rng.bit_generator.state == naive._rng.bit_generator.state

@@ -389,6 +389,76 @@ class TestHistogramDetectorEquivalence:
         )
 
 
+class _NaiveLloydKMeans(KMeans):
+    """Lloyd steps through ``pairwise_topk`` and one ``bincount`` per feature."""
+
+    def _assign(self, X, sq_x, centers):
+        idx, dist = pairwise_topk(X, centers, 1, block_size=self.block_size, squared=True)
+        return idx[:, 0], dist[:, 0]
+
+    def _update_centers(self, X, labels, nearest_sq, centers):
+        counts = np.bincount(labels, minlength=self.n_clusters)
+        sums = np.empty((self.n_clusters, X.shape[1]), dtype=np.float64)
+        for j in range(X.shape[1]):
+            sums[:, j] = np.bincount(labels, weights=X[:, j], minlength=self.n_clusters)
+        new_centers = centers.copy()
+        nonempty = counts > 0
+        new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+        if not nonempty.all():
+            new_centers[~nonempty] = X[nearest_sq.argmax()]
+        return new_centers
+
+
+def _assert_same_fit(X, **params):
+    fast = KMeans(random_state=0, **params).fit(X)
+    naive = _NaiveLloydKMeans(random_state=0, **params).fit(X)
+    assert fast.cluster_centers_.tobytes() == naive.cluster_centers_.tobytes()
+    np.testing.assert_array_equal(fast.labels_, naive.labels_)
+    assert fast.inertia_ == naive.inertia_
+    assert fast.n_iter_ == naive.n_iter_
+    return fast
+
+
+class TestKMeansFitMatchesNaiveLloyd:
+    @pytest.mark.parametrize("d", [1, 2, 7, 56])
+    def test_random_data(self, d):
+        X = np.random.default_rng(d).normal(size=(1500, d)) * 3.0
+        _assert_same_fit(X, n_clusters=6, block_size=512)
+
+    def test_duplicate_rows_reseed_empty_clusters(self):
+        # Three distinct points for five clusters: k-means++ repeats centres,
+        # ties go to the lowest index and the duplicates come out empty.
+        base = np.random.default_rng(1).normal(size=(3, 4))
+        X = np.repeat(base, [40, 25, 35], axis=0)
+        reseeds = []
+
+        class Recording(KMeans):
+            def _update_centers(self, X, labels, nearest_sq, centers):
+                reseeds.append(np.bincount(labels, minlength=self.n_clusters).min() == 0)
+                return super()._update_centers(X, labels, nearest_sq, centers)
+
+        Recording(n_clusters=5, random_state=0).fit(X)
+        assert any(reseeds)
+        _assert_same_fit(X, n_clusters=5)
+
+    def test_signed_zero_column(self):
+        X = np.random.default_rng(2).normal(size=(300, 3))
+        X[:, 1] = -0.0
+        _assert_same_fit(X, n_clusters=4)
+
+    def test_single_cluster(self):
+        X = np.random.default_rng(3).normal(size=(400, 5))
+        model = _assert_same_fit(X, n_clusters=1)
+        assert model.n_iter_ <= 2
+
+    def test_predict_matches_naive(self):
+        rng = np.random.default_rng(4)
+        X, X_query = rng.normal(size=(500, 8)), rng.normal(size=(3000, 8))
+        fast = KMeans(n_clusters=7, random_state=0, block_size=700).fit(X)
+        naive = _NaiveLloydKMeans(n_clusters=7, random_state=0, block_size=700).fit(X)
+        np.testing.assert_array_equal(fast.predict(X_query), naive.predict(X_query))
+
+
 class TestKMeansEquivalence:
     def test_assignment_matches_argmin(self):
         rng = np.random.default_rng(50)
