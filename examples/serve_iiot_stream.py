@@ -1,16 +1,15 @@
-"""Serve fitted detectors over a drifting IIoT flow stream.
+"""Serve a fitted detector over a drifting IIoT flow stream.
 
 The deployment story of the paper, end to end:
 
-1. fit an isolation forest and a kNN detector on clean normal traffic and
-   fuse them (conflict-aware PCR-style score fusion) into one served model,
-2. publish the fused model to an on-disk **model registry** (versioned,
+1. fit a kNN detector on clean normal traffic,
+2. publish it to an on-disk **model registry** (versioned,
    pickle-free snapshots) and load it back — the scores survive the round
    trip bit for bit,
 3. run a **DetectionService** over a drifting ``FlowStream`` with a full
    **model lifecycle**: micro-batched scoring with bounded memory, a rolling
    alert threshold, a **drift monitor**, and a **LifecycleManager** that —
-   when drift fires — refits the fused model on the clean recent window
+   when drift fires — refits the detector on the clean recent window
    buffered from the stream itself, gates the candidate's quality, runs a
    **shadow evaluation** (the candidate is double-scored alongside the live
    model for ``--shadow-rounds`` batches and only swaps when the two agree
@@ -33,13 +32,12 @@ import numpy as np
 
 from repro.datasets import load_dataset
 from repro.datasets.streaming import FlowStream
-from repro.novelty import IsolationForest, KNNDetector
+from repro.novelty import KNNDetector
 from repro.serve import (
     DetectionService,
     DriftEvent,
     DriftMonitor,
     FullRefit,
-    FusionDetector,
     LifecycleManager,
     ListSink,
     ModelRegistry,
@@ -48,15 +46,9 @@ from repro.serve import (
 )
 
 
-def make_fused_detector(seed: int) -> FusionDetector:
-    """Fresh unfitted fusion ensemble; doubles as the FullRefit factory."""
-    return FusionDetector(
-        [
-            IsolationForest(n_estimators=50, random_state=seed),
-            KNNDetector(n_neighbors=10, random_state=seed),
-        ],
-        combine="pcr",
-    )
+def make_detector(seed: int) -> KNNDetector:
+    """Fresh unfitted kNN detector; doubles as the FullRefit factory."""
+    return KNNDetector(n_neighbors=10, random_state=seed)
 
 
 def parse_args() -> argparse.Namespace:
@@ -89,23 +81,23 @@ def main() -> None:
         f"({normal.shape[0]} clean-normal for fitting)"
     )
 
-    # 1. Fit two heterogeneous detectors and fuse their normalized scores.
-    fused = make_fused_detector(args.seed).fit(normal)
+    # 1. Fit the detector on clean normal traffic.
+    detector = make_detector(args.seed).fit(normal)
 
     # 2. Publish to a registry and serve the *loaded* snapshot.
     registry_dir = args.registry or tempfile.mkdtemp(prefix="repro-registry-")
     registry = ModelRegistry(registry_dir)
     info = registry.publish(
-        fused, f"fusion-{dataset.name}", metadata={"dataset": dataset.name}
+        detector, f"knn-{dataset.name}", metadata={"dataset": dataset.name}
     )
     served = registry.load(info.name)
     check = dataset.X[:256]
-    assert np.array_equal(served.score_samples(check), fused.score_samples(check))
+    assert np.array_equal(served.score_samples(check), detector.score_samples(check))
     print(f"published + reloaded {info.name} v{info.version} (scores bit-identical)")
 
     # 3. Serve a drifting stream with rolling thresholds and a full lifecycle:
     # clean below-threshold rows feed a bounded window buffer; when drift
-    # fires, a fresh fusion ensemble is refit on that window, quality-gated,
+    # fires, a fresh kNN detector is refit on that window, quality-gated,
     # republished (v2, v3, ...) and hot-swapped into the service.  No
     # explicit drift reference: the monitor calibrates itself on the first
     # min_samples streamed flows and flags when the stream departs from that.
@@ -116,7 +108,7 @@ def main() -> None:
         else None
     )
     lifecycle = LifecycleManager(
-        FullRefit(lambda: make_fused_detector(args.seed)),
+        FullRefit(lambda: make_detector(args.seed)),
         buffer=WindowBuffer(args.refit_window),
         registry=registry,
         model_name=info.name,

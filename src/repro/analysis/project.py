@@ -9,7 +9,6 @@ produces a :class:`ProjectGraph`:
   ``self.<attr>`` names each class writes), top-level functions, the
   ``__all__`` export list, and the import alias table with relative imports
   resolved against the module's dotted name;
-- a module dependency graph (``module_deps``) over the scanned files only;
 - a call graph keyed by ``"<display_path>::<qualname>"``: direct calls to
   same-module functions, ``self.method()`` calls within a class, and calls
   through ``import``/``from … import`` aliases resolved to functions of
@@ -84,8 +83,6 @@ class ProjectGraph:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: caller function key -> {callee function key: first call-site line}.
     call_edges: dict[str, dict[str, int]] = field(default_factory=dict)
-    #: display path -> display paths of scanned modules it imports.
-    module_deps: dict[str, set[str]] = field(default_factory=dict)
 
     def callers_of(self, callee_key: str) -> dict[str, int]:
         """Caller key -> call-site line for every edge into ``callee_key``."""
@@ -317,16 +314,6 @@ def build_project(context: LintContext) -> ProjectGraph:
         graph.modules[module.display_path] = info
         if module.dotted is not None:
             graph.by_dotted.setdefault(module.dotted, module.display_path)
-    for display, info in graph.modules.items():
-        deps: set[str] = set()
-        for target in info.imports.values():
-            parts = target.split(".")
-            for split in range(len(parts), 0, -1):
-                dep = graph.by_dotted.get(".".join(parts[:split]))
-                if dep is not None and dep != display:
-                    deps.add(dep)
-                    break
-        graph.module_deps[display] = deps
     for module in context.modules:
         _CallCollector(graph, module).visit(module.tree)
     return graph

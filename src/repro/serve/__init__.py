@@ -13,12 +13,11 @@ fitted detector into something that can be *deployed*:
   iterator) with micro-batched bounded-memory scoring, rolling thresholds,
   structured alerts and throughput counters,
 * :mod:`repro.serve.drift` — rolling score/feature statistics that flag
-  distribution shift and can trigger a refit-from-registry,
-* :mod:`repro.serve.fusion` — score-level fusion of several detectors
-  (mean / max / conflict-aware PCR-style weighting) served as one model,
+  distribution shift,
 * :mod:`repro.serve.lifecycle` — :class:`LifecycleManager` and friends: the
   online *drift → refit → gate → publish → swap* loop (clean-window
-  buffering, Full/Continual/NoRefit policies, quality gate),
+  buffering, Full/Continual/NoRefit policies, quality gate) and the only
+  path by which a service swaps its one served detector,
 * :mod:`repro.serve.sinks` — pluggable alert sinks (in-memory, JSONL,
   callback),
 * :mod:`repro.serve.faults` — the fault-tolerance layer threaded through all
@@ -47,7 +46,6 @@ from repro.serve.faults import (
     emit_resilient,
     wrap_sinks,
 )
-from repro.serve.fusion import FusionDetector
 from repro.serve.lifecycle import (
     ContinualRefit,
     FullRefit,
@@ -70,7 +68,6 @@ from repro.serve.service import (
     DetectionService,
     DriftEvent,
     ServiceReport,
-    make_registry_reload,
 )
 from repro.serve.sinks import AlertSink, CallbackSink, JsonlSink, ListSink, read_events
 from repro.serve.snapshot import (
@@ -108,7 +105,6 @@ __all__ = [
     "FaultInjected",
     "FaultInjector",
     "FullRefit",
-    "FusionDetector",
     "GateResult",
     "JsonlSink",
     "LifecycleEvent",
@@ -143,7 +139,6 @@ __all__ = [
     "get_logger",
     "load_snapshot",
     "log_event",
-    "make_registry_reload",
     "read_events",
     "read_manifest",
     "render_markdown",

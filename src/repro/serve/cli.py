@@ -16,6 +16,11 @@ Usage examples::
     repro serve --dataset wustl_iiot --detector iforest --threshold rolling \
         --registry ./models --publish --refit full --refit-window 4096
 
+    # reload on drift: swap in the registry's pinned or latest version,
+    # never the version that is already serving
+    repro serve --dataset wustl_iiot --registry ./models \
+        --model iforest-wustl_iiot --refit reload
+
     # shadow evaluation: a gate-passed candidate is double-scored alongside
     # the live model for N batches and only swaps on live-stream agreement
     repro serve --dataset wustl_iiot --detector iforest --threshold rolling \
@@ -73,17 +78,17 @@ from repro.novelty import (
 )
 from repro.serve.drift import DriftMonitor
 from repro.serve.faults import FaultInjector
-from repro.serve.fusion import FusionDetector
 from repro.serve.lifecycle import (
     ContinualRefit,
     FullRefit,
     LifecycleManager,
+    NoRefit,
     ShadowEvaluator,
     WindowBuffer,
 )
 from repro.serve.lifecycle.shadow import describe_agreement
 from repro.serve.registry import ModelRegistry
-from repro.serve.service import DetectionService, make_registry_reload
+from repro.serve.service import DetectionService
 from repro.serve.sinks import JsonlSink
 from repro.serve.snapshot import read_manifest, save_snapshot
 from repro.serve.telemetry import (
@@ -110,14 +115,6 @@ DETECTOR_FACTORIES = {
     "loda": lambda: LODA(n_projections=50, random_state=0),
     "mahalanobis": lambda: MahalanobisDetector(),
     "ocsvm": lambda: OneClassSVM(n_epochs=10, random_state=0),
-    "fusion": lambda: FusionDetector(
-        [
-            IsolationForest(n_estimators=100, random_state=0),
-            KNNDetector(n_neighbors=10, random_state=0),
-            HBOS(n_bins=20),
-        ],
-        combine="pcr",
-    ),
 }
 
 
@@ -141,12 +138,14 @@ def _parser() -> argparse.ArgumentParser:
         help="upper bound on rows per scoring call (bounds peak memory)",
     )
     serve.add_argument(
-        "--refit", choices=["off", "full", "continual"], default="off",
-        help="online refit on drift: 'full' refits the detector from scratch "
+        "--refit", choices=["off", "full", "continual", "reload"], default="off",
+        help="reaction to drift: 'full' refits the detector from scratch "
         "on the clean recent window, 'continual' routes the window through "
         "the model's continual update path; candidates must pass a quality "
         "gate, are republished to --registry when given, and hot-swap the "
-        "served model",
+        "served model.  'reload' refits nothing: it swaps in the registry's "
+        "pinned or latest version (needs --registry plus --model or "
+        "--publish) unless that version is already serving",
     )
     serve.add_argument(
         "--refit-window", type=int, default=4096,
@@ -184,10 +183,6 @@ def _parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--publish", action="store_true",
         help="publish the fitted detector to the registry before serving",
-    )
-    serve.add_argument(
-        "--reload-on-drift", action="store_true",
-        help="reload the registry model when the drift monitor fires",
     )
     serve.add_argument(
         "--alerts", type=Path, default=None, help="write alerts/drift events as JSONL"
@@ -453,10 +448,11 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.shadow_rounds:
         if args.shadow_rounds < 0:
             raise SystemExit("--shadow-rounds must be non-negative")
-        if args.refit == "off":
+        if args.refit in ("off", "reload"):
             raise SystemExit(
-                "--shadow-rounds requires --refit (shadow evaluation judges "
-                "refit candidates against live traffic)"
+                "--shadow-rounds requires --refit full or continual (shadow "
+                "evaluation judges refit candidates against live traffic; a "
+                "registry reload never shadows)"
             )
         if args.shadow_min_agreement is not None and not (
             0.0 < args.shadow_min_agreement <= 1.0
@@ -469,6 +465,12 @@ def _run_serve(args: argparse.Namespace) -> int:
             "--shadow-min-agreement has no effect without --shadow-rounds N "
             "(shadow evaluation is disabled; candidates would swap right "
             "after the quality gate)"
+        )
+    if args.refit == "reload" and (
+        args.registry is None or (args.model is None and not args.publish)
+    ):
+        raise SystemExit(
+            "--refit reload requires --registry plus either --model or --publish"
         )
     if args.log_level is not None:
         try:
@@ -505,7 +507,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                 f"quarantined ({event.reason})"
             )
 
-    reload_selector: tuple[str, str | None] | None = None
+    served_name: str | None = None
     serving_version: int | None = None
     if args.model is not None:
         if registry is None:
@@ -513,7 +515,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         name, version = _split_model_selector(args.model)
         resolved = registry.resolve(name, version)
         detector = registry.load(name, version)
-        reload_selector = (name, version)
+        served_name = name
         serving_version = resolved.version
         print(f"serving {name}@{version or 'default'} from {registry.root}")
     else:
@@ -526,7 +528,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                 f"{args.detector}-{dataset.name}",
                 metadata={"dataset": dataset.name, "scale": args.scale},
             )
-            reload_selector = (info.name, None)
+            served_name = info.name
             serving_version = info.version
             print(f"published {info.name} v{info.version} to {registry.root}")
             if injector is not None and injector.torn_write:
@@ -557,11 +559,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     lifecycle = None
     if args.refit != "off":
-        if args.reload_on_drift:
-            raise SystemExit(
-                "--refit and --reload-on-drift are mutually exclusive "
-                "(--refit already falls back to a registry reload)"
-            )
         if args.refit == "continual" and not (
             hasattr(detector, "update") or hasattr(detector, "fit_experience")
         ):
@@ -582,14 +579,16 @@ def _run_serve(args: argparse.Namespace) -> int:
                     "(use --refit continual)"
                 )
             factory = DETECTOR_FACTORIES[args.detector] if args.model is None else None
-            policy: FullRefit | ContinualRefit = FullRefit(factory)
-        else:
+            policy: FullRefit | ContinualRefit | NoRefit = FullRefit(factory)
+        elif args.refit == "continual":
             policy = ContinualRefit()
+        else:
+            policy = NoRefit()
         model_name = None
         if registry is not None:
             model_name = (
-                reload_selector[0]
-                if reload_selector is not None
+                served_name
+                if served_name is not None
                 else f"{args.detector}-{dataset.name}"
             )
         shadow = None
@@ -611,27 +610,23 @@ def _run_serve(args: argparse.Namespace) -> int:
             shadow=shadow,
             sinks=sinks,
         )
-        republish = "republishing" if registry is not None else "not republishing"
-        shadowing = (
-            f", shadow={shadow.rounds} rounds "
-            f"(min agreement {shadow.min_agreement:.0%})"
-            if shadow is not None
-            else ""
-        )
-        print(f"online refit on drift: policy={args.refit}, "
-              f"window={args.refit_window} rows, {republish}{shadowing}")
+        if args.refit == "reload":
+            print(f"registry reload on drift: {model_name} (pinned or latest)")
+        else:
+            republish = (
+                "republishing" if registry is not None else "not republishing"
+            )
+            shadowing = (
+                f", shadow={shadow.rounds} rounds "
+                f"(min agreement {shadow.min_agreement:.0%})"
+                if shadow is not None
+                else ""
+            )
+            print(f"online refit on drift: policy={args.refit}, "
+                  f"window={args.refit_window} rows, {republish}{shadowing}")
 
     monitor = DriftMonitor()
     monitor.set_reference(ref_scores, normal)
-
-    on_drift = None
-    if args.reload_on_drift:
-        if registry is None or reload_selector is None:
-            raise SystemExit(
-                "--reload-on-drift requires --registry plus either --model or --publish"
-            )
-        name, version = reload_selector
-        on_drift = make_registry_reload(registry, name, version=version)
 
     service = DetectionService(
         detector,
@@ -640,7 +635,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         micro_batch_size=args.micro_batch_size,
         drift_monitor=monitor,
         sinks=sinks,
-        on_drift=on_drift,
         lifecycle=lifecycle,
         tracer=tracer,
         metrics_every=args.metrics_every,
@@ -712,7 +706,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     if tracer is not None:
         tracer.close()
         print(f"{tracer.n_spans} spans traced to {tracer.path}")
-    model_name = reload_selector[0] if reload_selector is not None else None
     if interrupted:
         # service.run's finally already closed the sinks; flush the partial
         # report (and the partial run artifacts) so an operator still sees
@@ -728,7 +721,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                 dataset=dataset,
                 detector=detector,
                 registry=registry,
-                model_name=model_name,
+                model_name=served_name,
                 serving_version=serving_version,
                 memory=memory,
             )
@@ -765,7 +758,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             dataset=dataset,
             detector=detector,
             registry=registry,
-            model_name=model_name,
+            model_name=served_name,
             serving_version=serving_version,
             memory=memory,
         )

@@ -14,9 +14,11 @@ swap* loop during serving:
    into the service, bumping the service's model epoch.
 
 When the policy declines (``NoRefit``) or the window is too small, the
-manager falls back to reloading the latest published registry version — the
-pre-lifecycle behavior of :func:`repro.serve.service.make_registry_reload` —
-so a deployment can mix operator-pushed models with online refits.
+manager falls back to reloading the registry's pinned or latest version, so
+a deployment can mix operator-pushed models with online refits.
+``LifecycleManager(NoRefit(), registry=..., model_name=...)`` is the pure
+reload on drift (``repro serve --refit reload``); unlike a blind
+reload it declines to re-swap the version that is already serving.
 
 Every decision is recorded as a structured :class:`LifecycleEvent` (kept on
 the manager and emitted to optional sinks), so an operator can audit exactly
@@ -506,6 +508,3 @@ class LifecycleManager:
         else:
             event = replace(event, epoch=getattr(service, "epoch_", 0))
         return self.record(event)
-
-    # Allow passing the manager itself wherever an ``on_drift`` hook fits.
-    __call__ = handle_drift

@@ -16,8 +16,8 @@ Three policies cover the spectrum the paper's continual story needs:
   continual update path (:meth:`repro.continual.base.ContinualMethod.update`),
   preserving what the model already knows; the paper's CND-IDS adaptation.
 * :class:`NoRefit` — decline to produce a candidate, which makes the
-  lifecycle manager fall back to reloading the latest published registry
-  version (the pre-lifecycle behavior of ``make_registry_reload``).
+  lifecycle manager fall back to reloading the registry's pinned or latest
+  version (``repro serve --refit reload``).
 """
 
 from __future__ import annotations

@@ -5,10 +5,8 @@ on the *clean window it was trained from* — a single self-referential check.
 Shadow evaluation closes the remaining gap: after the gate passes, the
 candidate is scored **alongside** the live model on every subsequent stream
 batch for a configured number of rounds, and only earns the swap when the two
-models *agree* on live traffic.  The verdict follows the same conflict-aware
-spirit as the PCR fusion rules (:mod:`repro.serve.fusion`): disagreement mass
-between the committee members — here, live and candidate — is what blocks a
-promotion, not a one-shot self-quantile.
+models *agree* on live traffic: disagreement between live and candidate is
+what blocks a promotion, not a one-shot self-quantile.
 
 Both agreement statistics are standardized (scale-free), so one threshold
 works across detector families whose raw score ranges differ by orders of

@@ -14,10 +14,11 @@ online scorer with the operational pieces a deployment needs:
   training-quantile default, or a rolling quantile of the most recent scores
   that follows slow drift of the score distribution;
 * **structured alerts** through pluggable sinks (:mod:`repro.serve.sinks`);
-* **drift monitoring** via :class:`~repro.serve.drift.DriftMonitor`, with an
-  ``on_drift`` hook that can swap in a fresh model from a
-  :class:`~repro.serve.registry.ModelRegistry` (see
-  :func:`make_registry_reload`);
+* **drift monitoring** via :class:`~repro.serve.drift.DriftMonitor`; the
+  drift reaction — refit, or reload from a
+  :class:`~repro.serve.registry.ModelRegistry` — belongs to an optional
+  :class:`~repro.serve.lifecycle.LifecycleManager`, the one path that swaps
+  the served detector;
 * **throughput/latency counters** built on
   :meth:`repro.utils.timing.Timer.throughput`;
 * **telemetry** (:mod:`repro.serve.telemetry`) — every pipeline stage
@@ -32,7 +33,7 @@ online scorer with the operational pieces a deployment needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,7 +51,6 @@ __all__ = [
     "DetectionService",
     "DriftEvent",
     "ServiceReport",
-    "make_registry_reload",
 ]
 
 
@@ -206,8 +206,8 @@ class DetectionService:
     Parameters
     ----------
     detector:
-        Fitted object exposing ``score_samples(X) -> scores`` (all novelty
-        detectors, :class:`~repro.serve.fusion.FusionDetector`, ...).
+        Fitted object exposing ``score_samples(X) -> scores`` (every novelty
+        detector and continual method).
     threshold:
         ``"auto"`` uses the detector's training-quantile default
         (``threshold_`` attribute), ``"rolling"`` maintains a rolling-window
@@ -236,9 +236,6 @@ class DetectionService:
         indices).  Set this flag to additionally quarantine a whole batch
         whose feature width breaks the stream contract instead of raising;
         the strict default keeps the historical error behavior.
-    on_drift:
-        ``callable(service, report)`` invoked when the monitor fires — e.g.
-        :func:`make_registry_reload` to hot-swap the latest registry model.
     lifecycle:
         Optional :class:`~repro.serve.lifecycle.LifecycleManager` that owns
         the full drift reaction: every scored batch feeds its clean-window
@@ -246,8 +243,9 @@ class DetectionService:
         hot-swaps (see :mod:`repro.serve.lifecycle`).  With a configured
         shadow evaluator the service double-scores each batch with the
         pending candidate (same micro-batched scorer) and the swap waits for
-        the live-agreement verdict.  Mutually exclusive with ``on_drift`` —
-        both reacting to the same firing would double the swaps.
+        the live-agreement verdict.  ``LifecycleManager(NoRefit())`` with a
+        registry reloads the registry's pinned or latest version instead of
+        refitting.
     telemetry:
         Optional :class:`~repro.serve.telemetry.MetricsRegistry` to record
         into; a fresh registry is created when omitted (telemetry is always
@@ -282,7 +280,6 @@ class DetectionService:
         micro_batch_size: int = 1024,
         drift_monitor: DriftMonitor | None = None,
         sinks: Sequence[Any] = (),
-        on_drift: Callable[["DetectionService", DriftReport], None] | None = None,
         lifecycle: Any = None,
         quarantine_wrong_width: bool = False,
         telemetry: MetricsRegistry | None = None,
@@ -302,11 +299,6 @@ class DetectionService:
             raise ValueError("micro_batch_size must be at least 1")
         if metrics_every is not None and metrics_every < 1:
             raise ValueError("metrics_every must be at least 1 (or None)")
-        if lifecycle is not None and on_drift is not None:
-            raise ValueError(
-                "pass either lifecycle or on_drift, not both: two handlers "
-                "reacting to the same drift firing would swap the model twice"
-            )
         self.detector = detector
         self.threshold = threshold
         self.rolling_window = rolling_window
@@ -315,7 +307,6 @@ class DetectionService:
         self.micro_batch_size = micro_batch_size
         self.drift_monitor = drift_monitor
         self.sinks = wrap_sinks(sinks)
-        self.on_drift = on_drift
         self.lifecycle = lifecycle
         self.quarantine_wrong_width = quarantine_wrong_width
         self.telemetry = MetricsRegistry() if telemetry is None else telemetry
@@ -366,14 +357,12 @@ class DetectionService:
         self._rolling = _RingBuffer(rolling_window, 1)
 
     # -- model management --------------------------------------------------------
-    def reload_detector(
-        self, detector: Any, *, reset_rolling: bool = True, rebootstrap: bool = True
-    ) -> None:
+    def reload_detector(self, detector: Any, *, rebootstrap: bool = True) -> None:
         """Swap the served model in place (used by drift-triggered swaps).
 
         The feature contract of the stream is unchanged, so the validate-once
         state is kept.  Everything derived from the *old model* is discarded:
-        the rolling threshold window (by default) and the drift monitor's
+        the rolling threshold window and the drift monitor's
         windows plus both of its references (``reset(rebootstrap=True)``) —
         the new model's scores may be centred elsewhere, and a refitted model
         was trained on post-drift traffic, so judging the stream against the
@@ -393,8 +382,7 @@ class DetectionService:
         """
         self.detector = detector
         self.epoch_ += 1
-        if reset_rolling:
-            self._rolling = _RingBuffer(self.rolling_window, 1)
+        self._rolling = _RingBuffer(self.rolling_window, 1)
         if self.drift_monitor is not None:
             self.drift_monitor.reset(
                 clear_score_reference=True, rebootstrap=rebootstrap
@@ -607,8 +595,6 @@ class DetectionService:
                 threshold = float("nan")
                 predictions = np.empty(0, dtype=np.int64)
         latency = self.timer.total - accumulated
-        if scores.size:
-            self._record_fusion_diagnostics()
         alerts = tuple(
             Alert(
                 batch_index=batch_index,
@@ -644,8 +630,6 @@ class DetectionService:
             self._emit(DriftEvent(batch_index=batch_index, report=drift_report))
             if self.lifecycle is not None:
                 self.lifecycle.handle_drift(self, drift_report)
-            elif self.on_drift is not None:
-                self.on_drift(self, drift_report)
         # After the drift reaction (a pending trial makes handle_drift skip),
         # feed the shadow trial; a completed trial swaps (shadow_pass) or
         # discards the candidate (shadow_reject) — only then does epoch_ move.
@@ -731,37 +715,6 @@ class DetectionService:
                     sink.close()
         return self.report()
 
-    def _record_fusion_diagnostics(self) -> None:
-        """Publish the served detector's per-member fusion diagnostics.
-
-        :class:`~repro.serve.fusion.FusionDetector` records per-batch member
-        weights, conflict mass and failed-member state on itself after every
-        ``score_samples`` call; any detector exposing the same attributes is
-        picked up.  Gauges hold the *latest* batch's values (NaN-sanitized —
-        a failed member's weight is reported as 0 so snapshots stay strict
-        JSON); plain detectors record nothing.
-        """
-        weights = getattr(self.detector, "member_weights_", None)
-        if weights is None:
-            return
-        telemetry = self.telemetry
-        failed = getattr(self.detector, "member_failed_", ()) or ()
-        failed_indices = {entry.get("index") for entry in failed}
-        for i, weight in enumerate(weights):
-            weight = float(weight)
-            telemetry.gauge(f"fusion.member_weight.{i}", unit="weight").set(
-                weight if np.isfinite(weight) else 0.0
-            )
-            telemetry.gauge(f"fusion.member_failed.{i}", unit="flag").set(
-                1.0 if i in failed_indices else 0.0
-            )
-        conflict = getattr(self.detector, "conflict_mass_", None)
-        if conflict is not None:
-            conflict = float(conflict)
-            telemetry.gauge("fusion.conflict_mass", unit="mass").set(
-                conflict if np.isfinite(conflict) else 0.0
-            )
-
     def metrics_snapshot(self) -> dict:
         """Dict export of this service's metrics registry."""
         return self.telemetry.snapshot()
@@ -797,39 +750,3 @@ class DetectionService:
             n_quarantined=self.n_quarantined_,
             n_disabled_sinks=self.n_disabled_sinks_,
         )
-
-
-def make_registry_reload(
-    registry: Any,
-    name: str,
-    *,
-    version: int | str | None = None,
-    reset_rolling: bool = True,
-    rebootstrap: bool = False,
-) -> Callable[[DetectionService, DriftReport], None]:
-    """Build an ``on_drift`` hook that reloads ``name`` from a model registry.
-
-    Every firing of the drift monitor re-resolves the selector (``None`` =
-    pinned-or-latest), so publishing a retrained model to the registry is all
-    an operator has to do for the service to pick it up on the next drift
-    signal.
-
-    By default the swap keeps the monitor's *feature* reference
-    (``rebootstrap=False``): a plain reload may well resolve to the same
-    stale model, and re-baselining the features on it would permanently
-    silence a persistent covariate shift — the recurring re-fire after each
-    cooldown *is* the operator's signal that the reloaded model still does
-    not fit the traffic.  Pass ``rebootstrap=True`` when every published
-    version is known to be trained on recent traffic.  (The
-    :mod:`repro.serve.lifecycle` refit path always rebootstraps — its swaps
-    are guaranteed to be models trained on the post-drift window.)
-    """
-
-    def _reload(service: DetectionService, report: DriftReport) -> None:
-        service.reload_detector(
-            registry.load(name, version),
-            reset_rolling=reset_rolling,
-            rebootstrap=rebootstrap,
-        )
-
-    return _reload

@@ -270,7 +270,7 @@ def save_snapshot(
     ----------
     model:
         Any estimator from this package (novelty detectors, tree ensembles,
-        continual methods, fusion detectors).
+        continual methods).
     path:
         Snapshot directory; created (with parents) if missing.
     metadata:

@@ -90,10 +90,3 @@ class TestCallEdges:
         edges = graph.call_edges[function_key(SCORING_PATH, "Scorer.score")]
         lineno = edges[function_key(HELPER_PATH, "jitter")]
         assert SCORING.splitlines()[lineno - 1].strip() == "base = jitter()"
-
-
-class TestModuleDeps:
-    def test_importer_depends_on_imported_module(self):
-        graph = build()
-        assert HELPER_PATH in graph.module_deps[SCORING_PATH]
-        assert graph.module_deps[HELPER_PATH] == set()

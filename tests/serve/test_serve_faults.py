@@ -7,7 +7,7 @@ emit and a 5% NaN-row stream, the service must complete the stream with
 scores and alerts identical to a fault-free run on the same stream with the
 poisoned rows deleted — while recording ``sink_disabled`` /
 ``quarantined_rows`` events for the operator.  Torn registry writes and the
-satellite error paths (fusion member failure, truncated lineage, poisoned
+satellite error paths (truncated lineage, poisoned
 drift references, graceful SIGINT/SIGTERM) are covered alongside.
 """
 
@@ -31,7 +31,6 @@ from repro.serve import (
     DriftMonitor,
     FaultInjected,
     FaultInjector,
-    FusionDetector,
     ListSink,
     ModelRegistry,
     QuarantinedRows,
@@ -695,86 +694,6 @@ class TestDriftMonitorPoisonGuards:
         report = monitor.update(np.full(10, np.nan))
         assert monitor._n_seen == before
         assert not report.drifted
-
-
-# -- fusion graceful degradation ---------------------------------------------------
-class TestFusionDegradation:
-    @pytest.fixture()
-    def fused(self, fitted):
-        _, normal, _ = fitted
-        members = [
-            IsolationForest(n_estimators=8, random_state=seed) for seed in range(3)
-        ]
-        return FusionDetector(members, combine="pcr").fit(normal[:400])
-
-    @pytest.mark.parametrize("combine", ["mean", "max", "pcr"])
-    def test_failing_member_is_dropped_and_weights_renormalize(
-        self, fitted, combine
-    ):
-        _, normal, _ = fitted
-        members = [
-            IsolationForest(n_estimators=8, random_state=seed) for seed in range(3)
-        ]
-        fused = FusionDetector(members, combine=combine).fit(normal[:400])
-        X = normal[400:440]
-        survivors = [0, 2]
-        raw = np.column_stack(
-            [fused.detectors[i].score_samples(X) for i in survivors]
-        )
-        keep = np.asarray(survivors, dtype=np.intp)
-        expected = fused._fuse((raw - fused.loc_[keep]) / fused.scale_[keep])
-
-        def broken(_X):
-            raise RuntimeError("member segfaulted")
-
-        fused.detectors[1].score_samples = broken
-        scores = fused.score_samples(X)
-        np.testing.assert_array_equal(scores, expected)
-        assert len(fused.member_failed_) == 1
-        failure = fused.member_failed_[0]
-        assert failure["index"] == 1
-        assert failure["detector"] == "IsolationForest"
-        assert "segfaulted" in failure["error"]
-
-    def test_member_failed_resets_on_a_healthy_call(self, fused, fitted):
-        _, normal, _ = fitted
-        X = normal[:16]
-        original = fused.detectors[0].score_samples
-        fused.detectors[0].score_samples = lambda _X: (_ for _ in ()).throw(
-            RuntimeError("down")
-        )
-        fused.score_samples(X)
-        assert fused.member_failed_
-        fused.detectors[0].score_samples = original
-        fused.score_samples(X)
-        assert fused.member_failed_ == ()
-
-    def test_all_members_failing_raises_with_cause(self, fused, fitted):
-        _, normal, _ = fitted
-        for detector in fused.detectors:
-            detector.score_samples = lambda _X: (_ for _ in ()).throw(
-                RuntimeError("down")
-            )
-        with pytest.raises(RuntimeError, match="all 3 fusion members failed"):
-            fused.score_samples(normal[:8])
-
-    def test_degraded_fusion_still_serves_through_the_service(self, fused, fitted):
-        _, normal, _ = fitted
-        fused.detectors[2].score_samples = lambda _X: (_ for _ in ()).throw(
-            RuntimeError("down")
-        )
-        service = DetectionService(fused, threshold="auto")
-        result = service.process_batch(normal[:32])
-        assert result.scores.shape[0] == 32
-        assert np.isfinite(result.scores).all()
-
-    def test_member_scores_stays_strict(self, fused, fitted):
-        _, normal, _ = fitted
-        fused.detectors[1].score_samples = lambda _X: (_ for _ in ()).throw(
-            RuntimeError("down")
-        )
-        with pytest.raises(RuntimeError, match="down"):
-            fused.member_scores(normal[:8])
 
 
 # -- lifecycle lineage isolation ---------------------------------------------------

@@ -32,6 +32,7 @@ from repro.serve import (
     WindowBuffer,
     clone_model,
 )
+from repro.serve.sinks import read_events
 
 
 @pytest.fixture()
@@ -251,12 +252,6 @@ class TestLifecycleManager:
             LifecycleManager(FullRefit(), registry=ModelRegistry("/tmp/x"))
         with pytest.raises(ValueError, match="min_refit_rows"):
             LifecycleManager(FullRefit(), min_refit_rows=1)
-        with pytest.raises(ValueError, match="not both"):
-            DetectionService(
-                fitted_detector,
-                lifecycle=LifecycleManager(FullRefit()),
-                on_drift=lambda service, report: None,
-            )
 
     def test_skip_when_window_too_small_and_no_registry(self, fitted_detector):
         manager = LifecycleManager(FullRefit(), min_refit_rows=100)
@@ -293,6 +288,47 @@ class TestLifecycleManager:
         # feature reference so a persistent shift would keep re-firing
         assert service.drift_monitor._feature_ref is not None
         assert service.drift_monitor._score_ref is None
+
+    def test_reload_fallback_skips_an_unpublished_model(
+        self, tmp_path, rng, fitted_detector
+    ):
+        registry = ModelRegistry(tmp_path)
+        registry.publish(fitted_detector, "other")
+        manager = LifecycleManager(
+            NoRefit(), registry=registry, model_name="ids", min_refit_rows=10,
+        )
+        manager.buffer.add(rng.normal(size=(50, 5)))
+        service = _drifted_service(fitted_detector, manager, rng)
+        event = manager.handle_drift(service, report=None)
+        assert event.action == "skipped" and not event.swapped
+        assert event.reason.endswith("registry has no published version of 'ids'")
+        assert service.detector is fitted_detector and service.epoch_ == 0
+
+    def test_reload_fallback_follows_the_pin(self, tmp_path, rng, fitted_detector):
+        # Pinning an older version is an operator rollback: the next drift
+        # firing swaps it in, and the one after leaves it serving.
+        registry = ModelRegistry(tmp_path)
+        registry.publish(fitted_detector, "ids")
+        newer = MahalanobisDetector().fit(rng.normal(2.0, 1.0, size=(400, 5)))
+        registry.publish(newer, "ids")
+        registry.pin("ids", 1)
+        manager = LifecycleManager(
+            NoRefit(), registry=registry, model_name="ids",
+            min_refit_rows=10, serving_version=2,
+        )
+        manager.buffer.add(rng.normal(size=(50, 5)))
+        service = _drifted_service(newer, manager, rng)
+        event = manager.handle_drift(service, report=None)
+        assert event.action == "reload" and event.swapped and event.epoch == 1
+        assert manager.serving_version == 1
+        X = rng.normal(size=(20, 5))
+        np.testing.assert_array_equal(
+            service.detector.score_samples(X), fitted_detector.score_samples(X)
+        )
+        event = manager.handle_drift(service, report=None)
+        assert event.action == "skipped"
+        assert "v1, which is already serving" in event.reason
+        assert service.epoch_ == 1
 
     def test_reload_fallback_resolves_registry(self, tmp_path, rng, fitted_detector):
         registry = ModelRegistry(tmp_path)
@@ -433,9 +469,34 @@ class TestDriftMonitorRebootstrap:
         assert service.epoch_ == 1
         assert monitor._score_ref is None and monitor._feature_ref is None
 
+    def test_reload_detector_resets_the_rolling_window(self, rng, fitted_detector):
+        # The old model's scores must not set the new model's threshold: a
+        # swapped-in model on another scale warms up on its own default.
+        class Rescaled:
+            def __init__(self, base):
+                self.base = base
+                self.threshold_ = base.threshold_ * 100.0
+
+            def score_samples(self, X):
+                return self.base.score_samples(X) * 100.0
+
+        service = DetectionService(
+            fitted_detector, threshold="rolling", min_rolling=32
+        )
+        X = rng.normal(size=(200, 5))
+        results = [
+            service.process_batch(X[start : start + 50]) for start in range(0, 200, 50)
+        ]
+        assert results[-1].threshold != fitted_detector.threshold_  # rolling quantile
+        rescaled = Rescaled(fitted_detector)
+        service.reload_detector(rescaled)
+        result = service.process_batch(X[:50])
+        assert result.threshold == rescaled.threshold_
+        assert result.predictions.mean() < 0.5
+
     def test_reload_detector_can_keep_feature_reference(self, rng, fitted_detector):
         # rebootstrap=False: the path for re-serving a possibly stale model
-        # (make_registry_reload's default) — the score scale resets but a
+        # (a NoRefit registry reload) — the score scale resets but a
         # persistent covariate shift must keep re-firing
         monitor, _ = self._fired_monitor(rng)
         service = DetectionService(
@@ -504,6 +565,84 @@ class TestRegistryLifecycle:
         ModelRegistry(tmp_path).publish(fitted_detector, "ids")
         with pytest.raises(SystemExit, match="no version argument"):
             main(["registry", "gc", "ids", "3", "--registry", str(tmp_path)])
+
+
+# ---------------------------------------------------------------------------
+# `repro serve --refit reload`: registry reload as the drift reaction
+# ---------------------------------------------------------------------------
+class TestRefitReloadCli:
+    #: A rolling-threshold stream whose drift keeps re-firing: the swap
+    #: churn of a blind reload on every drift firing would show up here.
+    SERVE = [
+        "serve", "--dataset", "wustl_iiot", "--scale", "0.002",
+        "--detector", "iforest", "--drift-strength", "3",
+        "--threshold", "rolling", "--refit", "reload",
+    ]
+
+    @staticmethod
+    def _lifecycle_records(run_dir):
+        return [r for r in read_events(run_dir / "events.jsonl") if r["type"] == "lifecycle"]
+
+    def test_published_model_is_never_reswapped(self, tmp_path, capsys):
+        from repro.serve.cli import main
+
+        registry, run_dir = tmp_path / "registry", tmp_path / "run"
+        assert main([
+            *self.SERVE, "--registry", str(registry), "--publish",
+            "--run-dir", str(run_dir),
+        ]) == 0
+        records = self._lifecycle_records(run_dir)
+        assert records
+        assert all(r["action"] == "skipped" and not r["swapped"] for r in records)
+        assert all(r["epoch"] == 0 for r in records)
+        assert all("v1, which is already serving" in r["reason"] for r in records)
+        assert "-> swapped" not in capsys.readouterr().out
+
+    def test_older_version_reloads_latest_once(self, tmp_path):
+        from repro.datasets.registry import load_dataset
+        from repro.serve.cli import main
+
+        registry_dir, run_dir = tmp_path / "registry", tmp_path / "run"
+        normal = load_dataset("wustl_iiot", scale=0.002, seed=0).normal_data()
+        registry = ModelRegistry(registry_dir)
+        for seed in (0, 1):
+            registry.publish(
+                IsolationForest(n_estimators=20, random_state=seed).fit(normal), "ids"
+            )
+        assert main([
+            *self.SERVE, "--registry", str(registry_dir), "--model", "ids@v1",
+            "--run-dir", str(run_dir),
+        ]) == 0
+        records = self._lifecycle_records(run_dir)
+        assert len(records) >= 2  # drift re-fires after the reload
+        assert records[0]["action"] == "reload" and records[0]["swapped"]
+        assert records[0]["epoch"] == 1
+        assert all(r["action"] == "skipped" and not r["swapped"] for r in records[1:])
+        assert all(r["epoch"] == 1 for r in records)
+        assert [r["action"] for r in registry.history("ids")] == [
+            r["action"] for r in records
+        ]
+
+    def test_reload_on_drift_flag_is_gone(self, capsys):
+        from repro.serve.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--reload-on-drift"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --reload-on-drift" in capsys.readouterr().err
+
+    def test_usage_errors(self, tmp_path):
+        from repro.serve.cli import main
+
+        with pytest.raises(SystemExit, match="--refit reload requires --registry"):
+            main(["serve", "--refit", "reload"])
+        with pytest.raises(SystemExit, match="--refit reload requires --registry"):
+            main(["serve", "--refit", "reload", "--registry", str(tmp_path)])
+        with pytest.raises(SystemExit, match="never shadows"):
+            main([
+                "serve", "--refit", "reload", "--registry", str(tmp_path),
+                "--publish", "--shadow-rounds", "3",
+            ])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,14 +11,11 @@ import pytest
 from repro.datasets.registry import load_dataset
 from repro.datasets.streaming import FlowStream
 from repro.novelty import HBOS, IsolationForest, KNNDetector
+from repro.serve.cli import DETECTOR_FACTORIES
 from repro.serve.drift import DriftMonitor
+from repro.serve.lifecycle import LifecycleManager, NoRefit
 from repro.serve.registry import ModelRegistry
-from repro.serve.service import (
-    Alert,
-    DetectionService,
-    DriftEvent,
-    make_registry_reload,
-)
+from repro.serve.service import Alert, DetectionService, DriftEvent
 from repro.serve.sinks import CallbackSink, JsonlSink, ListSink
 
 
@@ -62,6 +60,22 @@ class TestChunkedEquivalence:
         np.testing.assert_allclose(
             chunked, detector.score_samples(stream.X), rtol=1e-12, atol=1e-12
         )
+
+    @pytest.mark.parametrize("name", sorted(DETECTOR_FACTORIES))
+    def test_chunked_matches_one_shot_every_cli_detector(self, stream_setup, name):
+        # Every detector `repro serve --detector` offers, in its served
+        # configuration.  Tolerance as for KNN: BLAS-backed scorers may move
+        # by one ulp when the micro-batch boundaries change.
+        dataset, normal, _ = stream_setup
+        detector = DETECTOR_FACTORIES[name]().fit(normal)
+        stream = FlowStream(dataset, batch_size=97, drift_strength=1.5, random_state=1)
+        service = DetectionService(detector, threshold="auto", micro_batch_size=33)
+        results = list(service.process(stream))
+        chunked = np.concatenate([result.scores for result in results])
+        np.testing.assert_allclose(
+            chunked, detector.score_samples(stream.X), rtol=1e-12, atol=1e-12
+        )
+        assert all(result.threshold == detector.threshold_ for result in results)
 
     def test_plain_array_iterator_accepted(self, stream_setup):
         _, normal, detector = stream_setup
@@ -274,25 +288,25 @@ class TestDriftIntegration:
         monitor = DriftMonitor(window=512, threshold=0.5, min_samples=128)
         monitor.set_reference(detector.score_samples(normal), normal)
         sink = ListSink()
-        reloads = []
-
-        def on_drift(service, report):
-            reloads.append(report)
-            make_registry_reload(registry, "ids")(service, report)
+        lifecycle = LifecycleManager(NoRefit(), registry=registry, model_name="ids")
 
         service = DetectionService(
             detector,
             threshold="auto",
             drift_monitor=monitor,
             sinks=[sink],
-            on_drift=on_drift,
+            lifecycle=lifecycle,
         )
         stream = FlowStream(dataset, batch_size=200, drift_strength=3.0, random_state=0)
         report = service.run(stream)
         assert report.n_drift_events > 0
-        assert len(reloads) == report.n_drift_events
+        assert len(lifecycle.events) == report.n_drift_events
         drift_events = [e for e in sink.events if isinstance(e, DriftEvent)]
         assert len(drift_events) == report.n_drift_events
+        # The first firing reloads v1; every later one sees v1 serving.
+        actions = [event.action for event in lifecycle.events]
+        assert actions == ["reload"] + ["skipped"] * (len(actions) - 1)
+        assert service.epoch_ == 1
         # The reloaded detector is a fresh instance from the registry.
         assert service.detector is not detector
         assert isinstance(service.detector, IsolationForest)
@@ -315,24 +329,38 @@ class TestDriftIntegration:
         monitor = DriftMonitor(window=256, threshold=0.5, min_samples=64, cooldown=0)
         monitor.set_reference(detector.score_samples(normal), None)
         monitor.track_features = False
-        reloads = []
 
-        def on_drift(service, report):
-            reloads.append(report)
-            service.reload_detector(Rescaled(detector))
+        class OneNewerVersion:
+            """Registry stand-in whose latest version, v2, is the rescaled model."""
 
+            def resolve(self, name, version=None):
+                return SimpleNamespace(version=2)
+
+            def load(self, name, version=None):
+                return Rescaled(detector)
+
+        lifecycle = LifecycleManager(
+            NoRefit(),
+            registry=OneNewerVersion(),
+            model_name="ids",
+            serving_version=1,
+        )
         service = DetectionService(
-            detector, threshold="auto", drift_monitor=monitor, on_drift=on_drift
+            detector, threshold="auto", drift_monitor=monitor, lifecycle=lifecycle
         )
         # Force one firing, then keep streaming stationary data: the swapped
         # model's x100 scores must not re-trigger against the stale reference.
         shifted = normal + 8.0 * rng.normal(size=normal.shape).std()
         for start in range(0, 400, 100):
             service.process_batch(shifted[start : start + 100])
-        assert len(reloads) == 1
+        assert service.n_drift_events_ == 1
+        assert [event.action for event in lifecycle.events] == ["reload"]
+        assert isinstance(service.detector, Rescaled)
         for start in range(0, 1200, 100):
             service.process_batch(shifted[start % 400 : start % 400 + 100])
-        assert len(reloads) == 1  # reference re-bootstrapped on the new scale
+        # reference re-bootstrapped on the new scale: no re-fire, no re-reload
+        assert service.n_drift_events_ == 1
+        assert len(lifecycle.events) == 1
 
     def test_no_drift_on_stationary_stream(self, stream_setup):
         dataset, normal, detector = stream_setup

@@ -21,10 +21,14 @@ from repro.novelty import IsolationForest
 from repro.serve import (
     DetectionService,
     DriftMonitor,
+    LifecycleEvent,
+    LifecycleManager,
     ListSink,
     ModelRegistry,
-    make_registry_reload,
+    NoRefit,
 )
+from repro.serve.cli import DETECTOR_FACTORIES, main
+from repro.serve.sinks import read_events
 
 pytestmark = pytest.mark.serve
 
@@ -54,7 +58,9 @@ def test_end_to_end_serving_path(tiny_dataset, tmp_path):
         drift_monitor=monitor,
         sinks=[sink],
         micro_batch_size=128,
-        on_drift=make_registry_reload(registry, "smoke"),
+        lifecycle=LifecycleManager(
+            NoRefit(), registry=registry, model_name="smoke", sinks=[sink]
+        ),
     )
     stream = FlowStream(tiny_dataset, batch_size=100, drift_strength=2.5, random_state=0)
     report = service.run(stream)
@@ -63,6 +69,8 @@ def test_end_to_end_serving_path(tiny_dataset, tmp_path):
     assert report.throughput_samples_per_sec > 0
     assert report.n_drift_events >= 1  # injected drift must be noticed
     assert sink.events  # alerts and/or drift events reached the sink
+    decisions = [e for e in sink.events if isinstance(e, LifecycleEvent)]
+    assert len(decisions) == report.n_drift_events
     assert info.version == 1
 
 
@@ -97,6 +105,32 @@ def test_cli_serve_smoke(tmp_path):
     assert "processed" in result.stdout
     assert "published hbos-wustl_iiot v1" in result.stdout
     assert (tmp_path / "events.jsonl").is_file()
+
+
+@pytest.mark.parametrize("name", sorted(DETECTOR_FACTORIES))
+def test_cli_serves_and_publishes_every_detector(name, tmp_path, capsys):
+    """Each `--detector` choice fits, publishes, serves and logs its alerts."""
+    from repro.datasets.registry import load_dataset
+
+    registry_dir, alerts = tmp_path / "registry", tmp_path / "alerts.jsonl"
+    assert main([
+        "serve", "--dataset", "wustl_iiot", "--scale", "0.0015",
+        "--detector", name, "--registry", str(registry_dir), "--publish",
+        "--alerts", str(alerts),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert f"published {name}-wustl_iiot v1" in out
+    n_alerts = int(out.split("alerts: ")[1].split()[0])
+    records = read_events(alerts)
+    assert sum(record["type"] == "alert" for record in records) == n_alerts
+    # the published model is the factory's detector, fitted on the clean flows
+    dataset = load_dataset("wustl_iiot", scale=0.0015, seed=0)
+    expected = DETECTOR_FACTORIES[name]().fit(dataset.normal_data())
+    loaded = ModelRegistry(registry_dir).load(f"{name}-wustl_iiot")
+    assert type(loaded) is type(expected)
+    np.testing.assert_array_equal(
+        loaded.score_samples(dataset.X), expected.score_samples(dataset.X)
+    )
 
 
 def test_cli_registry_smoke(tmp_path, tiny_dataset):

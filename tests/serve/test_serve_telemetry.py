@@ -6,8 +6,7 @@ The contracts under test (see :mod:`repro.serve.telemetry`):
 * ``trace_span`` records wall time + row counts into the registry and
   (optionally) one JSONL record per span, and never alters control flow;
 * the serving service populates pipeline counters/histograms that agree
-  with their own ``ServiceReport``, expose fusion member diagnostics as
-  gauges, and emit periodic :class:`MetricsEvent` through the sink fabric;
+  with their own ``ServiceReport`` and emit periodic :class:`MetricsEvent` through the sink fabric;
 * degradations logged for operators land on the ``repro.serve`` logger in
   ``event key=value`` form.
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import pickle
 
 import numpy as np
@@ -24,10 +22,9 @@ import pytest
 
 from repro.datasets.registry import load_dataset
 from repro.datasets.streaming import FlowStream
-from repro.novelty import HBOS, IsolationForest, KNNDetector
+from repro.novelty import IsolationForest
 from repro.serve.drift import DriftMonitor
 from repro.serve.faults import ResilientSink
-from repro.serve.fusion import FusionDetector
 from repro.serve.service import DetectionService
 from repro.serve.sinks import ListSink
 from repro.serve.telemetry import (
@@ -267,64 +264,6 @@ class TestServiceTelemetry:
         }
         # The report still works off the wall-clock timer fallback.
         assert service.report().throughput_samples_per_sec > 0
-
-    def test_fusion_member_gauges(self, stream_setup):
-        dataset, normal, _ = stream_setup
-        fusion = FusionDetector(
-            [
-                IsolationForest(n_estimators=10, random_state=0),
-                KNNDetector(n_neighbors=5, random_state=0),
-                HBOS(n_bins=10),
-            ],
-            combine="pcr",
-        ).fit(normal)
-        service = DetectionService(fusion, threshold="auto")
-        stream = FlowStream(dataset, batch_size=97, random_state=0)
-        list(service.process(stream))
-        gauges = service.metrics_snapshot()["gauges"]
-        weights = [gauges[f"fusion.member_weight.{i}"]["value"] for i in range(3)]
-        assert sum(weights) == pytest.approx(1.0)
-        assert all(w > 0 for w in weights)
-        for i in range(3):
-            assert gauges[f"fusion.member_failed.{i}"]["value"] == 0.0
-        assert gauges["fusion.conflict_mass"]["value"] >= 0.0
-        # The attributes the gauges read from are populated on the detector.
-        assert len(fusion.member_weights_) == 3
-        assert math.isfinite(fusion.conflict_mass_)
-
-    def test_fusion_failed_member_flagged(self, stream_setup):
-        dataset, normal, _ = stream_setup
-
-        class Exploding(IsolationForest):
-            def score_samples(self, X):  # noqa: D102
-                raise RuntimeError("dead member")
-
-        fusion = FusionDetector(
-            [
-                IsolationForest(n_estimators=10, random_state=0),
-                Exploding(n_estimators=5, random_state=0),
-            ],
-            combine="mean",
-        )
-        fusion.detectors[0].fit(normal)
-        # Calibrate against the healthy committee, then break member 1.
-        healthy = FusionDetector(
-            [fusion.detectors[0], IsolationForest(n_estimators=5, random_state=1)],
-            combine="mean",
-            refit_members=True,
-        ).fit(normal)
-        fusion.loc_ = healthy.loc_
-        fusion.scale_ = healthy.scale_
-        fusion.n_features_ = healthy.n_features_
-        fusion.threshold_ = healthy.threshold_
-        service = DetectionService(fusion, threshold="auto")
-        stream = FlowStream(dataset, batch_size=97, random_state=0)
-        list(service.process(stream))
-        gauges = service.metrics_snapshot()["gauges"]
-        assert gauges["fusion.member_failed.1"]["value"] == 1.0
-        assert gauges["fusion.member_failed.0"]["value"] == 0.0
-        # A failed member's weight gauge reports 0.0 (its weight is nan).
-        assert gauges["fusion.member_weight.1"]["value"] == 0.0
 
 
 class TestOperatorLogging:
