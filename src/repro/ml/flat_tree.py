@@ -1,9 +1,9 @@
 """Flattened decision-tree arrays with iterative, frontier-based batch traversal.
 
-Fitted trees in this library are grown as linked ``_TreeNode`` objects, which
-is convenient for construction but forces per-sample Python recursion at
-inference time.  :func:`flatten_tree` compiles such a tree once, at the end of
-``fit()``, into a :class:`FlatTree`: five contiguous NumPy arrays
+The supervised trees in this library are grown as linked ``_TreeNode``
+objects, which is convenient for construction but forces per-sample Python
+recursion at inference time.  :func:`flatten_tree` compiles such a tree once,
+at the end of ``fit()``, into a :class:`FlatTree`: five contiguous NumPy arrays
 (``feature``, ``threshold``, ``left``, ``right``, ``value``) indexed by node
 id.  Batch prediction then routes *all* rows through the tree level by level
 ("frontier" traversal): every iteration advances the still-active rows one
@@ -14,6 +14,9 @@ Ensembles (and single trees on hot paths) are compiled one step further into
 a :class:`FlatForest`: all trees' nodes concatenated into shared arrays with
 consecutive children (``right = left + 1``) and self-looping leaves, the
 layout consumed by the optional native kernels in :mod:`repro.ml.native`.
+:class:`~repro.novelty.iforest.IsolationForest` skips both steps: it grows
+its isolation trees straight into this layout and builds the
+:class:`FlatForest` directly.
 
 Complexity and memory
 ---------------------

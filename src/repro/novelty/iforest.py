@@ -4,15 +4,31 @@ Builds an ensemble of isolation trees on random subsamples; the anomaly score
 of a sample is ``2^(-E[h(x)] / c(psi))`` where ``E[h(x)]`` is the average path
 length over the ensemble and ``c(psi)`` the expected path length of an
 unsuccessful BST search in a subsample of size ``psi``.
+
+``fit`` grows every tree straight into the :class:`~repro.ml.flat_tree.FlatForest`
+layout with one iterative pre-order builder: sibling slots are consecutive,
+leaves self-loop with a ``+inf`` threshold and carry ``depth + c(size)``
+from one ``c(0..psi)`` table.  Each tree partitions an index array over its
+transposed ``(d, psi)`` subsample in place, one slice per node, so no row
+subset is copied per node and no linked nodes exist.
+
+Random-number contract (every fit draws exactly this sequence, so forests
+are reproducible from a seed and a shared generator ends in a known state):
+
+* trees are drawn in order, each with ``rng.choice(n, psi, replace=False)``;
+* nodes are visited in pre-order, left subtree first;
+* a node at the depth limit ``ceil(log2 psi)`` or with at most one row draws
+  nothing;
+* otherwise it draws one ``rng.integers(d)`` (the split feature) and then,
+  only if that column's min and max differ, one ``rng.uniform(min, max)``
+  (the threshold; it raises ``OverflowError`` when ``max - min`` overflows).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.ml.flat_tree import FlatForest, flatten_tree
+from repro.ml.flat_tree import FlatForest
 from repro.novelty.base import NoveltyDetector
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_array, check_fitted, check_n_features
@@ -31,63 +47,64 @@ def average_path_length(n: int | np.ndarray) -> np.ndarray:
     return result
 
 
-@dataclass
-class _Node:
-    """Isolation-tree node: either an internal split or an external leaf."""
+def _grow_tree(
+    sub: np.ndarray,
+    max_depth: int,
+    leaf_length: list[float],
+    rng: np.random.Generator,
+    nodes: tuple[list, list, list, list],
+) -> int:
+    """Grow one isolation tree straight into the flat-forest node lists.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    size: int = 0  # only meaningful for leaves
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-def _build_tree(
-    X: np.ndarray, depth: int, max_depth: int, rng: np.random.Generator
-) -> _Node:
-    n = X.shape[0]
-    if depth >= max_depth or n <= 1:
-        return _Node(size=n)
-    feature = int(rng.integers(X.shape[1]))
-    lo, hi = X[:, feature].min(), X[:, feature].max()
-    if lo == hi:
-        return _Node(size=n)
-    threshold = float(rng.uniform(lo, hi))
-    left_mask = X[:, feature] < threshold
-    return _Node(
-        feature=feature,
-        threshold=threshold,
-        left=_build_tree(X[left_mask], depth + 1, max_depth, rng),
-        right=_build_tree(X[~left_mask], depth + 1, max_depth, rng),
-    )
-
-
-def _path_lengths(node: _Node, X: np.ndarray, depth: float, out: np.ndarray, idx: np.ndarray) -> None:
-    """Recursive per-node reference kept for equivalence tests and benchmarks."""
-    if node.is_leaf:
-        out[idx] = depth + (average_path_length(node.size)[0] if node.size > 1 else 0.0)
-        return
-    mask = X[idx, node.feature] < node.threshold
-    if mask.any():
-        _path_lengths(node.left, X, depth + 1.0, out, idx[mask])
-    if (~mask).any():
-        _path_lengths(node.right, X, depth + 1.0, out, idx[~mask])
-
-
-def _leaf_path_length(node: _Node, depth: int) -> float:
-    """Flat-tree payload: total path length credited at a leaf.
-
-    The payload equals leaf depth plus the ``c(size)`` adjustment for
-    unresolved leaves, so a single gather after batch traversal yields the
-    same value the recursive walk accumulates along the path.
+    ``sub`` is the tree's ``(d, psi)`` subsample, transposed so every split
+    column is contiguous.  Each node is a slice of one index array that is
+    partitioned in place, nodes are visited in pre-order (left subtree
+    first), and every internal node claims two consecutive slots for its
+    children.  Leaves self-loop with a ``+inf`` threshold and carry
+    ``depth + c(size)``.  Slots are absolute: the root takes the next free
+    one.  Returns the depth of the deepest leaf.
     """
-    if not node.is_leaf:
-        return 0.0
-    return depth + (average_path_length(node.size)[0] if node.size > 1 else 0.0)
+    features, thresholds, children, values = nodes
+    n_features, psi = sub.shape
+    integers, uniform = rng.integers, rng.uniform
+    idx = np.arange(psi)
+    root = len(features)
+    features.append(0)
+    thresholds.append(np.inf)
+    children.append(root)
+    values.append(0.0)
+    tree_depth = 0
+    stack = [(root, 0, psi, 0)]
+    while stack:
+        slot, start, stop, depth = stack.pop()
+        size = stop - start
+        if depth < max_depth and size > 1:
+            feature = int(integers(n_features))
+            seg = idx[start:stop]
+            column = sub[feature].take(seg)
+            lo, hi = np.minimum.reduce(column), np.maximum.reduce(column)
+            if lo != hi:
+                threshold = float(uniform(lo, hi))
+                go_left = column < threshold
+                # ``seg`` views ``idx``: gather both halves, then write back.
+                left, right = seg[go_left], seg[~go_left]
+                middle = start + left.shape[0]
+                idx[start:middle] = left
+                idx[middle:stop] = right
+                first = len(features)
+                features[slot] = feature
+                thresholds[slot] = threshold
+                children[slot] = first
+                features += (0, 0)
+                thresholds += (np.inf, np.inf)
+                children += (first, first + 1)
+                values += (0.0, 0.0)
+                stack.append((first + 1, middle, stop, depth + 1))
+                stack.append((first, start, middle, depth + 1))
+                continue
+        values[slot] = depth + leaf_length[size]
+        tree_depth = max(tree_depth, depth)
+    return tree_depth
 
 
 class IsolationForest(NoveltyDetector):
@@ -100,10 +117,6 @@ class IsolationForest(NoveltyDetector):
     max_samples:
         Subsample size per tree (``psi``); capped at the training-set size.
     """
-
-    # The linked per-tree nodes only back the retained naive reference; the
-    # compiled flat forest is the deployable state, so snapshots skip them.
-    _snapshot_transient_ = ("trees_",)
 
     def __init__(
         self,
@@ -119,7 +132,6 @@ class IsolationForest(NoveltyDetector):
         self.n_estimators = n_estimators
         self.max_samples = max_samples
         self.random_state = random_state
-        self.trees_: list[_Node] | None = None
         self.forest_: FlatForest | None = None
         self.subsample_size_: int | None = None
         self.n_features_: int | None = None
@@ -130,23 +142,30 @@ class IsolationForest(NoveltyDetector):
         rng = check_random_state(self.random_state)
         psi = min(self.max_samples, X.shape[0])
         max_depth = int(np.ceil(np.log2(max(psi, 2))))
-        trees = []
+        leaf_length = average_path_length(np.arange(psi + 1)).tolist()
+        nodes: tuple[list, list, list, list] = ([], [], [], [])
+        roots, depths = [], []
         for _ in range(self.n_estimators):
             idx = rng.choice(X.shape[0], psi, replace=False)
-            trees.append(_build_tree(X[idx], 0, max_depth, rng))
-        self.trees_ = trees
-        # Compile the ensemble to one flat forest (strict "<" comparator,
-        # leaf payload = depth + c(size)) for batch scoring.
-        self.forest_ = FlatForest.from_flat_trees(
-            [flatten_tree(tree, _leaf_path_length, strict=True) for tree in trees]
+            roots.append(len(nodes[0]))
+            sub = np.ascontiguousarray(X[idx].T)
+            depths.append(_grow_tree(sub, max_depth, leaf_length, rng, nodes))
+        features, thresholds, children, values = nodes
+        # Strict "<" comparator, leaf payload = depth + c(size).
+        self.forest_ = FlatForest(
+            feature=np.asarray(features, dtype=np.int32),
+            threshold=np.asarray(thresholds, dtype=np.float64),
+            child=np.asarray(children, dtype=np.int32),
+            value=np.asarray(values, dtype=np.float64)[:, None],
+            roots=np.asarray(roots, dtype=np.int64),
+            depths=np.asarray(depths, dtype=np.int64),
+            strict=True,
         )
         self.subsample_size_ = psi
         self._set_default_threshold(self.score_samples(X))
         return self
 
     def score_samples(self, X: np.ndarray) -> np.ndarray:
-        # Snapshots restore only the compiled forest (``trees_`` is a naive
-        # reference cache), so fittedness is judged on ``forest_``.
         check_fitted(self, "forest_")
         X = check_array(X, name="X", allow_empty=True)
         check_n_features(X, self.n_features_, fitted_with="forest was fitted")
@@ -157,15 +176,28 @@ class IsolationForest(NoveltyDetector):
         return np.power(2.0, -mean_depth / max(c, 1e-12))
 
     def _score_samples_naive(self, X: np.ndarray) -> np.ndarray:
-        """Recursive per-tree reference kept for equivalence tests and benchmarks."""
-        check_fitted(self, "trees_")
+        """Recursive per-tree mask walk, kept for equivalence tests and benchmarks."""
+        check_fitted(self, "forest_")
         X = check_array(X, name="X", allow_empty=True)
         if X.shape[0] == 0:
             return np.empty(0)
-        depths = np.zeros((len(self.trees_), X.shape[0]))
-        all_idx = np.arange(X.shape[0])
-        for t, tree in enumerate(self.trees_):
-            _path_lengths(tree, X, 0.0, depths[t], all_idx)
+        forest = self.forest_
+
+        def walk(node: int, rows: np.ndarray, out: np.ndarray) -> None:
+            child = int(forest.child[node])
+            if child == node:
+                out[rows] = forest.value[node, 0]
+                return
+            go_left = X[rows, forest.feature[node]] < forest.threshold[node]
+            if go_left.any():
+                walk(child, rows[go_left], out)
+            if (~go_left).any():
+                walk(child + 1, rows[~go_left], out)
+
+        depths = np.zeros((forest.n_trees, X.shape[0]))
+        all_rows = np.arange(X.shape[0])
+        for t, root in enumerate(forest.roots):
+            walk(int(root), all_rows, depths[t])
         mean_depth = depths.mean(axis=0)
         c = average_path_length(self.subsample_size_)[0]
         return np.power(2.0, -mean_depth / max(c, 1e-12))

@@ -153,6 +153,13 @@ class TestIsolationForest:
         detector = IsolationForest(n_estimators=10, max_samples=256, random_state=0).fit(X)
         assert detector.subsample_size_ == 50
 
+    def test_overflowing_column_range_raises(self):
+        # Finite data whose max - min overflows: the split draw refuses the
+        # range rather than returning an infinite threshold.
+        X = np.random.default_rng(3).choice([-1e308, 1e308], size=(64, 3))
+        with pytest.raises(OverflowError):
+            IsolationForest(n_estimators=3, random_state=0).fit(X)
+
 
 class TestDeepIsolationForest:
     def test_ensemble_sizes(self):

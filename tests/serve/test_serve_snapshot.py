@@ -89,6 +89,26 @@ class TestDetectorRoundTrips:
             loaded.predict(X_query), detector.predict(X_query)
         )
 
+    def test_iforest_snapshot_with_linked_trees_entry(self, data, tmp_path):
+        # Snapshots written while IsolationForest still kept linked trees
+        # carry a transient ``"trees_": null`` attribute; they still load.
+        X_train, _, X_query = data
+        detector = DETECTOR_FACTORIES["iforest"]().fit(X_train)
+        path = detector.save(tmp_path / "iforest")
+        manifest = json.loads((path / "manifest.json").read_text())
+        (entry,) = [
+            obj for obj in manifest["objects"]
+            if obj.get("cls") == "repro.novelty.iforest:IsolationForest"
+        ]
+        assert "trees_" not in entry["attrs"]
+        entry["attrs"]["trees_"] = None
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        loaded = load_snapshot(path)
+        assert loaded.score_samples(X_query).tobytes() == (
+            detector.score_samples(X_query).tobytes()
+        )
+        assert loaded.threshold_ == detector.threshold_
+
     def test_typed_load_classmethod(self, data, tmp_path):
         X_train, _, X_query = data
         detector = HBOS(n_bins=10).fit(X_train)

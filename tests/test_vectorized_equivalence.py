@@ -11,19 +11,37 @@ pure-NumPy fallback (``REPRO_DISABLE_NATIVE``).
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.ml import KMeans, pairwise_euclidean, pairwise_squared_euclidean, pairwise_topk
+from repro.ml import (
+    FlatForest,
+    KMeans,
+    flatten_tree,
+    pairwise_euclidean,
+    pairwise_squared_euclidean,
+    pairwise_topk,
+)
 from repro.ml.binning import batch_bin_right, batch_searchsorted_right
-from repro.novelty import HBOS, LODA, IsolationForest, KNNDetector, LocalOutlierFactor
+from repro.novelty import (
+    HBOS,
+    LODA,
+    DeepIsolationForest,
+    IsolationForest,
+    KNNDetector,
+    LocalOutlierFactor,
+)
+from repro.novelty.iforest import average_path_length
 from repro.supervised import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     GradientBoostingClassifier,
     RandomForestClassifier,
 )
+from repro.utils.random import check_random_state
+from repro.utils.validation import check_array
 
 
 @pytest.fixture(params=["native", "numpy"])
@@ -504,3 +522,148 @@ class TestKMeansEquivalence:
         model = KMeans(n_clusters=2, n_init=2, random_state=0).fit(X)
         expected = pairwise_squared_euclidean(X, model.cluster_centers_).argmin(axis=1)
         np.testing.assert_array_equal(model.labels_, expected)
+
+
+@dataclass
+class _Node:
+    """Isolation-tree node: either an internal split or an external leaf."""
+
+    feature: int = -1
+    threshold: float = 0.0
+    left: "_Node | None" = None
+    right: "_Node | None" = None
+    size: int = 0  # only meaningful for leaves
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+def _build_tree(
+    X: np.ndarray, depth: int, max_depth: int, rng: np.random.Generator
+) -> _Node:
+    n = X.shape[0]
+    if depth >= max_depth or n <= 1:
+        return _Node(size=n)
+    feature = int(rng.integers(X.shape[1]))
+    lo, hi = X[:, feature].min(), X[:, feature].max()
+    if lo == hi:
+        return _Node(size=n)
+    threshold = float(rng.uniform(lo, hi))
+    left_mask = X[:, feature] < threshold
+    return _Node(
+        feature=feature,
+        threshold=threshold,
+        left=_build_tree(X[left_mask], depth + 1, max_depth, rng),
+        right=_build_tree(X[~left_mask], depth + 1, max_depth, rng),
+    )
+
+
+def _leaf_path_length(node: _Node, depth: int) -> float:
+    if not node.is_leaf:
+        return 0.0
+    return depth + (average_path_length(node.size)[0] if node.size > 1 else 0.0)
+
+
+class _LinkedIsolationForest(IsolationForest):
+    """Linked ``_Node`` trees, then ``flatten_tree``, then ``from_flat_trees``."""
+
+    def fit(self, X):
+        X = check_array(X, name="X")
+        self.n_features_ = X.shape[1]
+        rng = check_random_state(self.random_state)
+        psi = min(self.max_samples, X.shape[0])
+        max_depth = int(np.ceil(np.log2(max(psi, 2))))
+        trees = []
+        for _ in range(self.n_estimators):
+            idx = rng.choice(X.shape[0], psi, replace=False)
+            trees.append(_build_tree(X[idx], 0, max_depth, rng))
+        self.forest_ = FlatForest.from_flat_trees(
+            [flatten_tree(tree, _leaf_path_length, strict=True) for tree in trees]
+        )
+        self.subsample_size_ = psi
+        self._set_default_threshold(self.score_samples(X))
+        return self
+
+
+def _leaf_values(forest):
+    leaves = forest.child == np.arange(forest.child.shape[0])
+    return np.sort(forest.value[leaves, 0])
+
+
+def _assert_same_forest(fast, linked, X):
+    assert fast.score_samples(X).tobytes() == linked.score_samples(X).tobytes()
+    assert fast.threshold_ == linked.threshold_
+    assert fast.subsample_size_ == linked.subsample_size_
+    a, b = fast.forest_, linked.forest_
+    assert a.n_trees == b.n_trees
+    assert a.feature.shape == b.feature.shape
+    np.testing.assert_array_equal(a.depths, b.depths)
+    np.testing.assert_array_equal(np.sort(a.threshold), np.sort(b.threshold))
+    np.testing.assert_array_equal(_leaf_values(a), _leaf_values(b))
+
+
+class TestIsolationForestFitMatchesLinkedTrees:
+    """``fit`` grows the flat forest directly, bit for bit as the linked path."""
+
+    @pytest.mark.parametrize(
+        "name,X,params",
+        [
+            ("d1", np.random.default_rng(1).normal(size=(500, 1)), {}),
+            ("d5", np.random.default_rng(5).normal(size=(700, 5)), {}),
+            ("d56", np.random.default_rng(56).normal(size=(1000, 56)), {}),
+            (
+                "constant-column",
+                np.c_[np.random.default_rng(2).normal(size=(300, 3)), np.full(300, 2.0)],
+                {},
+            ),
+            ("all-constant", np.full((200, 4), 1.5), {}),
+            ("psi-capped", np.random.default_rng(3).normal(size=(50, 3)), {}),
+            (
+                "max-samples-2",
+                np.random.default_rng(4).normal(size=(300, 5)),
+                {"max_samples": 2},
+            ),
+            (
+                "ties",
+                np.random.default_rng(6).integers(0, 3, size=(600, 6)).astype(float),
+                {},
+            ),
+        ],
+    )
+    def test_int_random_state(self, name, X, params):
+        kwargs = {"n_estimators": 20, "random_state": 7, **params}
+        fast = IsolationForest(**kwargs).fit(X)
+        linked = _LinkedIsolationForest(**kwargs).fit(X)
+        _assert_same_forest(fast, linked, X)
+
+    def test_shared_generator_leaves_the_same_state(self):
+        X = np.random.default_rng(8).normal(size=(400, 5))
+        fast_rng, linked_rng = np.random.default_rng(11), np.random.default_rng(11)
+        fast = IsolationForest(n_estimators=15, random_state=fast_rng).fit(X)
+        linked = _LinkedIsolationForest(n_estimators=15, random_state=linked_rng).fit(X)
+        _assert_same_forest(fast, linked, X)
+        assert fast_rng.bit_generator.state == linked_rng.bit_generator.state
+        assert fast_rng.random(4).tobytes() == linked_rng.random(4).tobytes()
+
+    def test_deep_isolation_forest_end_to_end(self, monkeypatch):
+        X = np.random.default_rng(9).normal(size=(300, 6))
+        fast_rng, linked_rng = np.random.default_rng(12), np.random.default_rng(12)
+        make = lambda rng: DeepIsolationForest(
+            n_representations=2, n_estimators_per_representation=8, random_state=rng
+        )
+        fast = make(fast_rng).fit(X)
+        monkeypatch.setattr("repro.novelty.dif.IsolationForest", _LinkedIsolationForest)
+        linked = make(linked_rng).fit(X)
+        assert all(type(f) is _LinkedIsolationForest for f in linked.forests_)
+        assert fast.score_samples(X).tobytes() == linked.score_samples(X).tobytes()
+        assert fast.threshold_ == linked.threshold_
+        assert fast_rng.bit_generator.state == linked_rng.bit_generator.state
+
+    def test_leaf_length_table_matches_scalar_calls(self):
+        psi = 4096
+        table = average_path_length(np.arange(psi + 1))
+        scalar = np.array([average_path_length(n)[0] for n in range(psi + 1)])
+        assert table.tobytes() == scalar.tobytes()
+        assert table[0] == table[1] == 0.0
+
