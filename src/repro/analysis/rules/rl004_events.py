@@ -5,7 +5,8 @@ Every event that reaches a sink ends up as one JSON object in
 and report builders dispatch on it).  This rule finds the classes that flow
 into sinks — constructor calls appearing directly in ``self._emit(...)`` /
 ``<sink>.emit(...)`` / ``emit_resilient(sinks, ...)``, constructors assigned
-to a local that is then emitted inside the same function, plus a declared
+to a local that is then emitted inside the same function (also as a starred
+batch, ``self._emit(*alerts)``), plus a declared
 set of event classes that are emitted indirectly (``SinkDisabled``,
 ``RegistryRecovery``) — and requires each to define ``to_dict`` returning a
 dict whose keys are statically known string literals including ``"type"``.
@@ -94,6 +95,8 @@ def _collect_emitted(tree: ast.Module) -> dict[str, int]:
                 event_arg = node.args[1] if len(node.args) > 1 else None
             if event_arg is None:
                 continue
+            if isinstance(event_arg, ast.Starred):  # self._emit(*alerts)
+                event_arg = event_arg.value
             ctor = _constructor_name(event_arg)
             if ctor is None and isinstance(event_arg, ast.Name):
                 ctor = local_ctors.get(event_arg.id)

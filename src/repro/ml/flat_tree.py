@@ -167,7 +167,7 @@ class FlatForest:
     ``right = child + 1``) and every leaf *self-loops* with a ``+inf``
     threshold, so walking a row is simply ``depth`` repetitions of
     ``node = child[node] + (x[feature[node]] OP threshold[node])`` with no
-    leaf test — branch-free, and four rows are interleaved by the native
+    leaf test — branch-free, and eight rows are interleaved by the native
     kernel to overlap the dependent load chains.
 
     The self-looping-leaf trick relies on every comparison against the

@@ -199,16 +199,21 @@ class DriftMonitor:
         stream start, the *bootstrapped reference* — silencing or misfiring
         the monitor for the rest of the window.  (The serving layer
         quarantines such rows before scoring; this guard covers monitors fed
-        directly.)
+        directly.)  A batch that is finite throughout — always the case behind
+        that quarantine — is checked with one flat ``isfinite(...).all()``
+        per array and enters the windows as is, without a per-row mask or
+        copy.
         """
         scores = np.asarray(scores, dtype=np.float64).ravel()
         if X is not None and self.track_features:
             X = np.asarray(X, dtype=np.float64)
-        finite = np.isfinite(scores)
-        if X is not None and self.track_features and X.shape[0] == scores.shape[0]:
-            finite &= np.isfinite(X).all(axis=1)
-            X = X[finite]
-        scores = scores[finite]
+        paired = X is not None and self.track_features and X.shape[0] == scores.shape[0]
+        if not (np.isfinite(scores).all() and (not paired or np.isfinite(X).all())):
+            finite = np.isfinite(scores)
+            if paired:
+                finite &= np.isfinite(X).all(axis=1)
+                X = X[finite]
+            scores = scores[finite]
         if self._scores is None:
             self._scores = _RingBuffer(self.window, 1)
         self._scores.extend(scores[:, None])

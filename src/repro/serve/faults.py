@@ -153,6 +153,12 @@ class ResilientSink:
     flaky sink (full disk that clears, a pager briefly offline) is retried
     indefinitely rather than being disabled on scattered errors.
 
+    :meth:`emit_many` hands a batch to the wrapped sink's own ``emit_many``
+    when it has one: the whole batch is one emit — retried as a unit,
+    counting one consecutive error and ``len(events)`` drops when it still
+    fails.  A sink without ``emit_many`` gets the batch event by event,
+    each event its own emit with the semantics above.
+
     ``close`` failures are swallowed too: shutdown must not raise through a
     half-broken sink.
     """
@@ -179,12 +185,27 @@ class ResilientSink:
 
     def emit(self, event: Any) -> SinkDisabled | None:
         """Emit ``event``; returns a :class:`SinkDisabled` on the disabling emit."""
+        return self._deliver(self.inner.emit, event, 1)
+
+    def emit_many(self, events: Sequence[Any]) -> SinkDisabled | None:
+        """Emit a batch in order; returns a :class:`SinkDisabled` if it disabled the sink."""
+        emit_many = getattr(self.inner, "emit_many", None)
+        if emit_many is not None:
+            return self._deliver(emit_many, events, len(events))
+        notice = None
+        for event in events:
+            notice = self.emit(event) or notice
+        return notice
+
+    def _deliver(
+        self, send: Callable[[Any], None], payload: Any, n_events: int
+    ) -> SinkDisabled | None:
         if self.disabled_:
-            self.n_dropped_ += 1
+            self.n_dropped_ += n_events
             return None
         for _ in range(self.retries + 1):
             try:
-                self.inner.emit(event)
+                send(payload)
             except Exception as exc:  # noqa: BLE001 - isolation is the point
                 self.n_errors_ += 1
                 self.last_error_ = exc
@@ -192,7 +213,7 @@ class ResilientSink:
             self.consecutive_errors_ = 0
             return None
         self.consecutive_errors_ += 1
-        self.n_dropped_ += 1
+        self.n_dropped_ += n_events
         if self.consecutive_errors_ < self.max_consecutive_errors:
             return None
         self.disabled_ = True
@@ -237,16 +258,19 @@ def wrap_sinks(sinks: Sequence[Any]) -> list[ResilientSink]:
     ]
 
 
-def emit_resilient(sinks: Sequence[ResilientSink], event: Any) -> list[SinkDisabled]:
-    """Emit ``event`` to every sink; broadcast any disabling to the survivors.
+def emit_resilient(sinks: Sequence[ResilientSink], *events: Any) -> list[SinkDisabled]:
+    """Emit ``events`` to every sink; broadcast any disabling to the survivors.
 
-    Returns the :class:`SinkDisabled` events produced by this emit (empty in
-    the healthy case), after delivering them to the still-enabled sinks so
-    the operator's log records which sink went dark and why.
+    Each sink receives all of ``events`` in one
+    :meth:`ResilientSink.emit_many` call.  Returns the :class:`SinkDisabled`
+    events produced by this call (empty in the healthy case), after
+    delivering them to the still-enabled sinks so the operator's log records
+    which sink went dark and why.  A survivor receives the notice after the
+    whole batch, even when the failing sink went dark partway through it.
     """
     disabled: list[SinkDisabled] = []
     for sink in sinks:
-        outcome = sink.emit(event)
+        outcome = sink.emit_many(events)
         if outcome is not None:
             disabled.append(outcome)
     for notice in disabled:

@@ -446,8 +446,9 @@ class DetectionService:
             quantile_threshold(self._rolling.values().ravel(), self.rolling_quantile)
         )
 
-    def _emit(self, event: Any) -> None:
-        if not self.sinks:
+    def _emit(self, *events: Any) -> None:
+        """Hand ``events`` to the sinks in one call under one ``sink_emit`` span."""
+        if not self.sinks or not events:
             return
         # Span only when there are sinks to pay for.  Emit spans parent to
         # the *root* context, not the current batch: root-level sink_emit is
@@ -458,7 +459,7 @@ class DetectionService:
             tracer=self.tracer,
             context=self.trace_context,
         ):
-            self.n_disabled_sinks_ += len(emit_resilient(self.sinks, event))
+            self.n_disabled_sinks_ += len(emit_resilient(self.sinks, *events))
 
     def process_batch(self, X: np.ndarray) -> BatchResult:
         """Score one batch: thresholds, alerts, drift, counters.
@@ -604,8 +605,7 @@ class DetectionService:
             )
             for i in np.flatnonzero(predictions)
         )
-        for alert in alerts:
-            self._emit(alert)
+        self._emit(*alerts)
 
         drift_report: DriftReport | None = None
         if self.drift_monitor is not None and scores.size:

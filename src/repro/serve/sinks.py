@@ -7,10 +7,18 @@ cover the three deployment staples — keep events in memory (tests,
 notebooks), append them to a JSONL file (log shippers), or hand them to a
 callback (paging, metrics counters).
 
+A sink may also implement ``emit_many(events)`` to take a whole batch in one
+call; :class:`~repro.serve.faults.ResilientSink` uses it when present and
+otherwise delivers the batch event by event.
+
 Every JSONL file of :mod:`repro.serve` — sink events, span traces and
 registry lineage — is written by :class:`JsonlSink` and read by
-:func:`read_events`: one sorted-key JSON object per line, each line
-flushed as it is written.
+:func:`read_events`: one sorted-key JSON object per line.  Each emit or
+append call is one ``write(2)`` of all its lines, done before the call
+returns, so a :class:`~repro.serve.service.DetectionService` has written a
+batch's events before ``process_batch`` returns.  A crash loses at most the
+batch being written: the torn line it may leave is cut off by the next
+writer and skipped by :func:`read_events`, never read as a partial record.
 """
 
 from __future__ import annotations
@@ -21,9 +29,13 @@ import os
 import threading
 import warnings
 from pathlib import Path
-from typing import IO, Any, Callable, Protocol
+from typing import IO, Any, Callable, Protocol, Sequence
 
 __all__ = ["AlertSink", "ListSink", "JsonlSink", "CallbackSink", "read_events"]
+
+#: One shared encoder, byte-identical to ``json.dumps(record, sort_keys=True)``,
+#: which builds a new one on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def read_events(path: str | Path) -> list[dict]:
@@ -115,10 +127,12 @@ class JsonlSink:
     """The JSONL appender: one sorted-key JSON object per line.
 
     The file opens lazily, in append mode, after a torn tail left by a killed
-    writer is cut off, so it never glues onto the next record.  Each
-    :meth:`append` writes and flushes one line under a lock.  A write that
-    raises, and :meth:`close`, truncate back to the last complete line;
-    :meth:`close` also fsyncs.
+    writer is cut off, so it never glues onto the next record.
+    :meth:`emit_many` encodes all its events and writes them with one
+    ``write(2)`` under a lock; :meth:`emit` and :meth:`append` are the
+    one-record calls of the same writer.  A write that raises or comes up
+    short truncates back to the last complete line, dropping the whole call;
+    :meth:`close` does the same and fsyncs.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -129,11 +143,20 @@ class JsonlSink:
         self._lock = threading.Lock()
 
     def emit(self, event: Any) -> None:
-        self.append(event.to_dict())
+        self._write([event.to_dict()])
+
+    def emit_many(self, events: Sequence[Any]) -> None:
+        """Write every event of a batch, in order, with one ``write(2)``."""
+        self._write([event.to_dict() for event in events])
 
     def append(self, record: dict) -> None:
         """Write ``record`` as one line and flush it to the OS."""
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        self._write([record])
+
+    def _write(self, records: list[dict]) -> None:
+        if not records:
+            return
+        data = "".join([_ENCODER.encode(r) + "\n" for r in records]).encode("utf-8")
         with self._lock:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -143,13 +166,13 @@ class JsonlSink:
                 self._handle = open(self.path, "ab", buffering=0)
                 self._good_offset = self._handle.tell()
             try:
-                if self._handle.write(line) != len(line):
+                if self._handle.write(data) != len(data):
                     raise OSError(f"short write to {self.path}")
             except BaseException:
                 self._truncate_to_good()
                 raise
             self._good_offset = self._handle.tell()
-            self.n_written += 1
+            self.n_written += len(records)
 
     def _truncate_to_good(self) -> None:
         """Drop a partially written trailing line (lock held, file open)."""

@@ -24,15 +24,25 @@ class Opaque:
         return asdict(self)
 
 
+@dataclass
+class BatchedMissingType:
+    sample_index: int
+
+    def to_dict(self):  # BAD: emitted only as a starred batch, no 'type' key
+        return {"sample_index": self.sample_index}
+
+
 class Emitter:
     def __init__(self, sinks):
         self.sinks = sinks
 
-    def _emit(self, event):
+    def _emit(self, *events):
         for sink in self.sinks:
-            sink.emit(event)
+            sink.emit_many(events)
 
     def run(self):
         self._emit(NoDict(batch_index=0))
         self._emit(MissingType(batch_index=1))
         self._emit(Opaque(batch_index=2))
+        batch = tuple(BatchedMissingType(sample_index=i) for i in range(3))
+        self._emit(*batch)

@@ -22,14 +22,24 @@ class WrapperEvent:
         return payload
 
 
+@dataclass
+class BatchedEvent:
+    sample_index: int
+
+    def to_dict(self):
+        return {"type": "batched", "sample_index": self.sample_index}
+
+
 class Emitter:
     def __init__(self, sinks):
         self.sinks = sinks
 
-    def _emit(self, event):
+    def _emit(self, *events):
         for sink in self.sinks:
-            sink.emit(event)
+            sink.emit_many(events)
 
     def run(self):
         self._emit(GoodEvent(batch_index=0))
         self._emit(WrapperEvent(inner=GoodEvent(batch_index=1)))
+        batch = tuple(BatchedEvent(sample_index=i) for i in range(3))
+        self._emit(*batch)

@@ -11,6 +11,7 @@ selection, suppression handling, and sorting all run exactly as in
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from repro.analysis import LintContext, lint_parsed, parse_module
 from repro.analysis.rules import RULE_CLASSES, rules_by_id
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: rule id -> (bad fixture, good fixture, pretend path to lint under).
 CASES = {
@@ -131,3 +133,12 @@ def test_rl008_readme_import_cross_check():
     assert finding.path == "README.md"
     assert finding.line == 4
     assert "does_not_exist" in finding.message
+
+
+def test_rl004_sees_every_event_the_service_emits():
+    """The batched ``self._emit(*alerts)`` keeps ``Alert`` under RL004."""
+    from repro.analysis.rules.rl004_events import _collect_emitted
+
+    source = (REPO_ROOT / "src/repro/serve/service.py").read_text(encoding="utf-8")
+    emitted = _collect_emitted(ast.parse(source))
+    assert {"Alert", "DriftEvent", "QuarantinedRows"} <= set(emitted)

@@ -158,6 +158,79 @@ class TestForestParallelEquivalence:
         np.testing.assert_array_equal(native_out, numpy_out)
 
 
+def _random_tree(rng: np.random.Generator, strict: bool, max_depth: int) -> FlatTree:
+    """A random unbalanced tree whose integer thresholds tie with integer X."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(depth: int) -> int:
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append([rng.normal()])
+        if depth < max_depth and rng.random() < 0.75:
+            feature[node] = int(rng.integers(3))
+            threshold[node] = float(rng.integers(-2, 3))
+            left[node] = grow(depth + 1)
+            right[node] = grow(depth + 1)
+        return node
+
+    grow(0)
+    return FlatTree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=np.float64),
+        strict=strict,
+    )
+
+
+class TestNativeKernelMatchesNumpy:
+    """The eight-row native walk equals the NumPy backend bit for bit.
+
+    Row counts around multiples of eight reach the interleaved groups, the
+    single-row tail and, from ``MIN_PARALLEL_ROWS`` on, thread ranges whose
+    lengths are not multiples of eight.
+    """
+
+    ROWS = [1, 3, 7, 8, 9, 15, 17, 255, 256, 257, 2049, 6001]
+
+    @pytest.fixture(autouse=True)
+    def require_native(self):
+        if not native.available():
+            pytest.skip("native kernels unavailable in this environment")
+
+    @staticmethod
+    def _forest(strict: bool) -> FlatForest:
+        rng = np.random.default_rng(11 if strict else 12)
+        trees = [_random_tree(rng, strict, max_depth=6) for _ in range(13)]
+        return FlatForest.from_flat_trees(trees)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("n", ROWS)
+    def test_sum_and_apply_equal_numpy_any_thread_count(self, monkeypatch, strict, n):
+        forest = self._forest(strict)
+        X = np.random.default_rng(n).integers(-3, 4, size=(n, 3)).astype(np.float64)
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+        expected_sum = forest.sum_values(X)[:, 0]
+        expected_leaves = forest.apply(X)
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE")
+        for threads in (1, 2, 5):
+            monkeypatch.setenv("REPRO_NUM_THREADS", str(threads))
+            sums = native.forest_sum(
+                X, forest.feature, forest.threshold, forest.child,
+                forest._value_flat, forest.roots, forest.depths, strict,
+            )
+            leaves = native.forest_apply(
+                X, forest.feature, forest.threshold, forest.child,
+                forest.roots, forest.depths, strict,
+            )
+            np.testing.assert_array_equal(sums, expected_sum)
+            np.testing.assert_array_equal(leaves, expected_leaves)
+
+
 class TestPairwiseTopkParallel:
     def test_threaded_blocks_bit_identical(self, monkeypatch):
         rng = np.random.default_rng(0)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.serve.drift import DriftMonitor, _RingBuffer
+from repro.serve.drift import DriftMonitor, DriftReport, _RingBuffer
 from repro.serve.service import DriftEvent
 from repro.serve.sinks import JsonlSink
 
@@ -145,3 +145,144 @@ class TestDriftMonitor:
             DriftMonitor(threshold=0.0)
         with pytest.raises(ValueError):
             DriftMonitor().set_reference(np.zeros(1))
+
+
+class _MaskedDriftMonitor(DriftMonitor):
+    """The update before the finite fast path: always mask rows, always copy."""
+
+    def update(self, scores, X=None):
+        scores = np.asarray(scores, dtype=np.float64).ravel()
+        if X is not None and self.track_features:
+            X = np.asarray(X, dtype=np.float64)
+        finite = np.isfinite(scores)
+        if X is not None and self.track_features and X.shape[0] == scores.shape[0]:
+            finite &= np.isfinite(X).all(axis=1)
+            X = X[finite]
+        scores = scores[finite]
+        if self._scores is None:
+            self._scores = _RingBuffer(self.window, 1)
+        self._scores.extend(scores[:, None])
+        if X is not None and self.track_features:
+            if self._features is None:
+                self._features = _RingBuffer(self.window, X.shape[1])
+            self._features.extend(X)
+        self._n_seen += scores.size
+        if self._score_ref is None and self._n_seen >= self.min_samples:
+            window_scores = self._scores.values().ravel()
+            self._score_ref = (
+                float(window_scores.mean()),
+                float(max(window_scores.std(), 1e-12)),
+            )
+        if (
+            self._feature_ref is None
+            and self._features is not None
+            and self._n_seen >= self.min_samples
+        ):
+            window_features = self._features.values()
+            std = window_features.std(axis=0)
+            std[std == 0.0] = 1e-12
+            self._feature_ref = (window_features.mean(axis=0), std)
+        score_shift = 0.0
+        feature_shift = 0.0
+        if self._score_ref is not None and self._scores.count:
+            ref_mean, ref_std = self._score_ref
+            score_shift = float(abs(self._scores.mean()[0] - ref_mean) / ref_std)
+        if self._feature_ref is not None and self._features is not None and self._features.count:
+            ref_mean, ref_std = self._feature_ref
+            feature_shift = float(
+                np.max(np.abs(self._features.mean() - ref_mean) / ref_std)
+            )
+        exceeded = (
+            self._n_seen >= self.min_samples
+            and max(score_shift, feature_shift) > self.threshold
+        )
+        in_cooldown = self._cooldown_left > 0
+        if in_cooldown:
+            self._cooldown_left -= 1
+        drifted = exceeded and not in_cooldown
+        if drifted:
+            self._cooldown_left = self.cooldown
+        return DriftReport(
+            drifted=drifted,
+            score_shift=score_shift,
+            feature_shift=feature_shift,
+            threshold=self.threshold,
+            n_samples_seen=self._n_seen,
+            in_cooldown=in_cooldown,
+        )
+
+
+def _window_state(monitor: DriftMonitor):
+    features = monitor._features
+    return (
+        monitor._scores.values().tobytes(),
+        None if features is None else features.values().tobytes(),
+        repr(monitor._score_ref),
+        None if monitor._feature_ref is None
+        else tuple(a.tobytes() for a in monitor._feature_ref),
+    )
+
+
+class TestFiniteFastPath:
+    """Finite batches skip the row mask; reports and windows do not change."""
+
+    @staticmethod
+    def _batches(rng, n_batches=24, d=5):
+        for b in range(n_batches):
+            n = int(rng.integers(1, 700))  # one batch beyond the window, most not
+            shift = 0.0 if b < 10 else 1.5
+            X = rng.normal(loc=shift, size=(n, d))
+            yield rng.normal(loc=shift, size=n), X
+
+    @pytest.mark.parametrize("with_reference", [False, True])
+    @pytest.mark.parametrize("feed", ["paired", "unpaired", "scores_only", "untracked"])
+    def test_finite_batches_match_the_masked_update(self, with_reference, feed):
+        rng = np.random.default_rng(17)
+        kwargs = dict(window=512, threshold=0.5, min_samples=64, cooldown=3,
+                      track_features=feed != "untracked")
+        fast, masked = DriftMonitor(**kwargs), _MaskedDriftMonitor(**kwargs)
+        if with_reference:
+            ref_scores, ref_X = rng.normal(size=300), rng.normal(size=(300, 5))
+            fast.set_reference(ref_scores, ref_X)
+            masked.set_reference(ref_scores, ref_X)
+        fired = False
+        for scores, X in self._batches(rng):
+            if feed == "unpaired":
+                X = X[: max(1, X.shape[0] // 2)]
+            elif feed == "scores_only":
+                X = None
+            report = fast.update(scores, X)
+            assert report == masked.update(scores, X)
+            assert _window_state(fast) == _window_state(masked)
+            fired = fired or report.drifted
+        assert fired
+
+    def test_nan_rows_are_dropped_exactly(self):
+        rng = np.random.default_rng(3)
+        fast = DriftMonitor(window=256, min_samples=16)
+        masked = _MaskedDriftMonitor(window=256, min_samples=16)
+        scores, X = rng.normal(size=40), rng.normal(size=(40, 3))
+        scores[[2, 9]] = np.nan
+        X[[9, 30], 1] = np.inf
+        report = fast.update(scores, X)
+        assert report == masked.update(scores, X)
+        assert report.n_samples_seen == 37
+        keep = np.setdiff1d(np.arange(40), [2, 9, 30])
+        np.testing.assert_array_equal(fast._scores.values().ravel(), scores[keep])
+        np.testing.assert_array_equal(fast._features.values(), X[keep])
+        assert _window_state(fast) == _window_state(masked)
+        # Finite scores do not vouch for the features: a row with a
+        # non-finite feature is still dropped.
+        scores, X = rng.normal(size=10), rng.normal(size=(10, 3))
+        X[4, 0] = np.nan
+        report = fast.update(scores, X)
+        assert report == masked.update(scores, X)
+        assert report.n_samples_seen == 37 + 9
+        assert _window_state(fast) == _window_state(masked)
+        # Nor do finite features vouch for the scores.
+        scores, X = rng.normal(size=10), rng.normal(size=(10, 3))
+        scores[7] = -np.inf
+        report = fast.update(scores, X)
+        assert report == masked.update(scores, X)
+        assert report.n_samples_seen == 46 + 9
+        assert _window_state(fast) == _window_state(masked)

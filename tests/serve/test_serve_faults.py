@@ -187,6 +187,99 @@ class TestResilientSink:
             assert json.loads(payload)["type"]
 
 
+class _BatchSink:
+    """A sink that takes batches; its first ``fail`` batch calls raise."""
+
+    def __init__(self, fail=0):
+        self.fail = fail
+        self.n_calls = 0
+        self.batches = []
+        self.events = []
+
+    def emit(self, event):
+        self.events.append(event)
+
+    def emit_many(self, events):
+        self.n_calls += 1
+        if self.fail:
+            self.fail -= 1
+            raise IOError("disk full")
+        self.batches.append(list(events))
+
+    def close(self):
+        pass
+
+
+class TestResilientSinkBatches:
+    def test_a_batch_is_one_emit_many_call(self):
+        inner = _BatchSink()
+        sink = ResilientSink(inner)
+        assert sink.emit_many(["a", "b", "c"]) is None
+        assert inner.batches == [["a", "b", "c"]]
+        assert inner.events == []
+
+    def test_a_failed_batch_is_retried_as_a_unit(self):
+        inner = _BatchSink(fail=1)
+        sink = ResilientSink(inner, retries=1)
+        assert sink.emit_many(["a", "b"]) is None
+        assert inner.batches == [["a", "b"]]
+        assert (sink.n_errors_, sink.consecutive_errors_, sink.n_dropped_) == (1, 0, 0)
+
+    def test_a_batch_that_still_fails_is_one_error_and_drops_every_event(self):
+        inner = _BatchSink(fail=100)
+        sink = ResilientSink(inner, retries=1, max_consecutive_errors=2)
+        assert sink.emit_many(list("abc")) is None
+        assert (sink.n_errors_, sink.consecutive_errors_, sink.n_dropped_) == (2, 1, 3)
+        notice = sink.emit_many(list("de"))
+        assert isinstance(notice, SinkDisabled)
+        assert notice.n_errors == 4 and sink.disabled_
+        assert sink.n_dropped_ == 5
+        # Disabled: later batches are dropped without reaching the sink.
+        assert sink.emit_many(list("fg")) is None
+        assert sink.n_dropped_ == 7 and inner.n_calls == 4
+
+    def test_a_sink_without_emit_many_keeps_per_event_semantics(self):
+        inner = _FailsFirstN(2)
+        sink = ResilientSink(inner, retries=0, max_consecutive_errors=3)
+        assert sink.emit_many(list("abcd")) is None
+        assert inner.events == ["c", "d"]
+        assert (sink.n_errors_, sink.consecutive_errors_, sink.n_dropped_) == (2, 0, 2)
+
+        broken = _AlwaysRaises()
+        sink = ResilientSink(broken, retries=0, max_consecutive_errors=3)
+        notice = sink.emit_many(list("abcde"))
+        assert isinstance(notice, SinkDisabled) and notice.n_errors == 3
+        assert broken.n_calls == 3  # disabled on the third event
+        assert sink.n_dropped_ == 5
+
+    def test_emit_resilient_sends_the_notice_after_the_batch(self):
+        healthy = ListSink()
+        sinks = [
+            ResilientSink(_BatchSink(fail=100), retries=0, max_consecutive_errors=1),
+            ResilientSink(healthy),
+        ]
+        disabled = emit_resilient(sinks, "a", "b", "c")
+        assert len(disabled) == 1
+        assert healthy.events[:3] == ["a", "b", "c"]
+        assert healthy.events[3] is disabled[0]
+
+    def test_service_reports_a_disabled_batch_sink_to_the_survivors(
+        self, fitted, batches
+    ):
+        _, _, detector = fitted
+        healthy = ListSink()
+        broken = _BatchSink(fail=10**6)
+        service = DetectionService(
+            detector, threshold="auto", sinks=[broken, healthy]
+        )
+        report = service.run(batches)
+        assert report.n_alerts and report.n_disabled_sinks == 1
+        notices = [e for e in healthy.events if isinstance(e, SinkDisabled)]
+        assert len(notices) == 1 and notices[0].sink == "_BatchSink"
+        assert _alert_tuples(healthy.events)
+        assert broken.batches == []
+
+
 # -- retrying I/O ------------------------------------------------------------------
 class TestCallWithRetry:
     def test_retries_transient_oserror_then_succeeds(self):

@@ -11,12 +11,17 @@ all three files, through each file's own public writer and reader:
 * the appender cuts a torn tail back before it writes, so a record
   appended after a crash is not glued onto the torn bytes;
 * a write that fails halfway leaves the file at its last complete record;
+* a batch of events is one write of all its lines, byte-identical to one
+  ``json.dumps(record, sort_keys=True)`` line per record, and a failed or
+  short batch write leaves none of the batch behind;
 * every record reaches the OS as it is written, so a killed process loses
   none of the records it finished.
 """
 
 from __future__ import annotations
 
+import builtins
+import json
 import logging
 import os
 import re
@@ -25,10 +30,17 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.novelty import IsolationForest
+from repro.serve import sinks
+from repro.serve.drift import DriftMonitor
+from repro.serve.faults import QuarantinedRows
+from repro.serve.lifecycle import FullRefit, LifecycleManager, WindowBuffer
 from repro.serve.registry import ModelRegistry
-from repro.serve.sinks import JsonlSink, read_events
+from repro.serve.service import DetectionService, DriftEvent
+from repro.serve.sinks import JsonlSink, ListSink, read_events
 from repro.serve.telemetry import SpanTracer
 
 pytestmark = pytest.mark.serve
@@ -175,6 +187,160 @@ class TestAppender:
         channel.write(RECORDS[1:])  # the first attempt tears, the retry lands
         assert not torn_write.armed
         assert _quietly(channel.read) == RECORDS
+
+
+#: Records whose encoding has corners: key order, floats, escapes, NaN.
+ODD_RECORDS = [
+    {"z": 1, "a": {"y": [1, 2.5, None], "b": True}, "m": -0.0},
+    {"score": 0.1 + 0.2, "tiny": 1e-300, "big": 2**70, "nan": float("nan")},
+    {"text": "café ✓ \"quoted\"\n", "inf": float("inf"), "neg": -float("inf")},
+]
+
+
+def _dumps_lines(records) -> bytes:
+    """The per-record reference encoding: one ``json.dumps`` line each."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
+
+
+class _ShortWriteHandle:
+    """An append handle whose next write lands only half its bytes."""
+
+    def __init__(self, handle) -> None:
+        self._handle = handle
+        self.armed = False
+        self.n_writes = 0
+
+    def write(self, data: bytes) -> int:
+        self.n_writes += 1
+        if not self.armed:
+            return self._handle.write(data)
+        self.armed = False
+        return self._handle.write(data[: len(data) // 2])
+
+    def __getattr__(self, name: str):
+        return getattr(self._handle, name)
+
+
+@pytest.fixture
+def short_write(monkeypatch):
+    """Route the ``JsonlSink`` append handle through :class:`_ShortWriteHandle`."""
+    handles: list[_ShortWriteHandle] = []
+
+    def wrapping_open(file, mode="r", *args, **kwargs):
+        handle = builtins.open(file, mode, *args, **kwargs)
+        if mode != "ab":
+            return handle
+        handles.append(_ShortWriteHandle(handle))
+        return handles[-1]
+
+    monkeypatch.setattr(sinks, "open", wrapping_open, raising=False)
+    return handles
+
+
+class TestBatchedWrite:
+    def test_every_writer_matches_per_record_dumps(self, channel):
+        channel.write(ODD_RECORDS)
+        assert channel.path.read_bytes() == _dumps_lines(ODD_RECORDS)
+
+    def test_emit_many_is_one_write_of_every_line(self, tmp_path, short_write):
+        sink = JsonlSink(tmp_path / "events.jsonl")
+        sink.emit_many([_Event(r) for r in ODD_RECORDS + RECORDS])
+        assert short_write[0].n_writes == 1
+        assert sink.n_written == len(ODD_RECORDS) + len(RECORDS)
+        sink.emit_many([])  # an empty batch writes nothing
+        assert short_write[0].n_writes == 1
+        sink.close()
+        assert sink.path.read_bytes() == _dumps_lines(ODD_RECORDS + RECORDS)
+
+    def test_a_torn_batch_leaves_the_last_complete_line(self, tmp_path, torn_write):
+        sink = JsonlSink(tmp_path / "events.jsonl")
+        sink.emit_many([_Event(r) for r in RECORDS])
+        torn_write.arm()
+        with pytest.raises(OSError):
+            sink.emit_many([_Event(r) for r in ODD_RECORDS])
+        assert sink.path.read_bytes() == _dumps_lines(RECORDS)
+        sink.emit_many([_Event(r) for r in ODD_RECORDS])  # the retry lands whole
+        sink.close()
+        assert sink.path.read_bytes() == _dumps_lines(RECORDS + ODD_RECORDS)
+        assert sink.n_written == len(RECORDS) + len(ODD_RECORDS)
+
+    def test_a_short_batch_write_is_cut_back(self, tmp_path, short_write):
+        sink = JsonlSink(tmp_path / "events.jsonl")
+        sink.emit(_Event(RECORDS[0]))
+        short_write[0].armed = True
+        with pytest.raises(OSError, match="short write"):
+            sink.emit_many([_Event(r) for r in ODD_RECORDS])
+        assert sink.path.read_bytes() == _dumps_lines(RECORDS[:1])
+        sink.emit_many([_Event(RECORDS[1]), _Event(RECORDS[0])])
+        sink.close()
+        assert _quietly(lambda: read_events(sink.path)) == [
+            RECORDS[0], RECORDS[1], RECORDS[0]
+        ]
+
+
+class TestServiceEventsFile:
+    """``events.jsonl`` of a full serving run, byte for byte."""
+
+    def test_matches_per_event_dumps_in_pipeline_order(self, tmp_path):
+        rng = np.random.default_rng(5)
+        detector = IsolationForest(n_estimators=15, random_state=0).fit(
+            rng.normal(size=(800, 5))
+        )
+        path = tmp_path / "events.jsonl"
+        sink, seen = JsonlSink(path), ListSink()
+        manager = LifecycleManager(
+            FullRefit(lambda: IsolationForest(n_estimators=15, random_state=0)),
+            buffer=WindowBuffer(512),
+            min_refit_rows=64,
+            sinks=[sink, seen],
+        )
+        monitor = DriftMonitor(window=256, min_samples=128, cooldown=4)
+        pre = rng.normal(size=(600, 5))
+        monitor.set_reference(detector.score_samples(pre), pre)
+        service = DetectionService(
+            detector,
+            threshold="rolling",
+            min_rolling=32,
+            drift_monitor=monitor,
+            lifecycle=manager,
+            sinks=[sink, seen],
+            metrics_every=3,
+        )
+        batches = [rng.normal(size=(128, 5)) for _ in range(4)]
+        batches += [rng.normal(size=(128, 5)) + 5.0 for _ in range(8)]
+        batches[1][[3, 70], 2] = np.nan
+        batches[6][0, 0] = np.inf
+
+        results, lifecycle_ends = [], []
+        for X in batches:
+            results.append(service.process_batch(X))
+            lifecycle_ends.append(len(manager.events))
+        sink.close()
+
+        # Today's order, rebuilt from the results: quarantine -> alerts ->
+        # drift -> lifecycle -> metrics.  Metrics snapshots carry timings,
+        # so they are taken from what the in-memory sink received.
+        metrics = iter([e for e in seen.events if e.to_dict()["type"] == "metrics"])
+        expected, start = [], 0
+        for result, end in zip(results, lifecycle_ends):
+            if result.quarantined:
+                expected.append(QuarantinedRows(
+                    result.index, result.quarantined, result.quarantine_reason
+                ))
+            expected.extend(result.alerts)
+            if result.drift is not None and result.drift.drifted:
+                expected.append(DriftEvent(result.index, result.drift))
+            expected.extend(manager.events[start:end])
+            start = end
+            if (result.index + 1) % 3 == 0:
+                expected.append(next(metrics))
+        assert next(metrics, None) is None
+        records = [e.to_dict() for e in expected]
+        assert {r["type"] for r in records} == {
+            "quarantined_rows", "alert", "drift", "lifecycle", "metrics"
+        }
+        assert any(e.swapped for e in manager.events)
+        assert path.read_bytes() == _dumps_lines(records)
 
 
 def _subprocess_env() -> dict:
