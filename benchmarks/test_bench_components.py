@@ -32,7 +32,7 @@ from repro.novelty import (
     LocalOutlierFactor,
 )
 from repro.serve.faults import ResilientSink, call_with_retry
-from repro.serve.lifecycle import FullRefit, ShadowEvaluator
+from repro.serve.lifecycle import FullRefit
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import DetectionService
 from repro.serve.sinks import ListSink
@@ -277,25 +277,6 @@ def test_refit_and_swap_costs(iforest):
     assert _best_seconds(lambda: policy.refit(iforest, window)) < 30.0
     service = DetectionService(iforest)
     assert _best_seconds(lambda: service.reload_detector(candidate), inner=100) < 1.0
-
-
-def test_shadow_round_overhead(blobs, iforest):
-    candidate = IsolationForest(n_estimators=50, max_samples=256, random_state=1).fit(
-        blobs[0]
-    )
-    service = DetectionService(iforest)
-    X = blobs[2][:1024]
-    threshold = float(iforest.threshold_)
-    # A round budget far above the timed repeats keeps the trial open.
-    trial = ShadowEvaluator(rounds=10**9, min_samples=2).begin(candidate)
-
-    def _shadow_round() -> None:
-        live = service._score_micro_batched(X)
-        trial.observe(live, threshold, service._score_micro_batched(X, candidate))
-
-    single_s = _best_seconds(lambda: service._score_micro_batched(X))
-    # Double scoring plus O(1) stats: about 2x, never an order of magnitude.
-    assert _best_seconds(_shadow_round) / single_s < 10.0
 
 
 def test_telemetry_overhead(iforest):

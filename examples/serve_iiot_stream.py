@@ -10,11 +10,9 @@ The deployment story of the paper, end to end:
    **model lifecycle**: micro-batched scoring with bounded memory, a rolling
    alert threshold, a **drift monitor**, and a **LifecycleManager** that —
    when drift fires — refits the detector on the clean recent window
-   buffered from the stream itself, gates the candidate's quality, runs a
-   **shadow evaluation** (the candidate is double-scored alongside the live
-   model for ``--shadow-rounds`` batches and only swaps when the two agree
-   on live traffic), then republishes the survivor to the registry as a new
-   version and hot-swaps it in — every decision lands in the registry's
+   buffered from the stream itself, gates the candidate's quality, then
+   republishes a passing candidate to the registry as a new version and
+   hot-swaps it in right away — every decision lands in the registry's
    ``history.jsonl`` lineage (each batch is tagged with the model epoch
    that scored it).
 
@@ -41,7 +39,6 @@ from repro.serve import (
     LifecycleManager,
     ListSink,
     ModelRegistry,
-    ShadowEvaluator,
     WindowBuffer,
 )
 
@@ -61,10 +58,6 @@ def parse_args() -> argparse.Namespace:
                         help="registry directory (default: a temporary directory)")
     parser.add_argument("--refit-window", type=int, default=2048,
                         help="clean-window buffer capacity refits train on")
-    parser.add_argument("--shadow-rounds", type=int, default=3,
-                        help="batches a gate-passed candidate shadows the live "
-                        "model before the agreement verdict (0 = swap "
-                        "immediately after the quality gate)")
     parser.add_argument("--seed", type=int, default=0)
     # accepted for interface parity with the other examples' smoke tests
     parser.add_argument("--experiences", type=int, default=None, help=argparse.SUPPRESS)
@@ -102,11 +95,6 @@ def main() -> None:
     # explicit drift reference: the monitor calibrates itself on the first
     # min_samples streamed flows and flags when the stream departs from that.
     sink = ListSink()
-    shadow = (
-        ShadowEvaluator(rounds=args.shadow_rounds, min_agreement=0.5)
-        if args.shadow_rounds > 0
-        else None
-    )
     lifecycle = LifecycleManager(
         FullRefit(lambda: make_detector(args.seed)),
         buffer=WindowBuffer(args.refit_window),
@@ -114,7 +102,6 @@ def main() -> None:
         model_name=info.name,
         min_refit_rows=512,
         serving_version=info.version,
-        shadow=shadow,
     )
     service = DetectionService(
         served,
@@ -151,18 +138,12 @@ def main() -> None:
             if event.published_version is not None
             else ""
         )
-        agreement = (
-            f" [{event.shadow.describe()}]" if event.shadow is not None else ""
-        )
         print(
             f"  lifecycle: {event.action} on {event.n_window_rows} clean rows"
-            f"{version} -> {outcome} (epoch {event.epoch}){agreement}"
+            f"{version} -> {outcome} (epoch {event.epoch})"
         )
     if not lifecycle.events:
         print("  lifecycle: no drift fired; model unchanged")
-    elif lifecycle.shadow_pending():
-        print("  lifecycle: stream ended with a shadow trial still running "
-              "(candidate neither promoted nor rejected)")
     history = registry.history(info.name)
     if history:
         print(f"  lineage: {len(history)} event(s) in "

@@ -38,7 +38,6 @@ PIPELINE_STAGES: dict[str, str] = {
     "threshold_update": "repro/serve/service.py",
     "drift_check": "repro/serve/service.py",
     "sink_emit": "repro/serve/service.py",
-    "shadow_score": "repro/serve/service.py",
     "refit": "repro/serve/lifecycle/manager.py",
     "gate": "repro/serve/lifecycle/manager.py",
     "registry_publish": "repro/serve/lifecycle/manager.py",

@@ -14,13 +14,6 @@ from repro.metrics.classification import (
     precision_score,
     recall_score,
 )
-from repro.metrics.extra import (
-    balanced_accuracy_score,
-    detection_rate_at_fpr,
-    false_positive_rate,
-    fpr_at_recall,
-    matthews_corrcoef,
-)
 from repro.metrics.ranking import (
     average_precision_score,
     pr_auc_score,
@@ -31,11 +24,6 @@ from repro.metrics.ranking import (
 from repro.metrics.thresholds import best_f_threshold, quantile_threshold
 
 __all__ = [
-    "matthews_corrcoef",
-    "balanced_accuracy_score",
-    "false_positive_rate",
-    "detection_rate_at_fpr",
-    "fpr_at_recall",
     "confusion_matrix",
     "accuracy_score",
     "precision_score",

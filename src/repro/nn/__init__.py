@@ -10,8 +10,6 @@ cluster-separation objective), optimizers, and small model/trainer helpers.
 from repro.nn.data import batch_iterator
 from repro.nn.initializers import he_init, xavier_init
 from repro.nn.layers import (
-    BatchNorm1d,
-    Dropout,
     LeakyReLU,
     Linear,
     ReLU,
@@ -19,7 +17,6 @@ from repro.nn.layers import (
     Sigmoid,
     Tanh,
 )
-from repro.nn.schedulers import EarlyStopping, ExponentialLR, StepLR
 from repro.nn.losses import (
     BCELoss,
     MSELoss,
@@ -39,12 +36,7 @@ __all__ = [
     "LeakyReLU",
     "Tanh",
     "Sigmoid",
-    "Dropout",
-    "BatchNorm1d",
     "Sequential",
-    "StepLR",
-    "ExponentialLR",
-    "EarlyStopping",
     "MSELoss",
     "BCELoss",
     "SoftmaxCrossEntropyLoss",

@@ -14,8 +14,6 @@ __all__ = [
     "LeakyReLU",
     "Tanh",
     "Sigmoid",
-    "Dropout",
-    "BatchNorm1d",
     "Sequential",
 ]
 
@@ -168,97 +166,6 @@ class Sigmoid(Module):
         if self._output is None:
             raise RuntimeError("backward called before forward")
         return grad_output * self._output * (1.0 - self._output)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in evaluation mode."""
-
-    _snapshot_transient_ = ("_mask",)
-
-    def __init__(
-        self, p: float = 0.5, random_state: int | np.random.Generator | None = None
-    ) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self._rng = check_random_state(random_state)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-
-class BatchNorm1d(Module):
-    """Batch normalisation over the feature dimension.
-
-    In training mode the batch mean/variance are used and running statistics
-    are updated; in evaluation mode the running statistics are used and no
-    backward state is kept.
-    """
-
-    _snapshot_transient_ = ("_cache",)
-
-    def __init__(self, num_features: int, *, momentum: float = 0.1, eps: float = 1e-5) -> None:
-        super().__init__()
-        if num_features < 1:
-            raise ValueError("num_features must be positive")
-        if not 0.0 < momentum <= 1.0:
-            raise ValueError("momentum must be in (0, 1]")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Parameter(np.ones(num_features), name="gamma")
-        self.beta = Parameter(np.zeros(num_features), name="beta")
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise ValueError(f"expected input of shape (n, {self.num_features}), got {x.shape}")
-        if self.training:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalised = (x - mean) * inv_std
-        if self.training:
-            self._cache = (normalised, inv_std, x - mean)
-        return self.gamma.value * normalised + self.beta.value
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        normalised, inv_std, centered = self._cache
-        n = grad_output.shape[0]
-        self.gamma.grad += np.sum(grad_output * normalised, axis=0)
-        self.beta.grad += grad_output.sum(axis=0)
-        grad_normalised = grad_output * self.gamma.value
-        # Full batch-norm backward through the batch statistics.
-        grad_var = np.sum(grad_normalised * centered * -0.5 * inv_std**3, axis=0)
-        grad_mean = np.sum(-grad_normalised * inv_std, axis=0) + grad_var * np.mean(
-            -2.0 * centered, axis=0
-        )
-        return grad_normalised * inv_std + grad_var * 2.0 * centered / n + grad_mean / n
-
-    def parameters(self) -> list[Parameter]:
-        return [self.gamma, self.beta]
 
 
 class Sequential(Module):

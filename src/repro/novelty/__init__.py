@@ -6,7 +6,6 @@ more anomalous**, and ``predict`` thresholds those scores into 0 (normal) / 1
 (attack).
 """
 
-from repro.novelty.autoencoder_detector import AutoencoderDetector
 from repro.novelty.base import NoveltyDetector
 from repro.novelty.dif import DeepIsolationForest
 from repro.novelty.hbos import HBOS
@@ -25,7 +24,6 @@ __all__ = [
     "OneClassSVM",
     "IsolationForest",
     "DeepIsolationForest",
-    "AutoencoderDetector",
     "KNNDetector",
     "HBOS",
     "MahalanobisDetector",

@@ -55,9 +55,6 @@ from repro.serve.lifecycle import (
     NoRefit,
     QualityGate,
     RefitPolicy,
-    ShadowEvaluator,
-    ShadowTrial,
-    ShadowVerdict,
     WindowBuffer,
     clone_model,
 )
@@ -121,9 +118,6 @@ __all__ = [
     "RegistryRecovery",
     "ResilientSink",
     "ServiceReport",
-    "ShadowEvaluator",
-    "ShadowTrial",
-    "ShadowVerdict",
     "SinkDisabled",
     "SnapshotError",
     "SnapshotInfo",

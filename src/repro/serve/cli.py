@@ -21,12 +21,6 @@ Usage examples::
     repro serve --dataset wustl_iiot --registry ./models \
         --model iforest-wustl_iiot --refit reload
 
-    # shadow evaluation: a gate-passed candidate is double-scored alongside
-    # the live model for N batches and only swaps on live-stream agreement
-    repro serve --dataset wustl_iiot --detector iforest --threshold rolling \
-        --registry ./models --publish --refit full \
-        --shadow-rounds 5 --shadow-min-agreement 0.6
-
     # inspect / pin / prune registry contents, audit the swap lineage
     repro registry list --registry ./models
     repro registry pin knn-wustl_iiot 1 --registry ./models
@@ -83,10 +77,8 @@ from repro.serve.lifecycle import (
     FullRefit,
     LifecycleManager,
     NoRefit,
-    ShadowEvaluator,
     WindowBuffer,
 )
-from repro.serve.lifecycle.shadow import describe_agreement
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import DetectionService
 from repro.serve.sinks import JsonlSink
@@ -152,19 +144,6 @@ def _parser() -> argparse.ArgumentParser:
         help="capacity of the clean-window buffer refits are trained on",
     )
     serve.add_argument(
-        "--shadow-rounds", type=int, default=0,
-        help="with --refit: double-score gate-passed candidates alongside "
-        "the live model for this many batches and only swap when the two "
-        "agree on live traffic (alert overlap + score-rank correlation); "
-        "0 disables shadow evaluation (candidates swap right after the gate)",
-    )
-    serve.add_argument(
-        "--shadow-min-agreement", type=float, default=None,
-        help="minimum rate-matched alert-decision overlap a shadowed "
-        "candidate needs to earn the swap (fraction in (0, 1], default 0.6); "
-        "only meaningful together with --shadow-rounds",
-    )
-    serve.add_argument(
         "--drift-strength", type=float, default=2.0,
         help="covariate drift injected over the stream (0 disables)",
     )
@@ -209,7 +188,7 @@ def _parser() -> argparse.ArgumentParser:
         help="serve a live introspection endpoint on 127.0.0.1:PORT while "
         "the stream runs: /metrics (Prometheus text exposition), /health "
         "(200/503 from the batch heartbeat watchdog) and /status (JSON: "
-        "epoch, serving version, disabled sinks, open shadow trial); PORT 0 "
+        "epoch, serving version, disabled sinks); PORT 0 "
         "picks a free port",
     )
     serve.add_argument(
@@ -443,29 +422,8 @@ def _run_serve_report(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    # Validate the shadow flags before any dataset/fit work: a flag typo must
-    # not cost a training run (nor surface as a raw ValueError traceback).
-    if args.shadow_rounds:
-        if args.shadow_rounds < 0:
-            raise SystemExit("--shadow-rounds must be non-negative")
-        if args.refit in ("off", "reload"):
-            raise SystemExit(
-                "--shadow-rounds requires --refit full or continual (shadow "
-                "evaluation judges refit candidates against live traffic; a "
-                "registry reload never shadows)"
-            )
-        if args.shadow_min_agreement is not None and not (
-            0.0 < args.shadow_min_agreement <= 1.0
-        ):
-            raise SystemExit(
-                "--shadow-min-agreement must be a fraction in (0, 1]"
-            )
-    elif args.shadow_min_agreement is not None:
-        raise SystemExit(
-            "--shadow-min-agreement has no effect without --shadow-rounds N "
-            "(shadow evaluation is disabled; candidates would swap right "
-            "after the quality gate)"
-        )
+    # Validate flag combinations before any dataset/fit work: a flag typo
+    # must not cost a training run.
     if args.refit == "reload" and (
         args.registry is None or (args.model is None and not args.publish)
     ):
@@ -591,23 +549,12 @@ def _run_serve(args: argparse.Namespace) -> int:
                 if served_name is not None
                 else f"{args.detector}-{dataset.name}"
             )
-        shadow = None
-        if args.shadow_rounds:
-            shadow = ShadowEvaluator(
-                rounds=args.shadow_rounds,
-                **(
-                    {"min_agreement": args.shadow_min_agreement}
-                    if args.shadow_min_agreement is not None
-                    else {}
-                ),
-            )
         lifecycle = LifecycleManager(
             policy,
             buffer=WindowBuffer(args.refit_window),
             registry=registry,
             model_name=model_name,
             serving_version=serving_version,
-            shadow=shadow,
             sinks=sinks,
         )
         if args.refit == "reload":
@@ -616,14 +563,8 @@ def _run_serve(args: argparse.Namespace) -> int:
             republish = (
                 "republishing" if registry is not None else "not republishing"
             )
-            shadowing = (
-                f", shadow={shadow.rounds} rounds "
-                f"(min agreement {shadow.min_agreement:.0%})"
-                if shadow is not None
-                else ""
-            )
             print(f"online refit on drift: policy={args.refit}, "
-                  f"window={args.refit_window} rows, {republish}{shadowing}")
+                  f"window={args.refit_window} rows, {republish}")
 
     monitor = DriftMonitor()
     monitor.set_reference(ref_scores, normal)
@@ -656,9 +597,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 "n_samples": service.n_samples_,
                 "n_alerts": service.n_alerts_,
                 "disabled_sinks": service.n_disabled_sinks_,
-                "shadow_trial_open": (
-                    lifecycle is not None and lifecycle.shadow_pending()
-                ),
                 "profiling_memory": profiler is not None,
             }
 
@@ -739,12 +677,9 @@ def _run_serve(args: argparse.Namespace) -> int:
                 else ""
             )
             reason = f" ({event.reason})" if event.reason else ""
-            agreement = (
-                f" [{event.shadow.describe()}]" if event.shadow is not None else ""
-            )
             print(
                 f"lifecycle: {event.action} on {event.n_window_rows} clean "
-                f"rows -> {outcome} (epoch {event.epoch}{version}){agreement}{reason}"
+                f"rows -> {outcome} (epoch {event.epoch}{version}){reason}"
             )
         if not lifecycle.events:
             print("lifecycle: no drift fired; model unchanged")
@@ -838,15 +773,9 @@ def _run_registry(args: argparse.Namespace) -> int:
                 if event.get("published_version") is not None
                 else ""
             )
-            shadow = event.get("shadow")
-            agreement = (
-                f" [{describe_agreement(shadow.get('alert_agreement'), shadow.get('rank_correlation'))}]"
-                if shadow
-                else ""
-            )
             print(
                 f"[{index}] {action} -> {outcome} "
-                f"(epoch {event.get('epoch', 0)}{version}){agreement}"
+                f"(epoch {event.get('epoch', 0)}{version})"
             )
         print(f"{len(events)} lifecycle event(s) recorded for {args.name}")
         return 0

@@ -12,11 +12,9 @@ served model.
   :class:`ContinualRefit` / :class:`NoRefit` refit strategies,
 * :mod:`repro.serve.lifecycle.gate` — :class:`QualityGate`, the
   score-distribution sanity check a candidate must pass before publishing,
-* :mod:`repro.serve.lifecycle.shadow` — :class:`ShadowEvaluator`, the
-  opt-in live-traffic trial: gate-passed candidates are double-scored
-  alongside the live model for a round budget and only swap on agreement,
 * :mod:`repro.serve.lifecycle.manager` — :class:`LifecycleManager`, which
-  composes buffer + policy + gate + shadow + registry and drives the swap.
+  composes buffer + policy + gate + registry and swaps a gate-passed
+  candidate in right away.
 
 Wire a manager into :class:`~repro.serve.service.DetectionService` via its
 ``lifecycle=`` parameter.
@@ -32,7 +30,6 @@ from repro.serve.lifecycle.policy import (
     RefitPolicy,
     clone_model,
 )
-from repro.serve.lifecycle.shadow import ShadowEvaluator, ShadowTrial, ShadowVerdict
 
 __all__ = [
     "ContinualRefit",
@@ -43,9 +40,6 @@ __all__ = [
     "NoRefit",
     "QualityGate",
     "RefitPolicy",
-    "ShadowEvaluator",
-    "ShadowTrial",
-    "ShadowVerdict",
     "WindowBuffer",
     "clone_model",
 ]

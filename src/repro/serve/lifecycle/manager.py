@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ from repro.serve.faults import call_with_retry, emit_resilient, wrap_sinks
 from repro.serve.lifecycle.buffer import WindowBuffer
 from repro.serve.lifecycle.gate import GateResult, QualityGate
 from repro.serve.lifecycle.policy import RefitPolicy
-from repro.serve.lifecycle.shadow import ShadowEvaluator, ShadowTrial, ShadowVerdict
 from repro.serve.telemetry.log import get_logger, log_event
 from repro.serve.telemetry.tracing import trace_span
 from repro.utils.timing import Timer
@@ -54,16 +53,12 @@ class LifecycleEvent:
     """One lifecycle decision: what happened after a drift signal and why.
 
     ``action`` is one of ``"refit"`` (a candidate passed the gate and swapped
-    immediately — no shadow evaluator configured), ``"reload"`` (fallback to
-    the registry's published version), ``"rejected"`` (the candidate failed
-    the gate; the current model keeps serving), ``"skipped"`` (nothing to do —
-    window too small and no registry to fall back to, or a shadow trial is
-    already judging a candidate), ``"shadow_start"`` (a gate-passed candidate
-    entered shadow evaluation instead of swapping), ``"shadow_pass"`` (the
-    candidate agreed with live traffic: published + swapped) or
-    ``"shadow_reject"`` (live disagreement; candidate discarded).  ``swapped``
-    tells whether the served model actually changed, and ``epoch`` is the
-    serving epoch after the decision.
+    immediately), ``"reload"`` (fallback to the registry's published
+    version), ``"rejected"`` (the candidate failed the gate; the current model
+    keeps serving) or ``"skipped"`` (nothing to do — window too small and no
+    newer registry version to fall back to).  ``swapped`` tells whether the
+    served model actually changed, and ``epoch`` is the serving epoch after
+    the decision.
     """
 
     action: str
@@ -74,7 +69,6 @@ class LifecycleEvent:
     published_version: int | None = None
     refit_latency_s: float = 0.0
     gate: GateResult | None = None
-    shadow: ShadowVerdict | None = None
     reason: str | None = None
 
     def to_dict(self) -> dict:
@@ -88,7 +82,6 @@ class LifecycleEvent:
             "published_version": self.published_version,
             "refit_latency_s": self.refit_latency_s,
             "gate": self.gate.to_dict() if self.gate is not None else None,
-            "shadow": self.shadow.to_dict() if self.shadow is not None else None,
             "reason": self.reason,
         }
 
@@ -117,15 +110,6 @@ class LifecycleManager:
         registry instead, when one is configured.
     publish:
         Set ``False`` to swap accepted candidates without publishing them.
-    shadow:
-        Optional :class:`~repro.serve.lifecycle.shadow.ShadowEvaluator`.
-        When configured, a gate-passed refit candidate does **not** swap
-        immediately: it enters a shadow trial (``"shadow_start"`` event,
-        publish deferred), is double-scored against live traffic for the
-        evaluator's round budget, and only a passing verdict publishes and
-        swaps it (``"shadow_pass"``; a failing one discards it with
-        ``"shadow_reject"``).  Registry *reload* fallbacks swap directly
-        either way — they are operator-published models, not online refits.
     serving_version:
         Registry version of the model currently being served, when known
         (the CLI passes the version it published or loaded).  The reload
@@ -149,7 +133,6 @@ class LifecycleManager:
         min_refit_rows: int = 256,
         publish: bool = True,
         serving_version: int | None = None,
-        shadow: ShadowEvaluator | None = None,
         sinks: Sequence[Any] = (),
     ) -> None:
         if not isinstance(policy, RefitPolicy):
@@ -160,10 +143,6 @@ class LifecycleManager:
             raise ValueError("min_refit_rows must be at least 2")
         if registry is not None and model_name is None:
             raise ValueError("a registry requires a model_name to publish/reload under")
-        if shadow is not None and not isinstance(shadow, ShadowEvaluator):
-            raise TypeError(
-                f"shadow must be a ShadowEvaluator, got {type(shadow).__name__}"
-            )
         self.policy = policy
         self.buffer = buffer if buffer is not None else WindowBuffer()
         self.gate = gate if gate is not None else QualityGate()
@@ -172,17 +151,12 @@ class LifecycleManager:
         self.min_refit_rows = min_refit_rows
         self.publish = publish
         self.serving_version = serving_version
-        self.shadow = shadow
         self.sinks = wrap_sinks(sinks)
         self.events: list[LifecycleEvent] = []
         self.n_refits_ = 0
         self.n_reloads_ = 0
         self.n_rejected_ = 0
         self.n_skipped_ = 0
-        self.n_shadow_trials_ = 0
-        self.n_shadow_pass_ = 0
-        self.n_shadow_reject_ = 0
-        self._shadow_trial: ShadowTrial | None = None
         #: Telemetry channel for the refit/gate/publish spans.  Left unset
         #: here: the ``DetectionService`` that adopts this manager wires its
         #: own registry/tracer in on construction; unwired, the spans are
@@ -249,24 +223,7 @@ class LifecycleManager:
         ``None`` when the current model should keep serving; the event's
         ``swapped``/``epoch`` fields are filled in by the caller via
         :meth:`record`.
-
-        With a configured shadow evaluator a gate-passed candidate is *not*
-        returned for swapping: it enters a shadow trial instead
-        (``"shadow_start"``, publish deferred until the verdict), and while a
-        trial is running further drift signals are ``"skipped"`` — two
-        candidates shadowing at once would double the scoring cost for an
-        unattributable verdict.
         """
-        if self._shadow_trial is not None:
-            trial = self._shadow_trial
-            return None, LifecycleEvent(
-                action="skipped", policy=self.policy.name,
-                n_window_rows=int(self.buffer.count),
-                reason=(
-                    f"shadow trial in progress ({trial.n_rounds_}/"
-                    f"{trial.config.rounds} rounds observed)"
-                ),
-            )
         window = self.buffer.values()
         n_rows = int(window.shape[0])
         if n_rows < self.min_refit_rows:
@@ -310,21 +267,7 @@ class LifecycleManager:
                 refit_latency_s=timer.total, gate=gate_result,
                 reason=gate_result.reason,
             )
-        if self.shadow is not None:
-            trial = self.shadow.begin(candidate)
-            event = LifecycleEvent(
-                action="shadow_start", policy=self.policy.name,
-                n_window_rows=n_rows, refit_latency_s=timer.total,
-                gate=gate_result,
-                reason=(
-                    f"candidate shadows the live model for "
-                    f"{self.shadow.rounds} round(s) before any swap"
-                ),
-            )
-            trial.origin = event
-            self._shadow_trial = trial
-            return None, event
-        version = self._publish_candidate(candidate, n_rows, gate_result, None)
+        version = self._publish_candidate(candidate, n_rows, gate_result)
         return candidate, LifecycleEvent(
             action="refit", policy=self.policy.name, n_window_rows=n_rows,
             published_version=version, refit_latency_s=timer.total,
@@ -335,19 +278,16 @@ class LifecycleManager:
         self,
         candidate: Any,
         n_rows: int,
-        gate_result: GateResult | None,
-        verdict: ShadowVerdict | None,
+        gate_result: GateResult,
     ) -> int | None:
         """Publish an accepted candidate to the registry, when configured."""
         if not (self.publish and self.registry is not None and self.model_name):
             return None
-        lifecycle_meta: dict[str, Any] = {
+        lifecycle_meta = {
             "policy": self.policy.name,
             "n_window_rows": n_rows,
-            "gate": gate_result.stats if gate_result is not None else None,
+            "gate": gate_result.stats,
         }
-        if verdict is not None:
-            lifecycle_meta["shadow"] = verdict.to_dict()
         with trace_span(
             "registry_publish", metrics=self.telemetry, tracer=self.tracer
         ):
@@ -356,84 +296,6 @@ class LifecycleManager:
             )
         self.serving_version = info.version
         return info.version
-
-    # -- shadow evaluation -------------------------------------------------------
-    @property
-    def shadow_candidate(self) -> Any | None:
-        """The candidate currently under shadow, or ``None``.
-
-        The serving layer double-scores every batch with this model while it
-        is set (reusing the micro-batch scorer), feeding the scores back via
-        :meth:`observe_shadow` / :meth:`handle_shadow`.
-        """
-        return self._shadow_trial.candidate if self._shadow_trial is not None else None
-
-    def shadow_pending(self) -> bool:
-        """Whether a shadow trial is currently judging a candidate."""
-        return self._shadow_trial is not None
-
-    def observe_shadow(
-        self,
-        live_scores: np.ndarray,
-        live_threshold: float,
-        candidate_scores: np.ndarray,
-    ) -> None:
-        """Feed one double-scored batch into the running trial (if any)."""
-        if self._shadow_trial is not None:
-            self._shadow_trial.observe(live_scores, live_threshold, candidate_scores)
-
-    def shadow_resolution(self) -> tuple[Any | None, LifecycleEvent] | None:
-        """Resolve a completed trial into ``(candidate, event)``, else ``None``.
-
-        Mirrors :meth:`produce_candidate`'s contract: the caller applies the
-        swap (:meth:`handle_shadow` swaps the service in place) and fills in
-        ``swapped``/``epoch`` via :meth:`record`.  A passing verdict
-        publishes the candidate (the publish deferred at ``shadow_start``);
-        a failing one discards it unpublished.
-        """
-        trial = self._shadow_trial
-        if trial is None or not trial.complete:
-            return None
-        self._shadow_trial = None
-        verdict = trial.verdict()
-        origin = trial.origin if trial.origin is not None else LifecycleEvent(
-            action="shadow_start", policy=self.policy.name
-        )
-        if verdict.passed:
-            version = self._publish_candidate(
-                trial.candidate, origin.n_window_rows, origin.gate, verdict
-            )
-            return trial.candidate, replace(
-                origin, action="shadow_pass", published_version=version,
-                shadow=verdict, reason=None,
-            )
-        return None, replace(
-            origin, action="shadow_reject", shadow=verdict, reason=verdict.reason
-        )
-
-    def handle_shadow(
-        self,
-        service: Any,
-        live_scores: np.ndarray,
-        live_threshold: float,
-        candidate_scores: np.ndarray,
-    ) -> LifecycleEvent | None:
-        """Sequential-service shadow step: observe, and swap on a verdict.
-
-        Returns the recorded ``shadow_pass``/``shadow_reject`` event when the
-        trial resolved on this batch, ``None`` while it is still running.
-        """
-        self.observe_shadow(live_scores, live_threshold, candidate_scores)
-        resolution = self.shadow_resolution()
-        if resolution is None:
-            return None
-        candidate, event = resolution
-        if candidate is not None:
-            service.reload_detector(candidate, rebootstrap=True)
-            event = replace(event, swapped=True, epoch=service.epoch_)
-        else:
-            event = replace(event, epoch=getattr(service, "epoch_", 0))
-        return self.record(event)
 
     # -- bookkeeping -------------------------------------------------------------
     def record(self, event: LifecycleEvent) -> LifecycleEvent:
@@ -451,9 +313,6 @@ class LifecycleManager:
             "reload": "n_reloads_",
             "rejected": "n_rejected_",
             "skipped": "n_skipped_",
-            "shadow_start": "n_shadow_trials_",
-            "shadow_pass": "n_shadow_pass_",
-            "shadow_reject": "n_shadow_reject_",
         }.get(event.action)
         if counter is not None:
             setattr(self, counter, getattr(self, counter) + 1)

@@ -22,8 +22,8 @@ online scorer with the operational pieces a deployment needs:
 * **throughput/latency counters** built on
   :meth:`repro.utils.timing.Timer.throughput`;
 * **telemetry** (:mod:`repro.serve.telemetry`) — every pipeline stage
-  (quarantine scan, scoring, threshold update, drift check, sink emit,
-  shadow double-score) runs under a :func:`~repro.serve.telemetry.trace_span`
+  (quarantine scan, scoring, threshold update, drift check, sink emit)
+  runs under a :func:`~repro.serve.telemetry.trace_span`
   feeding a :class:`~repro.serve.telemetry.MetricsRegistry`
   (``metrics_snapshot()``), with optional JSONL span traces (``tracer``) and
   a periodic :class:`~repro.serve.telemetry.MetricsEvent` through the sinks
@@ -240,12 +240,9 @@ class DetectionService:
         Optional :class:`~repro.serve.lifecycle.LifecycleManager` that owns
         the full drift reaction: every scored batch feeds its clean-window
         buffer, and when the monitor fires it refits, gates, publishes and
-        hot-swaps (see :mod:`repro.serve.lifecycle`).  With a configured
-        shadow evaluator the service double-scores each batch with the
-        pending candidate (same micro-batched scorer) and the swap waits for
-        the live-agreement verdict.  ``LifecycleManager(NoRefit())`` with a
-        registry reloads the registry's pinned or latest version instead of
-        refitting.
+        hot-swaps (see :mod:`repro.serve.lifecycle`).
+        ``LifecycleManager(NoRefit())`` with a registry reloads the
+        registry's pinned or latest version instead of refitting.
     telemetry:
         Optional :class:`~repro.serve.telemetry.MetricsRegistry` to record
         into; a fresh registry is created when omitted (telemetry is always
@@ -393,18 +390,13 @@ class DetectionService:
         X, self.n_features_ = _validate_stream_batch(X, self.n_features_)
         return X
 
-    def _score_micro_batched(
-        self, X: np.ndarray, detector: Any | None = None
-    ) -> np.ndarray:
+    def _score_micro_batched(self, X: np.ndarray) -> np.ndarray:
         """Score ``X`` in chunks of at most ``micro_batch_size`` rows.
 
         Row-wise detector scoring makes the concatenation identical to a
-        single ``score_samples(X)`` call while bounding peak memory.  The
-        served model is used unless ``detector`` overrides it — the shadow
-        evaluation path double-scores each batch with the candidate through
-        this same scorer, so both models see identical chunking.
+        single ``score_samples(X)`` call while bounding peak memory.
         """
-        detector = self.detector if detector is None else detector
+        detector = self.detector
         n = X.shape[0]
         if n <= self.micro_batch_size:
             return np.asarray(detector.score_samples(X), dtype=np.float64)
@@ -542,14 +534,6 @@ class DetectionService:
         batch_index = self.n_batches_
         offset = self.n_samples_
         model_epoch = self.epoch_  # a drift-triggered swap below must not retag
-        # Resolved before scoring: a trial that *starts* during this batch's
-        # drift reaction begins shadow-scoring on the next batch.
-        shadow_detector = (
-            getattr(self.lifecycle, "shadow_candidate", None)
-            if self.lifecycle is not None
-            else None
-        )
-        shadow_scores: np.ndarray | None = None
         accumulated = self.timer.total
         n_rows = int(X.shape[0])
         batch_span.rows = n_rows
@@ -577,20 +561,6 @@ class DetectionService:
                     threshold = self._current_threshold(scores)
                     self._rolling.extend(scores[:, None])
                 predictions = (scores > threshold).astype(np.int64)
-                if shadow_detector is not None:
-                    # Double-scoring is the whole cost of a shadow round; it
-                    # counts toward the batch latency like any scoring work.
-                    with trace_span(
-                        "shadow_score",
-                        metrics=self.telemetry,
-                        tracer=self.tracer,
-                        rows=n_rows,
-                        batch_index=batch_index,
-                        context=ctx,
-                    ):
-                        shadow_scores = self._score_micro_batched(
-                            X, shadow_detector
-                        )
             else:
                 scores = np.empty(0, dtype=np.float64)
                 threshold = float("nan")
@@ -630,11 +600,6 @@ class DetectionService:
             self._emit(DriftEvent(batch_index=batch_index, report=drift_report))
             if self.lifecycle is not None:
                 self.lifecycle.handle_drift(self, drift_report)
-        # After the drift reaction (a pending trial makes handle_drift skip),
-        # feed the shadow trial; a completed trial swaps (shadow_pass) or
-        # discards the candidate (shadow_reject) — only then does epoch_ move.
-        if shadow_scores is not None and self.lifecycle is not None:
-            self.lifecycle.handle_shadow(self, scores, threshold, shadow_scores)
 
         self.n_batches_ += 1
         self.n_samples_ += int(scores.shape[0])

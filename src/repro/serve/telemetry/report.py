@@ -16,8 +16,8 @@ the evidence it was judged on.  Sections:
    per-stage latency thresholds.)
 3. **Timeline** — ordered alert/drift/quarantine/sink/swap events, with
    checks on degradations (no sink disabled, quarantine fraction bounded).
-4. **Lifecycle & shadow** — every shadow trial resolved, every swap carries
-   a published version.
+4. **Lifecycle** — the count of each lifecycle action; every swap carries a
+   published version.
 5. **Reproducibility** — config SHA-256, model artifact SHA-256s and the
    stream source are recorded in ``run_summary.json``.
 
@@ -401,7 +401,7 @@ def build_report(
     if truncated:
         timeline_data["truncated"] = truncated
 
-    # -- 4. lifecycle & shadow -------------------------------------------------
+    # -- 4. lifecycle ----------------------------------------------------------
     lineage = [e for e in history if e.get("type") == "lifecycle"]
     if not lineage:
         lineage = [e for e in events if e.get("type") == "lifecycle"]
@@ -409,21 +409,9 @@ def build_report(
     for event in lineage:
         action = event.get("action", "unknown")
         actions[action] = actions.get(action, 0) + 1
-    n_started = actions.get("shadow_start", 0)
-    n_resolved = actions.get("shadow_pass", 0) + actions.get("shadow_reject", 0)
     swaps = [e for e in lineage if e.get("swapped")]
     unversioned_swaps = [e for e in swaps if not e.get("published_version")]
     lifecycle_checks = [
-        _check(
-            "LC-01",
-            "Every shadow trial resolved (pass or reject)",
-            n_started == n_resolved,
-            evidence={
-                "shadow_start": n_started,
-                "shadow_pass": actions.get("shadow_pass", 0),
-                "shadow_reject": actions.get("shadow_reject", 0),
-            },
-        ),
         _check(
             "LC-02",
             "Every swap carries a published registry version",
@@ -477,7 +465,7 @@ def build_report(
         {"title": "Throughput", "checks": throughput_checks, "data": throughput_data},
         {"title": "Latency", "checks": latency_checks, "data": {"stages": _round(stages)}},
         {"title": "Timeline", "checks": timeline_checks, "data": timeline_data},
-        {"title": "Lifecycle & shadow", "checks": lifecycle_checks, "data": lifecycle_data},
+        {"title": "Lifecycle", "checks": lifecycle_checks, "data": lifecycle_data},
         {"title": "Reproducibility", "checks": repro_checks, "data": {}},
     ]
     if trace:

@@ -9,8 +9,8 @@ routes:
   :func:`~repro.serve.telemetry.exposition.render_prometheus`);
 * ``/health`` — ``200 OK`` / ``503 NOT_OK`` from the
   :class:`HeartbeatWatchdog` (no batch completed within the deadline);
-* ``/status`` — a JSON summary (epoch, serving version, disabled sinks,
-  open shadow trial) from a caller-supplied callback.
+* ``/status`` — a JSON summary (epoch, serving version, disabled sinks)
+  from a caller-supplied callback.
 
 The server never *writes* service state: it holds two callables and a
 watchdog, so a scrape can race a batch at worst into a slightly stale

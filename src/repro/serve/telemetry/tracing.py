@@ -1,8 +1,8 @@
 """Pipeline span tracing for the serving stack.
 
 :func:`trace_span` wraps one pipeline stage (quarantine scan, micro-batched
-scoring, threshold update, drift check, sink emit, refit, gate, shadow
-double-score, registry publish) in a context manager that
+scoring, threshold update, drift check, sink emit, refit, gate, registry
+publish) in a context manager that
 records the stage's wall time into a ``stage.<name>.seconds`` histogram and
 its row count into a ``stage.<name>.rows`` counter on a
 :class:`~repro.serve.telemetry.metrics.MetricsRegistry` — and, when a

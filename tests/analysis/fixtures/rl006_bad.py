@@ -19,8 +19,6 @@ def run_pipeline(stage_name):
         pass
     with trace_span("sink_emit"):
         pass
-    with trace_span("shadow_score"):
-        pass
     with trace_span("scoer"):  # BAD: undeclared stage (typo)
         pass
     with trace_span(stage_name):  # BAD: stage name not a literal

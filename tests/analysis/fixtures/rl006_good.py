@@ -21,5 +21,3 @@ def run_pipeline():
         pass
     with trace_span("sink_emit"):
         pass
-    with trace_span("shadow_score"):
-        pass

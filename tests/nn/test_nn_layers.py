@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    BatchNorm1d,
-    Dropout,
     LeakyReLU,
     Linear,
     MSELoss,
@@ -208,41 +206,6 @@ class TestForwardMatchesReferenceFormula:
             np.testing.assert_array_equal(operand, original)
 
 
-class TestDropout:
-    def test_identity_in_eval_mode(self):
-        layer = Dropout(0.5, random_state=0)
-        layer.eval()
-        x = np.ones((10, 4))
-        np.testing.assert_array_equal(layer(x), x)
-
-    def test_training_mode_scales_survivors(self):
-        layer = Dropout(0.5, random_state=0)
-        layer.train()
-        x = np.ones((2000, 1))
-        out = layer(x)
-        surviving = out[out > 0]
-        assert np.allclose(surviving, 2.0)
-        # Roughly half survive.
-        assert 0.4 < (out > 0).mean() < 0.6
-
-    def test_zero_probability_is_identity(self):
-        layer = Dropout(0.0)
-        x = np.random.default_rng(0).normal(size=(5, 5))
-        np.testing.assert_array_equal(layer(x), x)
-
-    def test_invalid_probability_raises(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-    def test_backward_uses_same_mask(self):
-        layer = Dropout(0.5, random_state=0)
-        layer.train()
-        x = np.ones((100, 3))
-        out = layer(x)
-        grad = layer.backward(np.ones_like(x))
-        np.testing.assert_array_equal(grad, out)
-
-
 class TestSequential:
     def test_forward_chains_layers(self):
         model = Sequential(Linear(4, 8, random_state=0), ReLU(), Linear(8, 2, random_state=1))
@@ -282,7 +245,6 @@ _CACHING_LAYERS = {
     "LeakyReLU": LeakyReLU,
     "Tanh": Tanh,
     "Sigmoid": Sigmoid,
-    "BatchNorm1d": lambda: BatchNorm1d(4),
 }
 
 

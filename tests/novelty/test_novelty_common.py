@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.novelty import (
-    AutoencoderDetector,
     DeepIsolationForest,
     HBOS,
     IsolationForest,
@@ -27,7 +26,6 @@ DETECTOR_FACTORIES = {
     "dif": lambda: DeepIsolationForest(
         n_representations=3, n_estimators_per_representation=10, random_state=0
     ),
-    "autoencoder": lambda: AutoencoderDetector(epochs=5, random_state=0),
     "knn": lambda: KNNDetector(n_neighbors=10, random_state=0),
     "hbos": lambda: HBOS(n_bins=15),
     "mahalanobis": lambda: MahalanobisDetector(),

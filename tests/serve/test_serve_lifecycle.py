@@ -11,6 +11,9 @@ post-drift data.
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from repro.serve import (
     DetectionService,
     DriftMonitor,
     FullRefit,
+    LifecycleEvent,
     LifecycleManager,
     ModelRegistry,
     NoRefit,
@@ -244,6 +248,32 @@ def _drifted_service(detector, lifecycle, rng):
     )
 
 
+def _refit_run(registry_dir, rng):
+    """A drifting stream served with FullRefit publishing to ``registry_dir``.
+
+    Returns ``(service, manager, registry, results)``.
+    """
+    detector = IsolationForest(n_estimators=15, random_state=0).fit(
+        rng.normal(size=(800, 5))
+    )
+    registry = ModelRegistry(registry_dir)
+    registry.publish(detector, "ids")
+    manager = LifecycleManager(
+        FullRefit(lambda: IsolationForest(n_estimators=15, random_state=0)),
+        buffer=WindowBuffer(512),
+        registry=registry,
+        model_name="ids",
+        min_refit_rows=64,
+    )
+    service = _drifted_service(detector, manager, rng)
+    pre = rng.normal(size=(512, 5))
+    post = rng.normal(size=(1024, 5)) + 5.0
+    batches = [pre[i : i + 128] for i in range(0, 512, 128)]
+    batches += [post[i : i + 128] for i in range(0, 1024, 128)]
+    results = [service.process_batch(X) for X in batches]
+    return service, manager, registry, results
+
+
 class TestLifecycleManager:
     def test_validation(self, fitted_detector):
         with pytest.raises(TypeError, match="RefitPolicy"):
@@ -364,31 +394,18 @@ class TestLifecycleManager:
         assert manager.n_rejected_ == 1
 
     def test_drift_refit_publish_swap_end_to_end(self, tmp_path, rng):
-        detector = IsolationForest(n_estimators=15, random_state=0).fit(
-            rng.normal(size=(800, 5))
-        )
-        registry = ModelRegistry(tmp_path)
-        registry.publish(detector, "ids")
-        manager = LifecycleManager(
-            FullRefit(lambda: IsolationForest(n_estimators=15, random_state=0)),
-            buffer=WindowBuffer(512),
-            registry=registry,
-            model_name="ids",
-            min_refit_rows=64,
-        )
-        service = _drifted_service(detector, manager, rng)
-        pre = rng.normal(size=(512, 5))
-        post = rng.normal(size=(1024, 5)) + 5.0
-        batches = [pre[i : i + 128] for i in range(0, 512, 128)]
-        batches += [post[i : i + 128] for i in range(0, 1024, 128)]
-        results = [service.process_batch(X) for X in batches]
+        service, manager, registry, results = _refit_run(tmp_path, rng)
 
         assert service.epoch_ >= 1
         swaps = [e for e in manager.events if e.swapped and e.action == "refit"]
         assert swaps, f"no refit swap happened: {[e.action for e in manager.events]}"
         assert registry.versions("ids")[-1] == swaps[-1].published_version
         manifest = registry.resolve("ids", swaps[-1].published_version).manifest
-        assert manifest["metadata"]["lifecycle"]["policy"] == "full"
+        assert manifest["metadata"]["lifecycle"] == {
+            "policy": "full",
+            "n_window_rows": swaps[-1].n_window_rows,
+            "gate": swaps[-1].gate.stats,
+        }
         # batches are epoch-tagged: pre-swap 0, and the tag only ever grows
         epochs = [r.model_epoch for r in results]
         assert epochs[0] == 0 and epochs[-1] == service.epoch_
@@ -396,6 +413,39 @@ class TestLifecycleManager:
         # the swapped-in model treats post-drift traffic as normal
         tail_rate = np.mean(results[-1].predictions)
         assert tail_rate < 0.2
+
+    def test_gate_passed_refit_swaps_on_the_batch_that_fired(self, tmp_path, rng):
+        service, manager, registry, results = _refit_run(tmp_path, rng)
+        # one lifecycle decision per drift firing, taken on that batch
+        assert len(manager.events) == len(service.drift_batches_)
+        refits = [
+            (batch, event)
+            for batch, event in zip(service.drift_batches_, manager.events)
+            if event.action == "refit"
+        ]
+        assert refits
+        for batch, event in refits:
+            assert event.swapped and event.gate.passed
+            # published before the next batch, which the candidate scores
+            assert event.published_version in registry.versions("ids")
+            assert results[batch].model_epoch == event.epoch - 1
+            if batch + 1 < len(results):
+                assert results[batch + 1].model_epoch == event.epoch
+
+    def test_event_record_fields(self):
+        event = LifecycleEvent(action="refit", policy="full", swapped=True, epoch=1)
+        assert event.to_dict() == {
+            "type": "lifecycle",
+            "action": "refit",
+            "policy": "full",
+            "swapped": True,
+            "epoch": 1,
+            "n_window_rows": 0,
+            "published_version": None,
+            "refit_latency_s": 0.0,
+            "gate": None,
+            "reason": None,
+        }
 
     def test_observe_batch_skips_drift_episodes(self, fitted_detector):
         manager = LifecycleManager(FullRefit(), min_refit_rows=10)
@@ -506,6 +556,96 @@ class TestDriftMonitorRebootstrap:
         assert service.epoch_ == 1
         assert monitor._score_ref is None
         assert monitor._feature_ref is not None
+
+
+# ---------------------------------------------------------------------------
+# Swap lineage: history.jsonl, `repro registry history`, the run report
+# ---------------------------------------------------------------------------
+class TestLineage:
+    #: ``history.jsonl`` written by a serve run whose lifecycle events carried
+    #: the since-removed ``shadow_start``/``shadow_pass``/``shadow_reject``
+    #: actions and a ``"shadow"`` verdict object (two runs appended to the
+    #: same registry: the second one ended with a trial still open).
+    LEGACY_HISTORY = Path(__file__).parent / "data" / "history_with_shadow.jsonl"
+
+    def test_history_replays_after_restart(self, tmp_path, rng):
+        _, manager, _, _ = _refit_run(tmp_path, rng)
+        recorded = [event.to_dict() for event in manager.events]
+        assert any(r["action"] == "refit" and r["swapped"] for r in recorded)
+        # a fresh registry object over the same directory (= a new process)
+        # replays the identical lineage, and GC keeps the audit trail
+        reopened = ModelRegistry(tmp_path)
+        assert reopened.history("ids") == recorded
+        reopened.gc("ids", keep=1)
+        assert reopened.history("ids") == recorded
+
+    def test_history_cli_rejects_version_and_unknown_model(
+        self, tmp_path, rng, capsys
+    ):
+        from repro.serve.cli import main
+
+        _, manager, _, _ = _refit_run(tmp_path, rng)
+        assert main(["registry", "history", "ids", "--registry", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        refit = next(e for e in manager.events if e.action == "refit")
+        assert (
+            f"refit -> swapped (epoch {refit.epoch}, "
+            f"published v{refit.published_version})"
+        ) in out
+        assert f"{len(manager.events)} lifecycle event(s) recorded for ids" in out
+        # like `registry gc`, a stray positional version must not be
+        # silently ignored (the lineage file spans every version)
+        with pytest.raises(SystemExit, match="no version argument"):
+            main(["registry", "history", "ids", "2", "--registry", str(tmp_path)])
+        # and a typo'd model name must not look like an empty-but-valid lineage
+        with pytest.raises(SystemExit, match="no published versions"):
+            main(["registry", "history", "nope", "--registry", str(tmp_path)])
+
+    def test_legacy_history_stays_readable(self, tmp_path, capsys):
+        from repro.serve.cli import main
+        from repro.serve.telemetry import build_report, render_markdown
+
+        name = "iforest-wustl_iiot"
+        (tmp_path / name).mkdir()
+        shutil.copy(self.LEGACY_HISTORY, tmp_path / name / "history.jsonl")
+        registry = ModelRegistry(tmp_path)
+        history = registry.history(name)
+        assert len(history) == 7
+
+        assert main(["registry", "history", name, "--registry", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "[0] shadow_start -> kept current model (epoch 0)",
+            "[1] shadow_pass -> swapped (epoch 1, published v2)",
+            "[2] shadow_start -> kept current model (epoch 1)",
+            "[3] shadow_pass -> swapped (epoch 2, published v3)",
+            "[4] shadow_start -> kept current model (epoch 0)",
+            "[5] shadow_reject -> kept current model (epoch 0)",
+            "[6] shadow_start -> kept current model (epoch 0)",
+            f"7 lifecycle event(s) recorded for {name}",
+        ]
+
+        summary = {"n_batches": 15, "n_samples": 3650}
+        for report in (
+            build_report(summary, history=history, generated_at="t"),
+            build_report(summary, events=history, generated_at="t"),
+        ):
+            lifecycle = next(
+                s for s in report["sections"] if s["title"] == "Lifecycle"
+            )
+            assert lifecycle["data"]["actions"] == {
+                "shadow_pass": 2, "shadow_reject": 1, "shadow_start": 4,
+            }
+            assert [c["id"] for c in lifecycle["checks"]] == ["LC-02"]
+            assert lifecycle["checks"][0]["evidence"] == {
+                "n_swaps": 2, "n_unversioned": 0,
+            }
+            assert lifecycle["verdict"] == "MET"
+            render_markdown(report)
+        # as sink events (a run's events.jsonl), every record is on the timeline
+        timeline = next(s for s in report["sections"] if s["title"] == "Timeline")
+        assert [e["action"] for e in timeline["data"]["entries"]] == [
+            r["action"] for r in history
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +771,20 @@ class TestRefitReloadCli:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --reload-on-drift" in capsys.readouterr().err
 
+    def test_removed_flags_are_usage_errors(self, capsys):
+        from repro.serve.cli import main
+
+        for flag, value in (
+            ("--shadow-rounds", "3"), ("--shadow-min-agreement", "0.6"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*self.SERVE, "--registry", "r", "--publish", flag, value])
+            assert excinfo.value.code == 2
+            with pytest.raises(SystemExit) as excinfo:
+                main([*self.SERVE, "--registry", "r", "--publish", f"{flag}={value}"])
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {flag}=" in capsys.readouterr().err
+
     def test_usage_errors(self, tmp_path):
         from repro.serve.cli import main
 
@@ -638,11 +792,6 @@ class TestRefitReloadCli:
             main(["serve", "--refit", "reload"])
         with pytest.raises(SystemExit, match="--refit reload requires --registry"):
             main(["serve", "--refit", "reload", "--registry", str(tmp_path)])
-        with pytest.raises(SystemExit, match="never shadows"):
-            main([
-                "serve", "--refit", "reload", "--registry", str(tmp_path),
-                "--publish", "--shadow-rounds", "3",
-            ])
 
 
 # ---------------------------------------------------------------------------
@@ -700,20 +849,6 @@ class TestDegenerateStreams:
             for result in results
             if result.n_samples
         )
-
-    def test_zero_row_batches_with_active_shadow_trial(self, rng):
-        from repro.serve import ShadowEvaluator
-
-        service, manager = self._lifecycle_service(rng)
-        manager.shadow = ShadowEvaluator(rounds=2, min_samples=4)
-        manager.buffer.add(rng.normal(size=(200, 4)))
-        _, event = manager.produce_candidate(service.detector)
-        assert event.action == "shadow_start"
-        # empty batches while a trial is live: no round consumed, no warnings
-        service.process_batch(np.empty((0, 4)))
-        assert manager._shadow_trial.n_rounds_ == 0
-        service.process_batch(rng.normal(size=(64, 4)))
-        assert manager._shadow_trial.n_rounds_ == 1
 
     def test_all_alert_stream_never_fills_window(self, rng):
         # A threshold below every score marks the entire stream anomalous:

@@ -88,8 +88,7 @@ def golden_inputs() -> dict:
         {"type": "alert", "batch_index": 0, "sample_index": 9},
         {"type": "alert", "batch_index": 0, "sample_index": 11},
         {"type": "drift", "batch_index": 1},
-        {"type": "lifecycle", "action": "shadow_start", "epoch": 0},
-        {"type": "lifecycle", "action": "shadow_pass", "epoch": 1,
+        {"type": "lifecycle", "action": "refit", "epoch": 1,
          "swapped": True, "published_version": 2},
         {"type": "metrics", "batch_index": 3, "snapshot": {}},
     ]

@@ -10,7 +10,6 @@ import pytest
 from repro.novelty import (
     HBOS,
     LODA,
-    AutoencoderDetector,
     DeepIsolationForest,
     IsolationForest,
     KNNDetector,
@@ -42,7 +41,6 @@ DETECTOR_FACTORIES = {
     "dif": lambda: DeepIsolationForest(
         n_representations=2, n_estimators_per_representation=5, random_state=0
     ),
-    "autoencoder": lambda: AutoencoderDetector(epochs=2, random_state=0),
     "knn": lambda: KNNDetector(n_neighbors=5, random_state=0),
     "hbos": lambda: HBOS(n_bins=10),
     "mahalanobis": lambda: MahalanobisDetector(),
