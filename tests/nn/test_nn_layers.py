@@ -13,6 +13,8 @@ from repro.nn import (
     Sequential,
     Sigmoid,
     Tanh,
+    he_init,
+    xavier_init,
 )
 
 
@@ -101,6 +103,27 @@ class TestLinear:
         grad_in = layer.backward(grad_out)
         numerical = numerical_gradient(loss_value, x)
         np.testing.assert_allclose(grad_in, numerical, atol=1e-6)
+
+
+class TestInitializers:
+    def test_xavier_stays_inside_glorot_limit(self):
+        weight = xavier_init(40, 10, 0)
+        limit = np.sqrt(6.0 / 50)
+        assert weight.shape == (40, 10)
+        assert np.all(np.abs(weight) <= limit)
+        assert np.abs(weight).max() > 0.9 * limit
+
+    def test_he_spread_matches_fan_in(self):
+        weight = he_init(200, 300, 0)
+        assert weight.shape == (200, 300)
+        assert weight.std() == pytest.approx(np.sqrt(2.0 / 200), rel=0.02)
+        assert abs(weight.mean()) < 0.005
+
+    @pytest.mark.parametrize(("init", "draw"), [("he", he_init), ("xavier", xavier_init)])
+    def test_linear_draws_its_weight_from_the_named_scheme(self, init, draw):
+        layer = Linear(6, 4, init=init, random_state=3)
+        np.testing.assert_array_equal(layer.weight.value, draw(6, 4, 3))
+        np.testing.assert_array_equal(layer.bias.value, np.zeros(4))
 
 
 @pytest.mark.parametrize("activation_cls", [ReLU, LeakyReLU, Tanh, Sigmoid])

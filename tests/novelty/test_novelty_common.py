@@ -34,8 +34,13 @@ DETECTOR_FACTORIES = {
 
 
 @pytest.fixture(params=sorted(DETECTOR_FACTORIES), ids=sorted(DETECTOR_FACTORIES))
-def detector(request) -> NoveltyDetector:
-    return DETECTOR_FACTORIES[request.param]()
+def detector_factory(request):
+    return DETECTOR_FACTORIES[request.param]
+
+
+@pytest.fixture
+def detector(detector_factory) -> NoveltyDetector:
+    return detector_factory()
 
 
 class TestDetectorContract:
@@ -89,6 +94,73 @@ class TestDetectorContract:
         X_train, _, _ = normal_and_anomalies
         detector.fit(X_train)
         assert detector.score_samples(np.empty((0, X_train.shape[1]))).shape == (0,)
+
+
+class TestDetectorInvariants:
+    """Properties the serving stack relies on: it scores micro-batches of
+    arbitrary order, re-fits from the same config and never copies inputs."""
+
+    def test_fit_leaves_training_data_unchanged(self, detector, normal_and_anomalies):
+        X_train, _, _ = normal_and_anomalies
+        X_copy = X_train.copy()
+        detector.fit(X_copy)
+        np.testing.assert_array_equal(X_copy, X_train)
+
+    def test_scores_follow_rows_under_permutation(self, detector, normal_and_anomalies):
+        X_train, X_normal, X_anomalous = normal_and_anomalies
+        X_test = np.vstack([X_normal, X_anomalous])
+        detector.fit(X_train)
+        order = np.random.default_rng(0).permutation(len(X_test))
+        np.testing.assert_array_equal(
+            detector.score_samples(X_test[order]), detector.score_samples(X_test)[order]
+        )
+
+    def test_same_config_refits_to_same_scores(self, detector_factory, normal_and_anomalies):
+        X_train, X_normal, X_anomalous = normal_and_anomalies
+        X_test = np.vstack([X_normal, X_anomalous])
+        first = detector_factory().fit(X_train)
+        second = detector_factory().fit(X_train)
+        np.testing.assert_array_equal(second.score_samples(X_test), first.score_samples(X_test))
+        assert second.threshold_ == first.threshold_
+
+    def test_wrong_feature_count_raises(self, detector, normal_and_anomalies):
+        X_train, _, _ = normal_and_anomalies
+        detector.fit(X_train)
+        with pytest.raises(ValueError):
+            detector.score_samples(np.zeros((3, X_train.shape[1] - 1)))
+
+    def test_non_finite_query_raises(self, detector, normal_and_anomalies):
+        X_train, X_normal, _ = normal_and_anomalies
+        detector.fit(X_train)
+        X_bad = X_normal[:4].copy()
+        X_bad[2, 1] = np.nan
+        with pytest.raises(ValueError):
+            detector.score_samples(X_bad)
+
+    def test_nested_lists_score_like_arrays(self, detector, normal_and_anomalies):
+        X_train, X_normal, _ = normal_and_anomalies
+        detector.fit(X_train)
+        np.testing.assert_array_equal(
+            detector.score_samples(X_normal.tolist()), detector.score_samples(X_normal)
+        )
+
+    def test_predict_flags_scores_strictly_above_threshold(self, detector, normal_and_anomalies):
+        X_train, X_normal, X_anomalous = normal_and_anomalies
+        X_test = np.vstack([X_normal, X_anomalous, X_train[:50]])
+        detector.fit(X_train)
+        scores = detector.score_samples(X_test)
+        np.testing.assert_array_equal(
+            detector.predict(X_test), (scores > detector.threshold_).astype(np.int64)
+        )
+        median_row = int(np.argsort(scores)[len(scores) // 2])
+        at_median = detector.predict(X_test, threshold=float(scores[median_row]))
+        assert at_median[median_row] == 0
+        np.testing.assert_array_equal(at_median, (scores > scores[median_row]).astype(np.int64))
+
+    def test_training_flag_rate_respects_threshold_quantile(self, detector, normal_and_anomalies):
+        X_train, _, _ = normal_and_anomalies
+        flagged = detector.fit_predict(X_train)
+        assert flagged.mean() <= 1.0 - detector.threshold_quantile
 
 
 class TestBaseClassValidation:

@@ -34,6 +34,8 @@ from repro.serve.telemetry import (
     MetricsEvent,
     MetricsRegistry,
     SpanTracer,
+    configure_logging,
+    get_logger,
     log_event,
     log_spaced_buckets,
     trace_span,
@@ -266,7 +268,39 @@ class TestServiceTelemetry:
         assert service.report().throughput_samples_per_sec > 0
 
 
+@pytest.fixture
+def restore_serve_logger():
+    """Put the package logger's handlers and level back after the test."""
+    package = logging.getLogger("repro.serve")
+    handlers, level = list(package.handlers), package.level
+    yield package
+    package.handlers[:] = handlers
+    package.setLevel(level)
+
+
 class TestOperatorLogging:
+    def test_get_logger_returns_package_logger_or_child(self):
+        assert get_logger() is logging.getLogger("repro.serve")
+        assert get_logger("faults") is logging.getLogger("repro.serve.faults")
+
+    def test_configure_logging_attaches_one_handler(self, restore_serve_logger):
+        before = len(restore_serve_logger.handlers)
+        configure_logging("info")
+        configure_logging(logging.WARNING)
+        streams = [
+            h
+            for h in restore_serve_logger.handlers
+            if isinstance(h, logging.StreamHandler) and not isinstance(h, logging.NullHandler)
+        ]
+        assert len(restore_serve_logger.handlers) == before + 1
+        assert len(streams) == 1
+        assert streams[0].level == logging.WARNING
+        assert restore_serve_logger.level == logging.WARNING
+
+    def test_configure_logging_rejects_unknown_level(self, restore_serve_logger):
+        with pytest.raises(ValueError, match="unknown log level"):
+            configure_logging("chatty")
+
     def test_log_event_renders_key_values(self, caplog):
         with caplog.at_level(logging.INFO, logger="repro.serve"):
             log_event(logging.INFO, "sample_event", n=3, name="x")

@@ -24,7 +24,7 @@ from repro.ml import (
     pairwise_squared_euclidean,
     pairwise_topk,
 )
-from repro.ml.binning import batch_bin_right, batch_searchsorted_right
+from repro.ml.binning import batch_bin_right, batch_searchsorted_right, histogram_log_densities
 from repro.novelty import (
     HBOS,
     LODA,
@@ -368,6 +368,24 @@ class TestHistogramDetectorEquivalence:
         np.testing.assert_array_equal(
             np.clip(batch_searchsorted_right(edges, values) - 1, 0, n_bins - 1),
             expected,
+        )
+
+    def test_histogram_log_densities_matches_per_column_lookup(self):
+        rng = np.random.default_rng(44)
+        d, n_bins = 5, 9
+        low = rng.normal(size=d)
+        edges = np.linspace(low, low + rng.uniform(0.5, 3.0, size=d), n_bins + 1, axis=1)
+        log_densities = np.log(rng.uniform(0.01, 1.0, size=(d, n_bins)))
+        values = rng.normal(size=(120, d)) * 3
+        values[:d, :] = edges[:, 0]  # left edge: first bin
+        values[d : 2 * d, :] = edges[:, -1]  # right edge: last bin, not the floor
+        expected = np.empty_like(values)
+        for j in range(d):
+            bins = np.clip(np.searchsorted(edges[j], values[:, j], side="right") - 1, 0, n_bins - 1)
+            inside = (values[:, j] >= edges[j, 0]) & (values[:, j] <= edges[j, -1])
+            expected[:, j] = np.where(inside, log_densities[j, bins], log_densities[j].min())
+        np.testing.assert_array_equal(
+            histogram_log_densities(values, edges, log_densities), expected
         )
 
     def test_hbos_matches_naive_including_out_of_range(self):
