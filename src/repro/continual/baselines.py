@@ -267,5 +267,4 @@ class LwF(_LatentClusterBaseline):
         self.cluster_centers_ = kmeans.cluster_centers_
         self._label_clusters(calibration_X, calibration_y)
         self._previous_model = self.autoencoder.clone()
-        self._previous_model.eval()
         self.experience_count += 1

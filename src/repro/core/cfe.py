@@ -218,8 +218,6 @@ class ContinualFeatureExtractor:
         return loss_value
 
     def _store_snapshot(self) -> None:
-        snapshot = self.autoencoder.clone()
-        snapshot.eval()
-        self._past_models.append(snapshot)
+        self._past_models.append(self.autoencoder.clone())
         if len(self._past_models) > self.max_snapshots:
             self._past_models.pop(0)

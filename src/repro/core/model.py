@@ -28,7 +28,7 @@ from repro.core.thresholding import (
 from repro.ml.pca import PCA
 from repro.ml.scalers import StandardScaler
 from repro.utils.random import check_random_state
-from repro.utils.validation import check_array
+from repro.utils.validation import check_array, check_n_features
 
 __all__ = ["CNDIDS"]
 
@@ -207,6 +207,7 @@ class CNDIDS(ContinualMethod):
         if self.pca_ is None:
             raise RuntimeError("CND-IDS has not been fitted on any experience yet")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self.input_dim, fitted_with="CND-IDS was built")
         if X.shape[0] == 0:
             return np.empty(0)
         X_scaled = self.scaler.transform(X)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ml import native
 from repro.ml.distances import pairwise_squared_euclidean
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_array, check_fitted
@@ -129,17 +130,23 @@ class KMeans:
     ) -> np.ndarray:
         """Mean of each cluster's members; empty clusters are re-seeded.
 
-        Each cluster's rows are summed in index order from zero, the same
+        Each cluster's rows are summed in index order from +0.0, the same
         additions a per-feature ``np.bincount`` makes, so the centres match a
-        bincount accumulation bit for bit.
+        bincount accumulation bit for bit.  The native ``cluster_sums`` kernel
+        (:mod:`repro.ml.native`) makes those additions in one pass over ``X``;
+        without it, NumPy gathers each cluster's rows.
         """
         k = self.n_clusters
-        counts = np.bincount(labels, minlength=k)
-        if X.shape[1] == 1:
-            # NumPy would sum a lone column pairwise; bincount keeps index order.
-            sums = np.bincount(labels, weights=X[:, 0], minlength=k)[:, None]
+        native_sums = native.cluster_sums(X, labels, k)
+        if native_sums is not None:
+            sums, counts = native_sums
         else:
-            sums = np.stack([X[labels == c].sum(axis=0) for c in range(k)])
+            counts = np.bincount(labels, minlength=k)
+            if X.shape[1] == 1:
+                # NumPy would sum a lone column pairwise; bincount keeps index order.
+                sums = np.bincount(labels, weights=X[:, 0], minlength=k)[:, None]
+            else:
+                sums = np.stack([X[labels == c].sum(axis=0) for c in range(k)])
         new_centers = centers.copy()
         nonempty = counts > 0
         new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]

@@ -1,4 +1,4 @@
-"""Optional native (C) kernels for batch tree-ensemble traversal.
+"""Optional native (C) kernels: tree-ensemble traversal and two training loops.
 
 The pure-NumPy frontier traversal in :mod:`repro.ml.flat_tree` is bound by
 the number of NumPy passes per tree level (~7 array operations per level per
@@ -30,11 +30,25 @@ stderr (or spawn error) is kept in :data:`last_compile_error` and logged at
 DEBUG level, so "why is scoring slow?" is answerable from a log instead of a
 rebuild.
 
-Both kernels operate on the :class:`repro.ml.flat_tree.FlatForest` layout:
-consecutive children (``right = left + 1``), self-looping leaves with a
-``+inf`` threshold (so a fixed ``depth``-iteration walk is branch-free and
+Both traversal kernels operate on the :class:`repro.ml.flat_tree.FlatForest`
+layout: consecutive children (``right = left + 1``), self-looping leaves with
+a ``+inf`` threshold (so a fixed ``depth``-iteration walk is branch-free and
 needs no leaf test), and node ids that are absolute into the concatenated
 per-tree arrays.
+
+Two training kernels replace NumPy passes in Algorithm 1: ``adam_step``
+updates the first and second moments and the parameters of
+:class:`repro.nn.optim.Adam` in one loop over its flat parameter vector, and
+``cluster_sums`` sums each k-means cluster's rows in one pass over the data
+(:meth:`repro.ml.kmeans.KMeans._update_centers`).  Both repeat the IEEE
+operations of their NumPy fallbacks in the same order, so their results are
+bit-identical to them.  The condition for that is ``-ffp-contract=off``: it
+forbids the compiler to fuse a multiply and an add into one rounding.
+``-fno-math-errno`` lets ``sqrt`` (correctly rounded either way) vectorise.
+The two run sequentially: each does one pass of a few arithmetic operations
+per element, and threads of their own would compete with OpenBLAS's threads
+for the same cores (an OpenMP Adam step measured ~5x slower than the serial
+one on a 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -52,7 +66,9 @@ import numpy as np
 from repro.ml.parallel import get_num_threads
 
 __all__ = [
+    "adam_step",
     "available",
+    "cluster_sums",
     "forest_sum",
     "forest_apply",
     "last_compile_error",
@@ -62,6 +78,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _C_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #ifdef _OPENMP
 #include <omp.h>
@@ -158,7 +175,49 @@ void forest_apply(const double *X, int64_t n, int64_t d,
     if (strict) { WALK_PARALLEL(>=, EMIT_LEAF) } else { WALK_PARALLEL(>, EMIT_LEAF) }
 #undef EMIT_LEAF
 }
+
+/* One Adam step over n parameters.  Per element this is the NumPy fallback's
+ * sequence: m = m*b1 + (1-b1)*g; v = v*b2 + (1-b2)*(g*g);
+ * value = value - (lr*(m/bc1)) / (sqrt(v/bc2) + eps). */
+void adam_step(double *restrict value, const double *restrict grad,
+               double *restrict m, double *restrict v, int64_t n,
+               double lr, double beta1, double beta2,
+               double bias_correction1, double bias_correction2, double eps)
+{
+    const double one_minus_beta1 = 1.0 - beta1, one_minus_beta2 = 1.0 - beta2;
+    for (int64_t i = 0; i < n; ++i) {
+        const double g = grad[i];
+        const double mi = m[i] * beta1 + one_minus_beta1 * g;
+        const double vi = v[i] * beta2 + one_minus_beta2 * (g * g);
+        m[i] = mi;
+        v[i] = vi;
+        value[i] -= lr * (mi / bias_correction1) / (sqrt(vi / bias_correction2) + eps);
+    }
+}
+
+/* Member count and row sum of each of k clusters.  Every sum starts at +0.0
+ * and adds its members' rows in index order. */
+void cluster_sums(const double *X, int64_t n, int64_t d,
+                  const int64_t *labels, int64_t k,
+                  double *sums, int64_t *counts)
+{
+    for (int64_t j = 0; j < k * d; ++j)
+        sums[j] = 0.0;
+    for (int64_t c = 0; c < k; ++c)
+        counts[c] = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const double *row = X + i * d;
+        double *sum = sums + labels[i] * d;
+        for (int64_t j = 0; j < d; ++j)
+            sum[j] += row[j];
+        counts[labels[i]] += 1;
+    }
+}
 """
+
+#: Flags of every compile.  ``-ffp-contract=off`` keeps each multiply and add
+#: separately rounded, the condition for the training kernels' bit-identity.
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 _CACHE_DIR = Path(__file__).resolve().parent / "_native_cache"
 
@@ -183,10 +242,10 @@ def _compiler() -> str:
 
 def _try_compile(cc: str, src_path: Path, out_path: Path, openmp: bool) -> str | None:
     """Compile the kernel; return ``None`` on success, the error text on failure."""
-    cmd = [cc, "-O3", "-shared", "-fPIC"]
+    cmd = [cc, *_CFLAGS]
     if openmp:
         cmd.append("-fopenmp")
-    cmd += ["-o", str(out_path), str(src_path)]
+    cmd += ["-o", str(out_path), str(src_path), "-lm"]
     try:
         result = subprocess.run(cmd, capture_output=True, timeout=120)
     except (OSError, subprocess.SubprocessError) as exc:
@@ -200,9 +259,10 @@ def _try_compile(cc: str, src_path: Path, out_path: Path, openmp: bool) -> str |
 def _compile_and_load() -> ctypes.CDLL | None:
     global last_compile_error
     cc = _compiler()
-    # The compiler identity participates in the cache key: switching $CC must
-    # not silently reuse an artifact built by a different toolchain.
-    digest = hashlib.sha256(f"{cc}\n{_C_SOURCE}".encode()).hexdigest()[:16]
+    # The compiler identity and flags participate in the cache key: switching
+    # $CC or the flags must not silently reuse a different build.
+    key = f"{cc}\n{' '.join(_CFLAGS)}\n{_C_SOURCE}"
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     lib_path = _CACHE_DIR / f"repro_tree_{digest}.so"
     if not lib_path.exists():
         _CACHE_DIR.mkdir(parents=True, exist_ok=True)
@@ -246,6 +306,17 @@ def _compile_and_load() -> ctypes.CDLL | None:
         ndpointer(np.int32, flags=("C_CONTIGUOUS", "WRITEABLE")),
     ]
     lib.forest_apply.restype = None
+    f64_out = ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    lib.adam_step.argtypes = [
+        f64_out, f64, f64_out, f64_out, ctypes.c_int64,
+        *[ctypes.c_double] * 6,
+    ]
+    lib.adam_step.restype = None
+    lib.cluster_sums.argtypes = [
+        f64, ctypes.c_int64, ctypes.c_int64, i64, ctypes.c_int64,
+        f64_out, ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE")),
+    ]
+    lib.cluster_sums.restype = None
     last_compile_error = None
     return lib
 
@@ -343,3 +414,49 @@ def forest_apply(
         _effective_threads(X.shape[0], n_threads), out,
     )
     return out
+
+
+def adam_step(
+    value: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    lr: float,
+    beta1: float,
+    beta2: float,
+    bias_correction1: float,
+    bias_correction2: float,
+    eps: float,
+) -> bool:
+    """One in-place Adam update of flat float64 vectors; ``False`` if unavailable.
+
+    ``value``, ``m`` and ``v`` are updated in place.  The result is bit-identical
+    to the NumPy sequence in :class:`repro.nn.optim.Adam`.
+    """
+    lib = _get_lib()
+    if lib is None:
+        return False
+    lib.adam_step(
+        value, grad, m, v, value.shape[0],
+        lr, beta1, beta2, bias_correction1, bias_correction2, eps,
+    )
+    return True
+
+
+def cluster_sums(
+    X: np.ndarray, labels: np.ndarray, n_clusters: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(sums, counts)`` of each cluster's rows, or ``None`` if unavailable.
+
+    ``sums[c]`` adds the rows labelled ``c`` in index order, starting from
+    +0.0; ``counts[c]`` is their number.
+    """
+    lib = _get_lib()
+    if lib is None:
+        return None
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    sums = np.empty((n_clusters, X.shape[1]), dtype=np.float64)
+    counts = np.empty(n_clusters, dtype=np.int64)
+    lib.cluster_sums(X, X.shape[0], X.shape[1], labels, n_clusters, sums, counts)
+    return sums, counts

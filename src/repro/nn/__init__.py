@@ -4,7 +4,8 @@ The paper trains its Continual Feature Extractor (a 4-layer MLP autoencoder)
 with Adam.  This subpackage provides the minimum credible equivalent of the
 PyTorch pieces the paper relies on: layer modules with exact analytical
 backpropagation, losses (including the triplet margin loss used by the
-cluster-separation objective), optimizers, and small model/trainer helpers.
+cluster-separation objective), the Adam optimizer, and small model/trainer
+helpers.
 """
 
 from repro.nn.data import batch_iterator
@@ -25,7 +26,7 @@ from repro.nn.losses import (
 )
 from repro.nn.models import MLP, Autoencoder
 from repro.nn.module import Module, Parameter
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam
 from repro.nn.trainer import Trainer, TrainingHistory
 
 __all__ = [
@@ -41,9 +42,7 @@ __all__ = [
     "BCELoss",
     "SoftmaxCrossEntropyLoss",
     "TripletMarginLoss",
-    "SGD",
     "Adam",
-    "Optimizer",
     "MLP",
     "Autoencoder",
     "Trainer",

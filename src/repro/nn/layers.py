@@ -67,6 +67,8 @@ class Linear(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward called before forward")
+        if self.weight.grad is None:
+            raise RuntimeError("backward through a frozen clone, which has no gradient buffers")
         grad_output = np.asarray(grad_output, dtype=np.float64)
         self.weight.grad += self._input.T @ grad_output
         self.bias.grad += grad_output.sum(axis=0)

@@ -17,11 +17,15 @@ __all__ = ["Parameter", "Module"]
 
 
 class Parameter:
-    """A trainable tensor with an associated gradient buffer."""
+    """A trainable tensor with an associated gradient buffer.
+
+    ``grad`` is ``None`` on the parameters of a frozen :meth:`Module.clone`,
+    which only ever runs forward.
+    """
 
     def __init__(self, value: np.ndarray, name: str = "param") -> None:
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad: np.ndarray | None = np.zeros_like(self.value)
         self.name = name
 
     @property
@@ -109,7 +113,11 @@ class Module:
         }
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameter values previously produced by :meth:`state_dict`."""
+        """Load parameter values previously produced by :meth:`state_dict`.
+
+        Values are written into the existing arrays, so parameters that an
+        :class:`repro.nn.optim.Adam` keeps in its flat buffer stay there.
+        """
         params = self.parameters()
         if len(state) != len(params):
             raise ValueError(
@@ -123,11 +131,16 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {key!r}: expected {param.value.shape}, got {state[key].shape}"
                 )
-            param.value = state[key].copy()
+            param.value[...] = state[key]
 
     def clone(self) -> "Module":
-        """Return a deep, independent copy of this module (frozen snapshot)."""
-        return copy.deepcopy(self)
+        """Return a deep, independent, frozen copy of this module.
+
+        The copy is in eval mode and keeps no gradient buffers: its
+        parameters' ``grad`` is ``None`` and a backward through it raises.
+        """
+        memo = {id(p.grad): None for p in self.parameters()}
+        return copy.deepcopy(self, memo).eval()
 
     def n_parameters(self) -> int:
         """Total number of scalar trainable parameters."""

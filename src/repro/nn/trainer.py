@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.nn.data import batch_iterator
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer
+from repro.nn.optim import Adam
 from repro.utils.random import check_random_state
 
 __all__ = ["TrainingHistory", "Trainer"]
@@ -43,7 +43,7 @@ class Trainer:
     model:
         Any :class:`~repro.nn.module.Module`.
     optimizer:
-        Optimizer constructed over ``model.parameters()``.
+        Adam optimizer constructed over ``model.parameters()``.
     loss_fn:
         Callable ``(prediction, target) -> (value, grad_wrt_prediction)``.
     batch_size, epochs:
@@ -53,7 +53,7 @@ class Trainer:
     def __init__(
         self,
         model: Module,
-        optimizer: Optimizer,
+        optimizer: Adam,
         loss_fn: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]],
         *,
         batch_size: int = 128,

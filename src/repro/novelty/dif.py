@@ -15,7 +15,7 @@ from repro.nn.models import MLP
 from repro.novelty.base import NoveltyDetector
 from repro.novelty.iforest import IsolationForest
 from repro.utils.random import check_random_state
-from repro.utils.validation import check_array, check_fitted
+from repro.utils.validation import check_array, check_fitted, check_n_features
 
 __all__ = ["DeepIsolationForest"]
 
@@ -109,6 +109,7 @@ class DeepIsolationForest(NoveltyDetector):
     def score_samples(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "networks_")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self.networks_[0].layer_sizes[0], fitted_with="detector was fitted")
         n = X.shape[0]
         if n == 0:
             return np.empty(0)

@@ -70,9 +70,9 @@ class HBOS(NoveltyDetector):
     def score_samples(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "bin_edges_")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self.bin_edges_.shape[0], fitted_with="detector was fitted")
         if X.shape[0] == 0:
             return np.empty(0)
-        check_n_features(X, self.bin_edges_.shape[0], fitted_with="detector was fitted")
         # All features binned in one batched searchsorted; out-of-range
         # values get the density of the emptiest bin (the smoothing floor).
         return -histogram_log_densities(X, self.bin_edges_, self.log_densities_).sum(axis=1)
@@ -81,9 +81,9 @@ class HBOS(NoveltyDetector):
         """Per-feature scoring loop kept for equivalence tests and benchmarks."""
         check_fitted(self, "bin_edges_")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self.bin_edges_.shape[0], fitted_with="detector was fitted")
         if X.shape[0] == 0:
             return np.empty(0)
-        check_n_features(X, self.bin_edges_.shape[0], fitted_with="detector was fitted")
         scores = np.zeros(X.shape[0])
         for j in range(X.shape[1]):
             edges = self.bin_edges_[j]

@@ -179,6 +179,7 @@ class IsolationForest(NoveltyDetector):
         """Recursive per-tree mask walk, kept for equivalence tests and benchmarks."""
         check_fitted(self, "forest_")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self.n_features_, fitted_with="forest was fitted")
         if X.shape[0] == 0:
             return np.empty(0)
         forest = self.forest_

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.ml.distances import pairwise_euclidean, pairwise_topk
 from repro.novelty.base import NoveltyDetector
-from repro.utils.validation import check_array, check_fitted
+from repro.utils.validation import check_array, check_fitted, check_n_features
 
 __all__ = ["KNNDetector"]
 
@@ -85,6 +85,7 @@ class KNNDetector(NoveltyDetector):
     def score_samples(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "X_train_")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self.X_train_.shape[1], fitted_with="detector was fitted")
         if X.shape[0] == 0:
             return np.empty(0)
         _, nearest = pairwise_topk(
@@ -96,6 +97,7 @@ class KNNDetector(NoveltyDetector):
         """Full-matrix full-sort reference kept for equivalence tests and benchmarks."""
         check_fitted(self, "X_train_")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self.X_train_.shape[1], fitted_with="detector was fitted")
         if X.shape[0] == 0:
             return np.empty(0)
         distances = pairwise_euclidean(X, self.X_train_)

@@ -14,7 +14,7 @@ import numpy as np
 from repro.ml.binning import histogram_log_densities
 from repro.novelty.base import NoveltyDetector
 from repro.utils.random import check_random_state
-from repro.utils.validation import check_array, check_fitted
+from repro.utils.validation import check_array, check_fitted, check_n_features
 
 __all__ = ["LODA"]
 
@@ -88,6 +88,7 @@ class LODA(NoveltyDetector):
     def score_samples(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "projections_")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self.projections_.shape[1], fitted_with="detector was fitted")
         if X.shape[0] == 0:
             return np.empty(0)
         projected = X @ self.projections_.T
@@ -102,6 +103,7 @@ class LODA(NoveltyDetector):
         """Per-projection scoring loop kept for equivalence tests and benchmarks."""
         check_fitted(self, "projections_")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self.projections_.shape[1], fitted_with="detector was fitted")
         if X.shape[0] == 0:
             return np.empty(0)
         projected = X @ self.projections_.T

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.novelty.base import NoveltyDetector
-from repro.utils.validation import check_array, check_fitted
+from repro.utils.validation import check_array, check_fitted, check_n_features
 
 __all__ = ["MahalanobisDetector"]
 
@@ -55,6 +55,7 @@ class MahalanobisDetector(NoveltyDetector):
     def score_samples(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "precision_")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self.mean_.shape[0], fitted_with="detector was fitted")
         if X.shape[0] == 0:
             return np.empty(0)
         centered = X - self.mean_

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.novelty.base import NoveltyDetector
 from repro.utils.random import check_random_state
-from repro.utils.validation import check_array, check_fitted
+from repro.utils.validation import check_array, check_fitted, check_n_features
 
 __all__ = ["OneClassSVM"]
 
@@ -138,6 +138,7 @@ class OneClassSVM(NoveltyDetector):
     def score_samples(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "weights_")
         X = check_array(X, name="X", allow_empty=True)
+        check_n_features(X, self._rff_directions.shape[0], fitted_with="detector was fitted")
         n = X.shape[0]
         if n == 0:
             return np.empty(0)

@@ -101,6 +101,7 @@ class TestLwFSpecific:
         assert model._previous_model is None
         model.fit_experience(data[0], calibration_X=data[1], calibration_y=data[2])
         assert model._previous_model is not None
+        assert all(p.grad is None for p in model._previous_model.parameters())
 
     def test_distillation_limits_drift(self):
         """With a huge LwF weight the model barely moves between experiences."""

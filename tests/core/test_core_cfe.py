@@ -42,6 +42,17 @@ class TestCFEBasics:
         assert cfe.n_past_models == 3
         assert cfe.experience_count == 3
 
+    def test_snapshots_keep_no_gradient_buffers(self):
+        cfe = ContinualFeatureExtractor(10, latent_dim=4, hidden_dims=(16,), epochs=1, random_state=0)
+        X, pseudo = _separable_batch()
+        cfe.fit_experience(X, pseudo)
+        (snapshot,) = cfe._past_models
+        assert not snapshot.training
+        assert all(p.grad is None for p in snapshot.parameters())
+        for live, frozen in zip(cfe.autoencoder.parameters(), snapshot.parameters()):
+            assert not np.shares_memory(live.value, frozen.value)
+        np.testing.assert_array_equal(snapshot.encode(X), cfe.encode(X))
+
     def test_max_snapshots_enforced(self):
         cfe = ContinualFeatureExtractor(
             10, latent_dim=4, hidden_dims=(16,), epochs=1, max_snapshots=2, random_state=0

@@ -99,6 +99,12 @@ class TestCNDIDSLifecycle:
         assert np.all(np.isfinite(scores))
         assert np.all(scores >= 0.0)
 
+    def test_empty_query_of_wrong_width_raises(self, fitted_model):
+        model, scenario = fitted_model
+        assert model.score_samples(np.empty((0, scenario.n_features))).shape == (0,)
+        with pytest.raises(ValueError, match="features"):
+            model.score_samples(np.empty((0, scenario.n_features + 2)))
+
     def test_predict_binary_with_labels(self, fitted_model):
         model, scenario = fitted_model
         predictions = model.predict(scenario[0].X_test, y_true=scenario[0].y_test)

@@ -67,6 +67,17 @@ class TestModuleClone:
         x = np.random.default_rng(1).normal(size=(4, 3))
         np.testing.assert_allclose(model(x), clone(x))
 
+    def test_clone_is_frozen(self):
+        model = Sequential(Linear(3, 5, random_state=0), ReLU(), Linear(5, 2, random_state=1))
+        clone = model.clone()
+        assert not clone.training
+        assert all(p.grad is None for p in clone.parameters())
+        assert all(p.grad is not None for p in model.parameters())
+        clone.train()
+        clone(np.ones((4, 3)))
+        with pytest.raises(RuntimeError, match="frozen"):
+            clone.backward(np.ones((4, 2)))
+
 
 class TestTrainEvalMode:
     def test_train_eval_propagates_to_children(self):

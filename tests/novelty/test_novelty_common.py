@@ -129,6 +129,12 @@ class TestDetectorInvariants:
         with pytest.raises(ValueError):
             detector.score_samples(np.zeros((3, X_train.shape[1] - 1)))
 
+    def test_empty_query_of_wrong_width_raises(self, detector, normal_and_anomalies):
+        X_train, _, _ = normal_and_anomalies
+        detector.fit(X_train)
+        with pytest.raises(ValueError, match="features"):
+            detector.score_samples(np.empty((0, X_train.shape[1] + 2)))
+
     def test_non_finite_query_raises(self, detector, normal_and_anomalies):
         X_train, X_normal, _ = normal_and_anomalies
         detector.fit(X_train)

@@ -4,8 +4,8 @@ Every scoring path that was vectorized (flattened trees, the blockwise top-k
 neighbour kernel, batched histogram binning, k-means assignment/updates) must
 reproduce the retained naive reference implementation to within
 ``rtol=1e-9`` — most paths are required to be bit-identical.  The flat-forest
-paths are exercised both with the native (compiled) kernels and with the
-pure-NumPy fallback (``REPRO_DISABLE_NATIVE``).
+and k-means paths are exercised both with the native (compiled) kernels and
+with the pure-NumPy fallback (``REPRO_DISABLE_NATIVE``).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.utils.validation import check_array
 
 @pytest.fixture(params=["native", "numpy"])
 def traversal_backend(request, monkeypatch):
-    """Run flat-forest dependent tests on both traversal backends."""
+    """Run a test with the native kernels and with the pure-NumPy fallback."""
     if request.param == "numpy":
         monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
     else:
@@ -455,6 +455,7 @@ def _assert_same_fit(X, **params):
     return fast
 
 
+@pytest.mark.usefixtures("traversal_backend")
 class TestKMeansFitMatchesNaiveLloyd:
     @pytest.mark.parametrize("d", [1, 2, 7, 56])
     def test_random_data(self, d):
@@ -495,6 +496,7 @@ class TestKMeansFitMatchesNaiveLloyd:
         np.testing.assert_array_equal(fast.predict(X_query), naive.predict(X_query))
 
 
+@pytest.mark.usefixtures("traversal_backend")
 class TestKMeansEquivalence:
     def test_assignment_matches_argmin(self):
         rng = np.random.default_rng(50)
