@@ -37,7 +37,6 @@ from repro.serve.registry import ModelRegistry
 from repro.serve.service import DetectionService
 from repro.serve.sinks import ListSink
 from repro.serve.telemetry import (
-    MemoryProfiler,
     MetricsRegistry,
     SpanBuffer,
     TraceContext,
@@ -306,12 +305,6 @@ def test_telemetry_unit_costs(iforest):
     metrics = service.metrics_snapshot()
     # A /metrics scrape renders the full snapshot.
     assert _best_seconds(lambda: render_prometheus(metrics)) < 0.1
-
-    profiler = MemoryProfiler(MetricsRegistry(), trace_python=False)
-    try:
-        assert 1.0 / _best_seconds(lambda: profiler.sample("bench"), inner=100) > 1e3
-    finally:
-        profiler.close()
 
     summary = service.report().to_dict()
     assert _best_seconds(

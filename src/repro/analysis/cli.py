@@ -2,7 +2,7 @@
 
 Usage::
 
-    repro lint                          # lint src/ (plus README.md) from cwd
+    repro lint                          # lint src/ from cwd
     repro lint src/repro benchmarks     # explicit paths
     repro lint --rules RL001,RL005 src/repro
     repro lint --write-baseline src/repro
@@ -60,13 +60,6 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rewrite the baseline file from the current findings "
         "(existing reasons are preserved; new entries get a placeholder)",
-    )
-    parser.add_argument(
-        "--docs",
-        type=Path,
-        nargs="*",
-        default=None,
-        help="markdown files to cross-check (default: ./README.md when present)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
@@ -143,15 +136,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: cannot load baseline: {exc}", file=sys.stderr)
                 return 2
 
-    docs = args.docs
-    if docs is None:
-        readme = Path("README.md")
-        docs = [readme] if readme.is_file() else []
-
     try:
-        result = run_lint(
-            args.paths or _default_paths(), rules=rules, docs=docs, baseline=baseline
-        )
+        result = run_lint(args.paths or _default_paths(), rules=rules, baseline=baseline)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

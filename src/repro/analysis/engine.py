@@ -13,8 +13,9 @@ The engine owns everything rule-agnostic:
   them;
 - cross-module state: rules see each module via :meth:`Rule.check_module`
   and then get one :meth:`Rule.finalize` call with the full
-  :class:`LintContext`, which is how whole-package contracts (trace-stage
-  coverage, snapshot transients inherited across modules) are checked.
+  :class:`LintContext`, which is how whole-package contracts (event
+  producers against their consumers, nondeterminism reaching the serve
+  path through calls) are checked.
 
 Rules never read files themselves; fixtures exercise them by building a
 :class:`ParsedModule` from source with :func:`parse_module` under any
@@ -122,8 +123,6 @@ class LintContext:
     """Everything a rule may consult across modules."""
 
     modules: list[ParsedModule] = field(default_factory=list)
-    #: Non-Python documents to cross-check, e.g. README.md: (display, text).
-    docs: list[tuple[str, str]] = field(default_factory=list)
     #: Files that failed to parse: (display_path, error message).
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
     #: The active Baseline (if any) — cross-module rules consult it to avoid
@@ -135,24 +134,10 @@ class LintContext:
 
     @property
     def scanned_paths(self) -> list[str]:
-        """Display paths of every file and doc this run read."""
-        return (
-            [m.display_path for m in self.modules]
-            + [display for display, _ in self.parse_errors]
-            + [display for display, _ in self.docs]
-        )
-
-    def module_by_suffix(self, suffix: str) -> ParsedModule | None:
-        for module in self.modules:
-            if module.display_path.endswith(suffix):
-                return module
-        return None
-
-    def module_by_dotted(self, dotted: str) -> ParsedModule | None:
-        for module in self.modules:
-            if module.dotted == dotted:
-                return module
-        return None
+        """Display paths of every file this run read."""
+        return [m.display_path for m in self.modules] + [
+            display for display, _ in self.parse_errors
+        ]
 
 
 @dataclass
@@ -205,15 +190,12 @@ def run_lint(
     paths: Sequence[str | Path],
     *,
     rules: Sequence | None = None,
-    docs: Sequence[str | Path] = (),
     baseline=None,
 ) -> LintResult:
     """Run ``rules`` (default: the full registry) over ``paths``.
 
-    ``docs`` are auxiliary non-Python files (README) offered to rules that
-    cross-check prose against code.  ``baseline`` is a
-    :class:`repro.analysis.baseline.Baseline`; matched findings are marked,
-    not removed.
+    ``baseline`` is a :class:`repro.analysis.baseline.Baseline`; matched
+    findings are marked, not removed.
     """
     context = LintContext()
     for path in _collect_files(paths):
@@ -224,12 +206,6 @@ def run_lint(
             )
         except SyntaxError as exc:
             context.parse_errors.append((display, str(exc)))
-    for doc in docs:
-        doc_path = Path(doc)
-        if doc_path.is_file():
-            context.docs.append(
-                (_display_path(doc_path), doc_path.read_text(encoding="utf-8"))
-            )
     return lint_parsed(context, rules=rules, baseline=baseline)
 
 

@@ -1,14 +1,13 @@
 """Pass 1 of the two-pass linter: whole-tree symbol table and call graph.
 
-Per-module rules see one file at a time; the cross-module family
-(RL009–RL012) needs to know *who defines what* and *who calls whom* across
-the scanned tree.  :func:`build_project` walks every parsed module once and
+Per-module rules see one file at a time; the cross-module taint rule
+(RL012) needs to know *who defines what* and *who calls whom* across the
+scanned tree.  :func:`build_project` walks every parsed module once and
 produces a :class:`ProjectGraph`:
 
-- per module: defined classes (with their method names and the set of
-  ``self.<attr>`` names each class writes), top-level functions, the
-  ``__all__`` export list, and the import alias table with relative imports
-  resolved against the module's dotted name;
+- per module: defined classes (with their method names), top-level
+  functions, and the import alias table with relative imports resolved
+  against the module's dotted name;
 - a call graph keyed by ``"<display_path>::<qualname>"``: direct calls to
   same-module functions, ``self.method()`` calls within a class, and calls
   through ``import``/``from … import`` aliases resolved to functions of
@@ -60,15 +59,11 @@ class ModuleInfo:
     dotted: str | None
     #: class name -> method names defined on the class body.
     classes: dict[str, set[str]] = field(default_factory=dict)
-    #: class name -> ``self.<attr>`` names the class writes anywhere.
-    attr_writes: dict[str, set[str]] = field(default_factory=dict)
     #: qualnames of every function/method ("func", "Class.method").
     functions: set[str] = field(default_factory=set)
     #: local name -> canonical dotted target ("repro.serve.sinks",
     #: "repro.serve.sinks.read_events", "numpy", ...).
     imports: dict[str, str] = field(default_factory=dict)
-    #: ``__all__`` entries when statically resolvable, else None.
-    all_exports: list[str] | None = None
 
 
 @dataclass
@@ -83,14 +78,6 @@ class ProjectGraph:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: caller function key -> {callee function key: first call-site line}.
     call_edges: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def callers_of(self, callee_key: str) -> dict[str, int]:
-        """Caller key -> call-site line for every edge into ``callee_key``."""
-        found: dict[str, int] = {}
-        for caller, edges in self.call_edges.items():
-            if callee_key in edges:
-                found[caller] = edges[callee_key]
-        return found
 
 
 def _resolve_relative(module: ParsedModule, node: ast.ImportFrom) -> str | None:
@@ -132,27 +119,8 @@ def _collect_imports(module: ParsedModule) -> dict[str, str]:
     return imports
 
 
-def _collect_all_exports(module: ParsedModule) -> list[str] | None:
-    for stmt in module.tree.body:
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target]
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == "__all__":
-                value = stmt.value
-                if isinstance(value, (ast.List, ast.Tuple)) and all(
-                    isinstance(e, ast.Constant) and isinstance(e.value, str)
-                    for e in value.elts
-                ):
-                    return [e.value for e in value.elts]
-                return None
-    return None
-
-
 class _DefCollector(ast.NodeVisitor):
-    """Record classes, methods, functions, and per-class self-attr writes."""
+    """Record classes, their methods, and top-level functions."""
 
     def __init__(self, info: ModuleInfo, display: str) -> None:
         self.info = info
@@ -169,7 +137,6 @@ class _DefCollector(ast.NodeVisitor):
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if not self._class and not self._func:
             self.info.classes[node.name] = set()
-            self.info.attr_writes.setdefault(node.name, set())
             self._class.append(node.name)
             self.generic_visit(node)
             self._class.pop()
@@ -191,29 +158,6 @@ class _DefCollector(ast.NodeVisitor):
 
     visit_FunctionDef = _visit_func
     visit_AsyncFunctionDef = _visit_func
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        self._record_attr_write(node.targets)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._record_attr_write([node.target])
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._record_attr_write([node.target])
-        self.generic_visit(node)
-
-    def _record_attr_write(self, targets: list[ast.expr]) -> None:
-        if not self._class:
-            return
-        for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                self.info.attr_writes[self._class[-1]].add(target.attr)
 
 
 class _CallCollector(ast.NodeVisitor):
@@ -306,7 +250,6 @@ def build_project(context: LintContext) -> ProjectGraph:
             display_path=module.display_path,
             dotted=module.dotted,
             imports=_collect_imports(module),
-            all_exports=_collect_all_exports(module),
         )
         collector = _DefCollector(info, module.display_path)
         collector.visit(module.tree)

@@ -10,20 +10,14 @@ from __future__ import annotations
 
 from repro.analysis.rules.base import Rule
 from repro.analysis.rules.rl001_determinism import DeterminismRule
-from repro.analysis.rules.rl002_snapshot import SnapshotCompletenessRule
 from repro.analysis.rules.rl003_pickle import PickleBanRule
 from repro.analysis.rules.rl004_events import SinkEventSchemaRule
 from repro.analysis.rules.rl005_exceptions import ExceptionHygieneRule
-from repro.analysis.rules.rl006_trace import TraceCoverageRule
-from repro.analysis.rules.rl008_api import ApiSurfaceRule
 from repro.analysis.rules.rl009_resources import ResourceLifecycleRule
 from repro.analysis.rules.rl010_schema import EventSchemaConsistencyRule
-from repro.analysis.rules.rl011_clidocs import CliDocsSyncRule
 from repro.analysis.rules.rl012_taint import DeterminismTaintRule
 
 __all__ = [
-    "ApiSurfaceRule",
-    "CliDocsSyncRule",
     "DeterminismRule",
     "DeterminismTaintRule",
     "EventSchemaConsistencyRule",
@@ -33,23 +27,17 @@ __all__ = [
     "Rule",
     "RULE_CLASSES",
     "SinkEventSchemaRule",
-    "SnapshotCompletenessRule",
-    "TraceCoverageRule",
     "default_rules",
     "rules_by_id",
 ]
 
 RULE_CLASSES: tuple[type[Rule], ...] = (
     DeterminismRule,
-    SnapshotCompletenessRule,
     PickleBanRule,
     SinkEventSchemaRule,
     ExceptionHygieneRule,
-    TraceCoverageRule,
-    ApiSurfaceRule,
     ResourceLifecycleRule,
     EventSchemaConsistencyRule,
-    CliDocsSyncRule,
     DeterminismTaintRule,
 )
 

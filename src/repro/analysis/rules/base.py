@@ -18,14 +18,12 @@ Writing a new rule
 3. Implement ``check_module`` for per-file checks, or ``finalize`` for
    whole-tree contracts.  ``finalize`` rules may consult
    ``context.project`` — the resolved symbol table / call graph built by
-   :mod:`repro.analysis.project` — and ``context.docs`` for README
-   cross-checks.  A finalize rule that keys on specific home modules must
-   degrade gracefully when only a subtree is scanned (see RL006/RL010:
-   skip the check when the producing side is absent, so ``repro lint
-   one_file.py`` never emits spurious whole-tree findings).
+   :mod:`repro.analysis.project`.  A finalize rule that keys on specific
+   home modules must degrade gracefully when only a subtree is scanned (see
+   RL010: skip the check when the producing side is absent, so ``repro
+   lint one_file.py`` never emits spurious whole-tree findings).
 4. Produce findings via :meth:`Rule.finding` (anchored on a module + node,
-   capturing context qualname and line text for baseline identity) or
-   :meth:`Rule.doc_finding` (anchored on a markdown file).
+   capturing context qualname and line text for baseline identity).
 5. Register the class in ``rules/__init__.py``'s ``RULE_CLASSES`` and add a
    ``tests/analysis/fixtures/rlNNN_bad.py`` / ``rlNNN_good.py`` twin plus a
    ``CASES`` entry in ``tests/analysis/test_rules_fixtures.py`` with exact
@@ -36,7 +34,7 @@ Writing a new rule
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.analysis.engine import LintContext, ParsedModule
 from repro.analysis.findings import Finding
@@ -138,64 +136,3 @@ class Rule:
             context=context,
             line_text=module.line_text(lineno),
         )
-
-    def doc_finding(
-        self, display_path: str, line: int, message: str
-    ) -> Finding:
-        return Finding(
-            rule=self.rule_id,
-            severity=self.severity,
-            path=display_path,
-            line=line,
-            col=0,
-            message=message,
-        )
-
-
-def collect_bound_names(statements: Sequence[ast.stmt]) -> set[str]:
-    """Names bound at module level, descending into Try/If/For/With blocks."""
-    bound: set[str] = set()
-    for stmt in statements:
-        if isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                bound.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(stmt, ast.ImportFrom):
-            for alias in stmt.names:
-                if alias.name == "*":
-                    continue
-                bound.add(alias.asname or alias.name)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.add(stmt.name)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                bound.update(_target_names(target))
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            bound.add(stmt.target.id)
-        elif isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
-            bound.add(stmt.target.id)
-        elif isinstance(stmt, ast.Try):
-            bound.update(collect_bound_names(stmt.body))
-            for handler in stmt.handlers:
-                bound.update(collect_bound_names(handler.body))
-            bound.update(collect_bound_names(stmt.orelse))
-            bound.update(collect_bound_names(stmt.finalbody))
-        elif isinstance(stmt, ast.If):
-            bound.update(collect_bound_names(stmt.body))
-            bound.update(collect_bound_names(stmt.orelse))
-        elif isinstance(stmt, (ast.For, ast.While)):
-            bound.update(collect_bound_names(stmt.body))
-            bound.update(collect_bound_names(stmt.orelse))
-        elif isinstance(stmt, ast.With):
-            bound.update(collect_bound_names(stmt.body))
-    return bound
-
-
-def _target_names(target: ast.expr) -> set[str]:
-    if isinstance(target, ast.Name):
-        return {target.id}
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: set[str] = set()
-        for element in target.elts:
-            names.update(_target_names(element))
-        return names
-    return set()

@@ -42,10 +42,10 @@ Usage examples::
     repro serve report ./run --budget score=50 --budget-metric p95
     repro trace ./run/trace.jsonl --view tree --budget batch=100
 
-    # live introspection + continuous memory profiling: /metrics (Prometheus),
-    # /health (heartbeat watchdog), /status (JSON summary)
+    # live introspection: /metrics (Prometheus), /health (heartbeat
+    # watchdog), /status (JSON summary)
     repro serve --dataset wustl_iiot --detector iforest \
-        --status-port 9178 --health-deadline 30 --profile-mem
+        --status-port 9178 --health-deadline 30
 
 (``repro`` is the console script registered in ``pyproject.toml``; the same
 commands work as ``python -m repro.experiments.cli ...``.)
@@ -85,7 +85,6 @@ from repro.serve.sinks import JsonlSink
 from repro.serve.snapshot import read_manifest, save_snapshot
 from repro.serve.telemetry import (
     HeartbeatWatchdog,
-    MemoryProfiler,
     SpanTracer,
     StatusServer,
     build_run_summary,
@@ -197,12 +196,6 @@ def _parser() -> argparse.ArgumentParser:
         "completed within this many seconds (default 30)",
     )
     serve.add_argument(
-        "--profile-mem", action="store_true",
-        help="sample RSS + tracemalloc after every batch into the "
-        "metrics registry (mem.* gauges, per-stage byte histograms) and a "
-        "'memory' section of run_summary.json",
-    )
-    serve.add_argument(
         "--metrics-every", type=int, default=None, metavar="N",
         help="emit a metrics-snapshot event through the sinks every N scored "
         "batches (periodic MetricsEvent; off by default)",
@@ -304,7 +297,6 @@ _CONFIG_EXCLUDED = (
     "alerts",
     "health_deadline",
     "log_level",
-    "profile_mem",
     "registry",
     "run_dir",
     "status_port",
@@ -356,7 +348,6 @@ def _write_run_artifacts(
     registry: ModelRegistry | None,
     model_name: str | None,
     serving_version: int | None,
-    memory: dict | None = None,
 ) -> None:
     """Write ``run_summary.json`` + ``report.json``/``report.md`` into
     ``args.run_dir`` (the sinks — including ``events.jsonl`` — are already
@@ -385,8 +376,6 @@ def _write_run_artifacts(
         service_report=report.to_dict(),
         metrics=service.metrics_snapshot(),
     )
-    if memory:
-        summary_payload["memory"] = memory
     (run_dir / "run_summary.json").write_text(
         json.dumps(summary_payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -580,10 +569,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         tracer=tracer,
         metrics_every=args.metrics_every,
     )
-    profiler: MemoryProfiler | None = None
-    if args.profile_mem:
-        profiler = MemoryProfiler(service.telemetry, tracer=tracer)
-        service.profiler = profiler
     status_server: StatusServer | None = None
     if args.status_port is not None:
         watchdog = HeartbeatWatchdog(args.health_deadline)
@@ -597,7 +582,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 "n_samples": service.n_samples_,
                 "n_alerts": service.n_alerts_,
                 "disabled_sinks": service.n_disabled_sinks_,
-                "profiling_memory": profiler is not None,
             }
 
         status_server = StatusServer(
@@ -619,28 +603,16 @@ def _run_serve(args: argparse.Namespace) -> int:
     try:
         interrupted = _serve_stream(service, stream)
     except BaseException:
-        # An exception out of the stream must not leak the span-file handle
-        # or the tracemalloc hooks: close them before propagating (the
-        # tracer's close truncates any torn trailing line, so the partial
-        # trace stays readable).  The happy path below closes them after
-        # taking the final sample / span count.
-        if profiler is not None:
-            profiler.close()
+        # An exception out of the stream must not leak the span-file handle:
+        # close it before propagating (the tracer's close truncates any torn
+        # trailing line, so the partial trace stays readable).  The happy
+        # path below closes it after taking the span count.
         if tracer is not None:
             tracer.close()
         raise
     finally:
         if status_server is not None:
             status_server.close()
-    memory: dict | None = None
-    if profiler is not None:
-        profiler.sample("final")
-        memory = profiler.summary()
-        profiler.close()
-        print(
-            f"memory profile: {memory['n_samples']} samples, "
-            f"rss max {memory['rss_max_bytes'] / 1e6:.1f} MB"
-        )
     if tracer is not None:
         tracer.close()
         print(f"{tracer.n_spans} spans traced to {tracer.path}")
@@ -661,7 +633,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 registry=registry,
                 model_name=served_name,
                 serving_version=serving_version,
-                memory=memory,
             )
         signal_name = "SIGINT" if interrupted == 130 else "SIGTERM"
         print(f"interrupted by {signal_name}; partial report above")
@@ -695,7 +666,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             registry=registry,
             model_name=served_name,
             serving_version=serving_version,
-            memory=memory,
         )
     return 0
 

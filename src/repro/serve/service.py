@@ -311,12 +311,10 @@ class DetectionService:
         if trace_context is None and tracer is not None:
             trace_context = TraceContext.root()
         self.trace_context = trace_context
-        #: Optional liveness/profiling hooks (``repro serve --status-port`` /
-        #: ``--profile-mem``): the watchdog beats and the profiler samples
-        #: once per completed batch.  Plain attributes so the CLI can attach
-        #: them without widening every signature.
+        #: Optional liveness hook (``repro serve --status-port``): the
+        #: watchdog beats once per completed batch.  A plain attribute so
+        #: the CLI can attach it without widening every signature.
         self.heartbeat: Any = None
-        self.profiler: Any = None
         self.metrics_every = metrics_every
         # Instrument handles are resolved once: the per-batch path must not
         # pay a registry dict lookup per counter.
@@ -471,9 +469,8 @@ class DetectionService:
 
         The whole batch runs under one ``batch`` span; with a trace context
         the stage spans inside nest under it, so every batch forms one
-        subtree of the trace.  The heartbeat watchdog
-        and the memory profiler (when attached) fire once per completed
-        batch, outside the span.
+        subtree of the trace.  The heartbeat watchdog (when attached) beats
+        once per completed batch, outside the span.
         """
         with trace_span(
             "batch",
@@ -485,8 +482,6 @@ class DetectionService:
             result = self._process_batch(X, batch_span)
         if self.heartbeat is not None:
             self.heartbeat.beat()
-        if self.profiler is not None:
-            self.profiler.sample("batch")
         return result
 
     def _process_batch(self, X: np.ndarray, batch_span: trace_span) -> BatchResult:

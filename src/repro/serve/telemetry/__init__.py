@@ -21,9 +21,6 @@ The observability substrate for :mod:`repro.serve`, in four pieces:
   — the opt-in live introspection endpoint (``serve --status-port``):
   :class:`StatusServer` answers ``/metrics`` (:func:`render_prometheus`),
   ``/health`` (:class:`HeartbeatWatchdog`) and ``/status``.
-* :mod:`~repro.serve.telemetry.profiling` — :class:`MemoryProfiler` samples
-  RSS/tracemalloc per stage (``serve --profile-mem``) into gauges, byte
-  histograms and the ``memory`` section of ``run_summary.json``.
 * :mod:`~repro.serve.telemetry.log` — the ``"repro.serve"`` stdlib logger
   (NullHandler by default) carrying structured degradation records next to
   the existing ``UserWarning`` channel; :func:`configure_logging` backs the
@@ -48,7 +45,6 @@ from .metrics import (
     MetricsRegistry,
     log_spaced_buckets,
 )
-from .profiling import MemoryProfiler, read_rss_bytes
 from .report import (
     build_report,
     build_run_summary,
@@ -74,7 +70,6 @@ __all__ = [
     "Gauge",
     "HeartbeatWatchdog",
     "Histogram",
-    "MemoryProfiler",
     "MetricsEvent",
     "MetricsRegistry",
     "SpanBuffer",
@@ -92,7 +87,6 @@ __all__ = [
     "log_event",
     "log_spaced_buckets",
     "logger",
-    "read_rss_bytes",
     "render_markdown",
     "render_prometheus",
     "render_run_report",

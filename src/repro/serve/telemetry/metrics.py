@@ -48,13 +48,11 @@ def log_spaced_buckets(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(lo * ratio ** (i / (n - 1)) for i in range(n))
 
 
-#: Default bucket grids by unit: 1 µs .. 100 s for latencies (5 per decade),
-#: 1 .. ~1M for row counts (powers of two), 4 KiB .. 128 GiB for byte sizes
-#: (powers of two — memory-profiler RSS/tracemalloc samples).
+#: Default bucket grids by unit: 1 µs .. 100 s for latencies (5 per decade)
+#: and 1 .. ~1M for row counts (powers of two).
 DEFAULT_BUCKETS: dict[str | None, tuple[float, ...]] = {
     "seconds": log_spaced_buckets(1e-6, 100.0, 41),
     "rows": tuple(float(2**k) for k in range(21)),
-    "bytes": tuple(float(2**k) for k in range(12, 38)),
 }
 _GENERIC_BUCKETS = log_spaced_buckets(1e-3, 1e6, 46)
 

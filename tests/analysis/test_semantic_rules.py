@@ -1,11 +1,10 @@
-"""Cross-module behaviour of the v2 semantic rules (RL010/RL011/RL012).
+"""Cross-module behaviour of the v2 semantic rules (RL010/RL012).
 
 The fixture twins pin each rule's single-module shape; these tests pin what
 only a multi-module context can show: taint crossing an import boundary
-(RL012), producers and consumers living in different files (RL010), README
-fenced blocks checked against the real flag universe with the home-module
-degradation gate (RL011), and the seed exclusions (inline suppression,
-baseline) that keep grandfathered nondeterminism from cascading.
+(RL012), producers and consumers living in different files (RL010), and the
+seed exclusions (inline suppression, baseline) that keep grandfathered
+nondeterminism from cascading.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ def score_batch(rows):
 '''
 
 
-def run_rules(modules, rule_ids, docs=(), baseline=None):
-    context = LintContext(modules=list(modules), docs=list(docs))
+def run_rules(modules, rule_ids, baseline=None):
+    context = LintContext(modules=list(modules))
     result = lint_parsed(
         context, rules=rules_by_id(rule_ids), baseline=baseline
     )
@@ -149,50 +148,3 @@ class TestRL010CrossModule:
             CONSUMER_PATH,
         )
         assert run_rules([producer, consumer], ["RL010"]) == []
-
-
-CLI_PATH = "src/repro/serve/cli.py"
-
-CLI_MODULE = '''\
-"""Pretend serve CLI registering the one real flag."""
-
-import argparse
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(prog="repro serve")
-    parser.add_argument("--real-flag", help="the only flag")
-    return parser
-'''
-
-README = """\
-# fixture docs
-
-```bash
-repro serve --real-flag
-repro serve --imaginary-flag
-repro lint --any-flag-at-all
-```
-
-Outside fences, --prose-flag is never checked.
-"""
-
-
-class TestRL011Docs:
-    def test_fenced_doc_line_checked_against_registered_flags(self):
-        findings = run_rules(
-            [parse_module(CLI_MODULE, CLI_PATH)],
-            ["RL011"],
-            docs=[("README.md", README)],
-        )
-        assert len(findings) == 1
-        assert findings[0].path == "README.md"
-        assert "--imaginary-flag" in findings[0].message
-        # `repro lint`'s home module is not in the scan: its line is skipped
-        # (the RL006-style degradation), and prose lines are never checked.
-
-    def test_no_flags_registered_means_silence(self):
-        plain = parse_module("def nothing():\n    return 0\n", CLI_PATH)
-        assert (
-            run_rules([plain], ["RL011"], docs=[("README.md", README)]) == []
-        )

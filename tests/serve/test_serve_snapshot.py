@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import repro
+from repro.nn.layers import LeakyReLU, Linear, ReLU, Sigmoid, Tanh
 from repro.novelty import (
     HBOS,
     LODA,
@@ -22,6 +26,7 @@ from repro.novelty import (
 from repro.serve.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SnapshotError,
+    _transient_attrs,
     load_snapshot,
     read_manifest,
     save_snapshot,
@@ -243,3 +248,99 @@ class TestManifestFormat:
         save_snapshot(method, tmp_path / "m")
         loaded = load_snapshot(tmp_path / "m")
         assert loaded._rng is loaded.cfe._rng
+
+
+def _declaring_classes() -> set[type]:
+    """Every ``repro`` class whose own body declares ``_snapshot_transient_``."""
+    found = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if (
+                isinstance(value, type)
+                and value.__module__ == module.__name__
+                and "_snapshot_transient_" in vars(value)
+            ):
+                found.add(value)
+    return found
+
+
+def _fit_layer(layer, X):
+    """A training step's forward and backward, then one more forward."""
+    layer.train()
+    layer.backward(np.ones_like(layer.forward(X)))
+    layer.forward(X)
+    return layer
+
+
+def _score_layer(layer, X):
+    return layer.eval().forward(X)
+
+
+def _scored(model, X):
+    model.predict(X)
+    return model
+
+
+#: case id -> (fit-and-score, score) for one class per transient declaration
+TRANSIENT_CASES = {
+    "linear": (lambda X, y: _fit_layer(Linear(X.shape[1], 4, random_state=0), X), _score_layer),
+    "relu": (lambda X, y: _fit_layer(ReLU(), X), _score_layer),
+    "leaky_relu": (lambda X, y: _fit_layer(LeakyReLU(0.1), X), _score_layer),
+    "tanh": (lambda X, y: _fit_layer(Tanh(), X), _score_layer),
+    "sigmoid": (lambda X, y: _fit_layer(Sigmoid(), X), _score_layer),
+    "decision_tree": (
+        lambda X, y: _scored(DecisionTreeClassifier(max_depth=5, random_state=0).fit(X, y), X),
+        lambda model, X: model.predict_proba(X),
+    ),
+    "random_forest": (
+        lambda X, y: _scored(
+            RandomForestClassifier(n_estimators=5, max_depth=5, random_state=0).fit(X, y), X
+        ),
+        lambda model, X: model.predict_proba(X),
+    ),
+    "gradient_boosting": (
+        lambda X, y: _scored(GradientBoostingClassifier(n_estimators=5, random_state=0).fit(X, y), X),
+        lambda model, X: model.decision_function(X),
+    ),
+}
+
+
+class TestSnapshotTransients:
+    """Declared transients are real attributes, and restoring rebuilds them.
+
+    A snapshot skips the names a class declares in ``_snapshot_transient_``
+    and restores them as ``None``.  A stale name (one the class never sets)
+    silently stops excluding anything, and a transient that a scoring
+    method reads without rebuilding breaks the restored model.
+    """
+
+    @staticmethod
+    def _fitted(case, data):
+        X_train, y_train, _ = data
+        return TRANSIENT_CASES[case][0](X_train, y_train)
+
+    def test_every_declaring_class_has_a_case(self, data):
+        covered = {type(self._fitted(case, data)) for case in TRANSIENT_CASES}
+        missing = {
+            cls.__qualname__
+            for cls in _declaring_classes()
+            if not any(issubclass(case, cls) for case in covered)
+        }
+        assert not missing, f"add a TRANSIENT_CASES entry for {sorted(missing)}"
+
+    @pytest.mark.parametrize("case", sorted(TRANSIENT_CASES))
+    def test_declared_names_exist_after_fit_and_score(self, case, data):
+        model = self._fitted(case, data)
+        declared = _transient_attrs(type(model))
+        assert declared
+        assert not sorted(declared - set(vars(model))), "stale _snapshot_transient_ name"
+
+    @pytest.mark.parametrize("case", sorted(TRANSIENT_CASES))
+    def test_restored_model_scores_bit_identically(self, case, data, tmp_path):
+        _, _, X_query = data
+        model, score = self._fitted(case, data), TRANSIENT_CASES[case][1]
+        expected = score(model, X_query)
+        loaded = load_snapshot(save_snapshot(model, tmp_path / case))
+        assert all(getattr(loaded, name) is None for name in _transient_attrs(type(loaded)))
+        assert score(loaded, X_query).tobytes() == expected.tobytes()

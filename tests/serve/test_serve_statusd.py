@@ -1,4 +1,4 @@
-"""Live introspection endpoint, heartbeat watchdog, memory profiler.
+"""Live introspection endpoint and heartbeat watchdog.
 
 Curl-equivalent coverage for ``repro serve --status-port``: ``/metrics``
 must be valid Prometheus text exposition rendered from the service's own
@@ -6,14 +6,13 @@ snapshot, ``/health`` must flip to ``503 NOT_OK`` when the stream stalls
 past the heartbeat deadline (and back after a beat), ``/status`` must serve
 the operator JSON, and the scrape-side spans must land in the status
 server's private registry — never in the service registry, whose counters
-are deterministic per stream.  The ``stall`` fault clause and the
-``--profile-mem`` sampler are exercised alongside.
+are deterministic per stream.  The ``stall`` fault clause is exercised
+alongside.
 """
 
 from __future__ import annotations
 
 import json
-import tracemalloc
 import urllib.error
 import urllib.request
 
@@ -23,11 +22,8 @@ import pytest
 from repro.serve.faults import FaultInjector
 from repro.serve.telemetry import (
     HeartbeatWatchdog,
-    MemoryProfiler,
     MetricsRegistry,
-    SpanBuffer,
     StatusServer,
-    read_rss_bytes,
     render_prometheus,
 )
 
@@ -207,54 +203,6 @@ class TestStallFault:
         assert healths == [True, False]
         for X, ref in zip(out, batches):  # a stall delays, never mutates
             np.testing.assert_array_equal(X, ref)
-
-
-class TestMemoryProfiler:
-    def test_samples_land_in_gauges_histograms_and_summary(self):
-        registry = MetricsRegistry()
-        with MemoryProfiler(registry) as profiler:
-            first = profiler.sample("batch")
-            profiler.sample("final")
-            assert first["rss_bytes"] > 0
-            assert first["tracemalloc_current_bytes"] >= 0
-            snapshot = registry.snapshot()
-            assert snapshot["gauges"]["mem.rss_bytes"]["value"] > 0
-            assert snapshot["gauges"]["mem.tracemalloc_peak_bytes"]["value"] > 0
-            assert snapshot["histograms"]["stage.batch.rss_bytes"]["count"] == 1
-            assert snapshot["histograms"]["stage.final.rss_bytes"]["count"] == 1
-            assert snapshot["histograms"]["stage.mem_sample.seconds"]["count"] == 2
-            summary = profiler.summary()
-        assert summary["n_samples"] == 2
-        assert 0 < summary["rss_min_bytes"] <= summary["rss_max_bytes"]
-        assert summary["tracemalloc_peak_bytes"] > 0
-
-    def test_mem_sample_spans_carry_no_trace_ids(self):
-        buffer = SpanBuffer()
-        profiler = MemoryProfiler(
-            MetricsRegistry(), tracer=buffer, trace_python=False
-        )
-        profiler.sample("batch")
-        profiler.close()
-        (span,) = buffer.spans
-        assert span["stage"] == "mem_sample"
-        assert "trace_id" not in span and "span_id" not in span
-
-    def test_tracemalloc_ownership(self):
-        already_tracing = tracemalloc.is_tracing()
-        profiler = MemoryProfiler(MetricsRegistry(), trace_python=True)
-        assert tracemalloc.is_tracing()
-        profiler.close()
-        # Only stopped if the profiler started it.
-        assert tracemalloc.is_tracing() == already_tracing
-
-        off = MemoryProfiler(MetricsRegistry(), trace_python=False)
-        reading = off.sample("batch")
-        off.close()
-        if not already_tracing:
-            assert "tracemalloc_current_bytes" not in reading
-
-    def test_read_rss_bytes_is_positive_here(self):
-        assert read_rss_bytes() > 0
 
 
 class TestCloseBeforeStart:

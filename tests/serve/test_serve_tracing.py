@@ -9,23 +9,33 @@ The contracts under test (see :mod:`repro.serve.telemetry.context` and
   an id twice, and nests one ``score`` span under every ``batch`` span;
 * :class:`SpanTracer` never leaves a truncated trailing line — a failed
   write and ``close()`` truncate back to the last complete record (the
-  reader side of the contract is in ``test_serve_jsonl.py``).
+  reader side of the contract is in ``test_serve_jsonl.py``);
+* one traced run through every serving layer emits exactly the pipeline
+  stages listed in :data:`EXPECTED_STAGES`: a misspelled or missing
+  ``trace_span`` changes the set.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
+import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.datasets.streaming import FlowStream
 from repro.novelty import IsolationForest
+from repro.serve.drift import DriftMonitor
+from repro.serve.lifecycle import FullRefit, LifecycleManager, WindowBuffer
+from repro.serve.registry import ModelRegistry
 from repro.serve.service import DetectionService
-from repro.serve.sinks import read_events
+from repro.serve.sinks import ListSink, read_events
 from repro.serve.telemetry import (
+    HeartbeatWatchdog,
     SpanBuffer,
     SpanTracer,
+    StatusServer,
     TraceContext,
     stage_multiset,
     trace_span,
@@ -172,15 +182,105 @@ class TestSequentialTraceTree:
         assert stages["score"] == stages["batch"]
 
 
+#: Every stage a traced serve run emits: the service's per-batch pipeline,
+#: the lifecycle's refit path, and the status endpoint's two scrape spans.
+EXPECTED_STAGES = frozenset(
+    {
+        "batch",
+        "quarantine_scan",
+        "score",
+        "threshold_update",
+        "drift_check",
+        "sink_emit",
+        "refit",
+        "gate",
+        "registry_publish",
+        "heartbeat",
+        "status_render",
+    }
+)
+
+
+def _histogram_stages(snapshot) -> set[str]:
+    """Stage names of the ``stage.<stage>.seconds`` histograms in a snapshot."""
+    return {
+        name[len("stage."):-len(".seconds")]
+        for name in snapshot["histograms"]
+        if name.startswith("stage.") and name.endswith(".seconds")
+    }
+
+
+class TestStageSet:
+    """A drifting stream served with every layer attached, traced once."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        rng = np.random.default_rng(0)
+        detector = IsolationForest(n_estimators=15, random_state=0).fit(
+            rng.normal(size=(800, 5))
+        )
+        registry = ModelRegistry(tmp_path_factory.mktemp("registry"))
+        registry.publish(detector, "ids")
+        lifecycle = LifecycleManager(
+            FullRefit(lambda: IsolationForest(n_estimators=15, random_state=0)),
+            buffer=WindowBuffer(512),
+            registry=registry,
+            model_name="ids",
+            min_refit_rows=64,
+        )
+        monitor = DriftMonitor(window=256, min_samples=128, cooldown=4)
+        reference = rng.normal(size=(600, 5))
+        monitor.set_reference(detector.score_samples(reference), reference)
+        tracer = SpanBuffer()
+        service = DetectionService(
+            detector,
+            threshold="rolling",
+            min_rolling=32,
+            drift_monitor=monitor,
+            lifecycle=lifecycle,
+            sinks=[ListSink()],
+            tracer=tracer,
+            trace_context=TraceContext.root(0),
+        )
+        watchdog = HeartbeatWatchdog(30.0)
+        service.heartbeat = watchdog
+        pre = rng.normal(size=(512, 5))
+        post = rng.normal(size=(1024, 5)) + 5.0
+        with StatusServer(
+            0,
+            snapshot_fn=service.metrics_snapshot,
+            status_fn=lambda: {"n_batches": service.n_batches_},
+            watchdog=watchdog,
+        ) as server:
+            for X in [*np.split(pre, 4), *np.split(post, 8)]:
+                service.process_batch(X)
+            for route in ("/metrics", "/health", "/status"):
+                with urllib.request.urlopen(server.url(route), timeout=5) as resp:
+                    assert resp.status == 200
+        return service, lifecycle, tracer, server
+
+    def test_the_run_reached_every_layer(self, run):
+        service, lifecycle, _, _ = run
+        assert service.n_alerts_ > 0
+        assert service.n_drift_events_ > 0
+        assert any(event.published_version for event in lifecycle.events)
+
+    def test_run_emits_exactly_the_expected_stages(self, run):
+        service, _, tracer, server = run
+        traced = {span["stage"] for span in tracer.spans}
+        assert traced == _histogram_stages(service.metrics_snapshot())
+        scraped = _histogram_stages(server.telemetry.snapshot())
+        assert traced | scraped == EXPECTED_STAGES
+
+
 class TestCliTracerCleanup:
     def test_tracer_closed_when_stream_raises(self, tmp_path, monkeypatch):
         """An exception out of the serve loop must still close the tracer.
 
-        A torn run used to leak the span-file handle (and any tracemalloc
-        hooks): the happy path closed the tracer *after* printing the span
-        count, so an application error escaping ``_serve_stream`` skipped
-        the close entirely.  The CLI now closes tracer and profiler on the
-        exception path before re-raising.
+        A torn run used to leak the span-file handle: the happy path closed
+        the tracer *after* printing the span count, so an application error
+        escaping ``_serve_stream`` skipped the close entirely.  The CLI now
+        closes the tracer on the exception path before re-raising.
         """
         import repro.serve.cli as cli_mod
 

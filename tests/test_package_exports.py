@@ -1,13 +1,39 @@
-"""Every package's ``__all__`` names resolve, and deleted modules stay gone."""
+"""Every package's ``__all__`` is exact, and deleted names stay gone.
+
+For each ``repro`` package, checked on the imported module:
+
+* ``__all__`` is a list or tuple of unique strings;
+* every name it lists is bound;
+* every public name the ``__init__`` binds to an object defined in a
+  ``repro`` module is listed (submodules excepted), so nothing becomes API
+  by accident.
+
+Names and command-line options that were deleted must fail loudly: the
+names are unbound, and the options exit with a usage error (code 2).
+"""
 
 from __future__ import annotations
 
 import importlib
+import types
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.experiments.cli import main as repro_main
+
+PACKAGES = sorted(
+    ".".join(init.parent.relative_to(Path(repro.__file__).parents[1]).parts)
+    for init in Path(repro.__file__).parent.rglob("__init__.py")
+)
+
 #: package -> names it exported before the test-only / unused code was deleted
 REMOVED = {
+    "repro.analysis.rules": (
+        "SnapshotCompletenessRule", "TraceCoverageRule", "ApiSurfaceRule",
+        "CliDocsSyncRule",
+    ),
     "repro.metrics": (
         "matthews_corrcoef", "balanced_accuracy_score", "false_positive_rate",
         "detection_rate_at_fpr", "fpr_at_recall",
@@ -16,14 +42,62 @@ REMOVED = {
     "repro.novelty": ("AutoencoderDetector",),
     "repro.serve": ("ShadowEvaluator", "ShadowTrial", "ShadowVerdict"),
     "repro.serve.lifecycle": ("ShadowEvaluator", "ShadowTrial", "ShadowVerdict"),
+    "repro.serve.telemetry": ("MemoryProfiler", "read_rss_bytes"),
 }
+
+#: deleted command-line surface: each invocation must be a usage error
+REMOVED_INVOCATIONS = [
+    ["lint", "--rules", "RL002"],
+    ["lint", "--rules", "RL006"],
+    ["lint", "--rules", "RL008"],
+    ["lint", "--rules", "RL011"],
+    ["lint", "--docs", "README.md"],
+    ["serve", "--profile-mem"],
+]
+
+
+def _from_repro(value) -> bool:
+    origin = getattr(value, "__module__", None)
+    return isinstance(origin, str) and (origin == "repro" or origin.startswith("repro."))
+
+
+def test_every_package_is_checked():
+    assert len(PACKAGES) == 16
+    assert set(REMOVED) <= set(PACKAGES)
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_all_lists_exactly_the_public_names(package):
+    module = importlib.import_module(package)
+    exported = module.__all__
+    assert isinstance(exported, (list, tuple))
+    assert all(isinstance(name, str) for name in exported)
+    assert len(exported) == len(set(exported))
+    unbound = [name for name in exported if not hasattr(module, name)]
+    assert not unbound, f"{package}.__all__ names unbound attributes: {unbound}"
+    unlisted = sorted(
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and not isinstance(value, types.ModuleType)
+        and _from_repro(value)
+        and name not in exported
+    )
+    assert not unlisted, f"{package} binds public names missing from __all__: {unlisted}"
 
 
 @pytest.mark.parametrize("package", sorted(REMOVED))
-def test_exports_resolve_and_removed_names_are_gone(package):
+def test_removed_names_are_gone(package):
     module = importlib.import_module(package)
-    assert len(module.__all__) == len(set(module.__all__))
-    missing = [name for name in module.__all__ if not hasattr(module, name)]
-    assert not missing, f"{package}.__all__ names unbound attributes: {missing}"
     assert not set(REMOVED[package]) & set(module.__all__)
     assert not [name for name in REMOVED[package] if hasattr(module, name)]
+
+
+@pytest.mark.parametrize("argv", REMOVED_INVOCATIONS, ids=" ".join)
+def test_removed_options_are_usage_errors(argv, capsys):
+    try:
+        code = repro_main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err
