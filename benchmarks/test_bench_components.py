@@ -39,7 +39,6 @@ from repro.serve.sinks import ListSink
 from repro.serve.telemetry import (
     MetricsRegistry,
     SpanBuffer,
-    TraceContext,
     build_report,
     render_markdown,
     render_prometheus,
@@ -282,9 +281,7 @@ def test_telemetry_overhead(iforest):
     clean = np.random.default_rng(3).normal(size=(4096, 16))
     off = DetectionService(iforest, telemetry=DISABLED)
     on = DetectionService(iforest)
-    traced = DetectionService(
-        iforest, tracer=SpanBuffer(), trace_context=TraceContext.root(0)
-    )
+    traced = DetectionService(iforest, tracer=SpanBuffer())
     off_s = _best_seconds(lambda: off.process_batch(clean))
     # Per-batch (not per-row) instrumentation; 1.15 absorbs timer noise.
     assert _best_seconds(lambda: on.process_batch(clean)) / off_s < 1.15

@@ -11,22 +11,18 @@ from __future__ import annotations
 from repro.analysis.rules.base import Rule
 from repro.analysis.rules.rl001_determinism import DeterminismRule
 from repro.analysis.rules.rl003_pickle import PickleBanRule
-from repro.analysis.rules.rl004_events import SinkEventSchemaRule
 from repro.analysis.rules.rl005_exceptions import ExceptionHygieneRule
 from repro.analysis.rules.rl009_resources import ResourceLifecycleRule
-from repro.analysis.rules.rl010_schema import EventSchemaConsistencyRule
 from repro.analysis.rules.rl012_taint import DeterminismTaintRule
 
 __all__ = [
     "DeterminismRule",
     "DeterminismTaintRule",
-    "EventSchemaConsistencyRule",
     "ExceptionHygieneRule",
     "PickleBanRule",
     "ResourceLifecycleRule",
     "Rule",
     "RULE_CLASSES",
-    "SinkEventSchemaRule",
     "default_rules",
     "rules_by_id",
 ]
@@ -34,10 +30,8 @@ __all__ = [
 RULE_CLASSES: tuple[type[Rule], ...] = (
     DeterminismRule,
     PickleBanRule,
-    SinkEventSchemaRule,
     ExceptionHygieneRule,
     ResourceLifecycleRule,
-    EventSchemaConsistencyRule,
     DeterminismTaintRule,
 )
 

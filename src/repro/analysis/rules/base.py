@@ -19,9 +19,9 @@ Writing a new rule
    whole-tree contracts.  ``finalize`` rules may consult
    ``context.project`` — the resolved symbol table / call graph built by
    :mod:`repro.analysis.project`.  A finalize rule that keys on specific
-   home modules must degrade gracefully when only a subtree is scanned (see
-   RL010: skip the check when the producing side is absent, so ``repro
-   lint one_file.py`` never emits spurious whole-tree findings).
+   home modules must degrade gracefully when only a subtree is scanned:
+   skip the check when the other side of the contract is absent, so
+   ``repro lint one_file.py`` never emits spurious whole-tree findings.
 4. Produce findings via :meth:`Rule.finding` (anchored on a module + node,
    capturing context qualname and line text for baseline identity).
 5. Register the class in ``rules/__init__.py``'s ``RULE_CLASSES`` and add a

@@ -19,7 +19,11 @@ fitted detector into something that can be *deployed*:
   buffering, Full/Continual/NoRefit policies, quality gate) and the only
   path by which a service swaps its one served detector,
 * :mod:`repro.serve.sinks` — pluggable alert sinks (in-memory, JSONL,
-  callback),
+  callback); every record a sink or the registry lineage receives is one
+  JSON object with a ``"type"`` of ``alert``, ``drift``,
+  ``quarantined_rows``, ``sink_disabled``, ``lifecycle`` or
+  ``registry_recover`` (``tests/serve/test_event_schema.py`` serves a run
+  that writes all six and checks them against their readers),
 * :mod:`repro.serve.faults` — the fault-tolerance layer threaded through all
   of the above: poison-row quarantine, resilient sinks, retrying I/O,
   crash-safe registry recovery events, and the
@@ -75,7 +79,6 @@ from repro.serve.snapshot import (
     save_snapshot,
 )
 from repro.serve.telemetry import (
-    MetricsEvent,
     MetricsRegistry,
     SpanTracer,
     build_report,
@@ -107,7 +110,6 @@ __all__ = [
     "LifecycleEvent",
     "LifecycleManager",
     "ListSink",
-    "MetricsEvent",
     "MetricsRegistry",
     "ModelRegistry",
     "NoRefit",

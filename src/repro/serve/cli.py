@@ -71,7 +71,7 @@ from repro.novelty import (
     PCAReconstructionDetector,
 )
 from repro.serve.drift import DriftMonitor
-from repro.serve.faults import FaultInjector
+from repro.serve.faults import FaultInjector, wrap_sinks
 from repro.serve.lifecycle import (
     ContinualRefit,
     FullRefit,
@@ -194,11 +194,6 @@ def _parser() -> argparse.ArgumentParser:
         "--health-deadline", type=float, default=30.0, metavar="SECONDS",
         help="with --status-port: /health turns NOT_OK when no batch "
         "completed within this many seconds (default 30)",
-    )
-    serve.add_argument(
-        "--metrics-every", type=int, default=None, metavar="N",
-        help="emit a metrics-snapshot event through the sinks every N scored "
-        "batches (periodic MetricsEvent; off by default)",
     )
     serve.add_argument(
         "--run-dir", type=Path, default=None, metavar="DIR",
@@ -424,8 +419,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             configure_logging(args.log_level)
         except ValueError as exc:
             raise SystemExit(f"--log-level: {exc}")
-    if args.metrics_every is not None and args.metrics_every < 1:
-        raise SystemExit("--metrics-every must be at least 1")
     if args.status_port is not None and args.status_port < 0:
         raise SystemExit("--status-port must be >= 0 (0 picks a free port)")
     if args.health_deadline <= 0:
@@ -502,6 +495,9 @@ def _run_serve(args: argparse.Namespace) -> int:
         # The audit channel is appended *after* fault wrapping: chaos testing
         # must not be able to disable the record of the chaos.
         sinks.append(JsonlSink(args.run_dir / "events.jsonl"))
+    # One resilience wrapper per sink, shared by the service and the
+    # lifecycle manager: a sink either of them disabled stays disabled.
+    sinks = wrap_sinks(sinks)
     ref_scores = detector.score_samples(normal)
 
     lifecycle = None
@@ -567,7 +563,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         sinks=sinks,
         lifecycle=lifecycle,
         tracer=tracer,
-        metrics_every=args.metrics_every,
     )
     status_server: StatusServer | None = None
     if args.status_port is not None:

@@ -25,9 +25,7 @@ online scorer with the operational pieces a deployment needs:
   (quarantine scan, scoring, threshold update, drift check, sink emit)
   runs under a :func:`~repro.serve.telemetry.trace_span`
   feeding a :class:`~repro.serve.telemetry.MetricsRegistry`
-  (``metrics_snapshot()``), with optional JSONL span traces (``tracer``) and
-  a periodic :class:`~repro.serve.telemetry.MetricsEvent` through the sinks
-  (``metrics_every``).
+  (``metrics_snapshot()``), with optional JSONL span traces (``tracer``).
 """
 
 from __future__ import annotations
@@ -253,17 +251,11 @@ class DetectionService:
         Optional :class:`~repro.serve.telemetry.SpanTracer` (or an
         in-memory :class:`~repro.serve.telemetry.SpanBuffer`); when set,
         every pipeline-stage span is also appended to its JSONL trace file
-        (``repro serve --trace-file``).
-    trace_context:
-        Optional :class:`~repro.serve.telemetry.TraceContext` giving every
-        recorded span deterministic ``trace_id``/``span_id``/
-        ``parent_span_id`` fields: each batch runs under one ``batch`` span
-        whose children are the stage spans.  Defaults to a fresh root
-        context whenever a ``tracer`` is attached.
-    metrics_every:
-        Emit a :class:`~repro.serve.telemetry.MetricsEvent` carrying the
-        current metrics snapshot through the sinks every N batches
-        (``None`` = never).
+        (``repro serve --trace-file``) under a root
+        :class:`~repro.serve.telemetry.TraceContext`
+        (``TraceContext.root(0)``): every recorded span carries deterministic
+        ``trace_id``/``span_id``/``parent_span_id`` fields, and each batch
+        runs under one ``batch`` span whose children are the stage spans.
     """
 
     def __init__(
@@ -281,8 +273,6 @@ class DetectionService:
         quarantine_wrong_width: bool = False,
         telemetry: MetricsRegistry | None = None,
         tracer: SpanTracer | SpanBuffer | None = None,
-        trace_context: TraceContext | None = None,
-        metrics_every: int | None = None,
     ) -> None:
         if isinstance(threshold, str) and threshold not in ("auto", "rolling"):
             raise ValueError("threshold must be a float, 'auto' or 'rolling'")
@@ -294,8 +284,6 @@ class DetectionService:
             raise ValueError("min_rolling must be at least 1")
         if micro_batch_size < 1:
             raise ValueError("micro_batch_size must be at least 1")
-        if metrics_every is not None and metrics_every < 1:
-            raise ValueError("metrics_every must be at least 1 (or None)")
         self.detector = detector
         self.threshold = threshold
         self.rolling_window = rolling_window
@@ -308,14 +296,11 @@ class DetectionService:
         self.quarantine_wrong_width = quarantine_wrong_width
         self.telemetry = MetricsRegistry() if telemetry is None else telemetry
         self.tracer = tracer
-        if trace_context is None and tracer is not None:
-            trace_context = TraceContext.root()
-        self.trace_context = trace_context
+        self.trace_context = None if tracer is None else TraceContext.root()
         #: Optional liveness hook (``repro serve --status-port``): the
         #: watchdog beats once per completed batch.  A plain attribute so
         #: the CLI can attach it without widening every signature.
         self.heartbeat: Any = None
-        self.metrics_every = metrics_every
         # Instrument handles are resolved once: the per-batch path must not
         # pay a registry dict lookup per counter.
         self._m_batches = self.telemetry.counter("pipeline.batches", unit="batches")
@@ -604,8 +589,6 @@ class DetectionService:
         self._m_alerts.inc(len(alerts))
         self._m_batch_seconds.observe(latency)
         self._m_batch_rows.observe(float(scores.shape[0]))
-        if self.metrics_every and self.n_batches_ % self.metrics_every == 0:
-            self._emit(self.telemetry.event(batch_index))
         return BatchResult(
             index=batch_index,
             scores=scores,

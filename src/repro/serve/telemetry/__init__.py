@@ -4,8 +4,8 @@ The observability substrate for :mod:`repro.serve`, in four pieces:
 
 * :mod:`~repro.serve.telemetry.metrics` — process-local
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments behind
-  a :class:`MetricsRegistry` with a dict :meth:`~MetricsRegistry.snapshot`,
-  and a :class:`MetricsEvent` for the sink fabric.
+  a :class:`MetricsRegistry` with a dict :meth:`~MetricsRegistry.snapshot`
+  (served live on ``/metrics`` and written to ``run_summary.json``).
 * :mod:`~repro.serve.telemetry.tracing` / :mod:`~repro.serve.telemetry.context`
   — :func:`trace_span` wraps each pipeline stage, recording wall time + rows
   into the registry and optionally to a :class:`SpanTracer` JSONL file
@@ -41,7 +41,6 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
-    MetricsEvent,
     MetricsRegistry,
     log_spaced_buckets,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "Gauge",
     "HeartbeatWatchdog",
     "Histogram",
-    "MetricsEvent",
     "MetricsRegistry",
     "SpanBuffer",
     "SpanTracer",

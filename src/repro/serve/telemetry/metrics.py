@@ -14,22 +14,21 @@
   same stream produce identical values; only wall-time *observations*
   differ run to run.
 
-A :class:`MetricsEvent` wraps a snapshot for the ordinary sink fabric
-(``DetectionService(metrics_every=N)`` emits one every N batches).
+A snapshot leaves the process two ways: ``/metrics`` of the status endpoint
+(:mod:`~repro.serve.telemetry.statusd`) while a run is live, and the
+``metrics`` field of ``run_summary.json`` once it ends.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 __all__ = [
     "Counter",
     "DISABLED",
     "Gauge",
     "Histogram",
-    "MetricsEvent",
     "MetricsRegistry",
     "log_spaced_buckets",
 ]
@@ -280,9 +279,6 @@ class MetricsRegistry:
             ][name] = instrument.export()
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
-    def event(self, batch_index: int) -> "MetricsEvent":
-        return MetricsEvent(batch_index=batch_index, snapshot=self.snapshot())
-
 
 class _DisabledRegistry(MetricsRegistry):
     """The no-op registry: every instrument lookup returns one shared null
@@ -310,19 +306,3 @@ class _DisabledRegistry(MetricsRegistry):
 #: Shared disabled registry: pass as ``telemetry=DISABLED`` to switch a
 #: service's instrumentation off entirely.
 DISABLED = _DisabledRegistry()
-
-
-@dataclass(frozen=True)
-class MetricsEvent:
-    """A metrics snapshot flowing through the ordinary sink fabric."""
-
-    batch_index: int
-    snapshot: Mapping[str, Any]
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "metrics",
-            "batch_index": self.batch_index,
-            "snapshot": dict(self.snapshot),
-        }
-

@@ -53,7 +53,8 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-#: Event types that belong on the run timeline (metrics snapshots do not).
+#: Event types that belong on the run timeline; records of any other type
+#: (the ``metrics`` snapshots older runs wrote) are skipped.
 _TIMELINE_TYPES = frozenset(
     {
         "alert",

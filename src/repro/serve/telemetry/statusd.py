@@ -14,9 +14,10 @@ routes:
 
 The server never *writes* service state: it holds two callables and a
 watchdog, so a scrape can race a batch at worst into a slightly stale
-snapshot.  Scrape-side instrumentation (the ``status_render`` and
-``heartbeat`` spans) records into the server's **own private registry** —
-scrape counts are wall-clock-driven and must never leak into the service
+snapshot.  Each route renders under its own span — ``metrics_render`` for
+``/metrics``, ``heartbeat`` for ``/health``, ``status_render`` for
+``/status`` — recorded into the server's **own private registry**: scrape
+counts are wall-clock-driven and must never leak into the service
 registry, whose counters are deterministic per stream.
 
 :class:`HeartbeatWatchdog` reads :func:`time.monotonic` — a monotonic
@@ -94,7 +95,7 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         try:
             if path == "/metrics":
-                with trace_span("status_render", metrics=owner.telemetry):
+                with trace_span("metrics_render", metrics=owner.telemetry):
                     body = render_prometheus(owner.snapshot_fn())
                 self._send(200, "text/plain; version=0.0.4; charset=utf-8", body)
             elif path == "/health":
@@ -103,7 +104,8 @@ class _Handler(BaseHTTPRequestHandler):
                 status = 200 if verdict["status"] == "OK" else 503
                 self._send(status, "application/json", json.dumps(verdict) + "\n")
             elif path in ("/", "/status"):
-                body = json.dumps(owner.status(), sort_keys=True, default=str)
+                with trace_span("status_render", metrics=owner.telemetry):
+                    body = json.dumps(owner.status(), sort_keys=True, default=str)
                 self._send(200, "application/json", body + "\n")
             else:
                 self._send(404, "text/plain", "not found\n")

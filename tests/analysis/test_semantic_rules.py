@@ -1,9 +1,8 @@
-"""Cross-module behaviour of the v2 semantic rules (RL010/RL012).
+"""Cross-module behaviour of the semantic taint rule (RL012).
 
 The fixture twins pin each rule's single-module shape; these tests pin what
-only a multi-module context can show: taint crossing an import boundary
-(RL012), producers and consumers living in different files (RL010), and the
-seed exclusions (inline suppression, baseline) that keep grandfathered
+only a multi-module context can show: taint crossing an import boundary,
+and the seed exclusions (inline suppression, baseline) that keep grandfathered
 nondeterminism from cascading.
 """
 
@@ -101,50 +100,3 @@ class TestRL012CrossModule:
         )
         assert findings == []
 
-
-PRODUCER_PATH = "src/repro/serve/fixture_events.py"
-CONSUMER_PATH = "src/repro/serve/fixture_reader.py"
-
-
-class TestRL010CrossModule:
-    def test_consumer_in_another_module_is_checked(self):
-        producer = parse_module(
-            'def emit(score):\n    return {"type": "alert", "score": score}\n',
-            PRODUCER_PATH,
-        )
-        consumer = parse_module(
-            "def consume(event):\n"
-            '    if event.get("type") == "alrt":\n'
-            '        return event["score"]\n'
-            "    return None\n",
-            CONSUMER_PATH,
-        )
-        findings = run_rules([producer, consumer], ["RL010"])
-        assert [f.path for f in findings] == [CONSUMER_PATH]
-        assert '"alrt"' in findings[0].message
-
-    def test_no_producers_in_scan_means_silence(self):
-        consumer = parse_module(
-            "def consume(event):\n"
-            '    if event.get("type") == "anything":\n'
-            "        return event\n"
-            "    return None\n",
-            CONSUMER_PATH,
-        )
-        assert run_rules([consumer], ["RL010"]) == []
-
-    def test_dynamic_producer_exempts_key_completeness(self):
-        producer = parse_module(
-            "def emit(extra):\n"
-            '    event = {"type": "alert", **extra}\n'
-            "    return event\n",
-            PRODUCER_PATH,
-        )
-        consumer = parse_module(
-            "def consume(event):\n"
-            '    if event.get("type") == "alert":\n'
-            '        return event["anything_goes"]\n'
-            "    return None\n",
-            CONSUMER_PATH,
-        )
-        assert run_rules([producer, consumer], ["RL010"]) == []

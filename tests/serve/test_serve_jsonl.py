@@ -304,7 +304,6 @@ class TestServiceEventsFile:
             drift_monitor=monitor,
             lifecycle=manager,
             sinks=[sink, seen],
-            metrics_every=3,
         )
         batches = [rng.normal(size=(128, 5)) for _ in range(4)]
         batches += [rng.normal(size=(128, 5)) + 5.0 for _ in range(8)]
@@ -318,9 +317,7 @@ class TestServiceEventsFile:
         sink.close()
 
         # Today's order, rebuilt from the results: quarantine -> alerts ->
-        # drift -> lifecycle -> metrics.  Metrics snapshots carry timings,
-        # so they are taken from what the in-memory sink received.
-        metrics = iter([e for e in seen.events if e.to_dict()["type"] == "metrics"])
+        # drift -> lifecycle.
         expected, start = [], 0
         for result, end in zip(results, lifecycle_ends):
             if result.quarantined:
@@ -332,12 +329,9 @@ class TestServiceEventsFile:
                 expected.append(DriftEvent(result.index, result.drift))
             expected.extend(manager.events[start:end])
             start = end
-            if (result.index + 1) % 3 == 0:
-                expected.append(next(metrics))
-        assert next(metrics, None) is None
         records = [e.to_dict() for e in expected]
         assert {r["type"] for r in records} == {
-            "quarantined_rows", "alert", "drift", "lifecycle", "metrics"
+            "quarantined_rows", "alert", "drift", "lifecycle"
         }
         assert any(e.swapped for e in manager.events)
         assert path.read_bytes() == _dumps_lines(records)

@@ -164,11 +164,24 @@ class TestStatusServer:
     def test_scrape_spans_stay_in_the_private_registry(self, setup):
         server, registry, _ = setup
         before = registry.snapshot()
-        _get(server.url("/metrics"))
-        _get(server.url("/health"))
-        scrape = server.telemetry.snapshot()["histograms"]
-        assert scrape["stage.status_render.seconds"]["count"] >= 1
-        assert scrape["stage.heartbeat.seconds"]["count"] >= 1
+
+        def span_counts():
+            histograms = server.telemetry.snapshot()["histograms"]
+            return {name: entry["count"] for name, entry in histograms.items()}
+
+        counts = span_counts()
+        for route, stage in (
+            ("/metrics", "metrics_render"),
+            ("/health", "heartbeat"),
+            ("/status", "status_render"),
+        ):
+            _get(server.url(route))
+            after = span_counts()
+            # Each route renders under its own span, and only under it.
+            assert {
+                name for name in after if after[name] != counts.get(name, 0)
+            } == {f"stage.{stage}.seconds"}
+            counts = after
         # The service registry saw nothing — determinism contract intact.
         assert registry.snapshot() == before
 

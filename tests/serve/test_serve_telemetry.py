@@ -6,7 +6,7 @@ The contracts under test (see :mod:`repro.serve.telemetry`):
 * ``trace_span`` records wall time + row counts into the registry and
   (optionally) one JSONL record per span, and never alters control flow;
 * the serving service populates pipeline counters/histograms that agree
-  with their own ``ServiceReport`` and emit periodic :class:`MetricsEvent` through the sink fabric;
+  with their own ``ServiceReport``;
 * degradations logged for operators land on the ``repro.serve`` logger in
   ``event key=value`` form.
 """
@@ -26,12 +26,10 @@ from repro.novelty import IsolationForest
 from repro.serve.drift import DriftMonitor
 from repro.serve.faults import ResilientSink
 from repro.serve.service import DetectionService
-from repro.serve.sinks import ListSink
 from repro.serve.telemetry import (
     Counter,
     Gauge,
     Histogram,
-    MetricsEvent,
     MetricsRegistry,
     SpanTracer,
     configure_logging,
@@ -148,16 +146,6 @@ class TestRegistry:
         }
         assert not DISABLED.enabled
 
-    def test_metrics_event_to_dict(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        event = registry.event(batch_index=4)
-        assert isinstance(event, MetricsEvent)
-        payload = event.to_dict()
-        assert payload["type"] == "metrics"
-        assert payload["batch_index"] == 4
-        assert payload["snapshot"]["counters"]["c"]["value"] == 1
-
 
 class TestTraceSpan:
     def test_records_seconds_and_rows(self):
@@ -232,26 +220,6 @@ class TestServiceTelemetry:
         assert report.throughput_samples_per_sec == pytest.approx(
             report.n_samples / hist.sum
         )
-
-    def test_metrics_every_emits_snapshot_events(self, stream_setup):
-        dataset, _, detector = stream_setup
-        sink = ListSink()
-        service = DetectionService(
-            detector, threshold="auto", sinks=[sink], metrics_every=3
-        )
-        stream = FlowStream(dataset, batch_size=97, random_state=0)
-        list(service.process(stream))
-        metrics_events = [
-            event for event in sink.events if isinstance(event, MetricsEvent)
-        ]
-        assert len(metrics_events) == service.n_batches_ // 3
-        last = metrics_events[-1].snapshot
-        assert last["counters"]["pipeline.batches"]["value"] > 0
-
-    def test_metrics_every_validation(self, stream_setup):
-        _, _, detector = stream_setup
-        with pytest.raises(ValueError):
-            DetectionService(detector, metrics_every=0)
 
     def test_disabled_telemetry_records_nothing(self, stream_setup):
         dataset, _, detector = stream_setup

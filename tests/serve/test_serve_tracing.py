@@ -135,10 +135,7 @@ class TestTracerTruncationSafety:
         normal = dataset.normal_data()
         path = tmp_path / "trace.jsonl"
         tracer = SpanTracer(str(path))
-        service = DetectionService(
-            detector, threshold="auto", tracer=tracer,
-            trace_context=TraceContext.root(0),
-        )
+        service = DetectionService(detector, threshold="auto", tracer=tracer)
 
         def interrupted_stream():
             yield normal[:32]
@@ -159,10 +156,7 @@ class TestSequentialTraceTree:
         dataset, detector = fitted
         path = tmp_path_factory.mktemp("traces") / "sequential.jsonl"
         with SpanTracer(str(path)) as tracer:
-            service = DetectionService(
-                detector, threshold="auto", tracer=tracer,
-                trace_context=TraceContext.root(0),
-            )
+            service = DetectionService(detector, threshold="auto", tracer=tracer)
             list(service.process(_stream(dataset)))
         return read_events(path)
 
@@ -183,7 +177,7 @@ class TestSequentialTraceTree:
 
 
 #: Every stage a traced serve run emits: the service's per-batch pipeline,
-#: the lifecycle's refit path, and the status endpoint's two scrape spans.
+#: the lifecycle's refit path, and the status endpoint's span per route.
 EXPECTED_STAGES = frozenset(
     {
         "batch",
@@ -196,6 +190,7 @@ EXPECTED_STAGES = frozenset(
         "gate",
         "registry_publish",
         "heartbeat",
+        "metrics_render",
         "status_render",
     }
 )
@@ -240,7 +235,6 @@ class TestStageSet:
             lifecycle=lifecycle,
             sinks=[ListSink()],
             tracer=tracer,
-            trace_context=TraceContext.root(0),
         )
         watchdog = HeartbeatWatchdog(30.0)
         service.heartbeat = watchdog

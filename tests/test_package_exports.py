@@ -32,7 +32,7 @@ PACKAGES = sorted(
 REMOVED = {
     "repro.analysis.rules": (
         "SnapshotCompletenessRule", "TraceCoverageRule", "ApiSurfaceRule",
-        "CliDocsSyncRule",
+        "CliDocsSyncRule", "SinkEventSchemaRule", "EventSchemaConsistencyRule",
     ),
     "repro.metrics": (
         "matthews_corrcoef", "balanced_accuracy_score", "false_positive_rate",
@@ -40,19 +40,22 @@ REMOVED = {
     ),
     "repro.nn": ("Dropout", "BatchNorm1d", "StepLR", "ExponentialLR", "EarlyStopping"),
     "repro.novelty": ("AutoencoderDetector",),
-    "repro.serve": ("ShadowEvaluator", "ShadowTrial", "ShadowVerdict"),
+    "repro.serve": ("ShadowEvaluator", "ShadowTrial", "ShadowVerdict", "MetricsEvent"),
     "repro.serve.lifecycle": ("ShadowEvaluator", "ShadowTrial", "ShadowVerdict"),
-    "repro.serve.telemetry": ("MemoryProfiler", "read_rss_bytes"),
+    "repro.serve.telemetry": ("MemoryProfiler", "read_rss_bytes", "MetricsEvent"),
 }
 
 #: deleted command-line surface: each invocation must be a usage error
 REMOVED_INVOCATIONS = [
     ["lint", "--rules", "RL002"],
+    ["lint", "--rules", "RL004"],
     ["lint", "--rules", "RL006"],
     ["lint", "--rules", "RL008"],
+    ["lint", "--rules", "RL010"],
     ["lint", "--rules", "RL011"],
     ["lint", "--docs", "README.md"],
     ["serve", "--profile-mem"],
+    ["serve", "--metrics-every", "4"],
 ]
 
 

@@ -1,7 +1,9 @@
-"""README code blocks and ``--help`` texts agree with the real parsers.
+"""README code blocks, ``Usage::`` docstrings and ``--help`` texts agree
+with the real parsers.
 
-Every ``repro …`` or ``python -m repro…`` command in a README code block is
-parsed by the parser its entry point really builds: the test calls the
+Every ``repro …`` or ``python -m repro…`` command in a README code block,
+or in the ``Usage::`` block of a CLI module's docstring, is parsed by the
+parser its entry point really builds: the test calls the
 entry point's ``main`` with ``ArgumentParser.parse_args`` intercepted, so the
 routing is the shipped routing and no command runs.  Each ``--flag`` token
 must also be an exact option string of that command line's parser tree;
@@ -62,6 +64,28 @@ def _code_blocks(path: Path):
             block.append(line)
 
 
+def _usage_blocks(path: Path):
+    """``(first line number, text)`` of the indented block after each
+    ``Usage…::`` line of ``path`` (a reST literal block in a docstring)."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for index, line in enumerate(lines):
+        if line.startswith("Usage") and line.rstrip().endswith("::"):
+            block: list[str] = []
+            for follower in lines[index + 1 :]:
+                if follower.strip() and not follower[:1].isspace():
+                    break
+                block.append(follower)
+            yield index + 2, "\n".join(block)
+
+
+#: source files whose docstring carries a ``Usage::`` block of commands
+USAGE_FILES = sorted(
+    path
+    for path in SRC.rglob("*.py")
+    if next(_usage_blocks(path), None)
+)
+
+
 def _shell_lines(start: int, text: str):
     """Logical lines with ``\\`` continuations joined: ``(lineno, line)``."""
     pending, first = "", start
@@ -103,15 +127,19 @@ def _commands(line: str):
             yield words[2], words[3:]
 
 
-def _readme_commands():
+def _block_commands(paths, blocks):
     cases = []
-    for readme in READMES:
-        for start, text in _code_blocks(readme):
+    for path in paths:
+        for start, text in blocks(path):
             for lineno, line in _shell_lines(start, text):
                 for module, argv in _commands(line):
-                    where = f"{readme.relative_to(REPO_ROOT).as_posix()}:{lineno}"
+                    where = f"{path.relative_to(REPO_ROOT).as_posix()}:{lineno}"
                     cases.append(pytest.param(module, argv, id=where))
     return cases
+
+
+def _readme_commands():
+    return _block_commands(READMES, _code_blocks)
 
 
 def _readme_imports():
@@ -182,8 +210,19 @@ def test_readme_has_commands_and_imports():
     assert len(_readme_imports()) >= 3
 
 
-@pytest.mark.parametrize(("module", "argv"), _readme_commands())
-def test_readme_command_parses_with_exact_flags(module, argv, monkeypatch, capsys):
+def test_every_cli_module_has_usage_commands():
+    documented = {
+        ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        for path in USAGE_FILES
+    }
+    # traceview has no Usage block; `repro trace` examples live in the
+    # Usage block of serve/cli.py and in the README.
+    assert documented == set(CLI_MODULES) - {"repro.serve.telemetry.traceview"}
+    for path in USAGE_FILES:
+        assert _block_commands([path], _usage_blocks), f"{path} has no commands"
+
+
+def _assert_parses_with_exact_flags(module, argv, monkeypatch, capsys):
     routed = _route(module, argv, monkeypatch)
     try:
         routed.parser.parse_args(routed.args)
@@ -200,6 +239,16 @@ def test_readme_command_parses_with_exact_flags(module, argv, monkeypatch, capsy
         if flag.startswith("--") and flag not in known
     )
     assert not unknown, f"flags matched only by prefix, or unknown: {unknown}"
+
+
+@pytest.mark.parametrize(("module", "argv"), _readme_commands())
+def test_readme_command_parses_with_exact_flags(module, argv, monkeypatch, capsys):
+    _assert_parses_with_exact_flags(module, argv, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize(("module", "argv"), _block_commands(USAGE_FILES, _usage_blocks))
+def test_usage_command_parses_with_exact_flags(module, argv, monkeypatch, capsys):
+    _assert_parses_with_exact_flags(module, argv, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("statement", _readme_imports())
