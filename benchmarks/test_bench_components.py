@@ -279,13 +279,29 @@ def test_refit_and_swap_costs(iforest):
 
 def test_telemetry_overhead(iforest):
     clean = np.random.default_rng(3).normal(size=(4096, 16))
-    off = DetectionService(iforest, telemetry=DISABLED)
-    on = DetectionService(iforest)
-    traced = DetectionService(iforest, tracer=SpanBuffer())
-    off_s = _best_seconds(lambda: off.process_batch(clean))
-    # Per-batch (not per-row) instrumentation; 1.15 absorbs timer noise.
-    assert _best_seconds(lambda: on.process_batch(clean)) / off_s < 1.15
-    assert _best_seconds(lambda: traced.process_batch(clean)) / off_s < 1.15
+    services = {
+        "off": DetectionService(iforest, telemetry=DISABLED),
+        "on": DetectionService(iforest),
+        "traced": DetectionService(iforest, tracer=SpanBuffer()),
+    }
+    for service in services.values():
+        service.process_batch(clean)  # warm-up, untimed
+    # One batch per service per round, in a rotating order: a slow stretch of
+    # a shared host slows the three calls of a round alike, and the median of
+    # the per-round ratios cancels it.  Per-batch (not per-row)
+    # instrumentation; 1.15 absorbs timer noise.
+    names = list(services)
+    ratios: dict[str, list[float]] = {"on": [], "traced": []}
+    for round_index in range(15):
+        seconds = {}
+        for name in names[round_index % 3 :] + names[: round_index % 3]:
+            start = time.perf_counter()
+            services[name].process_batch(clean)
+            seconds[name] = time.perf_counter() - start
+        for name, per_round in ratios.items():
+            per_round.append(seconds[name] / seconds["off"])
+    assert np.median(ratios["on"]) < 1.15
+    assert np.median(ratios["traced"]) < 1.15
 
 
 def test_telemetry_unit_costs(iforest):

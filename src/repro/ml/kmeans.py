@@ -17,6 +17,14 @@ from repro.utils.validation import check_array, check_fitted
 __all__ = ["KMeans", "elbow_method"]
 
 
+def _squared_distances_to(X: np.ndarray, sq_x: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """``pairwise_squared_euclidean(X, center).ravel()`` for one ``(1, d)`` centre,
+    reusing the squared row norms ``sq_x`` of ``X`` (the same bits)."""
+    d2 = sq_x[:, None] + np.sum(center**2, axis=1)[None, :] - 2.0 * (X @ center.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2.ravel()
+
+
 class KMeans:
     """Lloyd's K-Means with k-means++ initialisation.
 
@@ -63,12 +71,14 @@ class KMeans:
         self.n_iter_: int | None = None
 
     # -- initialisation ------------------------------------------------------
-    def _init_centers(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _init_centers(
+        self, X: np.ndarray, sq_x: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
         n_samples = X.shape[0]
         centers = np.empty((self.n_clusters, X.shape[1]), dtype=np.float64)
         first = int(rng.integers(n_samples))
         centers[0] = X[first]
-        closest_sq = pairwise_squared_euclidean(X, centers[:1]).ravel()
+        closest_sq = _squared_distances_to(X, sq_x, centers[:1])
         for k in range(1, self.n_clusters):
             total = closest_sq.sum()
             if total <= 0.0:
@@ -78,7 +88,7 @@ class KMeans:
                 probabilities = closest_sq / total
                 idx = int(rng.choice(n_samples, p=probabilities))
             centers[k] = X[idx]
-            new_sq = pairwise_squared_euclidean(X, centers[k : k + 1]).ravel()
+            new_sq = _squared_distances_to(X, sq_x, centers[k : k + 1])
             np.minimum(closest_sq, new_sq, out=closest_sq)
         return centers
 
@@ -104,42 +114,73 @@ class KMeans:
         return self
 
     def _assign(
-        self, X: np.ndarray, sq_x: np.ndarray, centers: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self,
+        X: np.ndarray,
+        sq_x: np.ndarray,
+        centers: np.ndarray,
+        kernel: native.KMeansAssign | None,
+        *,
+        cluster_sums: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
         """Nearest-centre label and squared distance per sample, blockwise.
 
-        ``sq_x`` holds the squared row norms of ``X``.  The distance block
-        ``||x||^2 + ||c||^2 - 2 x.c`` (clipped at 0) spans ``block_size`` rows;
-        ties go to the lowest centre index.
+        ``sq_x`` holds the squared row norms of ``X``.  Each block of
+        ``block_size`` rows takes one gemm, ``X[start:stop] @ centers.T``;
+        the distance block ``(||x||^2 + ||c||^2) - 2 x.c`` is clipped at 0,
+        and ties go to the lowest centre index (a NaN distance wins, as in
+        ``argmin``).
+
+        ``kernel`` is the native ``kmeans_assign`` kernel bound to ``X``
+        (:func:`repro.ml.native.kmeans_assign`), or ``None`` for the NumPy
+        passes.  The kernel makes every pass after the gemm in one loop over
+        the rows, with the NumPy passes' IEEE operations, so labels and
+        distances are the same bits on both paths.  With ``cluster_sums`` it
+        also returns each cluster's row sum and member count, added in index
+        order from +0.0: the same bits as one ``np.bincount`` per feature.
+        Without the kernel that third item is ``None``, and
+        :meth:`_update_centers` sums the clusters itself.
         """
         n = X.shape[0]
-        sq_c = np.sum(centers**2, axis=1)[None, :]
-        labels = np.empty(n, dtype=np.int64)
-        nearest_sq = np.empty(n, dtype=np.float64)
+        if kernel is not None:
+            labels, nearest_sq = kernel.labels, kernel.nearest_sq
+        else:
+            labels = np.empty(n, dtype=np.int64)
+            nearest_sq = np.empty(n, dtype=np.float64)
+        sq_c = np.sum(centers**2, axis=1)
         for start in range(0, n, self.block_size):
             stop = min(start + self.block_size, n)
-            d2 = sq_x[start:stop, None] + sq_c - 2.0 * (X[start:stop] @ centers.T)
+            G = X[start:stop] @ centers.T
+            if kernel is not None:
+                kernel(start, G, sq_c, cluster_sums)
+                continue
+            d2 = sq_x[start:stop, None] + sq_c[None, :] - 2.0 * G
             np.maximum(d2, 0.0, out=d2)
             idx = d2.argmin(axis=1)
             labels[start:stop] = idx
             nearest_sq[start:stop] = d2[np.arange(stop - start), idx]
-        return labels, nearest_sq
+        if kernel is None or not cluster_sums:
+            return labels, nearest_sq, None
+        return labels, nearest_sq, (kernel.sums, kernel.counts)
 
     def _update_centers(
-        self, X: np.ndarray, labels: np.ndarray, nearest_sq: np.ndarray, centers: np.ndarray
+        self,
+        X: np.ndarray,
+        labels: np.ndarray,
+        nearest_sq: np.ndarray,
+        centers: np.ndarray,
+        cluster_sums: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Mean of each cluster's members; empty clusters are re-seeded.
 
-        Each cluster's rows are summed in index order from +0.0, the same
-        additions a per-feature ``np.bincount`` makes, so the centres match a
-        bincount accumulation bit for bit.  The native ``cluster_sums`` kernel
-        (:mod:`repro.ml.native`) makes those additions in one pass over ``X``;
-        without it, NumPy gathers each cluster's rows.
+        ``cluster_sums`` is the ``(sums, counts)`` pair :meth:`_assign`
+        returns from the native kernel.  Without it, NumPy gathers each
+        cluster's rows; either way each cluster's rows are summed in index
+        order from +0.0, the same additions a per-feature ``np.bincount``
+        makes, so the centres match a bincount accumulation bit for bit.
         """
         k = self.n_clusters
-        native_sums = native.cluster_sums(X, labels, k)
-        if native_sums is not None:
-            sums, counts = native_sums
+        if cluster_sums is not None:
+            sums, counts = cluster_sums
         else:
             counts = np.bincount(labels, minlength=k)
             if X.shape[1] == 1:
@@ -158,17 +199,19 @@ class KMeans:
     def _single_run(
         self, X: np.ndarray, sq_x: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
-        centers = self._init_centers(X, rng)
-        labels = np.zeros(X.shape[0], dtype=np.int64)
+        centers = self._init_centers(X, sq_x, rng)
+        kernel = native.kmeans_assign(X, sq_x, self.n_clusters)
         n_iter = 0
         for n_iter in range(1, self.max_iter + 1):
-            labels, nearest_sq = self._assign(X, sq_x, centers)
-            new_centers = self._update_centers(X, labels, nearest_sq, centers)
+            labels, nearest_sq, sums = self._assign(
+                X, sq_x, centers, kernel, cluster_sums=True
+            )
+            new_centers = self._update_centers(X, labels, nearest_sq, centers, sums)
             shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
             centers = new_centers
             if shift <= self.tol:
                 break
-        labels, nearest_sq = self._assign(X, sq_x, centers)
+        labels, nearest_sq, _ = self._assign(X, sq_x, centers, kernel)
         inertia = float(nearest_sq.sum())
         return centers, labels, inertia, n_iter
 
@@ -179,7 +222,9 @@ class KMeans:
         X = check_array(X, name="X", allow_empty=True)
         if X.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        return self._assign(X, np.sum(X**2, axis=1), self.cluster_centers_)[0]
+        sq_x = np.sum(X**2, axis=1)
+        kernel = native.kmeans_assign(X, sq_x, self.cluster_centers_.shape[0])
+        return self._assign(X, sq_x, self.cluster_centers_, kernel)[0]
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Distances from each sample to every cluster centre."""

@@ -39,16 +39,21 @@ per-tree arrays.
 Two training kernels replace NumPy passes in Algorithm 1: ``adam_step``
 updates the first and second moments and the parameters of
 :class:`repro.nn.optim.Adam` in one loop over its flat parameter vector, and
-``cluster_sums`` sums each k-means cluster's rows in one pass over the data
-(:meth:`repro.ml.kmeans.KMeans._update_centers`).  Both repeat the IEEE
-operations of their NumPy fallbacks in the same order, so their results are
-bit-identical to them.  The condition for that is ``-ffp-contract=off``: it
-forbids the compiler to fuse a multiply and an add into one rounding.
-``-fno-math-errno`` lets ``sqrt`` (correctly rounded either way) vectorise.
-The two run sequentially: each does one pass of a few arithmetic operations
-per element, and threads of their own would compete with OpenBLAS's threads
-for the same cores (an OpenMP Adam step measured ~5x slower than the serial
-one on a 2-vCPU host).
+``kmeans_assign`` makes one k-means Lloyd step in one pass over a block's
+rows (:meth:`repro.ml.kmeans.KMeans._assign`).  The block's distance gemm
+stays in BLAS; the kernel forms the distances from its output, clips them,
+takes ``np.argmin``'s nearest centre, and adds each row to its cluster's sum
+and count.  Both kernels repeat the IEEE operations of their NumPy
+fallbacks in the same order, so their results are bit-identical to them.
+The condition for that is ``-ffp-contract=off``: it forbids the compiler to
+fuse a multiply and an add into one rounding.  ``-fno-math-errno`` lets
+``sqrt`` (correctly rounded either way) vectorise.  The two run
+sequentially: each does one pass of a few arithmetic operations per element,
+and threads of their own would compete with OpenBLAS's threads for the same
+cores (an OpenMP Adam step measured ~5x slower than the serial one on a
+2-vCPU host).  ``kmeans_assign`` takes raw addresses: :class:`KMeansAssign`
+checks its buffers once per k-means run instead of through ``ndpointer`` on
+every call.
 """
 
 from __future__ import annotations
@@ -68,9 +73,9 @@ from repro.ml.parallel import get_num_threads
 __all__ = [
     "adam_step",
     "available",
-    "cluster_sums",
     "forest_sum",
     "forest_apply",
+    "kmeans_assign",
     "last_compile_error",
     "openmp_enabled",
 ]
@@ -79,6 +84,7 @@ logger = logging.getLogger(__name__)
 
 _C_SOURCE = r"""
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #ifdef _OPENMP
 #include <omp.h>
@@ -195,22 +201,56 @@ void adam_step(double *restrict value, const double *restrict grad,
     }
 }
 
-/* Member count and row sum of each of k clusters.  Every sum starts at +0.0
- * and adds its members' rows in index order. */
-void cluster_sums(const double *X, int64_t n, int64_t d,
-                  const int64_t *labels, int64_t k,
-                  double *sums, int64_t *counts)
+/* NumPy's k-means distance (sq_x + sq_c) - 2.0*g, clipped like
+ * np.maximum(d2, 0.0): below zero becomes 0.0, a NaN stays. */
+static inline double clipped_distance(double sx, double sc, double g)
 {
-    for (int64_t j = 0; j < k * d; ++j)
-        sums[j] = 0.0;
-    for (int64_t c = 0; c < k; ++c)
-        counts[c] = 0;
-    for (int64_t i = 0; i < n; ++i) {
-        const double *row = X + i * d;
-        double *sum = sums + labels[i] * d;
-        for (int64_t j = 0; j < d; ++j)
-            sum[j] += row[j];
-        counts[labels[i]] += 1;
+    const double d2 = (sx + sc) - 2.0 * g;
+    return d2 < 0.0 ? 0.0 : d2;
+}
+
+/* One k-means assignment pass over the m rows of a distance block.  G is the
+ * block's BLAS product X_block @ centers.T (m x k).  Each row takes
+ * np.argmin's pick of its clipped distances: the first minimum, or the first
+ * NaN.  The kernel writes the label and that distance.  When sums is not
+ * NULL, it also adds the row to its cluster's sum and count; successive
+ * blocks then accumulate every cluster in row-index order. */
+void kmeans_assign(const double *restrict G, const double *restrict sq_x,
+                   const double *restrict sq_c, const double *restrict X,
+                   int64_t m, int64_t k, int64_t d,
+                   int64_t *restrict labels, double *restrict nearest_sq,
+                   double *restrict sums, int64_t *restrict counts)
+{
+    for (int64_t i = 0; i < m; ++i) {
+        const double *g = G + i * k;
+        const double sx = sq_x[i];
+        int64_t best = 0;
+        double best_d2 = clipped_distance(sx, sq_c[0], g[0]);
+        int any_nan = isnan(best_d2);
+        for (int64_t j = 1; j < k; ++j) {
+            const double d2 = clipped_distance(sx, sq_c[j], g[j]);
+            const int closer = d2 < best_d2;
+            any_nan |= isnan(d2);
+            best = closer ? j : best;
+            best_d2 = closer ? d2 : best_d2;
+        }
+        if (any_nan) {
+            /* Rare (overflowed norms): keep the branch-free scan above fast. */
+            for (best = 0;; ++best) {
+                best_d2 = clipped_distance(sx, sq_c[best], g[best]);
+                if (isnan(best_d2))
+                    break;
+            }
+        }
+        labels[i] = best;
+        nearest_sq[i] = best_d2;
+        if (sums != NULL) {
+            const double *row = X + i * d;
+            double *sum = sums + best * d;
+            for (int64_t j = 0; j < d; ++j)
+                sum[j] += row[j];
+            counts[best] += 1;
+        }
     }
 }
 """
@@ -312,11 +352,12 @@ def _compile_and_load() -> ctypes.CDLL | None:
         *[ctypes.c_double] * 6,
     ]
     lib.adam_step.restype = None
-    lib.cluster_sums.argtypes = [
-        f64, ctypes.c_int64, ctypes.c_int64, i64, ctypes.c_int64,
-        f64_out, ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE")),
+    # Raw addresses: KMeansAssign checks its arrays once per k-means run.
+    pointer = ctypes.c_void_p
+    lib.kmeans_assign.argtypes = [
+        *[pointer] * 4, *[ctypes.c_int64] * 3, *[pointer] * 4,
     ]
-    lib.cluster_sums.restype = None
+    lib.kmeans_assign.restype = None
     last_compile_error = None
     return lib
 
@@ -443,20 +484,72 @@ def adam_step(
     return True
 
 
-def cluster_sums(
-    X: np.ndarray, labels: np.ndarray, n_clusters: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(sums, counts)`` of each cluster's rows, or ``None`` if unavailable.
+def _address(array: np.ndarray) -> int:
+    """Address of a float64 array after the checks ``ndpointer`` argtypes make."""
+    if array.dtype != np.float64 or not array.flags.c_contiguous:
+        raise TypeError("expected a C-contiguous float64 array")
+    return array.ctypes.data
 
-    ``sums[c]`` adds the rows labelled ``c`` in index order, starting from
-    +0.0; ``counts[c]`` is their number.
+
+class KMeansAssign:
+    """The ``kmeans_assign`` kernel bound to one data matrix, with its outputs.
+
+    Binding checks ``X`` and ``sq_x`` and allocates ``labels``,
+    ``nearest_sq``, ``sums`` and ``counts`` once per k-means run, and keeps
+    their addresses; each call checks only its distance block and centre
+    norms.
+    """
+
+    def __init__(
+        self, lib: ctypes.CDLL, X: np.ndarray, sq_x: np.ndarray, n_clusters: int
+    ) -> None:
+        self._n, self._d = X.shape
+        self._k = n_clusters
+        if sq_x.shape != (self._n,):
+            raise ValueError("sq_x must hold one squared norm per row of X")
+        self.labels = np.empty(self._n, dtype=np.int64)
+        self.nearest_sq = np.empty(self._n, dtype=np.float64)
+        self.sums = np.zeros((n_clusters, self._d), dtype=np.float64)
+        self.counts = np.zeros(n_clusters, dtype=np.int64)
+        self._fn = lib.kmeans_assign
+        self._X, self._sq_x = X, sq_x  # alive as long as their addresses
+        self._addresses = (
+            _address(X), _address(sq_x), self.labels.ctypes.data,
+            self.nearest_sq.ctypes.data, self.sums.ctypes.data, self.counts.ctypes.data,
+        )
+
+    def __call__(
+        self, start: int, G: np.ndarray, sq_c: np.ndarray, accumulate: bool
+    ) -> None:
+        """Assign rows ``[start, start + len(G))`` from their distance gemm ``G``.
+
+        ``G`` is ``X[start:stop] @ centers.T`` and ``sq_c`` the centres'
+        squared norms.  With ``accumulate`` the rows are also added to
+        ``sums`` and ``counts``; a pass starts at row 0, where they are zeroed.
+        """
+        m = G.shape[0]
+        if not (G.shape == (m, self._k) and sq_c.shape == (self._k,) and 0 <= start <= self._n - m):
+            raise ValueError("G and sq_c must match the cluster count and X's rows")
+        X, sq_x, labels, nearest_sq, sums, counts = self._addresses
+        if accumulate and start == 0:
+            self.sums.fill(0.0)
+            self.counts.fill(0)
+        self._fn(
+            _address(G), sq_x + 8 * start, _address(sq_c), X + 8 * start * self._d,
+            m, self._k, self._d, labels + 8 * start, nearest_sq + 8 * start,
+            sums if accumulate else None, counts if accumulate else None,
+        )
+
+
+def kmeans_assign(X: np.ndarray, sq_x: np.ndarray, n_clusters: int) -> KMeansAssign | None:
+    """The fused k-means kernel bound to ``X`` and its squared row norms, or ``None``.
+
+    ``None`` means the native path is unavailable.  The kernel writes each
+    row's label and clipped squared distance bit-identically to NumPy's
+    ``np.maximum(sq_x + sq_c - 2.0 * G, 0.0)`` and ``argmin``; the cluster
+    sums add each cluster's rows in index order from +0.0.
     """
     lib = _get_lib()
     if lib is None:
         return None
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    sums = np.empty((n_clusters, X.shape[1]), dtype=np.float64)
-    counts = np.empty(n_clusters, dtype=np.int64)
-    lib.cluster_sums(X, X.shape[0], X.shape[1], labels, n_clusters, sums, counts)
-    return sums, counts
+    return KMeansAssign(lib, X, sq_x, n_clusters)

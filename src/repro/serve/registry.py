@@ -9,7 +9,8 @@ Layout::
             pin.json       # {"version": 1} when a version is pinned
             history.jsonl  # lifecycle event lineage (one JSON object per line)
 
-Versions are monotonically increasing integers assigned by :meth:`publish`.
+Versions are monotonically increasing integers assigned by :meth:`publish`;
+a number the recovery scan quarantined is never assigned again.
 ``resolve``/``load`` accept an explicit version, ``"latest"``, ``"pinned"``,
 or ``None`` (pinned when a pin exists, otherwise latest) — so a deployment can
 follow the newest model by default but be frozen to a known-good version with
@@ -62,6 +63,8 @@ __all__ = ["ModelRegistry", "SnapshotInfo"]
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _VERSION_DIR = re.compile(r"^v(\d+)$")
+#: A live ``v{N}`` or a quarantined ``.corrupt/v{N}[.k]``: numbers ``publish`` skips.
+_USED_VERSION = re.compile(r"^v(\d+)(?:\.\d+)?$")
 _PIN_FILE = "pin.json"
 _HISTORY_FILE = "history.jsonl"
 _LOCK_FILE = ".lock"
@@ -341,8 +344,7 @@ class ModelRegistry:
         """
         name = _check_name(name)
         with self._writer_lock(name):
-            versions = self.versions(name)
-            version = (versions[-1] + 1) if versions else 1
+            version = self._next_version(name)
             path = self.root / name / f"v{version}"
             tmp = self.root / name / f"{_TMP_PREFIX}v{version}-{os.getpid()}"
             try:
@@ -356,6 +358,23 @@ class ModelRegistry:
                 shutil.rmtree(tmp, ignore_errors=True)
                 raise
         return SnapshotInfo(name=name, version=version, path=path)
+
+    def _next_version(self, name: str) -> int:
+        """One above every number ``name`` has used, quarantined ones included.
+
+        Numbering from :meth:`versions` alone would give a version that
+        :meth:`recover` moved to ``.corrupt/`` to the next, different model,
+        and the lineage would then name two models by one number.
+        """
+        model_dir = self.root / name
+        used = [0]
+        for directory in (model_dir, model_dir / _CORRUPT_DIR):
+            if directory.is_dir():
+                for entry in directory.iterdir():
+                    match = _USED_VERSION.match(entry.name)
+                    if match:
+                        used.append(int(match.group(1)))
+        return max(used) + 1
 
     def load(self, name: str, version: int | str | None = None) -> Any:
         """Load the model behind ``resolve(name, version)``.

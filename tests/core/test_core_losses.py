@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.continual.scenario import ContinualScenario
 from repro.core import CNDLossConfig, compute_pseudo_labels
+from repro.datasets import load_dataset
+from repro.ml import native
+from repro.ml.scalers import StandardScaler
 
 
 class TestCNDLossConfig:
@@ -98,3 +102,31 @@ class TestPseudoLabels:
         labels_a, _ = compute_pseudo_labels(X_train, clean_normal, n_clusters=4, random_state=7)
         labels_b, _ = compute_pseudo_labels(X_train, clean_normal, n_clusters=4, random_state=7)
         np.testing.assert_array_equal(labels_a, labels_b)
+
+
+def test_pseudo_labels_are_the_same_bytes_without_native_kernels(monkeypatch):
+    """The elbow search and the final fit on a scaled X-IIoTID experience give
+    the same labels, centres and inertia on the native and NumPy paths."""
+    monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+    if not native.available():
+        pytest.skip("native kernels unavailable (no C compiler)")
+    scenario = ContinualScenario.from_dataset(
+        load_dataset("xiiotid", scale=0.01, seed=0), n_experiences=5, seed=0
+    )
+    scaler = StandardScaler().fit(scenario.clean_normal)
+    X_train = scaler.transform(scenario[1].X_train)
+    clean_normal = scaler.transform(scenario.clean_normal)
+    runs = []
+    for disable in ("", "1"):
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", disable)
+        labels, kmeans = compute_pseudo_labels(X_train, clean_normal, random_state=0)
+        runs.append(
+            (
+                kmeans.n_clusters,
+                labels.tobytes(),
+                kmeans.labels_.tobytes(),
+                kmeans.cluster_centers_.tobytes(),
+                kmeans.inertia_,
+            )
+        )
+    assert runs[0] == runs[1]

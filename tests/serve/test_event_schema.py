@@ -204,6 +204,28 @@ def test_every_written_record_is_a_to_dict_output(run):
         assert json.dumps(record, sort_keys=True) in emitted
 
 
+def test_a_quarantined_version_number_is_never_published_again(run):
+    """The torn ``v1`` is quarantined; every refit publishes a new number.
+
+    Numbering from the live versions alone published the first refit as
+    ``v1`` again, so the lineage named two different models ``v1``.
+    """
+    quarantined = {
+        int(record["version_dir"][1:])
+        for record in run["history"]
+        if record["type"] == "registry_recover"
+    }
+    published = [
+        record["published_version"]
+        for record in run["history"]
+        if record["type"] == "lifecycle" and record["published_version"] is not None
+    ]
+    assert quarantined == {1}
+    assert published
+    assert not quarantined & set(published)
+    assert len(published) == len(set(published))
+
+
 def test_each_sink_is_disabled_once(run):
     """The service and the lifecycle manager share one wrapper per sink.
 

@@ -649,7 +649,7 @@ class TestRegistryCrashSafety:
         assert not orphan.exists()
         assert recovered_registry.versions("ids") == [1]
 
-    def test_quarantine_name_collisions_get_numeric_suffixes(self, fitted, tmp_path):
+    def test_publish_never_reuses_a_quarantined_version_number(self, fitted, tmp_path):
         _, _, detector = fitted
         root = tmp_path / "registry"
         registry = ModelRegistry(root)
@@ -657,14 +657,27 @@ class TestRegistryCrashSafety:
         FaultInjector.tear_version(registry.publish(detector, "ids").path)
 
         registry = ModelRegistry(root)  # quarantines v2 -> .corrupt/v2
-        # Quarantined versions free their slot: the next publish is v2 again.
-        v2_again = registry.publish(detector, "ids")
-        assert v2_again.version == 2
-        FaultInjector.tear_version(v2_again.path)
+        assert registry.versions("ids") == [1]
+        assert registry.publish(detector, "ids").version == 3
+        FaultInjector.tear_version(registry.publish(detector, "ids").path)  # v4
 
-        ModelRegistry(root)  # the second casualty cannot shadow the first
+        registry = ModelRegistry(root)
+        assert registry.versions("ids") == [1, 3]
+        assert registry.publish(detector, "ids").version == 5
         corrupt = sorted(p.name for p in (root / "ids" / ".corrupt").iterdir())
-        assert corrupt == ["v2", "v2.1"]
+        assert corrupt == ["v2", "v4"]
+
+    def test_quarantine_name_collisions_get_numeric_suffixes(self, fitted, tmp_path):
+        _, _, detector = fitted
+        root = tmp_path / "registry"
+        ModelRegistry(root).publish(detector, "ids")  # v1
+        for _ in range(2):
+            # A publisher that died again under a recycled pid leaves the
+            # same temp name; the second casualty cannot shadow the first.
+            (root / "ids" / ".tmp-v2-4242").mkdir()
+            ModelRegistry(root)
+        corrupt = sorted(p.name for p in (root / "ids" / ".corrupt").iterdir())
+        assert corrupt == [".tmp-v2-4242", ".tmp-v2-4242.1"]
 
     def test_publish_retries_transient_io_errors(self, fitted, tmp_path, monkeypatch):
         _, _, detector = fitted

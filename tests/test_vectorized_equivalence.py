@@ -426,13 +426,18 @@ class TestHistogramDetectorEquivalence:
 
 
 class _NaiveLloydKMeans(KMeans):
-    """Lloyd steps through ``pairwise_topk`` and one ``bincount`` per feature."""
+    """Lloyd steps through ``pairwise_topk`` and one ``bincount`` per feature.
 
-    def _assign(self, X, sq_x, centers):
+    Both hooks ignore the fused kernel's outputs: ``_assign`` returns no
+    cluster sums and ``_update_centers`` recounts every cluster itself.
+    """
+
+    def _assign(self, X, sq_x, centers, kernel, *, cluster_sums=False):
         idx, dist = pairwise_topk(X, centers, 1, block_size=self.block_size, squared=True)
-        return idx[:, 0], dist[:, 0]
+        return idx[:, 0], dist[:, 0], None
 
-    def _update_centers(self, X, labels, nearest_sq, centers):
+    def _update_centers(self, X, labels, nearest_sq, centers, cluster_sums=None):
+        assert cluster_sums is None
         counts = np.bincount(labels, minlength=self.n_clusters)
         sums = np.empty((self.n_clusters, X.shape[1]), dtype=np.float64)
         for j in range(X.shape[1]):
@@ -455,6 +460,10 @@ def _assert_same_fit(X, **params):
     return fast
 
 
+#: The default single block, and blocks that do not divide the row count.
+BLOCK_SIZES = [4096, 37]
+
+
 @pytest.mark.usefixtures("traversal_backend")
 class TestKMeansFitMatchesNaiveLloyd:
     @pytest.mark.parametrize("d", [1, 2, 7, 56])
@@ -462,7 +471,15 @@ class TestKMeansFitMatchesNaiveLloyd:
         X = np.random.default_rng(d).normal(size=(1500, d)) * 3.0
         _assert_same_fit(X, n_clusters=6, block_size=512)
 
-    def test_duplicate_rows_reseed_empty_clusters(self):
+    @pytest.mark.parametrize("block_size", [1, 7, 64, 499])
+    def test_multi_block(self, block_size):
+        # Cluster sums accumulate across blocks in row order.
+        X = np.random.default_rng(5).normal(size=(500, 9)) * 2.0
+        model = _assert_same_fit(X, n_clusters=5, block_size=block_size)
+        assert model.n_iter_ > 1
+
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    def test_duplicate_rows_reseed_empty_clusters(self, block_size):
         # Three distinct points for five clusters: k-means++ repeats centres,
         # ties go to the lowest index and the duplicates come out empty.
         base = np.random.default_rng(1).normal(size=(3, 4))
@@ -470,22 +487,25 @@ class TestKMeansFitMatchesNaiveLloyd:
         reseeds = []
 
         class Recording(KMeans):
-            def _update_centers(self, X, labels, nearest_sq, centers):
+            def _update_centers(self, X, labels, nearest_sq, centers, cluster_sums=None):
                 reseeds.append(np.bincount(labels, minlength=self.n_clusters).min() == 0)
-                return super()._update_centers(X, labels, nearest_sq, centers)
+                return super()._update_centers(X, labels, nearest_sq, centers, cluster_sums)
 
-        Recording(n_clusters=5, random_state=0).fit(X)
+        Recording(n_clusters=5, random_state=0, block_size=block_size).fit(X)
         assert any(reseeds)
-        _assert_same_fit(X, n_clusters=5)
+        _assert_same_fit(X, n_clusters=5, block_size=block_size)
 
-    def test_signed_zero_column(self):
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    def test_signed_zero_column(self, block_size):
         X = np.random.default_rng(2).normal(size=(300, 3))
         X[:, 1] = -0.0
-        _assert_same_fit(X, n_clusters=4)
+        _assert_same_fit(X, n_clusters=4, block_size=block_size)
 
-    def test_single_cluster(self):
-        X = np.random.default_rng(3).normal(size=(400, 5))
-        model = _assert_same_fit(X, n_clusters=1)
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_single_cluster(self, d, block_size):
+        X = np.random.default_rng(3).normal(size=(400, d))
+        model = _assert_same_fit(X, n_clusters=1, block_size=block_size)
         assert model.n_iter_ <= 2
 
     def test_predict_matches_naive(self):
@@ -494,6 +514,58 @@ class TestKMeansFitMatchesNaiveLloyd:
         fast = KMeans(n_clusters=7, random_state=0, block_size=700).fit(X)
         naive = _NaiveLloydKMeans(n_clusters=7, random_state=0, block_size=700).fit(X)
         np.testing.assert_array_equal(fast.predict(X_query), naive.predict(X_query))
+
+
+class TestKMeansOverflowingDistances:
+    def test_native_assignment_matches_numpy_bytes(self, monkeypatch):
+        """Rows near 1e154 overflow ``sq_x``: the block holds inf and NaN.
+
+        The reference is the NumPy path, not ``pairwise_topk``: only
+        ``argmin`` picks the first NaN the way the kernel must.  ``predict``
+        is used, not ``fit``: k-means++ cannot draw from NaN weights.
+        """
+        from repro.ml import native
+
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+        if not native.available():
+            pytest.skip("native kernels unavailable (no C compiler)")
+        rng = np.random.default_rng(8)
+        d, big = 4, 1e154
+        model = KMeans(n_clusters=2, random_state=0, block_size=64).fit(
+            rng.normal(size=(200, d))
+        )
+        # The finite centres come first, so a NaN must win over an earlier
+        # minimum: a row ``big * e_j`` has a finite norm and finite distances
+        # to them, but ``inf - inf`` to the centre ``big * ones``.
+        model.cluster_centers_ = np.vstack(
+            [model.cluster_centers_, np.zeros(d), np.full(d, big), np.full(d, -big)]
+        )
+        X = np.vstack(
+            [
+                rng.normal(size=(100, d)),
+                rng.normal(size=(100, d)) * big,
+                np.eye(d) * big,
+                np.full((3, d), big),
+                np.full((3, d), -big),
+            ]
+        )
+        with np.errstate(over="ignore"):
+            sq_x = np.sum(X**2, axis=1)
+        results = {}
+        for backend in ("native", "numpy"):
+            if backend == "numpy":
+                monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+            kernel = native.kmeans_assign(X, sq_x, len(model.cluster_centers_))
+            assert (kernel is None) == (backend == "numpy")
+            with np.errstate(over="ignore", invalid="ignore"):
+                labels, nearest_sq, _ = model._assign(X, sq_x, model.cluster_centers_, kernel)
+                predicted = model.predict(X)
+            np.testing.assert_array_equal(predicted, labels)
+            results[backend] = (labels.tobytes(), nearest_sq.tobytes())
+        assert results["native"] == results["numpy"]
+        assert np.isinf(nearest_sq).any()
+        nan_rows = np.isnan(nearest_sq)
+        assert nan_rows.any() and (labels[nan_rows] > 0).any()
 
 
 @pytest.mark.usefixtures("traversal_backend")
