@@ -568,6 +568,40 @@ class TestKMeansOverflowingDistances:
         assert nan_rows.any() and (labels[nan_rows] > 0).any()
 
 
+class TestKMeansAssignChecks:
+    """The kernel takes raw addresses, so its binding checks every array."""
+
+    def test_bad_arrays_are_rejected(self, monkeypatch):
+        from repro.ml import native
+
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+        if not native.available():
+            pytest.skip("native kernels unavailable (no C compiler)")
+        rng = np.random.default_rng(9)
+        X, centers = rng.normal(size=(10, 3)), rng.normal(size=(2, 3))
+        sq_x, sq_c = np.sum(X**2, axis=1), np.sum(centers**2, axis=1)
+        with pytest.raises(TypeError):
+            native.kmeans_assign(X.astype(np.float32), sq_x, 2)
+        with pytest.raises(TypeError):
+            native.kmeans_assign(np.asfortranarray(X), sq_x, 2)
+        with pytest.raises(ValueError):
+            native.kmeans_assign(X, sq_x[:-1], 2)
+        kernel = native.kmeans_assign(X, sq_x, 2)
+        G = X[:4] @ centers.T
+        with pytest.raises(TypeError):
+            kernel(0, G.astype(np.float32), sq_c, False)
+        with pytest.raises(TypeError):
+            kernel(0, np.asfortranarray(G), sq_c, False)
+        with pytest.raises(ValueError):
+            kernel(0, G[:, :1], sq_c, False)
+        with pytest.raises(ValueError):
+            kernel(0, G, sq_c[:1], False)
+        for start in (-1, 7):
+            with pytest.raises(ValueError):
+                kernel(start, G, sq_c, True)
+        kernel(6, G, sq_c, False)  # the last four rows
+
+
 @pytest.mark.usefixtures("traversal_backend")
 class TestKMeansEquivalence:
     def test_assignment_matches_argmin(self):
