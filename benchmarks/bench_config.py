@@ -9,8 +9,8 @@ runners in :mod:`repro.experiments`.  The scale is controlled by the
 * ``paper``   — closest to the paper's setup that is practical on CPU.
 
 Formatted result tables are printed and also written to
-``benchmarks/results/<name>.txt`` so they can be inspected after the run and
-are the source for EXPERIMENTS.md.
+``benchmarks/results/<name>.txt`` so they can be inspected after the run;
+the committed copies are the reproduced numbers ROADMAP.md quotes.
 """
 
 from __future__ import annotations

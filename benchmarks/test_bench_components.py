@@ -24,11 +24,8 @@ from repro.analysis import LintContext, build_project, run_lint
 from repro.core import CNDLossConfig, ContinualFeatureExtractor, compute_pseudo_labels
 from repro.ml import PCA, KMeans, pairwise_squared_euclidean
 from repro.novelty import (
-    HBOS,
-    LODA,
     DeepIsolationForest,
     IsolationForest,
-    KNNDetector,
     LocalOutlierFactor,
 )
 from repro.serve.faults import ResilientSink, call_with_retry
@@ -189,26 +186,8 @@ _NAIVE_REFERENCES = {
         lambda m: m._decision_function_naive,
         0.5,
     ),
-    "KNNDetector.score_samples": (
-        lambda X, y: KNNDetector(n_neighbors=10, random_state=0).fit(X),
-        lambda m: m.score_samples,
-        lambda m: m._score_samples_naive,
-        0.5,
-    ),
     "LocalOutlierFactor.score_samples": (
         lambda X, y: LocalOutlierFactor(n_neighbors=20, random_state=0).fit(X),
-        lambda m: m.score_samples,
-        lambda m: m._score_samples_naive,
-        0.5,
-    ),
-    "HBOS.score_samples": (
-        lambda X, y: HBOS(n_bins=20).fit(X),
-        lambda m: m.score_samples,
-        lambda m: m._score_samples_naive,
-        0.5,
-    ),
-    "LODA.score_samples": (
-        lambda X, y: LODA(n_projections=50, random_state=0).fit(X),
         lambda m: m.score_samples,
         lambda m: m._score_samples_naive,
         0.5,

@@ -2,7 +2,7 @@
 
 The deployment story of the paper, end to end:
 
-1. fit a kNN detector on clean normal traffic,
+1. fit a Local Outlier Factor detector on clean normal traffic,
 2. publish it to an on-disk **model registry** (versioned,
    pickle-free snapshots) and load it back — the scores survive the round
    trip bit for bit,
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.datasets import load_dataset
 from repro.datasets.streaming import FlowStream
-from repro.novelty import KNNDetector
+from repro.novelty import LocalOutlierFactor
 from repro.serve import (
     DetectionService,
     DriftEvent,
@@ -43,9 +43,9 @@ from repro.serve import (
 )
 
 
-def make_detector(seed: int) -> KNNDetector:
-    """Fresh unfitted kNN detector; doubles as the FullRefit factory."""
-    return KNNDetector(n_neighbors=10, random_state=seed)
+def make_detector(seed: int) -> LocalOutlierFactor:
+    """Fresh unfitted LOF detector; doubles as the FullRefit factory."""
+    return LocalOutlierFactor(n_neighbors=20, random_state=seed)
 
 
 def parse_args() -> argparse.Namespace:
@@ -81,7 +81,7 @@ def main() -> None:
     registry_dir = args.registry or tempfile.mkdtemp(prefix="repro-registry-")
     registry = ModelRegistry(registry_dir)
     info = registry.publish(
-        detector, f"knn-{dataset.name}", metadata={"dataset": dataset.name}
+        detector, f"lof-{dataset.name}", metadata={"dataset": dataset.name}
     )
     served = registry.load(info.name)
     check = dataset.X[:256]
@@ -90,7 +90,7 @@ def main() -> None:
 
     # 3. Serve a drifting stream with rolling thresholds and a full lifecycle:
     # clean below-threshold rows feed a bounded window buffer; when drift
-    # fires, a fresh kNN detector is refit on that window, quality-gated,
+    # fires, a fresh LOF detector is refit on that window, quality-gated,
     # republished (v2, v3, ...) and hot-swapped into the service.  No
     # explicit drift reference: the monitor calibrates itself on the first
     # min_samples streamed flows and flags when the stream departs from that.

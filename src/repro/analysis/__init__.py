@@ -7,8 +7,8 @@ convention as a small stdlib-``ast`` rule (RL001, RL003, RL005, RL009 and
 RL012; see :mod:`repro.analysis.rules`) and has one lint path:
 :func:`run_lint` parses the tree once, builds a whole-tree symbol table and
 call graph (:mod:`repro.analysis.project`) for the cross-module rules, runs
-every rule, and marks the findings a committed baseline grandfathers
-(:mod:`repro.analysis.baseline`).  ``repro lint`` is the CLI and prints
+every rule, and drops findings on lines that carry an inline
+``# reprolint: disable=RULE``.  ``repro lint`` is the CLI and prints
 compiler-style text; the tier-1 test
 ``tests/analysis/test_lint_src_clean.py`` is the gate that keeps ``src/``
 clean.  Contracts the running code can show directly (snapshot
@@ -18,7 +18,6 @@ are tier-1 tests instead.
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline, BaselineEntry, write_baseline
 from repro.analysis.engine import (
     LintContext,
     LintResult,
@@ -32,8 +31,6 @@ from repro.analysis.project import ProjectGraph, build_project, function_key
 from repro.analysis.rules import RULE_CLASSES, Rule, default_rules, rules_by_id
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "LintContext",
     "LintResult",
@@ -48,5 +45,4 @@ __all__ = [
     "parse_module",
     "rules_by_id",
     "run_lint",
-    "write_baseline",
 ]

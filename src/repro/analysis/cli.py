@@ -5,14 +5,12 @@ Usage::
     repro lint                          # lint src/ from cwd
     repro lint src/repro benchmarks     # explicit paths
     repro lint --rules RL001,RL005 src/repro
-    repro lint --write-baseline src/repro
     repro lint --list-rules
 
-Exit codes: ``0`` — no new findings (baselined ones are reported but do not
-fail), ``1`` — at least one new finding, ``2`` — usage error (bad path,
-unknown rule, unreadable baseline).  The baseline defaults to
-``.reprolint-baseline.json`` in the current directory when present; pass
-``--no-baseline`` to see everything fail again.
+Exit codes: ``0`` — no findings, ``1`` — at least one finding, ``2`` —
+usage error (bad path, unknown rule).  A deliberate exception is silenced
+at its line with ``# reprolint: disable=RULE`` and a reason in the comment
+above it.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline, write_baseline
 from repro.analysis.engine import LintResult, run_lint
 from repro.analysis.rules import RULE_CLASSES, rules_by_id
 
@@ -45,23 +42,6 @@ def _parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding as new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline file from the current findings "
-        "(existing reasons are preserved; new entries get a placeholder)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
     )
     return parser
@@ -72,15 +52,13 @@ def _render_text(result: LintResult) -> str:
     lines = []
     by_rule: dict[str, int] = {}
     for finding in result.findings:
-        suffix = "  [baselined]" if finding.baselined else ""
         lines.append(
             f"{finding.location()}: {finding.rule} [{finding.severity}] "
-            f"{finding.message}{suffix}"
+            f"{finding.message}"
         )
         by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
     lines.append(
         f"{len(result.findings)} finding(s) "
-        f"({len(result.new)} new, {len(result.baselined)} baselined) "
         f"across {len(result.context.modules)} file(s)"
     )
     if by_rule:
@@ -124,41 +102,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    baseline = None
-    baseline_path = args.baseline
-    if not args.no_baseline:
-        if baseline_path is None and Path(DEFAULT_BASELINE_NAME).is_file():
-            baseline_path = Path(DEFAULT_BASELINE_NAME)
-        if baseline_path is not None:
-            try:
-                baseline = Baseline.load(baseline_path)
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-                return 2
-
     try:
-        result = run_lint(args.paths or _default_paths(), rules=rules, baseline=baseline)
+        result = run_lint(args.paths or _default_paths(), rules=rules)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        target = baseline_path if baseline_path is not None else Path(DEFAULT_BASELINE_NAME)
-        written = write_baseline(
-            target,
-            result.findings,
-            keep=baseline,
-            rule_ids=None if rules is None else [rule.rule_id for rule in rules],
-            scanned_paths=result.context.scanned_paths,
-        )
-        print(f"wrote {len(written)} baseline entr(y/ies) to {target}")
-        undocumented = written.undocumented()
-        if undocumented:
-            print(
-                f"note: {len(undocumented)} entr(y/ies) carry the placeholder "
-                "reason; document them before committing"
-            )
-        return 0
 
     print(_render_text(result))
     return result.exit_code

@@ -7,10 +7,8 @@ The engine owns everything rule-agnostic:
 - one ``ast.parse`` per file shared by all rules;
 - inline suppressions — a trailing ``# reprolint: disable=RL001`` (or a bare
   ``# reprolint: disable`` for all rules) drops findings anchored on that
-  line;
-- baseline application — committed grandfathered findings are *marked*
-  (``Finding.baselined``), never hidden, so the text output still lists
-  them;
+  line; the reason for a deliberate exception goes in a comment directly
+  above it;
 - cross-module state: rules see each module via :meth:`Rule.check_module`
   and then get one :meth:`Rule.finalize` call with the full
   :class:`LintContext`, which is how whole-package contracts (event
@@ -51,7 +49,7 @@ class ParsedModule:
 
     path: Path
     #: Path as reported in findings (posix, relative to the lint cwd when
-    #: possible) — also what baseline entries match against.
+    #: possible).
     display_path: str
     tree: ast.Module
     lines: list[str]
@@ -74,11 +72,6 @@ class ParsedModule:
         elif parts[-1].endswith(".py"):
             parts[-1] = parts[-1][: -len(".py")]
         return ".".join(parts)
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
     def is_suppressed(self, lineno: int, rule_id: str) -> bool:
         if lineno not in self.suppressions:
@@ -125,19 +118,9 @@ class LintContext:
     modules: list[ParsedModule] = field(default_factory=list)
     #: Files that failed to parse: (display_path, error message).
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
-    #: The active Baseline (if any) — cross-module rules consult it to avoid
-    #: cascading findings off grandfathered seeds (see RL012).
-    baseline: object | None = None
     #: Whole-tree symbol table / call graph (repro.analysis.project),
     #: built once per lint run before rules execute.
     project: object | None = None
-
-    @property
-    def scanned_paths(self) -> list[str]:
-        """Display paths of every file this run read."""
-        return [m.display_path for m in self.modules] + [
-            display for display, _ in self.parse_errors
-        ]
 
 
 @dataclass
@@ -148,16 +131,8 @@ class LintResult:
     context: LintContext
 
     @property
-    def new(self) -> list[Finding]:
-        return [f for f in self.findings if not f.baselined]
-
-    @property
-    def baselined(self) -> list[Finding]:
-        return [f for f in self.findings if f.baselined]
-
-    @property
     def exit_code(self) -> int:
-        return 1 if self.new else 0
+        return 1 if self.findings else 0
 
 
 def _collect_files(paths: Iterable[str | Path]) -> list[Path]:
@@ -190,13 +165,8 @@ def run_lint(
     paths: Sequence[str | Path],
     *,
     rules: Sequence | None = None,
-    baseline=None,
 ) -> LintResult:
-    """Run ``rules`` (default: the full registry) over ``paths``.
-
-    ``baseline`` is a :class:`repro.analysis.baseline.Baseline`; matched
-    findings are marked, not removed.
-    """
+    """Run ``rules`` (default: the full registry) over ``paths``."""
     context = LintContext()
     for path in _collect_files(paths):
         display = _display_path(path)
@@ -206,28 +176,25 @@ def run_lint(
             )
         except SyntaxError as exc:
             context.parse_errors.append((display, str(exc)))
-    return lint_parsed(context, rules=rules, baseline=baseline)
+    return lint_parsed(context, rules=rules)
 
 
 def lint_parsed(
     context: LintContext,
     *,
     rules: Sequence | None = None,
-    baseline=None,
 ) -> LintResult:
     """Run ``rules`` over an already-built :class:`LintContext`.
 
     This is the back half of :func:`run_lint`; fixture tests use it to lint
     in-memory modules (built with :func:`parse_module` under a pretend path)
-    through the identical suppression/baseline pipeline.
+    through the identical suppression pipeline.
     """
     if rules is None:
         from repro.analysis.rules import default_rules
 
         rules = default_rules()
 
-    if context.baseline is None:
-        context.baseline = baseline
     if context.project is None:
         from repro.analysis.project import build_project
 
@@ -262,10 +229,5 @@ def lint_parsed(
         kept.extend(
             finding for finding in rule.finalize(context) if not _suppressed(finding)
         )
-    if baseline is not None:
-        kept = [
-            finding.as_baselined() if baseline.matches(finding) else finding
-            for finding in kept
-        ]
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
     return LintResult(findings=kept, context=context)

@@ -1,15 +1,8 @@
-"""Finding: one linter diagnostic, with enough identity to survive line drift.
-
-A finding is identified for baseline purposes by ``(rule, path, context,
-line_text)`` rather than by line number: grandfathered findings keep matching
-after unrelated edits shift the file, but stop matching the moment the
-offending line itself changes — at which point the author must re-justify or
-fix it.
-"""
+"""Finding: one linter diagnostic."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 __all__ = ["Finding"]
 
@@ -26,17 +19,6 @@ class Finding:
     message: str
     #: Enclosing ``Class.method`` qualname, or ``"<module>"``.
     context: str = "<module>"
-    #: The stripped source line the finding points at (baseline identity).
-    line_text: str = ""
-    #: True when a committed baseline entry grandfathers this finding.
-    baselined: bool = field(default=False, compare=False)
-
-    def key(self) -> tuple[str, str, str, str]:
-        """Line-drift-tolerant identity used for baseline matching."""
-        return (self.rule, self.path, self.context, self.line_text)
-
-    def as_baselined(self) -> "Finding":
-        return replace(self, baselined=True)
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"

@@ -23,7 +23,7 @@ Writing a new rule
    skip the check when the other side of the contract is absent, so
    ``repro lint one_file.py`` never emits spurious whole-tree findings.
 4. Produce findings via :meth:`Rule.finding` (anchored on a module + node,
-   capturing context qualname and line text for baseline identity).
+   capturing the enclosing context qualname).
 5. Register the class in ``rules/__init__.py``'s ``RULE_CLASSES`` and add a
    ``tests/analysis/fixtures/rlNNN_bad.py`` / ``rlNNN_good.py`` twin plus a
    ``CASES`` entry in ``tests/analysis/test_rules_fixtures.py`` with exact
@@ -134,5 +134,4 @@ class Rule:
             col=column,
             message=message,
             context=context,
-            line_text=module.line_text(lineno),
         )

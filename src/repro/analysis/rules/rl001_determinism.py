@@ -23,9 +23,9 @@ under the ``repro`` package:
 
 Allowlisted modules: ``repro/serve/telemetry/`` (timestamps, spans and the
 heartbeat clock are the product there) and ``repro/utils/timing.py`` (the
-timing helper itself).  Deliberate exceptions elsewhere belong in the
-committed baseline with a reason, or behind an inline
-``# reprolint: disable=RL001``.
+timing helper itself).  A deliberate exception elsewhere goes behind an
+inline ``# reprolint: disable=RL001``, with its reason in a comment directly
+above the line.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ pass-1 call graph (:mod:`repro.analysis.project`), this rule:
 
 1. collects **taint seeds** — every RL001 primitive site in a
    non-allowlisted ``repro`` module, *excluding* sites silenced by an
-   inline ``# reprolint: disable`` or matched by the committed baseline
-   (a grandfathered seed must not cascade new findings);
+   inline ``# reprolint: disable`` (a deliberate, documented exception must
+   not cascade new findings);
 2. propagates taint backwards over call edges to a fixpoint, carrying the
    seed primitive and location as the witness;
 3. flags every function in a ``repro/serve`` module (telemetry excluded,
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.analysis.engine import LintContext, ParsedModule
+from repro.analysis.engine import LintContext
 from repro.analysis.findings import Finding
 from repro.analysis.rules.base import Rule, in_repro_package, in_serve_package
 from repro.analysis.rules.rl001_determinism import (
@@ -70,7 +70,7 @@ class DeterminismTaintRule(Rule):
 
             project = build_project(context)
 
-        # 1. Taint seeds, minus suppressed/baselined RL001 sites.
+        # 1. Taint seeds, minus inline-suppressed RL001 sites.
         seeds: dict[str, tuple[str, str, int]] = {}
         for module in context.modules:
             if not in_repro_package(module) or determinism_allowlisted(module):
@@ -78,19 +78,6 @@ class DeterminismTaintRule(Rule):
             for node, qualname, name, _message in iter_determinism_sites(module):
                 if module.is_suppressed(node.lineno, "RL001"):
                     continue
-                if context.baseline is not None:
-                    pseudo = Finding(
-                        rule="RL001",
-                        severity="error",
-                        path=module.display_path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        message=_message,
-                        context=qualname,
-                        line_text=module.line_text(node.lineno),
-                    )
-                    if context.baseline.matches(pseudo):
-                        continue
                 key = _function_key_for(project, module.display_path, qualname)
                 if key is not None:
                     seeds.setdefault(
@@ -138,7 +125,7 @@ class DeterminismTaintRule(Rule):
                         f"({callee_display}), which transitively reaches "
                         f"nondeterministic `{primitive}` at "
                         f"{seed_path}:{seed_line}; seed it explicitly or "
-                        "baseline the seed with a reason",
+                        "suppress the seed inline with a reason",
                         context=qualname,
                         line=lineno,
                     )

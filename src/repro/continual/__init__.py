@@ -8,7 +8,6 @@ compares against (ADCN and LwF).
 
 from repro.continual.base import ContinualMethod
 from repro.continual.baselines import ADCN, LwF
-from repro.continual.extensions import CumulativeRetraining, ExperienceReplay
 from repro.continual.metrics import ResultMatrix, continual_metrics
 from repro.continual.scenario import ContinualScenario, Experience
 
@@ -20,6 +19,4 @@ __all__ = [
     "ContinualMethod",
     "ADCN",
     "LwF",
-    "ExperienceReplay",
-    "CumulativeRetraining",
 ]

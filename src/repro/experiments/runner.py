@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.continual.baselines import ADCN, LwF
 from repro.continual.base import ContinualMethod
-from repro.continual.extensions import CumulativeRetraining, ExperienceReplay
 from repro.continual.scenario import ContinualScenario
 from repro.core.losses import CNDLossConfig
 from repro.core.model import CNDIDS
@@ -107,10 +106,6 @@ def build_continual_method(
         return ADCN(input_dim, **common)
     if name == "LwF":
         return LwF(input_dim, **common)
-    if name == "Replay":
-        return ExperienceReplay(input_dim, **common)
-    if name == "Cumulative":
-        return CumulativeRetraining(input_dim, **common)
     if name.startswith("CND-IDS"):
         if loss_config is None:
             loss_config = ABLATION_VARIANTS.get(name, CNDLossConfig.full())

@@ -1,6 +1,5 @@
 """Classical machine-learning substrate: PCA, K-Means, scalers, splits, kernels."""
 
-from repro.ml.binning import batch_bin_right, histogram_log_densities
 from repro.ml.distances import pairwise_euclidean, pairwise_squared_euclidean, pairwise_topk
 from repro.ml.flat_tree import FlatForest, FlatTree, flatten_tree
 from repro.ml.kmeans import KMeans, elbow_method
@@ -23,7 +22,5 @@ __all__ = [
     "FlatForest",
     "FlatTree",
     "flatten_tree",
-    "batch_bin_right",
-    "histogram_log_densities",
     "get_num_threads",
 ]

@@ -1,4 +1,4 @@
-"""Pairwise distance computations used by K-Means, LOF, kNN and triplet mining."""
+"""Pairwise distance computations used by K-Means, LOF, ADCN/LwF and triplet mining."""
 
 from __future__ import annotations
 

@@ -8,10 +8,7 @@ more anomalous**, and ``predict`` thresholds those scores into 0 (normal) / 1
 
 from repro.novelty.base import NoveltyDetector
 from repro.novelty.dif import DeepIsolationForest
-from repro.novelty.hbos import HBOS
 from repro.novelty.iforest import IsolationForest
-from repro.novelty.knn import KNNDetector
-from repro.novelty.loda import LODA
 from repro.novelty.lof import LocalOutlierFactor
 from repro.novelty.mahalanobis import MahalanobisDetector
 from repro.novelty.ocsvm import OneClassSVM
@@ -24,8 +21,5 @@ __all__ = [
     "OneClassSVM",
     "IsolationForest",
     "DeepIsolationForest",
-    "KNNDetector",
-    "HBOS",
     "MahalanobisDetector",
-    "LODA",
 ]

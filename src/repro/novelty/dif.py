@@ -37,8 +37,8 @@ class DeepIsolationForest(NoveltyDetector):
         Scoring maps at most this many rows through the random networks at a
         time, so peak extra memory is O(``block_size`` x max layer width)
         floats instead of materialising every representation for the whole
-        query batch — the same bound the blockwise neighbour kernels give
-        kNN/LOF.
+        query batch — the same bound the blockwise neighbour kernel gives
+        LOF.
     """
 
     def __init__(

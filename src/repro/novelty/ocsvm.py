@@ -42,7 +42,7 @@ class OneClassSVM(NoveltyDetector):
         random-feature map for at most this many rows at a time, so peak
         extra memory is O(``block_size`` x ``n_features_rff``) floats instead
         of the full n_samples x ``n_features_rff`` matrix — the same bound
-        the blockwise neighbour kernels give kNN/LOF.
+        the blockwise neighbour kernel gives LOF.
     """
 
     def __init__(

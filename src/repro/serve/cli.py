@@ -8,8 +8,8 @@ Usage examples::
         --drift-strength 2.0 --threshold rolling
 
     # publish the fitted model and serve from the registry afterwards
-    repro serve --dataset wustl_iiot --detector knn --registry ./models --publish
-    repro serve --dataset wustl_iiot --registry ./models --model knn-wustl_iiot
+    repro serve --dataset wustl_iiot --detector lof --registry ./models --publish
+    repro serve --dataset wustl_iiot --registry ./models --model lof-wustl_iiot
 
     # online refit: on drift, refit from the clean recent window, gate,
     # republish and hot-swap
@@ -23,7 +23,7 @@ Usage examples::
 
     # inspect / pin / prune registry contents, audit the swap lineage
     repro registry list --registry ./models
-    repro registry pin knn-wustl_iiot 1 --registry ./models
+    repro registry pin lof-wustl_iiot 1 --registry ./models
     repro registry gc --keep 3 --registry ./models
     repro registry history iforest-wustl_iiot --registry ./models
 
@@ -61,10 +61,7 @@ from pathlib import Path
 from repro.datasets.registry import load_dataset
 from repro.datasets.streaming import FlowStream
 from repro.novelty import (
-    HBOS,
-    LODA,
     IsolationForest,
-    KNNDetector,
     LocalOutlierFactor,
     MahalanobisDetector,
     OneClassSVM,
@@ -82,7 +79,7 @@ from repro.serve.lifecycle import (
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import DetectionService
 from repro.serve.sinks import JsonlSink
-from repro.serve.snapshot import read_manifest, save_snapshot
+from repro.serve.snapshot import SnapshotError, read_manifest, save_snapshot
 from repro.serve.telemetry import (
     HeartbeatWatchdog,
     SpanTracer,
@@ -99,11 +96,8 @@ __all__ = ["main", "DETECTOR_FACTORIES"]
 #: Detector id -> zero-argument factory with serving-friendly defaults.
 DETECTOR_FACTORIES = {
     "iforest": lambda: IsolationForest(n_estimators=100, random_state=0),
-    "knn": lambda: KNNDetector(n_neighbors=10, random_state=0),
     "lof": lambda: LocalOutlierFactor(n_neighbors=20, random_state=0),
     "pca": lambda: PCAReconstructionDetector(n_components=0.95),
-    "hbos": lambda: HBOS(n_bins=20),
-    "loda": lambda: LODA(n_projections=50, random_state=0),
     "mahalanobis": lambda: MahalanobisDetector(),
     "ocsvm": lambda: OneClassSVM(n_epochs=10, random_state=0),
 }
@@ -454,7 +448,10 @@ def _run_serve(args: argparse.Namespace) -> int:
             raise SystemExit("--model requires --registry")
         name, version = _split_model_selector(args.model)
         resolved = registry.resolve(name, version)
-        detector = registry.load(name, version)
+        try:
+            detector = registry.load(name, version)
+        except SnapshotError as exc:
+            raise SystemExit(f"--model {args.model}: {exc}") from None
         served_name = name
         serving_version = resolved.version
         print(f"serving {name}@{version or 'default'} from {registry.root}")

@@ -84,7 +84,14 @@ def _resolve_class(path: str) -> type:
     package = module_name.split(".", 1)[0]
     if package not in _ALLOWED_PACKAGES or not qualname:
         raise SnapshotError(f"snapshot references a disallowed class {path!r}")
-    module = importlib.import_module(module_name)
+    try:
+        module = importlib.import_module(module_name)
+    except ModuleNotFoundError as exc:
+        # A missing module the reference names (or a parent of it) is an
+        # unknown class; an import failing inside an existing module is not.
+        if exc.name is None or not f"{module_name}.".startswith(f"{exc.name}."):
+            raise
+        raise SnapshotError(f"snapshot references unknown class {path!r}") from exc
     obj: Any = module
     for part in qualname.split("."):
         obj = getattr(obj, part, None)
@@ -289,7 +296,9 @@ def save_snapshot(
         "format_version": SNAPSHOT_FORMAT_VERSION,
         "repro_version": __version__,
         "class": _class_path(type(model)),
-        "created_at": datetime.now(timezone.utc).isoformat(),
+        # Audit metadata: when the artifact was written. Never read back into
+        # a scoring or decision path; identical snapshots differ only here.
+        "created_at": datetime.now(timezone.utc).isoformat(),  # reprolint: disable=RL001
         "metadata": metadata or {},
         "state": state,
         "objects": encoder.objects,

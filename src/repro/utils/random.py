@@ -27,7 +27,9 @@ def check_random_state(seed: int | np.random.Generator | None) -> np.random.Gene
         If ``seed`` is not one of the accepted types.
     """
     if seed is None:
-        return np.random.default_rng()
+        # The documented opt-out: None asks for nondeterminism by name, and
+        # every estimator and experiment config defaults to an integer seed.
+        return np.random.default_rng()  # reprolint: disable=RL001
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, (int, np.integer)):

@@ -1,4 +1,4 @@
-"""CLI behaviour of ``repro lint``: exit codes, text output, baselines.
+"""CLI behaviour of ``repro lint``: exit codes and text output.
 
 Every test that lints runs on a small pretend repo in ``tmp_path`` — the RL003
 fixture twin planted at ``src/repro/serve/fixture_storage.py`` — so no test here
@@ -7,7 +7,6 @@ lints the shipped tree (``test_lint_src_clean.py`` does that, once).
 
 from __future__ import annotations
 
-import json
 import shutil
 from pathlib import Path
 
@@ -45,7 +44,7 @@ def test_shipped_tree_exits_zero(tmp_path, monkeypatch, capsys):
 
 def test_bad_tree_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(plant_bad_tree(tmp_path))
-    assert lint_main(["src", "--no-baseline"]) == 1
+    assert lint_main(["src"]) == 1
     out = capsys.readouterr().out
     assert "RL003" in out
     assert "fixture_storage.py" in out
@@ -70,23 +69,6 @@ def test_experiments_cli_dispatches_lint(tmp_path, monkeypatch):
     assert repro_main(["lint", "src"]) == 0
     monkeypatch.chdir(plant_bad_tree(tmp_path / "bad"))
     assert repro_main(["lint", "src"]) == 1
-
-
-def test_write_baseline_then_lint_is_clean(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(plant_bad_tree(tmp_path))
-    assert lint_main(["src", "--write-baseline"]) == 0
-    baseline_path = tmp_path / ".reprolint-baseline.json"
-    assert baseline_path.exists()
-    payload = json.loads(baseline_path.read_text(encoding="utf-8"))
-    assert len(payload["findings"]) == 6
-    capsys.readouterr()
-
-    # The freshly-written baseline is discovered from cwd: the same tree now
-    # exits 0, with the findings reported as baselined, not silently dropped.
-    assert lint_main(["src"]) == 0
-    out = capsys.readouterr().out
-    assert "[baselined]" in out
-    assert "6 baselined" in out
 
 
 @pytest.mark.parametrize("flag", [["--help"], ["lint", "--help"]])

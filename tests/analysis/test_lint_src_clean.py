@@ -2,40 +2,72 @@
 
 This is the enforcement half of ``repro.analysis``: any new violation of the
 serving-stack contracts (see ``repro lint --list-rules``) in ``src/`` or ``benchmarks/`` fails the
-default test pass.  Deliberate, documented exceptions live in the committed
-baseline at the repo root; the baseline itself is kept small and justified.
+default test pass.  Deliberate, documented exceptions are inline
+``# reprolint: disable=RULE`` comments, each with its reason in the comment
+line above; the suppressions themselves are kept few, explicit and live.
 The full-tree lint runs once per session (``repo_lint``) and every check
 below reads that one result.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import io
+import re
 import shutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, run_lint
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME
+from repro.analysis import LintContext, lint_parsed, run_lint
+from repro.analysis.engine import _SUPPRESS_RE
+from repro.analysis.rules import rules_by_id
 
 pytestmark = pytest.mark.tier1
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-BASELINE_PATH = REPO_ROOT / DEFAULT_BASELINE_NAME
 LINT_PATHS = [REPO_ROOT / "src", REPO_ROOT / "benchmarks"]
 FIXTURES = Path(__file__).parent / "fixtures"
+MAX_SUPPRESSIONS = 5
 
 
 @pytest.fixture(scope="session")
 def repo_lint():
-    baseline = Baseline.load(BASELINE_PATH) if BASELINE_PATH.exists() else None
-    return run_lint(LINT_PATHS, baseline=baseline)
+    return run_lint(LINT_PATHS)
+
+
+def _suppression_comments():
+    """``(path, line, rule ids or None, line above)`` per suppression comment.
+
+    Comments are read with :mod:`tokenize`, so the ``# reprolint: disable``
+    examples inside docstrings are not counted.
+    """
+    found = []
+    for root in LINT_PATHS:
+        for path in sorted(root.rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            lines = source.splitlines()
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                if token.type != tokenize.COMMENT:
+                    continue
+                match = _SUPPRESS_RE.search(token.string)
+                if match is None:
+                    continue
+                line = token.start[0]
+                spec = match.group(1)
+                rules = None if spec is None else frozenset(
+                    part.strip() for part in spec.split(",") if part.strip()
+                )
+                above = lines[line - 2].strip() if line > 1 else ""
+                found.append((path, line, rules, above))
+    return found
 
 
 def test_src_tree_has_no_new_findings(repo_lint):
-    new = repo_lint.new
+    new = repo_lint.findings
     detail = "\n".join(f"{f.location()} {f.rule} {f.message}" for f in new)
     assert not new, f"new reprolint findings:\n{detail}"
     assert repo_lint.exit_code == 0
@@ -47,19 +79,40 @@ def test_lint_actually_scanned_the_tree(repo_lint):
     assert not repo_lint.context.parse_errors
 
 
-def test_baseline_is_small_and_documented():
-    baseline = Baseline.load(BASELINE_PATH)
-    assert len(baseline.entries) <= 5
-    assert baseline.undocumented() == []
+def test_inline_suppressions_are_few_explicit_and_documented():
+    suppressions = _suppression_comments()
+    assert suppressions, "the tokenizer scan found no suppression comment"
+    assert len(suppressions) <= MAX_SUPPRESSIONS
+    for path, line, rules, above in suppressions:
+        where = f"{path.relative_to(REPO_ROOT)}:{line}"
+        assert rules, f"{where}: a bare `disable` must name its rule ids"
+        assert all(re.fullmatch(r"RL\d{3}", rule) for rule in rules), where
+        assert above.startswith("#") and not _SUPPRESS_RE.search(above), (
+            f"{where}: the comment line directly above must give the reason"
+        )
+        assert len(above.lstrip("# ").split()) >= 3, f"{where}: reason too short"
 
 
-def test_baseline_entries_still_match_real_findings(repo_lint):
-    """A baseline entry whose finding was fixed should be deleted, not kept."""
-    baseline = Baseline.load(BASELINE_PATH)
-    for entry in baseline.entries:
-        assert any(
-            entry.matches(finding) for finding in repo_lint.baselined
-        ), f"stale baseline entry: {entry.rule} {entry.path} ({entry.context})"
+def test_inline_suppressions_still_silence_real_findings(repo_lint):
+    """A suppression whose finding was fixed should be deleted, not kept."""
+    unsuppressed = LintContext(
+        modules=[
+            dataclasses.replace(module, suppressions={})
+            for module in repo_lint.context.modules
+        ]
+    )
+    display = {m.path.resolve(): m.display_path for m in unsuppressed.modules}
+    suppressions = _suppression_comments()
+    rule_ids = sorted(set().union(*(rules or () for _, _, rules, _ in suppressions)))
+    found = {
+        (f.path, f.line, f.rule)
+        for f in lint_parsed(unsuppressed, rules=rules_by_id(rule_ids)).findings
+    }
+    for path, line, rules, _ in suppressions:
+        for rule in rules or ():
+            assert (display[path.resolve()], line, rule) in found, (
+                f"stale suppression: {rule} at {path.relative_to(REPO_ROOT)}:{line}"
+            )
 
 
 @pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")

@@ -2,13 +2,13 @@
 
 The fixture twins pin each rule's single-module shape; these tests pin what
 only a multi-module context can show: taint crossing an import boundary,
-and the seed exclusions (inline suppression, baseline) that keep grandfathered
-nondeterminism from cascading.
+and the seed exclusion (inline suppression) that keeps a documented
+exception from cascading.
 """
 
 from __future__ import annotations
 
-from repro.analysis import Baseline, BaselineEntry, LintContext, lint_parsed, parse_module
+from repro.analysis import LintContext, lint_parsed, parse_module
 from repro.analysis.rules import rules_by_id
 
 HELPER_PATH = "src/repro/utils/fixture_helper.py"
@@ -36,12 +36,9 @@ def score_batch(rows):
 '''
 
 
-def run_rules(modules, rule_ids, baseline=None):
+def run_rules(modules, rule_ids):
     context = LintContext(modules=list(modules))
-    result = lint_parsed(
-        context, rules=rules_by_id(rule_ids), baseline=baseline
-    )
-    return result.findings
+    return lint_parsed(context, rules=rules_by_id(rule_ids)).findings
 
 
 class TestRL012CrossModule:
@@ -67,25 +64,6 @@ class TestRL012CrossModule:
         findings = run_rules(
             [parse_module(silenced, HELPER_PATH), parse_module(SCORING, SCORING_PATH)],
             ["RL012"],
-        )
-        assert findings == []
-
-    def test_baselined_seed_does_not_cascade(self):
-        baseline = Baseline(
-            [
-                BaselineEntry(
-                    rule="RL001",
-                    path=HELPER_PATH,
-                    context="jitter",
-                    line_text="return time.time() % 1.0",
-                    reason="fixture: deliberately grandfathered",
-                )
-            ]
-        )
-        findings = run_rules(
-            [parse_module(HELPER, HELPER_PATH), parse_module(SCORING, SCORING_PATH)],
-            ["RL012"],
-            baseline=baseline,
         )
         assert findings == []
 

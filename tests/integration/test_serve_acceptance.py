@@ -1,6 +1,6 @@
-"""Acceptance path of the serving subsystem (ISSUE 2).
+"""Acceptance path of the serving subsystem.
 
-A fitted RandomForest, IsolationForest and kNN detector are saved, reloaded
+A fitted RandomForest, IsolationForest and LOF detector are saved, reloaded
 in a *fresh Python process*, and served over a drifted ``FlowStream`` via
 ``DetectionService``; the streamed scores must equal in-process scoring, the
 drift monitor must fire on the injected shift, and the registry must resolve
@@ -19,7 +19,7 @@ import pytest
 
 from repro.datasets.registry import load_dataset
 from repro.datasets.streaming import FlowStream
-from repro.novelty import IsolationForest, KNNDetector
+from repro.novelty import IsolationForest, LocalOutlierFactor
 from repro.serve import DetectionService, DriftMonitor, ModelRegistry
 from repro.supervised import RandomForestClassifier
 
@@ -35,7 +35,7 @@ from repro.serve.snapshot import load_snapshot
 workdir = sys.argv[1]
 X = np.load(workdir + "/query.npy")
 out = {}
-for name, attr in (("rf", "predict_proba"), ("iforest", "score_samples"), ("knn", "score_samples")):
+for name, attr in (("rf", "predict_proba"), ("iforest", "score_samples"), ("lof", "score_samples")):
     model = load_snapshot(workdir + "/" + name)
     out[name] = getattr(model, attr)(X)
 np.savez(workdir + "/fresh_scores.npz", **out)
@@ -54,14 +54,14 @@ def test_acceptance_fresh_process_scoring_and_streaming(dataset, tmp_path):
     rf = RandomForestClassifier(n_estimators=10, max_depth=6, random_state=0)
     rf.fit(X_labeled, y_labeled)
     iforest = IsolationForest(n_estimators=25, random_state=0).fit(normal)
-    knn = KNNDetector(n_neighbors=8, random_state=0).fit(normal)
+    lof = LocalOutlierFactor(n_neighbors=8, random_state=0).fit(normal)
 
     # --- save all three and ship a query matrix to a fresh process ------------
     stream = FlowStream(dataset, batch_size=150, drift_strength=2.5, random_state=0)
     X_query = stream.X  # the exact (drifted, shuffled) stream contents
     rf.save(tmp_path / "rf")
     iforest.save(tmp_path / "iforest")
-    knn.save(tmp_path / "knn")
+    lof.save(tmp_path / "lof")
     np.save(tmp_path / "query.npy", X_query)
 
     env = dict(os.environ)
@@ -79,7 +79,7 @@ def test_acceptance_fresh_process_scoring_and_streaming(dataset, tmp_path):
     with np.load(tmp_path / "fresh_scores.npz") as fresh:
         np.testing.assert_array_equal(fresh["rf"], rf.predict_proba(X_query))
         np.testing.assert_array_equal(fresh["iforest"], iforest.score_samples(X_query))
-        np.testing.assert_array_equal(fresh["knn"], knn.score_samples(X_query))
+        np.testing.assert_array_equal(fresh["lof"], lof.score_samples(X_query))
 
     # --- serve the drifted stream through the service -------------------------
     monitor = DriftMonitor(window=1024, threshold=0.5, min_samples=128)

@@ -7,11 +7,8 @@ import pytest
 
 from repro.novelty import (
     DeepIsolationForest,
-    HBOS,
     IsolationForest,
-    KNNDetector,
     LocalOutlierFactor,
-    LODA,
     MahalanobisDetector,
     NoveltyDetector,
     OneClassSVM,
@@ -26,10 +23,7 @@ DETECTOR_FACTORIES = {
     "dif": lambda: DeepIsolationForest(
         n_representations=3, n_estimators_per_representation=10, random_state=0
     ),
-    "knn": lambda: KNNDetector(n_neighbors=10, random_state=0),
-    "hbos": lambda: HBOS(n_bins=15),
     "mahalanobis": lambda: MahalanobisDetector(),
-    "loda": lambda: LODA(n_projections=25, random_state=0),
 }
 
 

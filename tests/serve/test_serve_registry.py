@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.novelty import HBOS, IsolationForest
+from repro.novelty import IsolationForest, MahalanobisDetector
 from repro.serve.registry import ModelRegistry
 
 
@@ -114,7 +116,23 @@ class TestHeterogeneousModels:
         X, model = fitted
         registry = ModelRegistry(tmp_path)
         registry.publish(model, "iforest")
-        registry.publish(HBOS(n_bins=10).fit(X), "hbos")
-        assert registry.models() == ["hbos", "iforest"]
-        assert isinstance(registry.load("hbos"), HBOS)
+        registry.publish(MahalanobisDetector().fit(X), "mahalanobis")
+        assert registry.models() == ["iforest", "mahalanobis"]
+        assert isinstance(registry.load("mahalanobis"), MahalanobisDetector)
         assert isinstance(registry.load("iforest"), IsolationForest)
+
+    def test_serve_model_with_a_deleted_class_is_a_one_line_exit(self, tmp_path, fitted):
+        """``repro serve --model`` on a snapshot whose class module is gone."""
+        from repro.serve.cli import main
+
+        X, _ = fitted
+        info = ModelRegistry(tmp_path).publish(MahalanobisDetector().fit(X), "old")
+        manifest_path = info.path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["objects"][0]["cls"] = "repro.novelty.knn:KNNDetector"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--scale", "0.0015", "--registry", str(tmp_path), "--model", "old"])
+        message = str(excinfo.value.code)
+        assert "unknown class 'repro.novelty.knn:KNNDetector'" in message
+        assert message.startswith("--model old: ") and "\n" not in message

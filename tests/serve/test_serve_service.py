@@ -10,7 +10,7 @@ import pytest
 
 from repro.datasets.registry import load_dataset
 from repro.datasets.streaming import FlowStream
-from repro.novelty import HBOS, IsolationForest, KNNDetector
+from repro.novelty import IsolationForest, LocalOutlierFactor, MahalanobisDetector
 from repro.serve.cli import DETECTOR_FACTORIES
 from repro.serve.drift import DriftMonitor
 from repro.serve.lifecycle import LifecycleManager, NoRefit
@@ -38,22 +38,23 @@ class TestChunkedEquivalence:
         chunked = np.concatenate([result.scores for result in service.process(stream)])
         np.testing.assert_array_equal(chunked, detector.score_samples(stream.X))
 
-    def test_chunked_matches_one_shot_hbos(self, stream_setup):
+    def test_chunked_matches_one_shot_mahalanobis(self, stream_setup):
+        # einsum, not BLAS: every row's score is independent of the batch.
         dataset, normal, _ = stream_setup
-        detector = HBOS(n_bins=10).fit(normal)
+        detector = MahalanobisDetector().fit(normal)
         stream = FlowStream(dataset, batch_size=97, random_state=1)
         service = DetectionService(detector, threshold="auto", micro_batch_size=33)
         chunked = np.concatenate([result.scores for result in service.process(stream)])
         np.testing.assert_array_equal(chunked, detector.score_samples(stream.X))
 
-    def test_chunked_matches_one_shot_knn(self, stream_setup):
+    def test_chunked_matches_one_shot_lof(self, stream_setup):
         # Distance-based scoring goes through BLAS matmuls whose accumulation
         # order can shift by one ulp when the row-block shape changes, so
         # different micro-batch boundaries are equivalent to tight tolerance
         # rather than bit-exact (same-boundary scoring, e.g. after a snapshot
         # reload, stays bit-exact — covered by the snapshot tests).
         dataset, normal, _ = stream_setup
-        detector = KNNDetector(n_neighbors=5, random_state=0).fit(normal)
+        detector = LocalOutlierFactor(n_neighbors=5, random_state=0).fit(normal)
         stream = FlowStream(dataset, batch_size=97, random_state=1)
         service = DetectionService(detector, threshold="auto", micro_batch_size=33)
         chunked = np.concatenate([result.scores for result in service.process(stream)])
@@ -64,7 +65,7 @@ class TestChunkedEquivalence:
     @pytest.mark.parametrize("name", sorted(DETECTOR_FACTORIES))
     def test_chunked_matches_one_shot_every_cli_detector(self, stream_setup, name):
         # Every detector `repro serve --detector` offers, in its served
-        # configuration.  Tolerance as for KNN: BLAS-backed scorers may move
+        # configuration.  Tolerance as for LOF: BLAS-backed scorers may move
         # by one ulp when the micro-batch boundaries change.
         dataset, normal, _ = stream_setup
         detector = DETECTOR_FACTORIES[name]().fit(normal)

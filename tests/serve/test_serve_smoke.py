@@ -87,7 +87,7 @@ def test_cli_serve_smoke(tmp_path):
             "--scale",
             "0.0015",
             "--detector",
-            "hbos",
+            "mahalanobis",
             "--drift-strength",
             "2.0",
             "--registry",
@@ -103,7 +103,7 @@ def test_cli_serve_smoke(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "processed" in result.stdout
-    assert "published hbos-wustl_iiot v1" in result.stdout
+    assert "published mahalanobis-wustl_iiot v1" in result.stdout
     assert (tmp_path / "events.jsonl").is_file()
 
 

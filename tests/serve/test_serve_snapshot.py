@@ -12,11 +12,8 @@ import pytest
 import repro
 from repro.nn.layers import LeakyReLU, Linear, ReLU, Sigmoid, Tanh
 from repro.novelty import (
-    HBOS,
-    LODA,
     DeepIsolationForest,
     IsolationForest,
-    KNNDetector,
     LocalOutlierFactor,
     MahalanobisDetector,
     NoveltyDetector,
@@ -46,11 +43,15 @@ DETECTOR_FACTORIES = {
     "dif": lambda: DeepIsolationForest(
         n_representations=2, n_estimators_per_representation=5, random_state=0
     ),
-    "knn": lambda: KNNDetector(n_neighbors=5, random_state=0),
-    "hbos": lambda: HBOS(n_bins=10),
     "mahalanobis": lambda: MahalanobisDetector(),
-    "loda": lambda: LODA(n_projections=10, random_state=0),
 }
+
+
+def test_every_served_detector_has_a_round_trip():
+    """A detector ``repro serve --detector`` offers must round-trip here too."""
+    from repro.serve.cli import DETECTOR_FACTORIES as SERVED
+
+    assert set(SERVED) <= set(DETECTOR_FACTORIES)
 
 
 @pytest.fixture(params=["native", "numpy"])
@@ -114,10 +115,10 @@ class TestDetectorRoundTrips:
 
     def test_typed_load_classmethod(self, data, tmp_path):
         X_train, _, X_query = data
-        detector = HBOS(n_bins=10).fit(X_train)
+        detector = MahalanobisDetector().fit(X_train)
         detector.save(tmp_path / "m")
-        loaded = HBOS.load(tmp_path / "m")
-        assert isinstance(loaded, HBOS)
+        loaded = MahalanobisDetector.load(tmp_path / "m")
+        assert isinstance(loaded, MahalanobisDetector)
         # Loading through the base class works too (subclass allowed).
         base_loaded = NoveltyDetector.load(tmp_path / "m")
         np.testing.assert_array_equal(
@@ -126,9 +127,9 @@ class TestDetectorRoundTrips:
 
     def test_load_wrong_class_raises(self, data, tmp_path):
         X_train, _, _ = data
-        HBOS(n_bins=10).fit(X_train).save(tmp_path / "m")
-        with pytest.raises(TypeError, match="expected KNNDetector"):
-            KNNDetector.load(tmp_path / "m")
+        MahalanobisDetector().fit(X_train).save(tmp_path / "m")
+        with pytest.raises(TypeError, match="expected LocalOutlierFactor"):
+            LocalOutlierFactor.load(tmp_path / "m")
 
 
 class TestEnsembleRoundTrips:
@@ -196,11 +197,11 @@ class TestContinualCheckpoint:
 class TestManifestFormat:
     def test_manifest_contents(self, data, tmp_path):
         X_train, _, _ = data
-        detector = HBOS(n_bins=10).fit(X_train)
+        detector = MahalanobisDetector().fit(X_train)
         path = detector.save(tmp_path / "m", metadata={"dataset": "unit-test"})
         manifest = read_manifest(path)
         assert manifest["format_version"] == SNAPSHOT_FORMAT_VERSION
-        assert manifest["class"] == "repro.novelty.hbos:HBOS"
+        assert manifest["class"] == "repro.novelty.mahalanobis:MahalanobisDetector"
         assert manifest["metadata"] == {"dataset": "unit-test"}
         assert (path / manifest["arrays_file"]).is_file()
         # No pickle anywhere: the manifest is plain JSON and arrays load with
@@ -209,7 +210,7 @@ class TestManifestFormat:
 
     def test_unsupported_format_version_rejected(self, data, tmp_path):
         X_train, _, _ = data
-        path = HBOS(n_bins=10).fit(X_train).save(tmp_path / "m")
+        path = MahalanobisDetector().fit(X_train).save(tmp_path / "m")
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["format_version"] = SNAPSHOT_FORMAT_VERSION + 1
         (path / "manifest.json").write_text(json.dumps(manifest))
@@ -218,16 +219,59 @@ class TestManifestFormat:
 
     def test_disallowed_class_rejected(self, data, tmp_path):
         X_train, _, _ = data
-        path = HBOS(n_bins=10).fit(X_train).save(tmp_path / "m")
+        path = MahalanobisDetector().fit(X_train).save(tmp_path / "m")
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["objects"][0]["cls"] = "os:system"
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="disallowed"):
             load_snapshot(path)
 
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            "repro.novelty.knn:KNNDetector",  # a deleted module
+            "repro.nowhere.deeper:Detector",  # a missing parent package
+            "repro.novelty.mahalanobis:NoSuchDetector",  # a missing class
+        ],
+    )
+    def test_unknown_class_rejected(self, data, tmp_path, cls):
+        X_train, _, _ = data
+        path = MahalanobisDetector().fit(X_train).save(tmp_path / "m")
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["objects"][0]["cls"] = cls
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="unknown class"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ("import repro_missing_dependency\n", ModuleNotFoundError),
+            ("from numpy import no_such_name\n", ImportError),
+        ],
+    )
+    def test_import_error_inside_an_existing_module_propagates(
+        self, data, tmp_path, monkeypatch, body, error
+    ):
+        import repro.novelty
+
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "broken_fixture.py").write_text(body)
+        monkeypatch.setattr(
+            repro.novelty, "__path__", [*repro.novelty.__path__, str(tmp_path / "pkg")]
+        )
+        X_train, _, _ = data
+        path = MahalanobisDetector().fit(X_train).save(tmp_path / "m")
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["objects"][0]["cls"] = "repro.novelty.broken_fixture:Detector"
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(error) as excinfo:
+            load_snapshot(path)
+        assert not isinstance(excinfo.value, SnapshotError)
+
     def test_overwrite_protection(self, data, tmp_path):
         X_train, _, _ = data
-        detector = HBOS(n_bins=10).fit(X_train)
+        detector = MahalanobisDetector().fit(X_train)
         detector.save(tmp_path / "m")
         with pytest.raises(FileExistsError):
             detector.save(tmp_path / "m")

@@ -297,7 +297,7 @@ class TestCliTracerCleanup:
                 "serve",
                 "--dataset", "wustl_iiot",
                 "--scale", "0.0015",
-                "--detector", "hbos",
+                "--detector", "mahalanobis",
                 "--trace-file", str(trace_file),
             ])
         assert closed, "tracer.close() never ran on the exception path"

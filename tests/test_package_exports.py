@@ -30,16 +30,19 @@ PACKAGES = sorted(
 
 #: package -> names it exported before the test-only / unused code was deleted
 REMOVED = {
+    "repro.analysis": ("Baseline", "BaselineEntry", "write_baseline"),
     "repro.analysis.rules": (
         "SnapshotCompletenessRule", "TraceCoverageRule", "ApiSurfaceRule",
         "CliDocsSyncRule", "SinkEventSchemaRule", "EventSchemaConsistencyRule",
     ),
+    "repro.continual": ("ExperienceReplay", "CumulativeRetraining"),
     "repro.metrics": (
         "matthews_corrcoef", "balanced_accuracy_score", "false_positive_rate",
         "detection_rate_at_fpr", "fpr_at_recall",
     ),
+    "repro.ml": ("batch_bin_right", "histogram_log_densities"),
     "repro.nn": ("Dropout", "BatchNorm1d", "StepLR", "ExponentialLR", "EarlyStopping"),
-    "repro.novelty": ("AutoencoderDetector",),
+    "repro.novelty": ("AutoencoderDetector", "KNNDetector", "HBOS", "LODA"),
     "repro.serve": ("ShadowEvaluator", "ShadowTrial", "ShadowVerdict", "MetricsEvent"),
     "repro.serve.lifecycle": ("ShadowEvaluator", "ShadowTrial", "ShadowVerdict"),
     "repro.serve.telemetry": ("MemoryProfiler", "read_rss_bytes", "MetricsEvent"),
@@ -54,8 +57,14 @@ REMOVED_INVOCATIONS = [
     ["lint", "--rules", "RL010"],
     ["lint", "--rules", "RL011"],
     ["lint", "--docs", "README.md"],
+    ["lint", "--no-baseline"],
+    ["lint", "--write-baseline"],
+    ["lint", "--baseline", "F"],
     ["serve", "--profile-mem"],
     ["serve", "--metrics-every", "4"],
+    ["serve", "--detector", "knn"],
+    ["serve", "--detector", "hbos"],
+    ["serve", "--detector", "loda"],
 ]
 
 

@@ -1,7 +1,7 @@
 """Equivalence of the vectorized batch-inference paths against naive references.
 
 Every scoring path that was vectorized (flattened trees, the blockwise top-k
-neighbour kernel, batched histogram binning, k-means assignment/updates) must
+neighbour kernel, k-means assignment/updates) must
 reproduce the retained naive reference implementation to within
 ``rtol=1e-9`` — most paths are required to be bit-identical.  The flat-forest
 and k-means paths are exercised both with the native (compiled) kernels and
@@ -24,13 +24,9 @@ from repro.ml import (
     pairwise_squared_euclidean,
     pairwise_topk,
 )
-from repro.ml.binning import batch_bin_right, batch_searchsorted_right, histogram_log_densities
 from repro.novelty import (
-    HBOS,
-    LODA,
     DeepIsolationForest,
     IsolationForest,
-    KNNDetector,
     LocalOutlierFactor,
 )
 from repro.novelty.iforest import average_path_length
@@ -295,25 +291,10 @@ class TestTopKEquivalence:
 
 
 class TestNeighborDetectorEquivalence:
-    def test_knn_matches_naive(self):
-        rng = np.random.default_rng(30)
-        X_train = rng.normal(size=(80, 4))
-        X_query = rng.normal(size=(60, 4))
-        for aggregation in ("mean", "max"):
-            detector = KNNDetector(
-                n_neighbors=5, aggregation=aggregation, block_size=13, random_state=0
-            ).fit(X_train)
-            np.testing.assert_allclose(
-                detector.score_samples(X_query),
-                detector._score_samples_naive(X_query),
-                rtol=0,
-                atol=0,
-            )
-
-    def test_knn_k_equals_n_train_minus_one(self):
+    def test_lof_k_equals_n_train_minus_one(self):
         rng = np.random.default_rng(31)
         X_train = rng.normal(size=(12, 3))
-        detector = KNNDetector(n_neighbors=11, max_train_samples=None).fit(X_train)
+        detector = LocalOutlierFactor(n_neighbors=11, max_train_samples=None).fit(X_train)
         X_query = rng.normal(size=(9, 3))
         np.testing.assert_allclose(
             detector.score_samples(X_query),
@@ -344,84 +325,6 @@ class TestNeighborDetectorEquivalence:
             detector._score_samples_naive(X_query),
             rtol=0,
             atol=0,
-        )
-
-
-class TestHistogramDetectorEquivalence:
-    def test_batch_bin_right_matches_searchsorted(self):
-        rng = np.random.default_rng(40)
-        d, n_bins = 7, 12
-        low = rng.normal(size=d)
-        edges = np.linspace(low, low + rng.uniform(0.5, 4.0, size=d), n_bins + 1, axis=1)
-        values = rng.normal(size=(200, d)) * 3
-        expected = np.column_stack(
-            [
-                np.clip(
-                    np.searchsorted(edges[j], values[:, j], side="right") - 1,
-                    0,
-                    n_bins - 1,
-                )
-                for j in range(d)
-            ]
-        )
-        np.testing.assert_array_equal(batch_bin_right(edges, values), expected)
-        np.testing.assert_array_equal(
-            np.clip(batch_searchsorted_right(edges, values) - 1, 0, n_bins - 1),
-            expected,
-        )
-
-    def test_histogram_log_densities_matches_per_column_lookup(self):
-        rng = np.random.default_rng(44)
-        d, n_bins = 5, 9
-        low = rng.normal(size=d)
-        edges = np.linspace(low, low + rng.uniform(0.5, 3.0, size=d), n_bins + 1, axis=1)
-        log_densities = np.log(rng.uniform(0.01, 1.0, size=(d, n_bins)))
-        values = rng.normal(size=(120, d)) * 3
-        values[:d, :] = edges[:, 0]  # left edge: first bin
-        values[d : 2 * d, :] = edges[:, -1]  # right edge: last bin, not the floor
-        expected = np.empty_like(values)
-        for j in range(d):
-            bins = np.clip(np.searchsorted(edges[j], values[:, j], side="right") - 1, 0, n_bins - 1)
-            inside = (values[:, j] >= edges[j, 0]) & (values[:, j] <= edges[j, -1])
-            expected[:, j] = np.where(inside, log_densities[j, bins], log_densities[j].min())
-        np.testing.assert_array_equal(
-            histogram_log_densities(values, edges, log_densities), expected
-        )
-
-    def test_hbos_matches_naive_including_out_of_range(self):
-        rng = np.random.default_rng(41)
-        X_train = rng.normal(size=(300, 5))
-        detector = HBOS(n_bins=15).fit(X_train)
-        X_query = rng.normal(size=(150, 5)) * 4  # many out-of-range values
-        np.testing.assert_allclose(
-            detector.score_samples(X_query),
-            detector._score_samples_naive(X_query),
-            rtol=1e-9,
-            atol=1e-12,
-        )
-
-    def test_hbos_single_feature(self):
-        rng = np.random.default_rng(42)
-        X_train = rng.normal(size=(100, 1))
-        detector = HBOS(n_bins=8).fit(X_train)
-        X_query = rng.normal(size=(40, 1)) * 3
-        np.testing.assert_allclose(
-            detector.score_samples(X_query),
-            detector._score_samples_naive(X_query),
-            rtol=1e-9,
-            atol=1e-12,
-        )
-
-    def test_loda_matches_naive(self):
-        rng = np.random.default_rng(43)
-        X_train = rng.normal(size=(250, 6))
-        detector = LODA(n_projections=20, n_bins=12, random_state=0).fit(X_train)
-        X_query = rng.normal(size=(120, 6)) * 3
-        np.testing.assert_allclose(
-            detector.score_samples(X_query),
-            detector._score_samples_naive(X_query),
-            rtol=1e-9,
-            atol=1e-12,
         )
 
 
