@@ -24,6 +24,26 @@ DETECTOR_FACTORIES = {
         n_representations=3, n_estimators_per_representation=10, random_state=0
     ),
     "mahalanobis": lambda: MahalanobisDetector(),
+    # Non-default configurations: each takes a code path the defaults above
+    # skip (no training cap, ragged last neighbour block, integer rank,
+    # unshrunk covariance, explicit kernel width, small isolation subsample,
+    # narrow representations scored in ragged blocks) and must honour the
+    # same contract.
+    "lof-uncapped-blocked": lambda: LocalOutlierFactor(
+        n_neighbors=5, max_train_samples=None, block_size=33, random_state=1
+    ),
+    "pca-fixed-rank": lambda: PCAReconstructionDetector(n_components=3),
+    "mahalanobis-unshrunk": lambda: MahalanobisDetector(shrinkage=0.0, threshold_quantile=0.75),
+    "ocsvm-fixed-gamma": lambda: OneClassSVM(
+        nu=0.05, gamma=0.2, n_features_rff=64, n_epochs=5, batch_size=50, random_state=1
+    ),
+    "iforest-small-subsample": lambda: IsolationForest(
+        n_estimators=20, max_samples=32, threshold_quantile=0.75, random_state=3
+    ),
+    "dif-narrow-blocked": lambda: DeepIsolationForest(
+        n_representations=2, n_estimators_per_representation=8, representation_dim=8,
+        hidden_dims=(32,), max_samples=64, block_size=45, random_state=1,
+    ),
 }
 
 
@@ -161,6 +181,19 @@ class TestDetectorInvariants:
         X_train, _, _ = normal_and_anomalies
         flagged = detector.fit_predict(X_train)
         assert flagged.mean() <= 1.0 - detector.threshold_quantile
+
+    def test_constant_training_feature_is_handled(self, detector, normal_and_anomalies):
+        """Flow features are often constant within one capture (a fixed port or
+        protocol column); fitting on one must not produce non-finite scores."""
+        X_train, X_normal, X_anomalous = normal_and_anomalies
+        X_const = X_train.copy()
+        X_const[:, 2] = 3.0
+        detector.fit(X_const)
+        X_test = np.vstack([X_normal, X_anomalous])
+        X_test[:, 2] = 3.0
+        scores = detector.score_samples(X_test)
+        assert np.all(np.isfinite(scores))
+        assert scores[len(X_normal):].mean() > scores[: len(X_normal)].mean()
 
 
 class TestBaseClassValidation:
