@@ -5,10 +5,10 @@ The engine owns everything rule-agnostic:
 - file collection (``.py`` files under the given paths, deduplicated,
   deterministic order);
 - one ``ast.parse`` per file shared by all rules;
-- inline suppressions — a trailing ``# reprolint: disable=RL001`` (or a bare
-  ``# reprolint: disable`` for all rules) drops findings anchored on that
-  line; the reason for a deliberate exception goes in a comment directly
-  above it;
+- inline suppressions — a trailing ``# reprolint: disable=RL001`` comment
+  (or a bare ``# reprolint: disable`` for all rules) drops findings anchored
+  on that line; only comment tokens count, never the marker inside a string;
+  the reason for a deliberate exception goes in a comment directly above it;
 - cross-module state: rules see each module via :meth:`Rule.check_module`
   and then get one :meth:`Rule.finalize` call with the full
   :class:`LintContext`, which is how whole-package contracts (event
@@ -24,7 +24,9 @@ as if they lived in ``src/repro/serve``.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -80,17 +82,21 @@ class ParsedModule:
         return rules is None or rule_id in rules
 
 
-def _scan_suppressions(lines: Sequence[str]) -> dict[int, frozenset | None]:
+def _scan_suppressions(source: str) -> dict[int, frozenset | None]:
+    """Suppressions by line, read from comment tokens only: the marker inside
+    a string or docstring suppresses nothing."""
     suppressions: dict[int, frozenset | None] = {}
-    for lineno, line in enumerate(lines, start=1):
-        match = _SUPPRESS_RE.search(line)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _SUPPRESS_RE.search(token.string)
         if match is None:
             continue
         spec = match.group(1)
         if spec is None:
-            suppressions[lineno] = None
+            suppressions[token.start[0]] = None
         else:
-            suppressions[lineno] = frozenset(
+            suppressions[token.start[0]] = frozenset(
                 part.strip().upper() for part in spec.split(",") if part.strip()
             )
     return suppressions
@@ -107,7 +113,7 @@ def parse_module(
         display_path=Path(display_path).as_posix(),
         tree=tree,
         lines=lines,
-        suppressions=_scan_suppressions(lines),
+        suppressions=_scan_suppressions(source),
     )
 
 

@@ -177,8 +177,14 @@ class FlatForest:
 
     Use :meth:`from_flat_trees` to build one; traversal automatically uses
     the compiled kernels from :mod:`repro.ml.native` when available and falls
-    back to per-tree NumPy passes otherwise.
+    back to per-tree NumPy passes otherwise.  The kernels are bound to the
+    node arrays on first use (a :class:`~repro.ml.native.ForestKernel`, kept
+    out of snapshots) and re-bound when one of the arrays is replaced.  On
+    both backends an ``X`` narrower than the highest split feature raises
+    ``ValueError``.
     """
+
+    _snapshot_transient_ = ("_kernel",)
 
     def __init__(
         self,
@@ -201,6 +207,7 @@ class FlatForest:
         self._value_flat = (
             np.ascontiguousarray(value[:, 0]) if value.shape[1] == 1 else None
         )
+        self._kernel: native.ForestKernel | None = None
 
     @property
     def n_trees(self) -> int:
@@ -276,23 +283,28 @@ class FlatForest:
         )
 
     # -- traversal -----------------------------------------------------------
-    @staticmethod
-    def _check_finite(X: np.ndarray) -> None:
+    def _bound(self, X: np.ndarray) -> tuple[np.ndarray, native.ForestKernel]:
+        """``X`` as C-contiguous float64, and the kernel bound to this forest."""
         # A non-finite feature value would compare against the +inf leaf
         # threshold and walk out of a self-looping leaf into foreign nodes.
-        if X.size and not np.all(np.isfinite(X)):
+        if not np.all(np.isfinite(X)):
             raise ValueError("X contains NaN or infinite values")
+        arrays = (
+            self.feature, self.threshold, self.child, self._value_flat,
+            self.roots, self.depths,
+        )
+        # Snapshots written before the binding existed lack the attribute.
+        kernel = getattr(self, "_kernel", None)
+        if kernel is None or not kernel.binds(arrays, self.strict):
+            kernel = self._kernel = native.ForestKernel(*arrays, self.strict)
+        return np.ascontiguousarray(X, dtype=np.float64), kernel
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """``(n_trees, n_samples)`` absolute leaf ids for every row of ``X``."""
-        n = X.shape[0]
-        if n == 0:
+        if X.shape[0] == 0:
             return np.empty((self.n_trees, 0), dtype=np.int64)
-        self._check_finite(X)
-        leaves = native.forest_apply(
-            X, self.feature, self.threshold, self.child,
-            self.roots, self.depths, self.strict,
-        )
+        X, kernel = self._bound(X)
+        leaves = native.forest_apply(X, kernel)
         if leaves is not None:
             return leaves.astype(np.int64, copy=False)
         return self._apply_numpy(X)
@@ -302,12 +314,9 @@ class FlatForest:
         n = X.shape[0]
         if n == 0:
             return np.zeros((0, self.value_dim))
-        self._check_finite(X)
         if self._value_flat is not None:
-            total = native.forest_sum(
-                X, self.feature, self.threshold, self.child, self._value_flat,
-                self.roots, self.depths, self.strict,
-            )
+            X, kernel = self._bound(X)
+            total = native.forest_sum(X, kernel)
             if total is not None:
                 return total[:, None]
         # Multi-payload fallback: walk with apply() (native kernel or threaded

@@ -51,9 +51,27 @@ fuse a multiply and an add into one rounding.  ``-fno-math-errno`` lets
 sequentially: each does one pass of a few arithmetic operations per element,
 and threads of their own would compete with OpenBLAS's threads for the same
 cores (an OpenMP Adam step measured ~5x slower than the serial one on a
-2-vCPU host).  ``kmeans_assign`` takes raw addresses: :class:`KMeansAssign`
-checks its buffers once per k-means run instead of through ``ndpointer`` on
-every call.
+2-vCPU host).
+
+Every kernel takes raw addresses, and one binding convention checks them.  A
+binding checks the arrays that stay put (dtype, C-contiguity, lengths) once
+and keeps their references and addresses; a call checks only what changes
+from call to call:
+
+* :class:`ForestKernel` binds a forest's six node and tree arrays, once per
+  :class:`~repro.ml.flat_tree.FlatForest` (which re-binds when one of its
+  arrays is replaced).  :func:`forest_sum` and :func:`forest_apply` check
+  ``X`` per call — float64, C-contiguous, at least as wide as the highest
+  split feature — and allocate the output;
+* :class:`AdamStep` binds the optimizer's four flat vectors, once per
+  :class:`~repro.nn.optim.Adam`; a call passes only the step's scalars;
+* :class:`KMeansAssign` binds the data, its norms and the outputs, once per
+  k-means run; a call checks the distance block and the centre norms.
+
+The forest and Adam bindings hold no library handle: they may outlive a
+change of ``REPRO_DISABLE_NATIVE``, so each call looks the library up, and
+:func:`forest_sum`/:func:`forest_apply` check ``X`` first, so a bad ``X``
+raises the same error on both backends.
 """
 
 from __future__ import annotations
@@ -71,7 +89,8 @@ import numpy as np
 from repro.ml.parallel import get_num_threads
 
 __all__ = [
-    "adam_step",
+    "AdamStep",
+    "ForestKernel",
     "available",
     "forest_sum",
     "forest_apply",
@@ -326,37 +345,21 @@ def _compile_and_load() -> ctypes.CDLL | None:
         tmp_path.replace(lib_path)  # atomic: concurrent imports race safely
     lib = ctypes.CDLL(str(lib_path))
 
-    from numpy.ctypeslib import ndpointer
-
-    f64 = ndpointer(np.float64, flags="C_CONTIGUOUS")
-    i32 = ndpointer(np.int32, flags="C_CONTIGUOUS")
-    i64 = ndpointer(np.int64, flags="C_CONTIGUOUS")
+    # Every kernel takes raw addresses; the bindings below check the arrays.
+    pointer, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.repro_openmp_enabled.argtypes = []
-    lib.repro_openmp_enabled.restype = ctypes.c_int64
+    lib.repro_openmp_enabled.restype = i64
     lib.forest_sum.argtypes = [
-        f64, ctypes.c_int64, ctypes.c_int64,
-        i32, f64, i32, f64,
-        i64, i64, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, f64,
+        pointer, i64, i64, *[pointer] * 6, i64, ctypes.c_int, i64, pointer,
     ]
     lib.forest_sum.restype = None
     lib.forest_apply.argtypes = [
-        f64, ctypes.c_int64, ctypes.c_int64,
-        i32, f64, i32,
-        i64, i64, ctypes.c_int64, ctypes.c_int, ctypes.c_int64,
-        ndpointer(np.int32, flags=("C_CONTIGUOUS", "WRITEABLE")),
+        pointer, i64, i64, *[pointer] * 5, i64, ctypes.c_int, i64, pointer,
     ]
     lib.forest_apply.restype = None
-    f64_out = ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    lib.adam_step.argtypes = [
-        f64_out, f64, f64_out, f64_out, ctypes.c_int64,
-        *[ctypes.c_double] * 6,
-    ]
+    lib.adam_step.argtypes = [*[pointer] * 4, i64, *[f64] * 6]
     lib.adam_step.restype = None
-    # Raw addresses: KMeansAssign checks its arrays once per k-means run.
-    pointer = ctypes.c_void_p
-    lib.kmeans_assign.argtypes = [
-        *[pointer] * 4, *[ctypes.c_int64] * 3, *[pointer] * 4,
-    ]
+    lib.kmeans_assign.argtypes = [*[pointer] * 4, *[i64] * 3, *[pointer] * 4]
     lib.kmeans_assign.restype = None
     last_compile_error = None
     return lib
@@ -389,106 +392,162 @@ def openmp_enabled() -> bool:
 
 
 def _effective_threads(n_rows: int, n_threads: int | None) -> int:
-    if not _openmp:
+    if not _openmp or n_rows < MIN_PARALLEL_ROWS:
         return 1
     if n_threads is None:
         n_threads = get_num_threads()
-    if n_rows < MIN_PARALLEL_ROWS:
-        return 1
     return max(1, min(n_threads, n_rows))
 
 
+def _address(array: np.ndarray, dtype: type = np.float64) -> int:
+    """Address of ``array`` after the checks ``ndpointer`` argtypes made."""
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise TypeError(f"expected a C-contiguous {np.dtype(dtype).name} array")
+    return array.ctypes.data
+
+
+class ForestKernel:
+    """``forest_sum`` and ``forest_apply`` bound to one forest's node arrays.
+
+    Binding checks ``feature`` and ``child`` (int32), ``threshold`` and
+    ``value`` (float64; ``value`` may be ``None`` when the payload is not
+    scalar), ``roots`` and ``depths`` (int64) once, and keeps them with their
+    addresses.  The owner re-binds when :meth:`binds` says one of its arrays
+    is no longer the bound one.  Each call checks only ``X``: float64,
+    C-contiguous and at least :attr:`n_features` columns wide.
+    """
+
+    def __init__(
+        self,
+        feature: np.ndarray,
+        threshold: np.ndarray,
+        child: np.ndarray,
+        value: np.ndarray | None,
+        roots: np.ndarray,
+        depths: np.ndarray,
+        strict: bool,
+    ) -> None:
+        nodes = [feature, threshold, child] + ([] if value is None else [value])
+        if len({a.shape for a in nodes}) != 1 or roots.shape != depths.shape:
+            raise ValueError("node arrays and tree arrays must each share one length")
+        self.arrays = (feature, threshold, child, value, roots, depths)
+        self.strict = strict
+        self.n_trees = int(roots.shape[0])
+        #: Columns every row needs: the walk reads ``row[feature[node]]``.
+        self.n_features = int(feature.max()) + 1
+        self._nodes = (_address(feature, np.int32), _address(threshold), _address(child, np.int32))
+        self._value = None if value is None else _address(value)
+        self._trees = (
+            _address(roots, np.int64), _address(depths, np.int64), self.n_trees, int(strict),
+        )
+
+    def __reduce__(self) -> tuple:
+        # A copy (``copy.deepcopy``, pickle) binds the copied arrays afresh;
+        # copying the addresses would walk the original's memory.
+        return ForestKernel, (*self.arrays, self.strict)
+
+    def binds(self, arrays: tuple, strict: bool) -> bool:
+        """Whether ``arrays`` (in constructor order) and ``strict`` are the bound ones."""
+        return strict == self.strict and all(a is b for a, b in zip(arrays, self.arrays))
+
+    def check(self, X: np.ndarray) -> int:
+        """``X``'s address, once its dtype, layout and width are checked."""
+        if X.ndim != 2 or X.shape[1] < self.n_features:
+            raise ValueError(
+                f"X of shape {X.shape} must be 2-D with at least {self.n_features} "
+                f"columns: the forest splits on feature {self.n_features - 1}"
+            )
+        return _address(X)
+
+
 def forest_sum(
-    X: np.ndarray,
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    child: np.ndarray,
-    value_flat: np.ndarray,
-    roots: np.ndarray,
-    depths: np.ndarray,
-    strict: bool,
-    n_threads: int | None = None,
+    X: np.ndarray, kernel: ForestKernel, n_threads: int | None = None
 ) -> np.ndarray | None:
     """Sum of scalar leaf payloads over all trees, or ``None`` if unavailable.
 
-    ``n_threads`` caps the OpenMP row parallelism (``None`` reads
-    ``REPRO_NUM_THREADS``); any thread count returns bit-identical sums.
+    ``X`` is checked before the library is looked up, so a bad ``X`` raises
+    the same error with and without the native path.  ``n_threads`` caps the
+    OpenMP row parallelism (``None`` reads ``REPRO_NUM_THREADS``); any thread
+    count returns bit-identical sums.
     """
+    address = kernel.check(X)
+    if kernel._value is None:
+        raise ValueError("forest_sum needs a scalar leaf payload")
     lib = _get_lib()
     if lib is None:
         return None
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    out = np.zeros(X.shape[0], dtype=np.float64)
+    n = X.shape[0]
+    out = np.zeros(n)
     lib.forest_sum(
-        X, X.shape[0], X.shape[1],
-        feature, threshold, child, value_flat,
-        roots, depths, roots.shape[0], int(strict),
-        _effective_threads(X.shape[0], n_threads), out,
+        address, n, X.shape[1], *kernel._nodes, kernel._value, *kernel._trees,
+        _effective_threads(n, n_threads), out.ctypes.data,
     )
     return out
 
 
 def forest_apply(
-    X: np.ndarray,
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    child: np.ndarray,
-    roots: np.ndarray,
-    depths: np.ndarray,
-    strict: bool,
-    n_threads: int | None = None,
+    X: np.ndarray, kernel: ForestKernel, n_threads: int | None = None
 ) -> np.ndarray | None:
     """``(n_trees, n_samples)`` absolute leaf ids, or ``None`` if unavailable.
 
-    ``n_threads`` caps the OpenMP row parallelism (``None`` reads
-    ``REPRO_NUM_THREADS``); leaf ids are identical for any thread count.
+    Checks ``X`` like :func:`forest_sum`; leaf ids are identical for any
+    thread count.
     """
+    address = kernel.check(X)
     lib = _get_lib()
     if lib is None:
         return None
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    out = np.empty((roots.shape[0], X.shape[0]), dtype=np.int32)
+    n = X.shape[0]
+    out = np.empty((kernel.n_trees, n), dtype=np.int32)
     lib.forest_apply(
-        X, X.shape[0], X.shape[1],
-        feature, threshold, child,
-        roots, depths, roots.shape[0], int(strict),
-        _effective_threads(X.shape[0], n_threads), out,
+        address, n, X.shape[1], *kernel._nodes, *kernel._trees,
+        _effective_threads(n, n_threads), out.ctypes.data,
     )
     return out
 
 
-def adam_step(
-    value: np.ndarray,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    lr: float,
-    beta1: float,
-    beta2: float,
-    bias_correction1: float,
-    bias_correction2: float,
-    eps: float,
-) -> bool:
-    """One in-place Adam update of flat float64 vectors; ``False`` if unavailable.
+class AdamStep:
+    """``adam_step`` bound to one optimizer's flat vectors.
 
-    ``value``, ``m`` and ``v`` are updated in place.  The result is bit-identical
-    to the NumPy sequence in :class:`repro.nn.optim.Adam`.
+    Binding checks ``value``, ``grad``, ``m`` and ``v`` (float64,
+    C-contiguous, one length; ``value``, ``m`` and ``v`` writeable) once and
+    keeps their addresses; a call passes only the step's scalars.
     """
-    lib = _get_lib()
-    if lib is None:
-        return False
-    lib.adam_step(
-        value, grad, m, v, value.shape[0],
-        lr, beta1, beta2, bias_correction1, bias_correction2, eps,
-    )
-    return True
 
+    def __init__(
+        self, value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray
+    ) -> None:
+        if not (value.ndim == 1 and value.shape == grad.shape == m.shape == v.shape):
+            raise ValueError("value, grad, m and v must be vectors of one length")
+        if not (value.flags.writeable and m.flags.writeable and v.flags.writeable):
+            raise ValueError("value, m and v are updated in place and must be writeable")
+        self._arrays = (value, grad, m, v)  # alive as long as their addresses
+        self._args = (*map(_address, self._arrays), value.shape[0])
 
-def _address(array: np.ndarray) -> int:
-    """Address of a float64 array after the checks ``ndpointer`` argtypes make."""
-    if array.dtype != np.float64 or not array.flags.c_contiguous:
-        raise TypeError("expected a C-contiguous float64 array")
-    return array.ctypes.data
+    def __reduce__(self) -> tuple:
+        return AdamStep, self._arrays  # a copy binds the copied vectors
+
+    def __call__(
+        self,
+        lr: float,
+        beta1: float,
+        beta2: float,
+        bias_correction1: float,
+        bias_correction2: float,
+        eps: float,
+    ) -> bool:
+        """One in-place Adam update; ``False`` (nothing done) if unavailable.
+
+        The result is bit-identical to the NumPy sequence in
+        :class:`repro.nn.optim.Adam`.
+        """
+        lib = _get_lib()
+        if lib is None:
+            return False
+        lib.adam_step(
+            *self._args, lr, beta1, beta2, bias_correction1, bias_correction2, eps
+        )
+        return True
 
 
 class KMeansAssign:

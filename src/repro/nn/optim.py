@@ -15,10 +15,10 @@ class Adam:
 
     At construction every parameter's ``value`` and ``grad`` are copied into
     one contiguous float64 vector each and re-bound as views into them, so one
-    :func:`repro.ml.native.adam_step` call (or one NumPy pass per operation)
-    updates the whole model.  Hence one live ``Adam`` per parameter set: a
-    second optimizer over the same parameters re-homes them and the first
-    one stops seeing them.  Layers must accumulate into ``grad`` in place and
+    call of a :class:`repro.ml.native.AdamStep` bound to those vectors (or
+    one NumPy pass per operation) updates the whole model.  Hence one live
+    ``Adam`` per parameter set: a second optimizer over the same parameters
+    re-homes them and the first one stops seeing them.  Layers must accumulate into ``grad`` in place and
     :meth:`repro.nn.module.Module.load_state_dict` writes values in place; a
     parameter whose ``value`` or ``grad`` was re-bound makes :meth:`step`
     raise instead of silently updating a stale buffer.
@@ -61,6 +61,7 @@ class Adam:
             param.value, param.grad = value, grad
             offset = stop
         self._homes = [(p.value, p.grad) for p in self.params]
+        self._kernel = native.AdamStep(self._value, self._grad, self._m, self._v)
         self._t = 0
 
     def _check_homes(self) -> None:
@@ -82,9 +83,8 @@ class Adam:
         self._t += 1
         bias_correction1 = 1.0 - self.beta1**self._t
         bias_correction2 = 1.0 - self.beta2**self._t
-        if not native.adam_step(
-            self._value, self._grad, self._m, self._v,
-            self.lr, self.beta1, self.beta2, bias_correction1, bias_correction2, self.eps,
+        if not self._kernel(
+            self.lr, self.beta1, self.beta2, bias_correction1, bias_correction2, self.eps
         ):
             self._numpy_step(bias_correction1, bias_correction2)
 

@@ -118,6 +118,8 @@ class IsolationForest(NoveltyDetector):
         Subsample size per tree (``psi``); capped at the training-set size.
     """
 
+    _snapshot_transient_ = ("_path_norm",)
+
     def __init__(
         self,
         n_estimators: int = 100,
@@ -135,6 +137,8 @@ class IsolationForest(NoveltyDetector):
         self.forest_: FlatForest | None = None
         self.subsample_size_: int | None = None
         self.n_features_: int | None = None
+        # max(c(psi), 1e-12), the score's normaliser; computed on first score.
+        self._path_norm: float | None = None
 
     def fit(self, X: np.ndarray) -> "IsolationForest":
         X = check_array(X, name="X")
@@ -162,6 +166,7 @@ class IsolationForest(NoveltyDetector):
             strict=True,
         )
         self.subsample_size_ = psi
+        self._path_norm = None
         self._set_default_threshold(self.score_samples(X))
         return self
 
@@ -172,8 +177,11 @@ class IsolationForest(NoveltyDetector):
         if X.shape[0] == 0:
             return np.empty(0)
         mean_depth = self.forest_.sum_values(X)[:, 0] / self.forest_.n_trees
-        c = average_path_length(self.subsample_size_)[0]
-        return np.power(2.0, -mean_depth / max(c, 1e-12))
+        # Snapshots written before the cache existed lack the attribute.
+        norm = getattr(self, "_path_norm", None)
+        if norm is None:
+            norm = self._path_norm = max(average_path_length(self.subsample_size_)[0], 1e-12)
+        return np.power(2.0, -mean_depth / norm)
 
     def _score_samples_naive(self, X: np.ndarray) -> np.ndarray:
         """Recursive per-tree mask walk, kept for equivalence tests and benchmarks."""

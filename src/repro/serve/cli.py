@@ -79,7 +79,7 @@ from repro.serve.lifecycle import (
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import DetectionService
 from repro.serve.sinks import JsonlSink
-from repro.serve.snapshot import SnapshotError, read_manifest, save_snapshot
+from repro.serve.snapshot import read_manifest, save_snapshot
 from repro.serve.telemetry import (
     HeartbeatWatchdog,
     SpanTracer,
@@ -447,10 +447,12 @@ def _run_serve(args: argparse.Namespace) -> int:
         if registry is None:
             raise SystemExit("--model requires --registry")
         name, version = _split_model_selector(args.model)
-        resolved = registry.resolve(name, version)
         try:
+            resolved = registry.resolve(name, version)
             detector = registry.load(name, version)
-        except SnapshotError as exc:
+        except KeyError as exc:  # str() of a KeyError is its quoted repr
+            raise SystemExit(f"--model {args.model}: {exc.args[0]}") from None
+        except ValueError as exc:  # a malformed selector, or a SnapshotError
             raise SystemExit(f"--model {args.model}: {exc}") from None
         served_name = name
         serving_version = resolved.version

@@ -30,6 +30,7 @@ online scorer with the operational pieces a deployment needs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -38,6 +39,7 @@ import numpy as np
 from repro.metrics.thresholds import quantile_threshold
 from repro.serve.drift import DriftMonitor, DriftReport, _RingBuffer
 from repro.serve.faults import QuarantinedRows, emit_resilient, wrap_sinks
+from repro.serve.sinks import _ENCODER
 from repro.serve.telemetry.context import TraceContext
 from repro.serve.telemetry.metrics import MetricsRegistry
 from repro.serve.telemetry.tracing import SpanBuffer, SpanTracer, trace_span
@@ -90,6 +92,30 @@ class Alert:
             "score": self.score,
             "threshold": self.threshold,
         }
+
+    def to_json_line(self) -> str:
+        """This alert's :class:`~repro.serve.sinks.JsonlSink` line.
+
+        Byte-identical to the sink's generic sorted-key encoding of
+        :meth:`to_dict`, without building the dict: builtin ints and finite
+        floats fill a template (``repr`` is how the encoder spells a float);
+        anything else, ``nan`` and ``inf`` included, takes the encoder.
+        """
+        batch_index, sample_index = self.batch_index, self.sample_index
+        score, threshold = self.score, self.threshold
+        if (
+            type(batch_index) is int
+            and type(sample_index) is int
+            and type(score) is float
+            and type(threshold) is float
+            and math.isfinite(score)
+            and math.isfinite(threshold)
+        ):
+            return (
+                f'{{"batch_index": {batch_index}, "sample_index": {sample_index}, '
+                f'"score": {score!r}, "threshold": {threshold!r}, "type": "alert"}}\n'
+            )
+        return _ENCODER.encode(self.to_dict()) + "\n"
 
 
 @dataclass(frozen=True)
@@ -546,14 +572,12 @@ class DetectionService:
                 threshold = float("nan")
                 predictions = np.empty(0, dtype=np.int64)
         latency = self.timer.total - accumulated
+        flagged = np.flatnonzero(predictions)
         alerts = tuple(
-            Alert(
-                batch_index=batch_index,
-                sample_index=offset + int(i),
-                score=float(scores[i]),
-                threshold=threshold,
+            Alert(batch_index, sample_index, score, threshold)
+            for sample_index, score in zip(
+                (flagged + offset).tolist(), scores[flagged].tolist()
             )
-            for i in np.flatnonzero(predictions)
         )
         self._emit(*alerts)
 

@@ -13,11 +13,15 @@ otherwise delivers the batch event by event.
 
 Every JSONL file of :mod:`repro.serve` — sink events, span traces and
 registry lineage — is written by :class:`JsonlSink` and read by
-:func:`read_events`: one sorted-key JSON object per line.  Each emit or
-append call is one ``write(2)`` of all its lines, done before the call
-returns, so a :class:`~repro.serve.service.DetectionService` has written a
-batch's events before ``process_batch`` returns.  A crash loses at most the
-batch being written: the torn line it may leave is cut off by the next
+:func:`read_events`: one sorted-key JSON object per line.  An
+:class:`~repro.serve.service.Alert`, the record of every flagged row, fills
+its line from a template (``Alert.to_json_line``) byte-identical to that
+encoding; every other record — drift, quarantine, sink and lifecycle
+events, spans, lineage — goes through one shared ``json.JSONEncoder``.
+Each emit or append call is one ``write(2)`` of all its lines, done before
+the call returns, so a :class:`~repro.serve.service.DetectionService` has
+written a batch's events before ``process_batch`` returns.  A crash loses
+at most the batch being written: the torn line it may leave is cut off by the next
 writer and skipped by :func:`read_events`, never read as a partial record.
 """
 
@@ -36,6 +40,15 @@ __all__ = ["AlertSink", "ListSink", "JsonlSink", "CallbackSink", "read_events"]
 #: One shared encoder, byte-identical to ``json.dumps(record, sort_keys=True)``,
 #: which builds a new one on every call.
 _ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _event_line(event: Any) -> str:
+    """``event``'s JSONL line: its own ``to_json_line()`` if it has one, else
+    the generic encoding of ``to_dict()``."""
+    to_json_line = getattr(event, "to_json_line", None)
+    if to_json_line is not None:
+        return to_json_line()
+    return _ENCODER.encode(event.to_dict()) + "\n"
 
 
 def read_events(path: str | Path) -> list[dict]:
@@ -143,20 +156,20 @@ class JsonlSink:
         self._lock = threading.Lock()
 
     def emit(self, event: Any) -> None:
-        self._write([event.to_dict()])
+        self._write([_event_line(event)])
 
     def emit_many(self, events: Sequence[Any]) -> None:
         """Write every event of a batch, in order, with one ``write(2)``."""
-        self._write([event.to_dict() for event in events])
+        self._write([_event_line(event) for event in events])
 
     def append(self, record: dict) -> None:
         """Write ``record`` as one line and flush it to the OS."""
-        self._write([record])
+        self._write([_ENCODER.encode(record) + "\n"])
 
-    def _write(self, records: list[dict]) -> None:
-        if not records:
+    def _write(self, lines: list[str]) -> None:
+        if not lines:
             return
-        data = "".join([_ENCODER.encode(r) + "\n" for r in records]).encode("utf-8")
+        data = "".join(lines).encode("utf-8")
         with self._lock:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -172,7 +185,7 @@ class JsonlSink:
                 self._truncate_to_good()
                 raise
             self._good_offset = self._handle.tell()
-            self.n_written += len(records)
+            self.n_written += len(lines)
 
     def _truncate_to_good(self) -> None:
         """Drop a partially written trailing line (lock held, file open)."""

@@ -93,6 +93,17 @@ def test_inline_suppressions_are_few_explicit_and_documented():
         assert len(above.lstrip("# ").split()) >= 3, f"{where}: reason too short"
 
 
+def test_the_engine_registers_exactly_the_suppression_comments(repo_lint):
+    """Docstrings quoting ``# reprolint: disable`` register no suppression."""
+    registered = {
+        (module.path.resolve(), line)
+        for module in repo_lint.context.modules
+        for line in module.suppressions
+    }
+    commented = {(path.resolve(), line) for path, line, _, _ in _suppression_comments()}
+    assert registered == commented
+
+
 def test_inline_suppressions_still_silence_real_findings(repo_lint):
     """A suppression whose finding was fixed should be deleted, not kept."""
     unsuppressed = LintContext(

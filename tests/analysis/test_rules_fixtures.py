@@ -92,6 +92,32 @@ def test_inline_suppression_drops_the_finding():
     assert len(result.findings) == len(findings) - 1
 
 
+@pytest.mark.parametrize(
+    "marker",
+    [
+        '_ = "# reprolint: disable=RL001"',
+        '_ = """# reprolint: disable"""',
+    ],
+)
+def test_suppression_marker_inside_a_string_does_not_suppress(marker):
+    """Only comment tokens suppress; a string on the flagged line does not."""
+    source, findings = lint_fixture(
+        "rl001_bad.py", CASES["RL001"][2], "RL001"
+    )
+    in_string = source.replace(
+        "np.random.seed(0)  # BAD", f"np.random.seed(0); {marker}"
+    )
+    module = parse_module(in_string, CASES["RL001"][2])
+    assert module.suppressions == {}
+    result = lint_parsed(LintContext(modules=[module]), rules=rules_by_id(["RL001"]))
+    assert len(result.findings) == len(findings)
+    commented = in_string.replace(marker, f"{marker}  # reprolint: disable=RL001")
+    module = parse_module(commented, CASES["RL001"][2])
+    assert list(module.suppressions.values()) == [frozenset({"RL001"})]
+    result = lint_parsed(LintContext(modules=[module]), rules=rules_by_id(["RL001"]))
+    assert len(result.findings) == len(findings) - 1
+
+
 def test_rl001_allowlists_telemetry_modules():
     source = (FIXTURES / "rl001_bad.py").read_text(encoding="utf-8")
     module = parse_module(source, "src/repro/serve/telemetry/fixture_mod.py")

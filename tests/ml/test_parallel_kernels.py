@@ -219,14 +219,12 @@ class TestNativeKernelMatchesNumpy:
         monkeypatch.delenv("REPRO_DISABLE_NATIVE")
         for threads in (1, 2, 5):
             monkeypatch.setenv("REPRO_NUM_THREADS", str(threads))
-            sums = native.forest_sum(
-                X, forest.feature, forest.threshold, forest.child,
+            kernel = native.ForestKernel(
+                forest.feature, forest.threshold, forest.child,
                 forest._value_flat, forest.roots, forest.depths, strict,
             )
-            leaves = native.forest_apply(
-                X, forest.feature, forest.threshold, forest.child,
-                forest.roots, forest.depths, strict,
-            )
+            sums = native.forest_sum(X, kernel)
+            leaves = native.forest_apply(X, kernel)
             np.testing.assert_array_equal(sums, expected_sum)
             np.testing.assert_array_equal(leaves, expected_leaves)
 

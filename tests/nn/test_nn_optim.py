@@ -152,6 +152,40 @@ class TestFlatBuffer:
             first.step()
 
 
+class TestAdamKernelBinding:
+    """``native.AdamStep`` binds raw addresses, so it checks the vectors once."""
+
+    @staticmethod
+    def _vectors():
+        return [np.full(3, 1.0), np.full(3, 0.5), np.zeros(3), np.zeros(3)]
+
+    def test_bad_vectors_are_rejected(self):
+        from repro.ml import native
+
+        value, grad, m, v = self._vectors()
+        with pytest.raises(TypeError):
+            native.AdamStep(value.astype(np.float32), grad, m, v)
+        with pytest.raises(ValueError):
+            native.AdamStep(value, grad[:2], m, v)
+        value.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            native.AdamStep(value, grad, m, v)
+
+    def test_a_copy_steps_its_own_vectors(self, monkeypatch):
+        import copy
+
+        from repro.ml import native
+
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+        if not native.available():
+            pytest.skip("native kernels unavailable (no C compiler)")
+        vectors = self._vectors()
+        clone = copy.deepcopy(native.AdamStep(*vectors))
+        assert clone(0.1, 0.9, 0.999, 0.1, 0.001, 1e-8)
+        np.testing.assert_array_equal(vectors[0], 1.0)
+        assert (clone._arrays[0] < 1.0).all()
+
+
 class TestAdamMatchesPerParameterStep:
     def test_500_steps_bit_identical(self, adam_backend):
         shapes = [(7, 5), (5,), (1,), (3, 1), (64, 33)]

@@ -153,6 +153,15 @@ class TestIsolationForest:
         detector = IsolationForest(n_estimators=10, max_samples=256, random_state=0).fit(X)
         assert detector.subsample_size_ == 50
 
+    def test_refit_on_a_larger_sample_rescores_with_its_own_path_norm(self):
+        """The cached ``c(psi)`` follows a refit that changes ``psi`` (50 -> 256)."""
+        rng = np.random.default_rng(2)
+        small, large = rng.normal(size=(50, 3)), rng.normal(size=(400, 3))
+        refit = IsolationForest(n_estimators=10, random_state=0).fit(small).fit(large)
+        fresh = IsolationForest(n_estimators=10, random_state=0).fit(large)
+        assert refit.subsample_size_ == fresh.subsample_size_ == 256
+        assert refit.score_samples(large).tobytes() == fresh.score_samples(large).tobytes()
+
     def test_overflowing_column_range_raises(self):
         # Finite data whose max - min overflows: the split draw refuses the
         # range rather than returning an infinite threshold.

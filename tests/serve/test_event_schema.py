@@ -14,7 +14,11 @@ and with the code that reads them:
 * every type the run report's timeline (``report._TIMELINE_TYPES``) and
   ``repro registry history`` read is produced, with every key they read;
 * every record survives :class:`~repro.serve.sinks.JsonlSink` →
-  :func:`~repro.serve.sinks.read_events` unchanged.
+  :func:`~repro.serve.sinks.read_events` unchanged;
+* a class's own line encoder (``to_json_line``, the template an
+  :class:`~repro.serve.service.Alert` writes its line from) counts as a
+  writer of that class's records, and each line it wrote is the sink's
+  generic encoding of the same object's ``to_dict()``.
 
 The same run shows that ``repro serve`` wraps each sink once: the service
 and the lifecycle manager share one :class:`~repro.serve.faults.ResilientSink`
@@ -34,7 +38,8 @@ import pytest
 
 import repro.serve
 from repro.serve.cli import main
-from repro.serve.sinks import JsonlSink, read_events
+from repro.serve.service import Alert
+from repro.serve.sinks import _ENCODER, JsonlSink, read_events
 from repro.serve.telemetry import report
 
 pytestmark = pytest.mark.serve
@@ -89,14 +94,34 @@ def _recording(to_dict, outputs: list):
     return wrapper
 
 
+def _recording_lines(to_json_line, outputs: list, lines: list):
+    """Record each line as a record of its class, and the object it encodes."""
+
+    @functools.wraps(to_json_line)
+    def wrapper(self):
+        line = to_json_line(self)
+        outputs.append(json.loads(line))
+        lines.append((self, line))
+        return line
+
+    return wrapper
+
+
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
     """Serve once; returns the files' records and every ``to_dict`` output."""
     root = tmp_path_factory.mktemp("event_schema")
     outputs: dict[type, list[dict]] = defaultdict(list)
+    lines: dict[type, list[tuple]] = defaultdict(list)
     with pytest.MonkeyPatch.context() as patch:
         for cls in _classes_with_to_dict():
             patch.setattr(cls, "to_dict", _recording(cls.to_dict, outputs[cls]))
+            if "to_json_line" in vars(cls):
+                patch.setattr(
+                    cls,
+                    "to_json_line",
+                    _recording_lines(cls.to_json_line, outputs[cls], lines[cls]),
+                )
         rc = main(
             [
                 "serve",
@@ -119,6 +144,7 @@ def run(tmp_path_factory):
         "history": read_events(history_path),
         "summary": json.loads((root / "run" / "run_summary.json").read_text()),
         "outputs": outputs,
+        "lines": lines,
     }
 
 
@@ -202,6 +228,16 @@ def test_every_written_record_is_a_to_dict_output(run):
     }
     for record in _records(run):
         assert json.dumps(record, sort_keys=True) in emitted
+
+
+def test_every_alert_line_is_the_encoded_to_dict_of_its_alert(run):
+    """The alert template writes exactly what the generic encoder would."""
+    lines = run["lines"][Alert]
+    alerts = [record for record in run["events"] if record["type"] == "alert"]
+    assert alerts and len(lines) >= len(alerts)
+    assert set(run["lines"]) == {Alert}
+    for alert, line in lines:
+        assert line == _ENCODER.encode(alert.to_dict()) + "\n"
 
 
 def test_a_quarantined_version_number_is_never_published_again(run):

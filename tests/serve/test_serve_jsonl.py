@@ -21,6 +21,7 @@ all three files, through each file's own public writer and reader:
 from __future__ import annotations
 
 import builtins
+import itertools
 import json
 import logging
 import os
@@ -39,7 +40,7 @@ from repro.serve.drift import DriftMonitor
 from repro.serve.faults import QuarantinedRows
 from repro.serve.lifecycle import FullRefit, LifecycleManager, WindowBuffer
 from repro.serve.registry import ModelRegistry
-from repro.serve.service import DetectionService, DriftEvent
+from repro.serve.service import Alert, DetectionService, DriftEvent
 from repro.serve.sinks import JsonlSink, ListSink, read_events
 from repro.serve.telemetry import SpanTracer
 
@@ -276,6 +277,30 @@ class TestBatchedWrite:
         assert _quietly(lambda: read_events(sink.path)) == [
             RECORDS[0], RECORDS[1], RECORDS[0]
         ]
+
+
+class TestAlertLines:
+    #: Signed zero, the smallest subnormal, the largest finite float, values
+    #: whose repr switches to exponent form, and the non-finite ones.
+    FLOATS = [
+        0.0, -0.0, 5e-324, 1e-7, 1 / 3, 1e16, 1.7976931348623157e308,
+        float("inf"), -float("inf"), float("nan"),
+    ]
+    INDICES = [0, 2**63 - 1]
+
+    def test_the_template_line_is_the_generic_encoding(self, tmp_path):
+        alerts = [
+            Alert(batch_index, sample_index, score, threshold)
+            for batch_index, sample_index, score, threshold in itertools.product(
+                self.INDICES, self.INDICES, self.FLOATS, self.FLOATS
+            )
+        ]
+        for alert in alerts:
+            assert alert.to_json_line() == sinks._ENCODER.encode(alert.to_dict()) + "\n"
+        sink = JsonlSink(tmp_path / "events.jsonl")
+        sink.emit_many(alerts)
+        sink.close()
+        assert sink.path.read_bytes() == _dumps_lines([a.to_dict() for a in alerts])
 
 
 class TestServiceEventsFile:

@@ -136,3 +136,25 @@ class TestHeterogeneousModels:
         message = str(excinfo.value.code)
         assert "unknown class 'repro.novelty.knn:KNNDetector'" in message
         assert message.startswith("--model old: ") and "\n" not in message
+
+    @pytest.mark.parametrize(
+        "selector, reason",
+        [
+            ("nope", "no published versions of model 'nope' in "),
+            ("ids@v7", "model 'ids' has no version v7 in "),
+            ("ids@seven", "unrecognised version selector 'seven'"),
+        ],
+        ids=["missing-model", "missing-version", "malformed-selector"],
+    )
+    def test_serve_model_that_does_not_resolve_is_a_one_line_exit(
+        self, tmp_path, fitted, selector, reason
+    ):
+        from repro.serve.cli import main
+
+        _, model = fitted
+        ModelRegistry(tmp_path).publish(model, "ids")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--scale", "0.0015", "--registry", str(tmp_path), "--model", selector])
+        message = str(excinfo.value.code)
+        assert message.startswith(f"--model {selector}: {reason}"), message
+        assert "\n" not in message

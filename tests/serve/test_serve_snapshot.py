@@ -347,6 +347,14 @@ TRANSIENT_CASES = {
         lambda X, y: _scored(GradientBoostingClassifier(n_estimators=5, random_state=0).fit(X, y), X),
         lambda model, X: model.decision_function(X),
     ),
+    "isolation_forest": (
+        lambda X, y: _scored(IsolationForest(n_estimators=10, random_state=0).fit(X), X),
+        lambda model, X: model.score_samples(X),
+    ),
+    "flat_forest": (
+        lambda X, y: IsolationForest(n_estimators=10, random_state=0).fit(X).forest_,
+        lambda forest, X: forest.sum_values(X),
+    ),
 }
 
 

@@ -505,6 +505,121 @@ class TestKMeansAssignChecks:
         kernel(6, G, sq_c, False)  # the last four rows
 
 
+class TestForestKernelChecks:
+    """The forest kernels take raw addresses, so their binding checks every array."""
+
+    @staticmethod
+    def _fitted():
+        X = np.random.default_rng(10).normal(size=(300, 8))
+        return X, IsolationForest(n_estimators=20, max_samples=64, random_state=0).fit(X)
+
+    @staticmethod
+    def _kernel(forest, **replace):
+        from repro.ml import native
+
+        arrays = {
+            "feature": forest.feature, "threshold": forest.threshold, "child": forest.child,
+            "value": forest._value_flat, "roots": forest.roots, "depths": forest.depths,
+        }
+        return native.ForestKernel(**{**arrays, **replace}, strict=forest.strict)
+
+    def test_bad_arrays_are_rejected(self, monkeypatch):
+        from repro.ml import native
+
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+        if not native.available():
+            pytest.skip("native kernels unavailable (no C compiler)")
+        X, model = self._fitted()
+        forest = model.forest_
+        with pytest.raises(TypeError):
+            self._kernel(forest, feature=forest.feature.astype(np.int64))
+        with pytest.raises(TypeError):
+            self._kernel(forest, threshold=forest.threshold[::-1])
+        with pytest.raises(ValueError):
+            self._kernel(forest, depths=forest.depths[:-1])
+        kernel = self._kernel(forest)
+        assert kernel.n_features == int(forest.feature.max()) + 1 > 1
+        for call in (native.forest_sum, native.forest_apply):
+            with pytest.raises(TypeError):
+                call(X.astype(np.float32), kernel)
+            with pytest.raises(TypeError):
+                call(np.asfortranarray(X), kernel)
+            with pytest.raises(ValueError, match="splits on feature"):
+                call(np.ascontiguousarray(X[:, : kernel.n_features - 1]), kernel)
+            with pytest.raises(ValueError):
+                call(X[0], kernel)
+        np.testing.assert_array_equal(native.forest_sum(X, kernel), forest.sum_values(X)[:, 0])
+        with pytest.raises(ValueError):
+            native.forest_sum(X, self._kernel(forest, value=None))
+
+    def test_narrow_X_raises_on_both_backends(self, traversal_backend):
+        """Fit on 8 features, then walk 5 columns: the native walk read past each row."""
+        X, model = self._fitted()
+        narrow = np.ascontiguousarray(X[:, :5])
+        for walk in (model.forest_.sum_values, model.forest_.apply):
+            with pytest.raises(ValueError, match="splits on feature 7"):
+                walk(narrow)
+
+    def test_rebinding_an_array_rebinds_the_kernel(self, traversal_backend):
+        X, model = self._fitted()
+        forest = model.forest_
+        before = forest.sum_values(X)
+        kernel = forest._kernel
+        assert kernel is not None
+        # Every row now goes left at every split: other leaves, other sums.
+        forest.threshold = np.where(np.isinf(forest.threshold), np.inf, -np.inf)
+        expected = FlatForest(
+            forest.feature, forest.threshold, forest.child, forest.value,
+            forest.roots, forest.depths, forest.strict,
+        ).sum_values(X)
+        after = forest.sum_values(X)
+        assert forest._kernel is not kernel
+        np.testing.assert_array_equal(after, expected)
+        assert not np.array_equal(after, before)
+
+    def test_a_deep_copy_binds_its_own_arrays(self, traversal_backend):
+        import copy
+        import gc
+
+        X, model = self._fitted()
+        expected = model.score_samples(X).tobytes()
+        clone = copy.deepcopy(model)
+        original = model.forest_._kernel
+        assert clone.forest_._kernel.arrays[0] is clone.forest_.feature
+        assert clone.forest_._kernel._nodes != original._nodes
+        del model, original
+        gc.collect()
+        assert clone.score_samples(X).tobytes() == expected
+
+    def test_snapshot_and_registry_loads_score_bit_identically(self, traversal_backend, tmp_path):
+        """Loaded models bind on first use; a snapshot from before the binding
+        (no ``_kernel`` or ``_path_norm`` attribute) still scores."""
+        import json
+
+        from repro.serve.registry import ModelRegistry
+        from repro.serve.snapshot import load_snapshot, save_snapshot
+
+        X, model = self._fitted()
+        expected = model.score_samples(X).tobytes()
+        path = save_snapshot(model, tmp_path / "snapshot")
+        loaded = load_snapshot(path)
+        assert loaded.forest_._kernel is None and loaded._path_norm is None
+        assert loaded.score_samples(X).tobytes() == expected
+        assert loaded.forest_._kernel is not None
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.publish(model, "ids")
+        assert registry.load("ids").score_samples(X).tobytes() == expected
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for obj in manifest["objects"]:
+            for name in ("_kernel", "_path_norm"):
+                obj.get("attrs", {}).pop(name, None)
+        manifest_path.write_text(json.dumps(manifest))
+        older = load_snapshot(path)
+        assert not {"_kernel", "_path_norm"} & (set(vars(older)) | set(vars(older.forest_)))
+        assert older.score_samples(X).tobytes() == expected
+
+
 @pytest.mark.usefixtures("traversal_backend")
 class TestKMeansEquivalence:
     def test_assignment_matches_argmin(self):
