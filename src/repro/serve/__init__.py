@@ -32,9 +32,11 @@ fitted detector into something that can be *deployed*:
 * :mod:`repro.serve.telemetry` — the observability layer over all of the
   above: a metrics registry (counters, gauges, log-bucketed latency
   histograms), span
-  tracing of every pipeline stage (``serve --trace-file``), structured
-  operator logging (``serve --log-level``), and auditable run reports with
+  tracing of every pipeline stage (``serve --trace-file``, analyzed and
+  budget-gated by ``repro trace``), and auditable run reports with
   reproducibility hashes (``serve --run-dir`` / ``serve report``).
+  Each degradation reaches API users once: as a sink event or as a
+  ``UserWarning``.
 """
 
 from repro.serve.drift import DriftMonitor, DriftReport
@@ -83,9 +85,6 @@ from repro.serve.telemetry import (
     SpanTracer,
     build_report,
     build_run_summary,
-    configure_logging,
-    get_logger,
-    log_event,
     render_markdown,
     render_run_report,
     trace_span,
@@ -130,11 +129,8 @@ __all__ = [
     "build_run_summary",
     "call_with_retry",
     "clone_model",
-    "configure_logging",
     "emit_resilient",
-    "get_logger",
     "load_snapshot",
-    "log_event",
     "read_events",
     "read_manifest",
     "render_markdown",

@@ -33,13 +33,13 @@ Usage examples::
         --inject-faults 'sink_raise@every=1;nan_rows@rate=0.05'
     repro registry recover --registry ./models
 
-    # observability: operator logs, per-stage span traces, and an auditable
-    # run directory (events.jsonl + run_summary.json + trace.jsonl +
-    # report.json/.md); `serve report` re-renders the report after the fact,
-    # `repro trace` analyzes the span tree and gates on per-stage budgets
-    repro serve --dataset wustl_iiot --detector iforest --log-level info \
+    # observability: per-stage span traces and an auditable run directory
+    # (events.jsonl + run_summary.json + trace.jsonl + report.json/.md);
+    # `serve report` re-renders the report after the fact, `repro trace`
+    # analyzes the span tree and is the per-stage latency budget gate
+    repro serve --dataset wustl_iiot --detector iforest \
         --trace-file ./trace.jsonl --run-dir ./run
-    repro serve report ./run --budget score=50 --budget-metric p95
+    repro serve report ./run
     repro trace ./run/trace.jsonl --view tree --budget batch=100
 
     # live introspection: /metrics (Prometheus), /health (heartbeat
@@ -85,11 +85,9 @@ from repro.serve.telemetry import (
     SpanTracer,
     StatusServer,
     build_run_summary,
-    configure_logging,
     render_run_report,
 )
 from repro.serve.telemetry import traceview
-from repro.serve.telemetry.traceview import parse_budget
 
 __all__ = ["main", "DETECTOR_FACTORIES"]
 
@@ -166,12 +164,6 @@ def _parser() -> argparse.ArgumentParser:
         "see repro.serve.faults for the grammar); never use in production",
     )
     serve.add_argument(
-        "--log-level", default=None, metavar="LEVEL",
-        help="attach a stderr handler to the 'repro.serve' logger at LEVEL "
-        "(debug/info/warning/...); degradations the library signals as "
-        "UserWarning also appear as structured log records",
-    )
-    serve.add_argument(
         "--trace-file", type=Path, default=None, metavar="PATH",
         help="append one JSONL span record per instrumented pipeline stage "
         "(quarantine scan, scoring, drift check, refit, gate, ...) to PATH",
@@ -204,16 +196,6 @@ def _parser() -> argparse.ArgumentParser:
     serve_report.add_argument(
         "run_dir", type=Path,
         help="directory written by 'repro serve --run-dir'",
-    )
-    serve_report.add_argument(
-        "--budget", action="append", default=[], metavar="STAGE=MS",
-        help="per-stage trace latency budget in ms (repeatable); judged "
-        "MET/NOT_MET in the report's Trace section when the run directory "
-        "has a trace.jsonl",
-    )
-    serve_report.add_argument(
-        "--budget-metric", choices=traceview.BUDGET_METRICS, default="p95",
-        help="trace aggregate the budgets are checked against (default: p95)",
     )
 
     trace = sub.add_parser(
@@ -278,14 +260,13 @@ def _serve_stream(service, stream) -> int:
 
 
 #: serve args that shape the run's *semantics* — hashed into the run
-#: summary's config SHA-256.  Output locations and logging verbosity are
+#: summary's config SHA-256.  Output locations and the status endpoint are
 #: excluded: re-running with a different --run-dir is the same experiment.
 _CONFIG_EXCLUDED = (
     "command",
     "serve_command",
     "alerts",
     "health_deadline",
-    "log_level",
     "registry",
     "run_dir",
     "status_port",
@@ -369,33 +350,20 @@ def _write_run_artifacts(
         json.dumps(summary_payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    # Rendered from the run dir's own files (not an external --trace-file),
-    # exactly as `serve report` re-renders it later.
+    # Rendered from the run dir's own files, exactly as `serve report`
+    # re-renders it later.
     payload = render_run_report(run_dir)
     print(f"run report: {payload['overall']} -> {run_dir / 'report.md'}")
 
 
 def _run_serve_report(args: argparse.Namespace) -> int:
     try:
-        budgets = dict(parse_budget(spec) for spec in args.budget)
-    except ValueError as exc:
-        raise SystemExit(f"--budget: {exc}")
-    try:
-        report = render_run_report(
-            args.run_dir,
-            trace_budgets=budgets or None,
-            trace_budget_metric=args.budget_metric,
-        )
+        report = render_run_report(args.run_dir)
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(str(exc))
     print(f"run report: {report['overall']} -> {Path(args.run_dir) / 'report.md'}")
     for section in report["sections"]:
         print(f"  {section['index']}. {section['title']}: {section['verdict']}")
-    if budgets and not any(s["title"] == "Trace" for s in report["sections"]):
-        raise SystemExit(
-            "--budget given but the run directory has no trace.jsonl to "
-            "judge (re-run serve with --run-dir, which traces by default)"
-        )
     return 0 if report["overall"] != "NOT_MET" else 1
 
 
@@ -408,11 +376,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             "--refit reload requires --registry plus either --model or --publish"
         )
-    if args.log_level is not None:
-        try:
-            configure_logging(args.log_level)
-        except ValueError as exc:
-            raise SystemExit(f"--log-level: {exc}")
     if args.status_port is not None and args.status_port < 0:
         raise SystemExit("--status-port must be >= 0 (0 picks a free port)")
     if args.health_deadline <= 0:
@@ -420,8 +383,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.run_dir is not None:
         args.run_dir.mkdir(parents=True, exist_ok=True)
         if args.trace_file is None:
-            # Trace into the run dir by default so `serve report` and
-            # `repro trace` find the spans next to the other artifacts.
+            # Trace into the run dir by default so `repro trace` finds the
+            # spans next to the other artifacts.
             args.trace_file = args.run_dir / "trace.jsonl"
     tracer = SpanTracer(args.trace_file) if args.trace_file is not None else None
     injector: FaultInjector | None = None

@@ -11,7 +11,8 @@ through the stack:
   before scoring), :class:`SinkDisabled` (a repeatedly raising sink was
   taken out of the loop) and :class:`RegistryRecovery` (a partial/corrupt
   registry version was quarantined at startup).  All of
-  them expose ``to_dict()`` and flow through the ordinary alert sinks;
+  them expose ``to_dict()`` and flow through the ordinary alert sinks,
+  which is the one channel each of these facts takes;
 * **sink fault isolation** — :class:`ResilientSink` wraps any sink so a raise
   is retried and, after ``max_consecutive_errors`` consecutive failed emits,
   the sink is disabled instead of poisoning the scoring loop
@@ -49,16 +50,12 @@ mix — a sink raising on every emit over a 5% poison-row stream.
 
 from __future__ import annotations
 
-import logging
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-
-from repro.serve.telemetry.log import get_logger, log_event
-
-_logger = get_logger("faults")
 
 __all__ = [
     "FaultInjected",
@@ -159,8 +156,8 @@ class ResilientSink:
     fails.  A sink without ``emit_many`` gets the batch event by event,
     each event its own emit with the semantics above.
 
-    ``close`` failures are swallowed too: shutdown must not raise through a
-    half-broken sink.
+    ``close`` failures are swallowed too, with a ``UserWarning`` naming the
+    sink and the error: shutdown must not raise through a half-broken sink.
     """
 
     def __init__(
@@ -217,15 +214,6 @@ class ResilientSink:
         if self.consecutive_errors_ < self.max_consecutive_errors:
             return None
         self.disabled_ = True
-        log_event(
-            logging.WARNING,
-            "sink_disabled",
-            logger_=_logger,
-            sink=type(self.inner).__name__,
-            n_errors=self.n_errors_,
-            consecutive=self.consecutive_errors_,
-            last_error=repr(self.last_error_),
-        )
         return SinkDisabled(
             sink=type(self.inner).__name__,
             n_errors=self.n_errors_,
@@ -241,12 +229,10 @@ class ResilientSink:
         except Exception as exc:  # noqa: BLE001 - isolation is the point
             self.n_errors_ += 1
             self.last_error_ = exc
-            log_event(
-                logging.WARNING,
-                "sink_close_failed",
-                logger_=_logger,
-                sink=type(self.inner).__name__,
-                error=repr(exc),
+            warnings.warn(
+                f"closing {type(self.inner).__name__} failed: {exc!r}",
+                UserWarning,
+                stacklevel=2,
             )
 
 
@@ -264,9 +250,10 @@ def emit_resilient(sinks: Sequence[ResilientSink], *events: Any) -> list[SinkDis
     Each sink receives all of ``events`` in one
     :meth:`ResilientSink.emit_many` call.  Returns the :class:`SinkDisabled`
     events produced by this call (empty in the healthy case), after
-    delivering them to the still-enabled sinks so the operator's log records
-    which sink went dark and why.  A survivor receives the notice after the
-    whole batch, even when the failing sink went dark partway through it.
+    delivering them to the still-enabled sinks so the surviving event files
+    record which sink went dark and why.  A survivor receives the notice
+    after the whole batch, even when the failing sink went dark partway
+    through it.
     """
     disabled: list[SinkDisabled] = []
     for sink in sinks:

@@ -27,7 +27,6 @@ why a model was or was not replaced.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
@@ -39,11 +38,8 @@ from repro.serve.faults import call_with_retry, emit_resilient, wrap_sinks
 from repro.serve.lifecycle.buffer import WindowBuffer
 from repro.serve.lifecycle.gate import GateResult, QualityGate
 from repro.serve.lifecycle.policy import RefitPolicy
-from repro.serve.telemetry.log import get_logger, log_event
 from repro.serve.telemetry.tracing import trace_span
 from repro.utils.timing import Timer
-
-_logger = get_logger("lifecycle")
 
 __all__ = ["LifecycleEvent", "LifecycleManager"]
 
@@ -328,14 +324,6 @@ class LifecycleManager:
                         lambda: append(self.model_name, event.to_dict())
                     )
                 except OSError as exc:
-                    log_event(
-                        logging.WARNING,
-                        "history_persist_failed",
-                        logger_=_logger,
-                        model=self.model_name,
-                        action=event.action,
-                        error=repr(exc),
-                    )
                     warnings.warn(
                         f"failed to persist lifecycle lineage for "
                         f"{self.model_name!r}: {exc}; the event is kept "

@@ -28,7 +28,6 @@ writer and skipped by :func:`read_events`, never read as a partial record.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import threading
 import warnings
@@ -55,9 +54,8 @@ def read_events(path: str | Path) -> list[dict]:
     """Load the records :class:`JsonlSink` wrote, in file order.
 
     Blank lines are skipped.  An unparseable final record (a process killed
-    mid-append) is dropped with a ``UserWarning`` and a ``jsonl_torn_tail``
-    log record.  Any other line that is not a JSON object raises
-    ``ValueError`` naming the path and line.
+    mid-append) is dropped with a ``UserWarning``.  Any other line that is
+    not a JSON object raises ``ValueError`` naming the path and line.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
@@ -72,9 +70,6 @@ def read_events(path: str | Path) -> list[dict]:
         except json.JSONDecodeError as exc:
             if i != last:
                 raise ValueError(f"{path}:{i + 1}: not a JSON record") from exc
-            from repro.serve.telemetry.log import log_event  # avoids an import cycle
-
-            log_event(logging.WARNING, "jsonl_torn_tail", path=str(path), line=i + 1)
             warnings.warn(
                 f"skipping truncated trailing record at {path}:{i + 1} "
                 "(crash mid-append)", UserWarning, stacklevel=2,

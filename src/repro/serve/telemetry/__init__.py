@@ -1,6 +1,6 @@
-"""Serving telemetry: metrics registry, span tracing, logs and run reports.
+"""Serving telemetry: metrics registry, span tracing and run reports.
 
-The observability substrate for :mod:`repro.serve`, in four pieces:
+The observability substrate for :mod:`repro.serve`, in five pieces:
 
 * :mod:`~repro.serve.telemetry.metrics` — process-local
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments behind
@@ -14,17 +14,13 @@ The observability substrate for :mod:`repro.serve`, in four pieces:
   of the serving stack); with a :class:`TraceContext` attached every span
   carries deterministic ``trace_id``/``span_id``/``parent_span_id`` ids
   (:class:`SpanBuffer` keeps spans in memory instead of a file).
-* :mod:`~repro.serve.telemetry.traceview` — the ``repro trace`` analyzer:
-  tree reconstruction, per-stage aggregation, critical paths and
-  ``--budget`` latency gates over span-JSONL files.
+* :mod:`~repro.serve.telemetry.traceview` — the ``repro trace`` analyzer,
+  the one reader of span files: tree reconstruction, per-stage
+  aggregation, critical paths and the ``--budget`` latency gate.
 * :mod:`~repro.serve.telemetry.statusd` / :mod:`~repro.serve.telemetry.exposition`
   — the opt-in live introspection endpoint (``serve --status-port``):
   :class:`StatusServer` answers ``/metrics`` (:func:`render_prometheus`),
   ``/health`` (:class:`HeartbeatWatchdog`) and ``/status``.
-* :mod:`~repro.serve.telemetry.log` — the ``"repro.serve"`` stdlib logger
-  (NullHandler by default) carrying structured degradation records next to
-  the existing ``UserWarning`` channel; :func:`configure_logging` backs the
-  ``serve --log-level`` flag.
 * :mod:`~repro.serve.telemetry.report` — auditable run reports:
   :func:`build_report` / :func:`render_markdown` produce sectioned
   MET/NOT_MET verdicts with evidence (``report.json`` + ``report.md``),
@@ -35,7 +31,6 @@ The observability substrate for :mod:`repro.serve`, in four pieces:
 
 from .context import TraceContext
 from .exposition import render_prometheus
-from .log import configure_logging, get_logger, log_event, logger
 from .metrics import (
     DISABLED,
     Counter,
@@ -78,13 +73,9 @@ __all__ = [
     "build_report",
     "build_run_summary",
     "config_sha256",
-    "configure_logging",
     "critical_path",
-    "get_logger",
     "load_run_dir",
-    "log_event",
     "log_spaced_buckets",
-    "logger",
     "render_markdown",
     "render_prometheus",
     "render_run_report",

@@ -9,11 +9,9 @@ the evidence it was judged on.  Sections:
 
 1. **Throughput** — did the stream complete with scored batches, and at
    what rate?
-2. **Latency** — batch p50/p95/p99 and the per-stage span table.
-   (When the run directory carries a ``trace.jsonl``, a **Trace** section
-   follows with per-stage span totals from the trace file, the worst
-   critical path, and MET/NOT_MET verdicts against ``--budget``-style
-   per-stage latency thresholds.)
+2. **Latency** — batch p50/p95/p99 and the per-stage span table from the
+   metrics snapshot.  The span tree in ``trace.jsonl`` is analyzed and
+   gated on per-stage budgets by ``repro trace``, not here.
 3. **Timeline** — ordered alert/drift/quarantine/sink/swap events, with
    checks on degradations (no sink disabled, quarantine fraction bounded).
 4. **Lifecycle** — the count of each lifecycle action; every swap carries a
@@ -224,99 +222,23 @@ def _stage_table(metrics: Mapping[str, Any] | None) -> dict[str, dict]:
     return dict(sorted(table.items()))
 
 
-def _trace_section(
-    trace: Sequence[Mapping[str, Any]],
-    budgets: Mapping[str, float] | None,
-    budget_metric: str,
-) -> dict:
-    """The Trace section: span totals, worst critical path, budget verdicts.
-
-    Only assembled when a trace is present, so trace-free reports (and the
-    golden fixtures locking them) are byte-identical to before.
-    """
-    from .traceview import (  # local import: traceview is presentation-side
-        build_forest,
-        check_budgets,
-        critical_path,
-        stage_aggregate,
-    )
-
-    aggregate = stage_aggregate(trace)
-    roots = build_forest(trace)
-    worst_ms, worst_path = 0.0, []
-    for root in roots:
-        path = critical_path(root)
-        total_ms = sum(node.seconds for node in path) * 1e3
-        if total_ms > worst_ms or not worst_path:
-            worst_ms = total_ms
-            worst_path = [node.stage for node in path]
-    stages = {
-        stage: {
-            "count": int(agg["count"]),
-            "total_s": agg["total"],
-            "p50_s": agg["p50"],
-            "p95_s": agg["p95"],
-            "p99_s": agg["p99"],
-        }
-        for stage, agg in aggregate.items()
-    }
-    checks = [
-        _check(
-            "TR-01",
-            "Trace file parsed into a span tree",
-            bool(trace) and bool(roots),
-            severity="minor",
-            evidence={"n_spans": len(trace), "n_roots": len(roots)},
-        )
-    ]
-    if budgets:
-        verdicts = check_budgets(aggregate, budgets, metric=budget_metric)
-        checks.append(
-            _check(
-                "TR-02",
-                f"Per-stage trace latency budgets met ({budget_metric})",
-                all(v["status"] == "MET" for v in verdicts),
-                evidence={"budgets": verdicts},
-            )
-        )
-    return {
-        "title": "Trace",
-        "checks": checks,
-        "data": {
-            "stages": _round(stages),
-            "critical_path": _round(
-                {"total_ms": worst_ms, "path": worst_path}
-            ),
-        },
-    }
-
-
 def build_report(
     summary: Mapping[str, Any],
     *,
     metrics: Mapping[str, Any] | None = None,
     events: Sequence[Mapping[str, Any]] = (),
-    history: Sequence[Mapping[str, Any]] = (),
     run_info: Mapping[str, Any] | None = None,
     max_quarantined_fraction: float = 0.10,
     max_timeline_events: int = 50,
-    trace: Sequence[Mapping[str, Any]] | None = None,
-    trace_budgets: Mapping[str, float] | None = None,
-    trace_budget_metric: str = "p95",
     generated_at: str | None = None,
     title: str = "Serving run report",
 ) -> dict:
     """Build the ``report.json`` payload (pure: dict in, dict out).
 
     ``summary`` is a ``ServiceReport.to_dict()``; ``events`` are sink-fabric
-    event dicts in emission order (e.g. read back from ``events.jsonl``);
-    ``history`` is registry lifecycle lineage (used for the lifecycle
-    section when sink events lack it); ``run_info`` is a
-    :func:`build_run_summary` payload.
-    ``trace`` is a list of span records (``trace.jsonl``); when given, a
-    Trace section with per-stage span totals, the worst critical path and
-    optional ``trace_budgets`` (stage -> ms, judged on
-    ``trace_budget_metric``) is added — a trace-free report is unchanged.
+    event dicts in emission order (e.g. read back from ``events.jsonl``),
+    lifecycle lineage included; ``run_info`` is a :func:`build_run_summary`
+    payload.
     """
     summary = dict(summary)
     n_batches = int(summary.get("n_batches", 0))
@@ -403,9 +325,7 @@ def build_report(
         timeline_data["truncated"] = truncated
 
     # -- 4. lifecycle ----------------------------------------------------------
-    lineage = [e for e in history if e.get("type") == "lifecycle"]
-    if not lineage:
-        lineage = [e for e in events if e.get("type") == "lifecycle"]
+    lineage = [e for e in events if e.get("type") == "lifecycle"]
     actions: dict[str, int] = {}
     for event in lineage:
         action = event.get("action", "unknown")
@@ -469,8 +389,6 @@ def build_report(
         {"title": "Lifecycle", "checks": lifecycle_checks, "data": lifecycle_data},
         {"title": "Reproducibility", "checks": repro_checks, "data": {}},
     ]
-    if trace:
-        sections.insert(2, _trace_section(trace, trace_budgets, trace_budget_metric))
     for index, section in enumerate(sections, start=1):
         section["index"] = index
         section["verdict"] = _section_verdict(section["checks"])
@@ -548,13 +466,6 @@ def render_markdown(report: Mapping[str, Any]) -> str:
                     f" {1e3 * row['p95_s']:.3f} |"
                     f" {1e3 * row['p99_s']:.3f} |"
                 )
-        crit = data.get("critical_path")
-        if crit and crit.get("path"):
-            lines.append("")
-            lines.append(
-                f"- worst critical path: `{' > '.join(crit['path'])}`"
-                f" ({crit.get('total_ms', 0.0):.3f} ms)"
-            )
         entries = data.get("entries")
         if entries is not None:
             lines.append("")
@@ -617,32 +528,20 @@ def load_run_dir(run_dir: str | Path) -> tuple[dict, list[dict]]:
 
 
 def render_run_report(
-    run_dir: str | Path,
-    *,
-    history: Sequence[Mapping[str, Any]] = (),
-    trace_budgets: Mapping[str, float] | None = None,
-    trace_budget_metric: str = "p95",
-    generated_at: str | None = None,
+    run_dir: str | Path, *, generated_at: str | None = None
 ) -> dict:
     """Re-render a run directory's report and rewrite its files.
 
     Backs ``repro serve report <run-dir>``: everything needed is read from
-    ``run_summary.json`` + ``events.jsonl`` (+ ``trace.jsonl`` when the run
-    traced into its run directory), so a report can be (re)built long after
-    the serving process exited.
+    ``run_summary.json`` + ``events.jsonl``, so a report can be (re)built
+    long after the serving process exited.
     """
     run_summary, events = load_run_dir(run_dir)
-    trace_path = Path(run_dir) / "trace.jsonl"
-    trace = read_events(trace_path) if trace_path.is_file() else None
     report = build_report(
         run_summary.get("service_report") or {},
         metrics=run_summary.get("metrics"),
         events=events,
-        history=history,
         run_info=run_summary,
-        trace=trace,
-        trace_budgets=trace_budgets,
-        trace_budget_metric=trace_budget_metric,
         generated_at=generated_at,
     )
     write_report_files(run_dir, report)

@@ -148,8 +148,12 @@ class TestResilientSink:
 
     def test_close_failures_are_swallowed(self):
         sink = ResilientSink(_AlwaysRaises())
-        sink.close()  # must not raise
+        with pytest.warns(
+            UserWarning, match=r"closing _AlwaysRaises failed: OSError\('pager offline'\)"
+        ):
+            sink.close()  # must not raise
         assert isinstance(sink.last_error_, IOError)
+        assert sink.n_errors_ == 1
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError, match="retries"):

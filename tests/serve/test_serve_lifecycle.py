@@ -625,22 +625,17 @@ class TestLineage:
         ]
 
         summary = {"n_batches": 15, "n_samples": 3650}
-        for report in (
-            build_report(summary, history=history, generated_at="t"),
-            build_report(summary, events=history, generated_at="t"),
-        ):
-            lifecycle = next(
-                s for s in report["sections"] if s["title"] == "Lifecycle"
-            )
-            assert lifecycle["data"]["actions"] == {
-                "shadow_pass": 2, "shadow_reject": 1, "shadow_start": 4,
-            }
-            assert [c["id"] for c in lifecycle["checks"]] == ["LC-02"]
-            assert lifecycle["checks"][0]["evidence"] == {
-                "n_swaps": 2, "n_unversioned": 0,
-            }
-            assert lifecycle["verdict"] == "MET"
-            render_markdown(report)
+        report = build_report(summary, events=history, generated_at="t")
+        lifecycle = next(s for s in report["sections"] if s["title"] == "Lifecycle")
+        assert lifecycle["data"]["actions"] == {
+            "shadow_pass": 2, "shadow_reject": 1, "shadow_start": 4,
+        }
+        assert [c["id"] for c in lifecycle["checks"]] == ["LC-02"]
+        assert lifecycle["checks"][0]["evidence"] == {
+            "n_swaps": 2, "n_unversioned": 0,
+        }
+        assert lifecycle["verdict"] == "MET"
+        render_markdown(report)
         # as sink events (a run's events.jsonl), every record is on the timeline
         timeline = next(s for s in report["sections"] if s["title"] == "Timeline")
         assert [e["action"] for e in timeline["data"]["entries"]] == [

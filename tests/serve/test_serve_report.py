@@ -381,6 +381,11 @@ class TestCliRoundTrip:
         report_after["generated_at"] = report_before["generated_at"]
         assert report_after == report_before
 
+        # `repro trace` is the latency gate on the run's spans: a budget
+        # every stage meets passes, a budget on an untraced stage fails.
+        assert main(["trace", str(trace), "--budget", "batch=1e9"]) == 0
+        assert main(["trace", str(trace), "--budget", "no_such_stage=1"]) == 1
+
     def test_serve_report_on_missing_dir_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="run_summary.json"):
             main(["serve", "report", str(tmp_path / "nope")])

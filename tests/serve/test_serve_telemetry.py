@@ -6,15 +6,12 @@ The contracts under test (see :mod:`repro.serve.telemetry`):
 * ``trace_span`` records wall time + row counts into the registry and
   (optionally) one JSONL record per span, and never alters control flow;
 * the serving service populates pipeline counters/histograms that agree
-  with their own ``ServiceReport``;
-* degradations logged for operators land on the ``repro.serve`` logger in
-  ``event key=value`` form.
+  with their own ``ServiceReport``.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import pickle
 
 import numpy as np
@@ -24,7 +21,6 @@ from repro.datasets.registry import load_dataset
 from repro.datasets.streaming import FlowStream
 from repro.novelty import IsolationForest
 from repro.serve.drift import DriftMonitor
-from repro.serve.faults import ResilientSink
 from repro.serve.service import DetectionService
 from repro.serve.telemetry import (
     Counter,
@@ -32,9 +28,6 @@ from repro.serve.telemetry import (
     Histogram,
     MetricsRegistry,
     SpanTracer,
-    configure_logging,
-    get_logger,
-    log_event,
     log_spaced_buckets,
     trace_span,
 )
@@ -234,59 +227,4 @@ class TestServiceTelemetry:
         }
         # The report still works off the wall-clock timer fallback.
         assert service.report().throughput_samples_per_sec > 0
-
-
-@pytest.fixture
-def restore_serve_logger():
-    """Put the package logger's handlers and level back after the test."""
-    package = logging.getLogger("repro.serve")
-    handlers, level = list(package.handlers), package.level
-    yield package
-    package.handlers[:] = handlers
-    package.setLevel(level)
-
-
-class TestOperatorLogging:
-    def test_get_logger_returns_package_logger_or_child(self):
-        assert get_logger() is logging.getLogger("repro.serve")
-        assert get_logger("faults") is logging.getLogger("repro.serve.faults")
-
-    def test_configure_logging_attaches_one_handler(self, restore_serve_logger):
-        before = len(restore_serve_logger.handlers)
-        configure_logging("info")
-        configure_logging(logging.WARNING)
-        streams = [
-            h
-            for h in restore_serve_logger.handlers
-            if isinstance(h, logging.StreamHandler) and not isinstance(h, logging.NullHandler)
-        ]
-        assert len(restore_serve_logger.handlers) == before + 1
-        assert len(streams) == 1
-        assert streams[0].level == logging.WARNING
-        assert restore_serve_logger.level == logging.WARNING
-
-    def test_configure_logging_rejects_unknown_level(self, restore_serve_logger):
-        with pytest.raises(ValueError, match="unknown log level"):
-            configure_logging("chatty")
-
-    def test_log_event_renders_key_values(self, caplog):
-        with caplog.at_level(logging.INFO, logger="repro.serve"):
-            log_event(logging.INFO, "sample_event", n=3, name="x")
-        assert len(caplog.records) == 1
-        assert caplog.records[0].message == "sample_event n=3 name='x'"
-
-    def test_sink_disable_is_logged(self, caplog):
-        class Broken:
-            def emit(self, event):
-                raise OSError("disk full")
-
-            def close(self):
-                pass
-
-        sink = ResilientSink(Broken(), retries=0, max_consecutive_errors=2)
-        with caplog.at_level(logging.WARNING, logger="repro.serve"):
-            assert sink.emit("e1") is None
-            assert sink.emit("e2") is not None  # the disabling emit
-        messages = [r.message for r in caplog.records]
-        assert any(m.startswith("sink_disabled sink='Broken'") for m in messages)
 

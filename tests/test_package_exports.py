@@ -43,9 +43,15 @@ REMOVED = {
     "repro.ml": ("batch_bin_right", "histogram_log_densities"),
     "repro.nn": ("Dropout", "BatchNorm1d", "StepLR", "ExponentialLR", "EarlyStopping"),
     "repro.novelty": ("AutoencoderDetector", "KNNDetector", "HBOS", "LODA"),
-    "repro.serve": ("ShadowEvaluator", "ShadowTrial", "ShadowVerdict", "MetricsEvent"),
+    "repro.serve": (
+        "ShadowEvaluator", "ShadowTrial", "ShadowVerdict", "MetricsEvent",
+        "configure_logging", "get_logger", "log_event", "logger",
+    ),
     "repro.serve.lifecycle": ("ShadowEvaluator", "ShadowTrial", "ShadowVerdict"),
-    "repro.serve.telemetry": ("MemoryProfiler", "read_rss_bytes", "MetricsEvent"),
+    "repro.serve.telemetry": (
+        "MemoryProfiler", "read_rss_bytes", "MetricsEvent",
+        "configure_logging", "get_logger", "log_event", "logger",
+    ),
 }
 
 #: deleted command-line surface: each invocation must be a usage error
@@ -65,6 +71,9 @@ REMOVED_INVOCATIONS = [
     ["serve", "--detector", "knn"],
     ["serve", "--detector", "hbos"],
     ["serve", "--detector", "loda"],
+    ["serve", "--log-level", "info"],
+    ["serve", "report", "R", "--budget", "score=1"],
+    ["serve", "report", "R", "--budget-metric", "p95"],
 ]
 
 
