@@ -148,12 +148,26 @@ class TestResilientSink:
 
     def test_close_failures_are_swallowed(self):
         sink = ResilientSink(_AlwaysRaises())
-        with pytest.warns(
-            UserWarning, match=r"closing _AlwaysRaises failed: OSError\('pager offline'\)"
-        ):
+        with pytest.warns(UserWarning):
             sink.close()  # must not raise
         assert isinstance(sink.last_error_, IOError)
+
+    def test_close_failure_warns_with_the_sink_and_error(self):
+        class _CloseRaises(ListSink):
+            def close(self):
+                raise OSError("pager offline")
+
+        inner = _CloseRaises()
+        sink = ResilientSink(inner)
+        sink.emit("a")
+        assert sink.n_errors_ == 0
+        with pytest.warns(
+            UserWarning, match=r"closing _CloseRaises failed: OSError\('pager offline'\)"
+        ):
+            sink.close()
         assert sink.n_errors_ == 1
+        assert not sink.disabled_
+        assert inner.events == ["a"]
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError, match="retries"):

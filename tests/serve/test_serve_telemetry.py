@@ -21,7 +21,9 @@ from repro.datasets.registry import load_dataset
 from repro.datasets.streaming import FlowStream
 from repro.novelty import IsolationForest
 from repro.serve.drift import DriftMonitor
+from repro.serve.faults import SinkDisabled
 from repro.serve.service import DetectionService
+from repro.serve.sinks import ListSink
 from repro.serve.telemetry import (
     Counter,
     Gauge,
@@ -227,4 +229,26 @@ class TestServiceTelemetry:
         }
         # The report still works off the wall-clock timer fallback.
         assert service.report().throughput_samples_per_sec > 0
+
+    def test_disabled_sink_shows_in_the_report(self, stream_setup):
+        class Broken:
+            def emit(self, event):
+                raise OSError("disk full")
+
+            def close(self):
+                pass
+
+        dataset, _, detector = stream_setup
+        healthy = ListSink()
+        service = DetectionService(
+            detector, threshold="auto", sinks=[Broken(), healthy]
+        )
+        stream = FlowStream(dataset, batch_size=97, random_state=0)
+        report = service.run(stream)
+        assert report.n_alerts > 0
+        assert report.n_disabled_sinks == 1
+        assert report.to_dict()["n_disabled_sinks"] == 1
+        assert "disabled sinks: 1" in report.summary()
+        notices = [e for e in healthy.events if isinstance(e, SinkDisabled)]
+        assert [n.sink for n in notices] == ["Broken"]
 
