@@ -144,9 +144,12 @@ class OneClassSVM(NoveltyDetector):
             return np.empty(0)
         # Blockwise feature map: rows are independent, so mapping and scoring
         # block_size rows at a time bounds peak memory without changing the
-        # result.
+        # result.  The per-row reduction (not a gemv, whose summation order
+        # depends on the block's length) keeps each row's score independent
+        # of the block it lands in.
         scores = np.empty(n)
         for start in range(0, n, self.block_size):
             stop = min(start + self.block_size, n)
-            scores[start:stop] = self.rho_ - self._transform(X[start:stop]) @ self.weights_
+            features = self._transform(X[start:stop])
+            scores[start:stop] = self.rho_ - (features * self.weights_).sum(axis=1)
         return scores

@@ -36,11 +36,11 @@ Usage examples::
     # observability: per-stage span traces and an auditable run directory
     # (events.jsonl + run_summary.json + trace.jsonl + report.json/.md);
     # `serve report` re-renders the report after the fact, `repro trace`
-    # analyzes the span tree and is the per-stage latency budget gate
+    # prints the per-stage span table and is the p95 latency budget gate
     repro serve --dataset wustl_iiot --detector iforest \
         --trace-file ./trace.jsonl --run-dir ./run
     repro serve report ./run
-    repro trace ./run/trace.jsonl --view tree --budget batch=100
+    repro trace ./run/trace.jsonl --budget batch=100
 
     # live introspection: /metrics (Prometheus), /health (heartbeat
     # watchdog), /status (JSON summary)
@@ -200,8 +200,8 @@ def _parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="analyze span-JSONL trace files: tree, per-stage stats, "
-        "critical paths, latency budgets",
+        help="analyze span-JSONL trace files: per-stage stats and p95 "
+        "latency budgets",
     )
     traceview.configure_parser(trace)
 
@@ -356,6 +356,14 @@ def _write_run_artifacts(
     print(f"run report: {payload['overall']} -> {run_dir / 'report.md'}")
 
 
+def _print_recovered(events) -> None:
+    for event in events:
+        print(
+            f"registry recovered: {event.name}/{event.version_dir} "
+            f"quarantined ({event.reason})"
+        )
+
+
 def _run_serve_report(args: argparse.Namespace) -> int:
     try:
         report = render_run_report(args.run_dir)
@@ -398,11 +406,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     normal = dataset.normal_data()
     registry = ModelRegistry(args.registry) if args.registry is not None else None
     if registry is not None:
-        for event in registry.recovered_:
-            print(
-                f"registry recovered: {event.name}/{event.version_dir} "
-                f"quarantined ({event.reason})"
-            )
+        _print_recovered(registry.recovered_)
 
     served_name: str | None = None
     serving_version: int | None = None
@@ -438,11 +442,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                 # a restart would run; the fitted detector in memory keeps
                 # serving either way.
                 print(f"fault injection: {FaultInjector.tear_version(info.path)}")
-                for event in registry.recover(info.name):
-                    print(
-                        f"registry recovered: {event.name}/{event.version_dir} "
-                        f"quarantined ({event.reason})"
-                    )
+                _print_recovered(registry.recover(info.name))
                 serving_version = None
 
     try:
@@ -573,46 +573,30 @@ def _run_serve(args: argparse.Namespace) -> int:
     if tracer is not None:
         tracer.close()
         print(f"{tracer.n_spans} spans traced to {tracer.path}")
-    if interrupted:
-        # service.run's finally already closed the sinks; flush the partial
-        # report (and the partial run artifacts) so an operator still sees
-        # what was processed, then exit with the conventional signal code —
-        # no raw traceback.
-        report = service.report()
-        print(report.summary())
-        if args.run_dir is not None:
-            _write_run_artifacts(
-                args,
-                service=service,
-                report=report,
-                dataset=dataset,
-                detector=detector,
-                registry=registry,
-                model_name=served_name,
-                serving_version=serving_version,
-            )
-        signal_name = "SIGINT" if interrupted == 130 else "SIGTERM"
-        print(f"interrupted by {signal_name}; partial report above")
-        return interrupted
+    # service.run's finally already closed the sinks; an interrupted run
+    # still flushes its partial report (and the partial run artifacts) so an
+    # operator sees what was processed, then exits with the conventional
+    # signal code — no raw traceback.
     report = service.report()
     print(report.summary())
-    if lifecycle is not None:
-        for event in lifecycle.events:
-            outcome = "swapped" if event.swapped else "kept current model"
-            version = (
-                f", published v{event.published_version}"
-                if event.published_version is not None
-                else ""
-            )
-            reason = f" ({event.reason})" if event.reason else ""
-            print(
-                f"lifecycle: {event.action} on {event.n_window_rows} clean "
-                f"rows -> {outcome} (epoch {event.epoch}{version}){reason}"
-            )
-        if not lifecycle.events:
-            print("lifecycle: no drift fired; model unchanged")
-    if args.alerts is not None:
-        print(f"events written to {args.alerts}")
+    if not interrupted:
+        if lifecycle is not None:
+            for event in lifecycle.events:
+                outcome = "swapped" if event.swapped else "kept current model"
+                version = (
+                    f", published v{event.published_version}"
+                    if event.published_version is not None
+                    else ""
+                )
+                reason = f" ({event.reason})" if event.reason else ""
+                print(
+                    f"lifecycle: {event.action} on {event.n_window_rows} clean "
+                    f"rows -> {outcome} (epoch {event.epoch}{version}){reason}"
+                )
+            if not lifecycle.events:
+                print("lifecycle: no drift fired; model unchanged")
+        if args.alerts is not None:
+            print(f"events written to {args.alerts}")
     if args.run_dir is not None:
         _write_run_artifacts(
             args,
@@ -624,7 +608,10 @@ def _run_serve(args: argparse.Namespace) -> int:
             model_name=served_name,
             serving_version=serving_version,
         )
-    return 0
+    if interrupted:
+        signal_name = "SIGINT" if interrupted == 130 else "SIGTERM"
+        print(f"interrupted by {signal_name}; partial report above")
+    return interrupted
 
 
 def _run_registry(args: argparse.Namespace) -> int:

@@ -104,8 +104,6 @@ class LifecycleManager:
         Below this many buffered rows a refit is not attempted (the window
         would under-determine the model); the manager reloads from the
         registry instead, when one is configured.
-    publish:
-        Set ``False`` to swap accepted candidates without publishing them.
     serving_version:
         Registry version of the model currently being served, when known
         (the CLI passes the version it published or loaded).  The reload
@@ -127,7 +125,6 @@ class LifecycleManager:
         registry: Any = None,
         model_name: str | None = None,
         min_refit_rows: int = 256,
-        publish: bool = True,
         serving_version: int | None = None,
         sinks: Sequence[Any] = (),
     ) -> None:
@@ -145,7 +142,6 @@ class LifecycleManager:
         self.registry = registry
         self.model_name = model_name
         self.min_refit_rows = min_refit_rows
-        self.publish = publish
         self.serving_version = serving_version
         self.sinks = wrap_sinks(sinks)
         self.events: list[LifecycleEvent] = []
@@ -277,7 +273,7 @@ class LifecycleManager:
         gate_result: GateResult,
     ) -> int | None:
         """Publish an accepted candidate to the registry, when configured."""
-        if not (self.publish and self.registry is not None and self.model_name):
+        if self.registry is None or not self.model_name:
             return None
         lifecycle_meta = {
             "policy": self.policy.name,

@@ -150,8 +150,7 @@ class BatchResult:
     latency_s: float
     model_epoch: int = 0
     #: Row indices (within the incoming batch) diverted to quarantine before
-    #: scoring — non-finite rows, or the whole batch when its feature width
-    #: broke the stream contract and ``quarantine_wrong_width`` is enabled.
+    #: scoring — rows with a non-finite feature.
     #: Quarantined rows never reach the detector, the rolling threshold, the
     #: drift monitor or the refit window, and do not consume sample indices.
     quarantined: tuple[int, ...] = ()
@@ -253,13 +252,6 @@ class DetectionService:
         retried, then disabled after repeated consecutive failures (a
         ``sink_disabled`` event reaches the surviving sinks) — a broken
         pager must never kill the scoring loop.
-    quarantine_wrong_width:
-        Diagnosed poison rows — any row with a non-finite feature — are
-        *always* diverted to quarantine before scoring (a
-        :class:`~repro.serve.faults.QuarantinedRows` event records their
-        indices).  Set this flag to additionally quarantine a whole batch
-        whose feature width breaks the stream contract instead of raising;
-        the strict default keeps the historical error behavior.
     lifecycle:
         Optional :class:`~repro.serve.lifecycle.LifecycleManager` that owns
         the full drift reaction: every scored batch feeds its clean-window
@@ -296,7 +288,6 @@ class DetectionService:
         drift_monitor: DriftMonitor | None = None,
         sinks: Sequence[Any] = (),
         lifecycle: Any = None,
-        quarantine_wrong_width: bool = False,
         telemetry: MetricsRegistry | None = None,
         tracer: SpanTracer | SpanBuffer | None = None,
     ) -> None:
@@ -319,7 +310,6 @@ class DetectionService:
         self.drift_monitor = drift_monitor
         self.sinks = wrap_sinks(sinks)
         self.lifecycle = lifecycle
-        self.quarantine_wrong_width = quarantine_wrong_width
         self.telemetry = MetricsRegistry() if telemetry is None else telemetry
         self.tracer = tracer
         self.trace_context = None if tracer is None else TraceContext.root()
@@ -498,18 +488,6 @@ class DetectionService:
     def _process_batch(self, X: np.ndarray, batch_span: trace_span) -> BatchResult:
         """The ``batch``-span body: quarantine, score, threshold, drift."""
         ctx = batch_span.ctx
-        if self.quarantine_wrong_width:
-            raw = np.asarray(X)
-            if (
-                raw.ndim == 2
-                and self.n_features_ is not None
-                and raw.shape[1] != self.n_features_
-            ):
-                return self._quarantine_batch(
-                    int(raw.shape[0]),
-                    f"batch has {raw.shape[1]} features, "
-                    f"stream started with {self.n_features_}",
-                )
         X = self._validate_once(X)
         quarantined: tuple[int, ...] = ()
         quarantine_reason: str | None = None
@@ -624,38 +602,6 @@ class DetectionService:
             model_epoch=model_epoch,
             quarantined=quarantined,
             quarantine_reason=quarantine_reason,
-        )
-
-    def _quarantine_batch(self, n_rows: int, reason: str) -> BatchResult:
-        """Divert a whole contract-breaking batch to quarantine.
-
-        Mirrors the zero-row path — the batch is counted, nothing is scored,
-        the threshold is ``nan`` — plus a :class:`QuarantinedRows` event
-        naming every row.
-        """
-        batch_index = self.n_batches_
-        indices = tuple(range(n_rows))
-        self.n_quarantined_ += n_rows
-        self._m_quarantined.inc(n_rows)
-        self._emit(
-            QuarantinedRows(
-                batch_index=batch_index, row_indices=indices, reason=reason
-            )
-        )
-        self.n_batches_ += 1
-        self._m_batches.inc()
-        self._m_batch_rows.observe(0.0)
-        return BatchResult(
-            index=batch_index,
-            scores=np.empty(0, dtype=np.float64),
-            predictions=np.empty(0, dtype=np.int64),
-            threshold=float("nan"),
-            alerts=(),
-            drift=None,
-            latency_s=0.0,
-            model_epoch=self.epoch_,
-            quarantined=indices,
-            quarantine_reason=reason,
         )
 
     # -- stream consumption ------------------------------------------------------

@@ -15,8 +15,8 @@ The observability substrate for :mod:`repro.serve`, in five pieces:
   carries deterministic ``trace_id``/``span_id``/``parent_span_id`` ids
   (:class:`SpanBuffer` keeps spans in memory instead of a file).
 * :mod:`~repro.serve.telemetry.traceview` — the ``repro trace`` analyzer,
-  the one reader of span files: tree reconstruction, per-stage
-  aggregation, critical paths and the ``--budget`` latency gate.
+  the one reader of span files: the per-stage aggregation table and the
+  ``--budget`` p95 latency gate.
 * :mod:`~repro.serve.telemetry.statusd` / :mod:`~repro.serve.telemetry.exposition`
   — the opt-in live introspection endpoint (``serve --status-port``):
   :class:`StatusServer` answers ``/metrics`` (:func:`render_prometheus`),
@@ -50,13 +50,7 @@ from .report import (
 )
 from .statusd import HeartbeatWatchdog, StatusServer
 from .tracing import SpanBuffer, SpanTracer, trace_span
-from .traceview import (
-    build_forest,
-    critical_path,
-    stage_aggregate,
-    stage_multiset,
-    tree_shape,
-)
+from .traceview import stage_aggregate
 
 __all__ = [
     "Counter",
@@ -69,19 +63,15 @@ __all__ = [
     "SpanTracer",
     "StatusServer",
     "TraceContext",
-    "build_forest",
     "build_report",
     "build_run_summary",
     "config_sha256",
-    "critical_path",
     "load_run_dir",
     "log_spaced_buckets",
     "render_markdown",
     "render_prometheus",
     "render_run_report",
     "stage_aggregate",
-    "stage_multiset",
     "trace_span",
-    "tree_shape",
     "write_report_files",
 ]

@@ -26,9 +26,9 @@ DETECTOR_FACTORIES = {
     "mahalanobis": lambda: MahalanobisDetector(),
     # Non-default configurations: each takes a code path the defaults above
     # skip (no training cap, ragged last neighbour block, integer rank,
-    # unshrunk covariance, explicit kernel width, small isolation subsample,
-    # narrow representations scored in ragged blocks) and must honour the
-    # same contract.
+    # unshrunk covariance, explicit kernel width, ragged random-feature
+    # scoring blocks, small isolation subsample, narrow representations
+    # scored in ragged blocks) and must honour the same contract.
     "lof-uncapped-blocked": lambda: LocalOutlierFactor(
         n_neighbors=5, max_train_samples=None, block_size=33, random_state=1
     ),
@@ -36,6 +36,10 @@ DETECTOR_FACTORIES = {
     "mahalanobis-unshrunk": lambda: MahalanobisDetector(shrinkage=0.0, threshold_quantile=0.75),
     "ocsvm-fixed-gamma": lambda: OneClassSVM(
         nu=0.05, gamma=0.2, n_features_rff=64, n_epochs=5, batch_size=50, random_state=1
+    ),
+    "ocsvm-blocked": lambda: OneClassSVM(
+        nu=0.05, gamma=0.2, n_features_rff=64, n_epochs=5, batch_size=50,
+        block_size=37, random_state=1,
     ),
     "iforest-small-subsample": lambda: IsolationForest(
         n_estimators=20, max_samples=32, threshold_quantile=0.75, random_state=3

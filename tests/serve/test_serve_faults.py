@@ -528,23 +528,6 @@ class TestQuarantine:
         with pytest.raises(ValueError, match="features"):
             service.process_batch(normal[:8, :-1])
 
-    def test_wrong_width_batch_quarantined_when_opted_in(self, fitted):
-        _, normal, detector = fitted
-        sink = ListSink()
-        service = DetectionService(
-            detector, threshold="auto", sinks=[sink], quarantine_wrong_width=True
-        )
-        service.process_batch(normal[:8])
-        result = service.process_batch(normal[:6, :-1])
-        assert result.quarantined == tuple(range(6))
-        assert "features" in result.quarantine_reason
-        assert result.scores.size == 0 and np.isnan(result.threshold)
-        # The stream stays serviceable after the bad producer goes away.
-        good = service.process_batch(normal[8:16])
-        assert good.scores.shape[0] == 8
-        assert service.report().n_quarantined == 6
-        assert any(isinstance(e, QuarantinedRows) for e in sink.events)
-
     def test_fully_poisoned_batch_keeps_the_report_strict_json(self, fitted):
         _, normal, detector = fitted
         service = DetectionService(detector, threshold="rolling")

@@ -51,6 +51,7 @@ REMOVED = {
     "repro.serve.telemetry": (
         "MemoryProfiler", "read_rss_bytes", "MetricsEvent",
         "configure_logging", "get_logger", "log_event", "logger",
+        "build_forest", "critical_path", "stage_multiset", "tree_shape",
     ),
 }
 
@@ -74,6 +75,8 @@ REMOVED_INVOCATIONS = [
     ["serve", "--log-level", "info"],
     ["serve", "report", "R", "--budget", "score=1"],
     ["serve", "report", "R", "--budget-metric", "p95"],
+    ["trace", "F", "--view", "tree"],
+    ["trace", "F", "--budget-metric", "p50"],
 ]
 
 
