@@ -96,9 +96,10 @@ class ContinualFeatureExtractor:
         return len(self._past_models)
 
     def encode(self, X: np.ndarray) -> np.ndarray:
-        """Embed (already scaled) inputs with the current encoder."""
+        """Embed (already scaled) inputs with the current encoder, in eval mode."""
         X = check_array(X, name="X", allow_empty=True)
-        self.autoencoder.eval()
+        if self.autoencoder.training:
+            self.autoencoder.eval()
         if X.shape[0] == 0:
             return np.empty((0, self.latent_dim))
         return self.autoencoder.encode(X)

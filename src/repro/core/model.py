@@ -203,16 +203,29 @@ class CNDIDS(ContinualMethod):
 
     # -- Algorithm 1, test steps ----------------------------------------------------
     def score_samples(self, X: np.ndarray) -> np.ndarray:
-        """Anomaly score per sample: PCA feature reconstruction error of the CFE embedding."""
+        """Anomaly score per sample: PCA feature reconstruction error of the CFE embedding.
+
+        The scores are the same bits as
+        ``pca_.reconstruction_error(cfe.encode(scaler.transform(X)))``, and
+        every input that chain rejects raises the same ``ValueError``.  ``X``
+        is checked once, here (shape, width, finite values), and standardised
+        into one new array without the scaler's second check.  Two finite
+        checks follow on arrays this call creates: ``cfe.encode`` checks the
+        standardised rows, which overflow when a finite feature lies far
+        outside the clean-normal spread, and the embedding is checked here
+        (the check ``pca_.reconstruction_error`` makes) before its PCA
+        residual is formed in place.  ``X`` is never written to, and no
+        batch-sized array is kept.
+        """
         if self.pca_ is None:
             raise RuntimeError("CND-IDS has not been fitted on any experience yet")
         X = check_array(X, name="X", allow_empty=True)
         check_n_features(X, self.input_dim, fitted_with="CND-IDS was built")
         if X.shape[0] == 0:
             return np.empty(0)
-        X_scaled = self.scaler.transform(X)
-        encoded = self.cfe.encode(X_scaled)
-        return self.pca_.reconstruction_error(encoded)
+        encoded = check_array(self.cfe.encode(self.scaler._standardise(X)), name="X")
+        # The embedding is this call's own array, so the residual is formed in it.
+        return self.pca_._reconstruction_error(encoded, overwrite=True)
 
     def predict(self, X: np.ndarray, y_true: np.ndarray | None = None) -> np.ndarray:
         """Binary predictions via the configured thresholding strategy.

@@ -113,6 +113,14 @@ class PCA:
         check_fitted(self, "components_")
         X = check_array(X, name="X", allow_empty=True)
         check_n_features(X, self.mean_.shape[0], fitted_with="PCA was fitted")
-        residual = X - self.mean_
+        return self._reconstruction_error(X)
+
+    def _reconstruction_error(self, X: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+        """:meth:`reconstruction_error` of checked rows.
+
+        With ``overwrite`` the residual is formed in ``X`` itself, which the
+        caller must own; otherwise ``X`` is left as it is.
+        """
+        residual = np.subtract(X, self.mean_, out=X if overwrite else None)
         residual -= (residual @ self.components_.T) @ self.components_
         return np.einsum("ij,ij->i", residual, residual)

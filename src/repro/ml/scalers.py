@@ -32,7 +32,13 @@ class StandardScaler:
         check_fitted(self, "mean_")
         X = check_array(X, name="X", allow_empty=True)
         check_n_features(X, self.mean_.shape[0], fitted_with="scaler was fitted")
-        return (X - self.mean_) / self.scale_
+        return self._standardise(X)
+
+    def _standardise(self, X: np.ndarray) -> np.ndarray:
+        """``(X - mean_) / scale_`` of checked rows, into one new array."""
+        out = X - self.mean_
+        out /= self.scale_
+        return out
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)

@@ -84,7 +84,8 @@ class ReLU(Module):
     NaN inputs propagate as NaN (PyTorch's semantics); every other input,
     signed zeros and infinities included, maps to ``np.where(x > 0, x, 0.0)``
     bit for bit.  Only training-mode forwards keep the mask for ``backward``;
-    eval mode keeps no backward state.
+    eval mode keeps no backward state.  ``forward(x, out=x)`` overwrites
+    ``x`` with the result (the mask is taken first).
     """
 
     _snapshot_transient_ = ("_mask",)
@@ -93,10 +94,10 @@ class ReLU(Module):
         super().__init__()
         self._mask: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.training:
             self._mask = x > 0
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=out)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -178,8 +179,23 @@ class Sequential(Module):
         self.layers = list(layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Apply the layers in order.
+
+        A :class:`ReLU` that directly follows a :class:`Linear` writes its
+        result into the new array that ``Linear`` returned, instead of
+        allocating another; in training mode it takes its mask first.  The
+        values are the same bits either way.  Anywhere else, and for
+        subclasses of either, every layer returns a new array, so the
+        caller's ``x`` is never written to, even when the first layer is a
+        ``ReLU``.
+        """
+        previous: Module | None = None
         for layer in self.layers:
-            x = layer(x)
+            if type(layer) is ReLU and type(previous) is Linear:
+                x = layer.forward(x, out=x)
+            else:
+                x = layer(x)
+            previous = layer
         return x
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -375,6 +375,16 @@ def _run_serve_report(args: argparse.Namespace) -> int:
     return 0 if report["overall"] != "NOT_MET" else 1
 
 
+def _require_continual(detector: object) -> None:
+    """Exit unless ``detector`` can be refitted by ``--refit continual``."""
+    if not (hasattr(detector, "update") or hasattr(detector, "fit_experience")):
+        raise SystemExit(
+            "--refit continual requires a continual method with an "
+            "update()/fit_experience() path; the built-in CLI detectors "
+            "are static novelty detectors (use --refit full)"
+        )
+
+
 def _run_serve(args: argparse.Namespace) -> int:
     # Validate flag combinations before any dataset/fit work: a flag typo
     # must not cost a training run.
@@ -388,6 +398,9 @@ def _run_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--status-port must be >= 0 (0 picks a free port)")
     if args.health_deadline <= 0:
         raise SystemExit("--health-deadline must be positive")
+    if args.refit == "continual" and args.model is None:
+        # An unfitted factory instance answers this as well as a fitted one.
+        _require_continual(DETECTOR_FACTORIES[args.detector]())
     if args.run_dir is not None:
         args.run_dir.mkdir(parents=True, exist_ok=True)
         if args.trace_file is None:
@@ -464,14 +477,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     lifecycle = None
     if args.refit != "off":
-        if args.refit == "continual" and not (
-            hasattr(detector, "update") or hasattr(detector, "fit_experience")
-        ):
-            raise SystemExit(
-                "--refit continual requires a continual method with an "
-                "update()/fit_experience() path; the built-in CLI detectors "
-                "are static novelty detectors (use --refit full)"
-            )
+        if args.refit == "continual" and args.model is not None:
+            _require_continual(detector)
         if args.refit == "full":
             # A locally fitted detector refits via its factory; a registry
             # model's hyper-parameters survive the snapshot clone instead.

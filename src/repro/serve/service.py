@@ -470,8 +470,10 @@ class DetectionService:
 
         The whole batch runs under one ``batch`` span; with a trace context
         the stage spans inside nest under it, so every batch forms one
-        subtree of the trace.  The heartbeat watchdog (when attached) beats
-        once per completed batch, outside the span.
+        subtree of the trace.  When the batch fires the drift monitor, the
+        lifecycle's reaction (refit, gate, publish, swap) runs after that
+        span closes, so the span times serving alone.  The heartbeat
+        watchdog (when attached) beats once per completed batch, after both.
         """
         with trace_span(
             "batch",
@@ -481,12 +483,15 @@ class DetectionService:
             context=self.trace_context,
         ) as batch_span:
             result = self._process_batch(X, batch_span)
+        drift = result.drift
+        if self.lifecycle is not None and drift is not None and drift.drifted:
+            self.lifecycle.handle_drift(self, drift)
         if self.heartbeat is not None:
             self.heartbeat.beat()
         return result
 
     def _process_batch(self, X: np.ndarray, batch_span: trace_span) -> BatchResult:
-        """The ``batch``-span body: quarantine, score, threshold, drift."""
+        """The ``batch``-span body: quarantine, score, threshold, drift check."""
         ctx = batch_span.ctx
         X = self._validate_once(X)
         quarantined: tuple[int, ...] = ()
@@ -517,7 +522,6 @@ class DetectionService:
                 )
         batch_index = self.n_batches_
         offset = self.n_samples_
-        model_epoch = self.epoch_  # a drift-triggered swap below must not retag
         accumulated = self.timer.total
         n_rows = int(X.shape[0])
         batch_span.rows = n_rows
@@ -580,8 +584,6 @@ class DetectionService:
             self._m_drift.inc()
             self.drift_batches_.append(batch_index)
             self._emit(DriftEvent(batch_index=batch_index, report=drift_report))
-            if self.lifecycle is not None:
-                self.lifecycle.handle_drift(self, drift_report)
 
         self.n_batches_ += 1
         self.n_samples_ += int(scores.shape[0])
@@ -599,7 +601,7 @@ class DetectionService:
             alerts=alerts,
             drift=drift_report,
             latency_s=latency,
-            model_epoch=model_epoch,
+            model_epoch=self.epoch_,
             quarantined=quarantined,
             quarantine_reason=quarantine_reason,
         )

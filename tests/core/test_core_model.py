@@ -241,6 +241,38 @@ class TestCNDIDSScoringTolerance:
         np.testing.assert_array_equal(loaded.score_samples(X), model.score_samples(X))
 
 
+class TestCNDIDSScoringPath:
+    """``score_samples`` checks once and works in place, with the public chain's bits."""
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 1024, 2049])
+    def test_scores_are_the_bytes_of_the_public_chain(self, fitted_model, n_rows):
+        model, scenario = fitted_model
+        rows = np.random.default_rng(n_rows).integers(0, scenario[0].n_test, size=n_rows)
+        X = scenario[0].X_test[rows]
+        chain = model.pca_.reconstruction_error(model.cfe.encode(model.scaler.transform(X)))
+        assert model.score_samples(X).tobytes() == chain.tobytes()
+
+    def test_read_only_input_is_accepted_and_left_alone(self, fitted_model):
+        model, scenario = fitted_model
+        X = scenario[0].X_test[:64].copy()
+        X.setflags(write=False)
+        before = X.tobytes()
+        scores = model.score_samples(X)
+        assert X.tobytes() == before
+        assert scores.tobytes() == model.score_samples(X.copy()).tobytes()
+
+    def test_finite_row_that_overflows_when_standardised_is_rejected(self, fitted_model):
+        model, scenario = fitted_model
+        feature = int(np.argmin(model.scaler.scale_))
+        assert model.scaler.scale_[feature] < 0.5  # so -1e308 / scale_ overflows
+        X = scenario[0].X_test[:4].copy()
+        X[2, feature] = -1e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="NaN or infinite values"
+        ):
+            model.score_samples(X)
+
+
 class TestCNDIDSContinualBehaviour:
     def test_multiple_experiences_update_detector(self, tiny_scenario_module):
         scenario = tiny_scenario_module

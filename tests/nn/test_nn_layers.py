@@ -244,6 +244,46 @@ class TestSequential:
         assert len(model) == 2
         assert model[1] is relu
 
+    def test_training_stack_matches_numpy_reference_bytes(self):
+        """The ReLU that writes into the ``Linear`` output keeps the textbook
+        forward and gradients, byte for byte, pass after pass."""
+        rng = np.random.default_rng(3)
+        first, second = Linear(6, 16, random_state=0), Linear(16, 4, random_state=1)
+        first.bias.value[:] = rng.normal(size=16)
+        model = Sequential(first, ReLU(), second).train()
+        for _ in range(2):  # the second pass must not reuse the first one's mask
+            x, grad = rng.normal(size=(32, 6)), rng.normal(size=(32, 4))
+            model.zero_grad()
+            out = model(x)
+            model.backward(grad)
+            w1, b1, w2, b2 = (p.value for p in model.parameters())
+            h = x @ w1 + b1
+            a = np.where(h > 0, h, 0.0)
+            grad_h = (grad @ w2.T) * (h > 0)
+            expected = [
+                a @ w2 + b2,
+                np.zeros_like(w1) + x.T @ grad_h,
+                np.zeros_like(b1) + grad_h.sum(axis=0),
+                np.zeros_like(w2) + a.T @ grad,
+                np.zeros_like(b2) + grad.sum(axis=0),
+            ]
+            actual = [out, *(p.grad for p in model.parameters())]
+            for got, want in zip(actual, expected):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_leading_relu_never_writes_into_the_input(self, mode):
+        x = np.array([[-1.0, 2.0], [3.0, -4.0]])
+        x.setflags(write=False)
+        model = Sequential(ReLU(), Linear(2, 3, random_state=0), ReLU())
+        getattr(model, mode)()
+        out = model(x)
+        np.testing.assert_array_equal(x, [[-1.0, 2.0], [3.0, -4.0]])
+        layer = model[1]
+        np.testing.assert_array_equal(
+            out, np.maximum(np.maximum(x, 0.0) @ layer.weight.value + layer.bias.value, 0.0)
+        )
+
     def test_end_to_end_gradient_check(self):
         rng = np.random.default_rng(9)
         model = Sequential(Linear(3, 6, random_state=0), Tanh(), Linear(6, 2, random_state=1))

@@ -788,6 +788,21 @@ class TestRefitReloadCli:
         with pytest.raises(SystemExit, match="--refit reload requires --registry"):
             main(["serve", "--refit", "reload", "--registry", str(tmp_path)])
 
+    def test_refit_continual_is_rejected_before_the_fit(self, tmp_path, capsys):
+        """A built-in detector fails ``--refit continual`` before it is fitted
+        or published, so the refused run leaves no version behind."""
+        from repro.serve.cli import main
+
+        registry_dir = tmp_path / "registry"
+        with pytest.raises(SystemExit, match="--refit continual requires a continual method"):
+            main([
+                "serve", "--scale", "0.002", "--detector", "iforest",
+                "--refit", "continual", "--registry", str(registry_dir), "--publish",
+            ])
+        out = capsys.readouterr().out
+        assert "fitted" not in out and "published" not in out
+        assert ModelRegistry(registry_dir).models() == []
+
 
 # ---------------------------------------------------------------------------
 # Degenerate streams through the lifecycle path (satellite)

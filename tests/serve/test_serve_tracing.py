@@ -283,6 +283,21 @@ class TestStageSet:
         scraped = _histogram_stages(server.telemetry.snapshot())
         assert traced | scraped == EXPECTED_STAGES
 
+    def test_refit_runs_outside_the_batch_spans(self, run):
+        """A ``batch`` span times serving only: the drift reaction follows it."""
+        _, _, tracer, _ = run
+        batches = [
+            (span["t_offset_s"], span["t_offset_s"] + span["seconds"])
+            for span in tracer.spans
+            if span["stage"] == "batch"
+        ]
+        refits = [span for span in tracer.spans if span["stage"] == "refit"]
+        assert batches and refits
+        for refit in refits:
+            start = refit["t_offset_s"]
+            end = start + refit["seconds"]
+            assert not any(lo < end and start < hi for lo, hi in batches)
+
 
 class TestCliTracerCleanup:
     def test_tracer_closed_when_stream_raises(self, tmp_path, monkeypatch):
