@@ -15,12 +15,10 @@ End-to-end and per-layer numbers live in ``perfbench/``.
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.analysis import LintContext, build_project, run_lint
 from repro.core import CNDLossConfig, ContinualFeatureExtractor, compute_pseudo_labels
 from repro.ml import PCA, KMeans, pairwise_squared_euclidean
 from repro.novelty import (
@@ -118,9 +116,6 @@ def test_bench_static_detector_scoring(benchmark, detector_factory):
 # ---------------------------------------------------------------------------
 # structural bounds
 # ---------------------------------------------------------------------------
-
-SRC_TREE = Path(__file__).resolve().parent.parent / "src" / "repro"
-
 
 def _best_seconds(fn, *, repeats: int = 3, inner: int = 1) -> float:
     """Best per-call wall time of ``fn`` over ``repeats`` loops of ``inner`` calls."""
@@ -302,12 +297,3 @@ def test_telemetry_unit_costs(iforest):
     assert _best_seconds(
         lambda: render_markdown(build_report(summary, metrics=metrics))
     ) < 1.0
-
-
-def test_lint_cold_run():
-    paths = [SRC_TREE]
-    modules = list(run_lint(paths).context.modules)
-    cold_s = _best_seconds(lambda: run_lint(paths))
-    # The full-tree lint is developer-facing latency in the tier-1 gate.
-    assert len(modules) / cold_s > 5.0
-    assert _best_seconds(lambda: build_project(LintContext(modules=modules))) < 5.0

@@ -8,7 +8,6 @@ Usage::
     python -m repro.experiments.cli serve --dataset wustl_iiot --detector iforest
     python -m repro.experiments.cli registry list --registry ./models
     python -m repro.experiments.cli trace ./run/trace.jsonl --budget score=50
-    python -m repro.experiments.cli lint src/repro --rules RL001,RL003
 
 Each experiment prints its formatted table; ``--output`` additionally writes
 one text file per experiment.  The ``serve`` and ``registry`` subcommands are
@@ -100,10 +99,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.serve.cli import main as serve_main
 
         return serve_main(argv)
-    if argv and argv[0] == "lint":
-        from repro.analysis.cli import main as lint_main
-
-        return lint_main(argv[1:])
     args = _parser().parse_args(argv)
     config = build_config(args)
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]

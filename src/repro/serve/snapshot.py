@@ -298,7 +298,7 @@ def save_snapshot(
         "class": _class_path(type(model)),
         # Audit metadata: when the artifact was written. Never read back into
         # a scoring or decision path; identical snapshots differ only here.
-        "created_at": datetime.now(timezone.utc).isoformat(),  # reprolint: disable=RL001
+        "created_at": datetime.now(timezone.utc).isoformat(),
         "metadata": metadata or {},
         "state": state,
         "objects": encoder.objects,
@@ -378,7 +378,10 @@ def load_snapshot(path: str | Path, *, expected_class: type | None = None) -> An
     arrays: dict[str, np.ndarray] = {}
     if manifest.get("arrays_file"):
         with np.load(path / manifest["arrays_file"], allow_pickle=False) as stored:
-            arrays = {key: stored[key] for key in stored.files}
+            try:
+                arrays = {key: stored[key] for key in stored.files}
+            except ValueError as exc:  # an object array, which only pickle can load
+                raise SnapshotError(f"snapshot at {path} refused: {exc}") from exc
     decoder = _Decoder(manifest.get("objects", []), arrays)
     model = decoder.decode(manifest["state"])
     if expected_class is not None and not isinstance(model, expected_class):

@@ -1,8 +1,8 @@
 """Deterministic trace-context ids for pipeline spans.
 
 A :class:`TraceContext` gives every span a ``trace_id`` / ``span_id`` /
-``parent_span_id`` triple without consulting ``random`` or the wall clock
-(RL001): span ids are *hierarchical dotted paths* allocated from per-context
+``parent_span_id`` triple without consulting ``random`` or the wall clock:
+span ids are *hierarchical dotted paths* allocated from per-context
 counters — the root context hands out ``"1"``, ``"2"``, ...; the context
 under span ``"2"`` hands out ``"2.1"``, ``"2.2"``.  Allocation depends only
 on the order spans open under one context, so two runs of the same stream

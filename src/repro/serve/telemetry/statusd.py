@@ -21,8 +21,8 @@ counts are wall-clock-driven and must never leak into the service
 registry, whose counters are deterministic per stream.
 
 :class:`HeartbeatWatchdog` reads :func:`time.monotonic` — a monotonic
-duration clock, which RL001 sanctions (it measures "how long since the last
-beat", never "what time is it").
+duration clock (it measures "how long since the last beat", never "what
+time is it").
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class HeartbeatWatchdog:
     """Liveness from batch completions: unhealthy after ``deadline_s`` quiet.
 
     The serve loop calls :meth:`beat` after every batch; ``/health``
-    calls :meth:`healthy`.  Uses the monotonic clock (RL001-sanctioned
-    duration measurement — immune to wall-clock steps).
+    calls :meth:`healthy`.  Uses the monotonic clock (a duration
+    measurement, immune to wall-clock steps).
     """
 
     __slots__ = ("deadline_s", "n_beats", "_clock", "_last_beat")

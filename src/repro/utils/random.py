@@ -29,7 +29,7 @@ def check_random_state(seed: int | np.random.Generator | None) -> np.random.Gene
     if seed is None:
         # The documented opt-out: None asks for nondeterminism by name, and
         # every estimator and experiment config defaults to an integer seed.
-        return np.random.default_rng()  # reprolint: disable=RL001
+        return np.random.default_rng()
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, (int, np.integer)):

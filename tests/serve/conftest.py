@@ -7,6 +7,9 @@ empty slice", invalid divides, ...) in this package means NaNs are leaking
 into thresholds or drift statistics, so every test under ``tests/serve`` is
 run with ``RuntimeWarning`` escalated to an error.
 
+Every test must also release the threads it starts: a thread still alive
+after the test returns (and a short grace to finish exiting) fails it.
+
 The :func:`torn_write` fixture injects a torn write into the JSONL
 appender, for the crash-safety tests of ``events.jsonl``, span traces and
 registry lineage.
@@ -16,6 +19,8 @@ from __future__ import annotations
 
 import builtins
 import errno
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -29,6 +34,31 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if str(item.fspath).startswith(str(_SERVE_DIR)):
             item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
+
+
+#: Name prefix of the process-wide row-block pool's threads
+#: (``repro.ml.parallel``): shared by design, started by the first parallel
+#: call and never shut down.
+_SHARED_POOL_PREFIX = "repro-rowblock"
+#: Seconds a test's threads get, together, to finish exiting.
+_THREAD_EXIT_GRACE_S = 2.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a new live thread behind."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + _THREAD_EXIT_GRACE_S
+    leaked = []
+    for thread in threading.enumerate():
+        if thread in before or thread.name.startswith(_SHARED_POOL_PREFIX):
+            continue
+        thread.join(max(0.0, deadline - time.monotonic()))
+        if thread.is_alive():
+            leaked.append(thread.name)
+    if leaked:
+        pytest.fail(f"test left live threads behind: {sorted(leaked)}")
 
 
 class TornWrite:

@@ -107,6 +107,26 @@ def _recording_lines(to_json_line, outputs: list, lines: list):
     return wrapper
 
 
+def _serve(root) -> None:
+    """The serve every test here reads: registry, refit and three faults."""
+    rc = main(
+        [
+            "serve",
+            "--scale", "0.01",
+            "--drift-strength", "4",
+            "--threshold", "rolling",
+            "--registry", str(root / "registry"),
+            "--publish",
+            "--refit", "full",
+            "--inject-faults", FAULTS,
+            "--alerts", str(root / "alerts.jsonl"),
+            "--run-dir", str(root / "run"),
+            "--trace-file", str(root / "run" / "trace.jsonl"),
+        ]
+    )
+    assert rc == 0
+
+
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
     """Serve once; returns the files' records and every ``to_dict`` output."""
@@ -122,21 +142,7 @@ def run(tmp_path_factory):
                     "to_json_line",
                     _recording_lines(cls.to_json_line, outputs[cls], lines[cls]),
                 )
-        rc = main(
-            [
-                "serve",
-                "--scale", "0.01",
-                "--drift-strength", "4",
-                "--threshold", "rolling",
-                "--registry", str(root / "registry"),
-                "--publish",
-                "--refit", "full",
-                "--inject-faults", FAULTS,
-                "--alerts", str(root / "alerts.jsonl"),
-                "--run-dir", str(root / "run"),
-            ]
-        )
-    assert rc == 0
+        _serve(root)
     history_path = root / "registry" / MODEL / "history.jsonl"
     return {
         "root": root,
@@ -272,3 +278,62 @@ def test_each_sink_is_disabled_once(run):
     assert [e["sink"] for e in disabled] == ["RaisingSink"]
     assert run["summary"]["service_report"]["n_disabled_sinks"] == 1
     assert not (run["root"] / "alerts.jsonl").exists()
+
+
+#: Wall-clock fields, the only ones in which two identical serves differ.
+WALL_CLOCK_KEYS = {"refit_latency_s", "created_at", "seconds", "t_offset_s"}
+
+
+def _without_wall_clock(value, root):
+    """``value`` without wall-clock keys, with the run's root path masked."""
+    if isinstance(value, dict):
+        return {
+            key: _without_wall_clock(item, root)
+            for key, item in value.items()
+            if key not in WALL_CLOCK_KEYS
+        }
+    if isinstance(value, list):
+        return [_without_wall_clock(item, root) for item in value]
+    if isinstance(value, str):
+        return value.replace(str(root), "<root>")
+    return value
+
+
+def _deterministic_outputs(root) -> dict:
+    """The run's event and span records, plus every registry file that
+    describes a model: lineage records, manifests and array bytes."""
+    outputs = {
+        name: read_events(root / "run" / name) for name in ("events.jsonl", "trace.jsonl")
+    }
+    for path in sorted((root / "registry").rglob("*")):
+        key = path.relative_to(root).as_posix()
+        if path.name == "history.jsonl":
+            outputs[key] = read_events(path)
+        elif path.name == "manifest.json":
+            outputs[key] = json.loads(path.read_text())
+        elif path.name == "arrays.npz":
+            outputs[key] = path.read_bytes()
+    return _without_wall_clock(outputs, root)
+
+
+def test_two_identical_serves_write_the_same_records(tmp_path):
+    """Every random draw is seeded and no clock reaches a decision.
+
+    The serve runs twice.  Its ``events.jsonl``, ``trace.jsonl`` and
+    registry ``history.jsonl`` must agree record for record, every registry
+    ``manifest.json`` must agree, and every registry ``arrays.npz`` byte for
+    byte, once the wall-clock keys are dropped and the run's own directory
+    is masked (a quarantine record names it).  An unseeded generator on the
+    stream, fault, refit or publish path changes an alert, a quarantined
+    row, a gate statistic or a refitted model here.  ``report.json`` and
+    ``run_summary.json`` are left out: they carry latency histograms.
+    """
+    first, second = tmp_path / "first", tmp_path / "second"
+    _serve(first)
+    _serve(second)
+    expected, actual = _deterministic_outputs(first), _deterministic_outputs(second)
+    assert list(actual) == list(expected)
+    assert sum(key.endswith("arrays.npz") for key in expected) >= 2
+    assert f"registry/{MODEL}/history.jsonl" in expected
+    for key, records in expected.items():
+        assert actual[key] == records, key

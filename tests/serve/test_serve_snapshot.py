@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -268,6 +269,24 @@ class TestManifestFormat:
         with pytest.raises(error) as excinfo:
             load_snapshot(path)
         assert not isinstance(excinfo.value, SnapshotError)
+
+    def test_object_array_refused(self, data, tmp_path):
+        """An object array loads only through pickle, so its snapshot is
+        refused, by path, even when the manifest vouches for its bytes."""
+        X_train, _, _ = data
+        path = MahalanobisDetector().fit(X_train).save(tmp_path / "m")
+        manifest = json.loads((path / "manifest.json").read_text())
+        arrays_path = path / manifest["arrays_file"]
+        with np.load(arrays_path) as stored:
+            arrays = {key: stored[key].astype(object) for key in stored.files}
+        with open(arrays_path, "wb") as handle:
+            np.savez(handle, **arrays)
+        digest = hashlib.sha256(arrays_path.read_bytes()).hexdigest()
+        manifest["artifacts"][manifest["arrays_file"]]["sha256"] = digest
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="Object arrays cannot be loaded") as excinfo:
+            load_snapshot(path)
+        assert str(path) in str(excinfo.value)
 
     def test_overwrite_protection(self, data, tmp_path):
         X_train, _, _ = data

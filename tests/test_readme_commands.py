@@ -10,13 +10,15 @@ must also be an exact option string of that command line's parser tree;
 argparse accepts unambiguous prefixes, so parsing alone would let a
 renamed ``--flag-x`` still pass for ``--flag``.  The same exactness holds
 for every ``--flag`` mentioned in a parser's help, description or epilog.
-Every ``from repro… import …`` in a code block must import.
+Every ``from repro… import …`` in a code block must import.  Every test
+that the README's "Contracts held by tests" table names must exist.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import importlib.util
 import re
 import shlex
 from pathlib import Path
@@ -34,7 +36,6 @@ READMES = sorted(
 
 #: ``python -m`` modules that are command-line entry points (each has ``main``)
 CLI_MODULES = (
-    "repro.analysis.cli",
     "repro.experiments.cli",
     "repro.serve.cli",
     "repro.serve.telemetry.traceview",
@@ -276,3 +277,48 @@ def test_help_texts_name_exact_flags(module, monkeypatch):
         if flag not in known
     )
     assert not unknown, f"help texts name flags the parser does not define: {unknown}"
+
+
+_TEST_ID_RE = re.compile(r"`((?:tests/[\w/]+\.py)?(?:::\w+)*)`")
+
+
+def _contract_rows():
+    """``(rule id, [test ids])`` for each row of the README's contract table;
+    an id that starts with ``::`` continues the previous id's file or class."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Contracts held by tests", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 4 or not re.fullmatch(r"RL\d{3}", cells[0]):
+            continue
+        ids: list[str] = []
+        for test_id in _TEST_ID_RE.findall(cells[2]):
+            if test_id.startswith("::"):
+                test_id = ids[-1].rsplit("::", 1)[0] + test_id
+            ids.append(test_id)
+        rows.append(pytest.param(ids, id=cells[0]))
+    return rows
+
+
+def test_contract_table_covers_every_former_rule():
+    assert sorted(row.id for row in _contract_rows()) == [
+        "RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
+        "RL008", "RL009", "RL010", "RL011", "RL012",
+    ]
+
+
+@pytest.mark.parametrize("test_ids", _contract_rows())
+def test_contract_table_names_existing_tests(test_ids):
+    assert test_ids, "the row names no test"
+    for test_id in test_ids:
+        path, *names = test_id.split("::")
+        assert (REPO_ROOT / path).is_file(), f"{test_id}: no such file"
+        spec = importlib.util.spec_from_file_location(
+            f"_contract_{Path(path).stem}", REPO_ROOT / path
+        )
+        node = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(node)
+        for name in names:
+            assert hasattr(node, name), f"{test_id}: no {name!r}"
+            node = getattr(node, name)
