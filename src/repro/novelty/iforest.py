@@ -10,7 +10,10 @@ layout with one iterative pre-order builder: sibling slots are consecutive,
 leaves self-loop with a ``+inf`` threshold and carry ``depth + c(size)``
 from one ``c(0..psi)`` table.  Each tree partitions an index array over its
 transposed ``(d, psi)`` subsample in place, one slice per node, so no row
-subset is copied per node and no linked nodes exist.
+subset is copied per node and no linked nodes exist.  The builder runs in C
+(:class:`repro.ml.native.ITreeGrower`) when the native kernels are
+available, and as the Python ``_grow_tree`` otherwise; both draw the
+sequence below and grow the same forest bit for bit.
 
 Random-number contract (every fit draws exactly this sequence, so forests
 are reproducible from a seed and a shared generator ends in a known state):
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ml import native
 from repro.ml.flat_tree import FlatForest
 from repro.novelty.base import NoveltyDetector
 from repro.utils.random import check_random_state
@@ -107,6 +111,44 @@ def _grow_tree(
     return tree_depth
 
 
+def _grow_forest(
+    X: np.ndarray, n_trees: int, psi: int, rng: np.random.Generator
+) -> FlatForest:
+    """Grow ``n_trees`` isolation trees on ``psi``-row subsamples of ``X``.
+
+    Each tree grows in C (:class:`repro.ml.native.ITreeGrower`) when the
+    native kernels are available, else in :func:`_grow_tree`; both follow
+    the module's random-number contract.
+    """
+    max_depth = int(np.ceil(np.log2(max(psi, 2))))
+    leaf_length = average_path_length(np.arange(psi + 1))
+    grower = native.itree_grower(rng, X.shape[1], psi, max_depth, leaf_length, n_trees)
+    nodes: tuple[list, list, list, list] = ([], [], [], [])
+    leaf_list = leaf_length.tolist()
+    roots, depths = [], []
+    for _ in range(n_trees):
+        idx = rng.choice(X.shape[0], psi, replace=False)
+        sub = np.ascontiguousarray(X[idx].T)
+        if grower is not None:
+            roots.append(grower.n_nodes)
+            depths.append(grower(sub))
+        else:
+            roots.append(len(nodes[0]))
+            depths.append(_grow_tree(sub, max_depth, leaf_list, rng, nodes))
+    features, thresholds, children, values = nodes if grower is None else grower.nodes()
+    # Strict "<" comparator, leaf payload = depth + c(size).  Every array
+    # owns exactly its nodes: a view would pin the grower's node buffers.
+    return FlatForest(
+        feature=np.array(features, dtype=np.int32),
+        threshold=np.array(thresholds, dtype=np.float64),
+        child=np.array(children, dtype=np.int32),
+        value=np.asarray(values, dtype=np.float64)[:, None].copy(),
+        roots=np.asarray(roots, dtype=np.int64),
+        depths=np.asarray(depths, dtype=np.int64),
+        strict=True,
+    )
+
+
 class IsolationForest(NoveltyDetector):
     """Ensemble of isolation trees.
 
@@ -145,26 +187,7 @@ class IsolationForest(NoveltyDetector):
         self.n_features_ = X.shape[1]
         rng = check_random_state(self.random_state)
         psi = min(self.max_samples, X.shape[0])
-        max_depth = int(np.ceil(np.log2(max(psi, 2))))
-        leaf_length = average_path_length(np.arange(psi + 1)).tolist()
-        nodes: tuple[list, list, list, list] = ([], [], [], [])
-        roots, depths = [], []
-        for _ in range(self.n_estimators):
-            idx = rng.choice(X.shape[0], psi, replace=False)
-            roots.append(len(nodes[0]))
-            sub = np.ascontiguousarray(X[idx].T)
-            depths.append(_grow_tree(sub, max_depth, leaf_length, rng, nodes))
-        features, thresholds, children, values = nodes
-        # Strict "<" comparator, leaf payload = depth + c(size).
-        self.forest_ = FlatForest(
-            feature=np.asarray(features, dtype=np.int32),
-            threshold=np.asarray(thresholds, dtype=np.float64),
-            child=np.asarray(children, dtype=np.int32),
-            value=np.asarray(values, dtype=np.float64)[:, None],
-            roots=np.asarray(roots, dtype=np.int64),
-            depths=np.asarray(depths, dtype=np.int64),
-            strict=True,
-        )
+        self.forest_ = _grow_forest(X, self.n_estimators, psi, rng)
         self.subsample_size_ = psi
         self._path_norm = None
         self._set_default_threshold(self.score_samples(X))

@@ -4,8 +4,9 @@ A :class:`RefitPolicy` receives the currently served model plus the clean
 recent window collected by :class:`~repro.serve.lifecycle.buffer.WindowBuffer`
 and returns a *candidate* model (or ``None`` to decline).  The candidate is
 never the served object itself — policies clone through the pickle-free
-snapshot codec (:func:`clone_model`) so the service can keep scoring the old
-model while the candidate trains, and a rejected candidate leaves no trace.
+snapshot codec (:func:`clone_model`, in memory) so the service can keep
+scoring the old model while the candidate trains, and a rejected candidate
+leaves no trace.
 
 Three policies cover the spectrum the paper's continual story needs:
 
@@ -22,7 +23,7 @@ Three policies cover the spectrum the paper's continual story needs:
 
 from __future__ import annotations
 
-import tempfile
+import json
 from typing import Any, Callable
 
 import numpy as np
@@ -31,16 +32,23 @@ __all__ = ["RefitPolicy", "FullRefit", "ContinualRefit", "NoRefit", "clone_model
 
 
 def clone_model(model: Any) -> Any:
-    """Deep-clone a model through the snapshot codec (no pickle, no sharing).
+    """Deep-clone a model through the snapshot codec, in memory (no pickle, no sharing).
 
-    The clone scores bit-identically to the original but shares no mutable
-    state, so it can be trained or discarded without touching the served
-    model mid-stream.
+    The clone is what :func:`~repro.serve.snapshot.save_snapshot` then
+    :func:`~repro.serve.snapshot.load_snapshot` would give, without the disk:
+    the object graph takes the manifest's sorted JSON round trip (so
+    attributes come back in a load's order, and a NumPy float as a Python
+    float) and every array is copied in the layout ``np.save`` keeps.  It
+    scores bit-identically to the original but shares no mutable state, so
+    it can be trained or discarded without touching the served model
+    mid-stream.  A value the codec refuses raises the
+    :class:`~repro.serve.snapshot.SnapshotError` a save would.
     """
-    from repro.serve.snapshot import load_snapshot, save_snapshot
+    from repro.serve.snapshot import decode_model, encode_model
 
-    with tempfile.TemporaryDirectory(prefix="repro-clone-") as tmp:
-        return load_snapshot(save_snapshot(model, f"{tmp}/model"))
+    graph, arrays = encode_model(model)
+    graph = json.loads(json.dumps(graph, sort_keys=True))
+    return decode_model(graph, {key: np.array(a, order="A") for key, a in arrays.items()})
 
 
 class RefitPolicy:

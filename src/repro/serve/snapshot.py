@@ -39,6 +39,8 @@ from repro._version import __version__
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "SnapshotError",
+    "decode_model",
+    "encode_model",
     "save_snapshot",
     "load_snapshot",
     "read_manifest",
@@ -137,7 +139,10 @@ class _Encoder:
         if isinstance(value, (int, float)):
             return value
         if isinstance(value, np.generic):
-            return {"t": "np", "dtype": str(value.dtype), "v": value.item()}
+            item = value.item()
+            if not isinstance(item, (bool, int, float, str)):
+                self._fail(f"a NumPy {value.dtype} scalar is not JSON-serializable")
+            return {"t": "np", "dtype": str(value.dtype), "v": item}
         if isinstance(value, np.ndarray):
             return self._encode_array(value)
         if isinstance(value, (list, tuple)):
@@ -264,6 +269,22 @@ class _Decoder:
         raise SnapshotError(f"unknown state spec kind {kind!r}")
 
 
+def encode_model(model: Any) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """``model`` as its JSON object graph (``state``, ``objects``) and its arrays.
+
+    A value the codec refuses raises :class:`SnapshotError` naming its
+    attribute path.  The arrays are the model's own, not copies.
+    """
+    encoder = _Encoder()
+    state = encoder.encode(model)
+    return {"state": state, "objects": encoder.objects}, encoder.arrays
+
+
+def decode_model(graph: dict[str, Any], arrays: dict[str, np.ndarray]) -> Any:
+    """Rebuild the model :func:`encode_model` turned into ``graph`` and ``arrays``."""
+    return _Decoder(graph.get("objects", []), arrays).decode(graph["state"])
+
+
 def save_snapshot(
     model: Any,
     path: str | Path,
@@ -290,8 +311,7 @@ def save_snapshot(
     manifest_path = path / MANIFEST_NAME
     if manifest_path.exists() and not overwrite:
         raise FileExistsError(f"snapshot already exists at {path} (pass overwrite=True)")
-    encoder = _Encoder()
-    state = encoder.encode(model)
+    graph, arrays = encode_model(model)
     manifest = {
         "format_version": SNAPSHOT_FORMAT_VERSION,
         "repro_version": __version__,
@@ -300,18 +320,17 @@ def save_snapshot(
         # a scoring or decision path; identical snapshots differ only here.
         "created_at": datetime.now(timezone.utc).isoformat(),
         "metadata": metadata or {},
-        "state": state,
-        "objects": encoder.objects,
-        "arrays_file": ARRAYS_NAME if encoder.arrays else None,
+        **graph,
+        "arrays_file": ARRAYS_NAME if arrays else None,
     }
     try:
         manifest_text = json.dumps(manifest, indent=2, sort_keys=True)
     except (TypeError, ValueError) as exc:
         raise SnapshotError(f"snapshot metadata is not JSON-serializable: {exc}") from exc
     path.mkdir(parents=True, exist_ok=True)
-    if encoder.arrays:
+    if arrays:
         with open(path / ARRAYS_NAME, "wb") as handle:
-            np.savez_compressed(handle, **encoder.arrays)
+            np.savez_compressed(handle, **arrays)
         # Content hash per artifact, written after the artifact so the
         # manifest vouches for the exact bytes on disk; load_snapshot
         # verifies it and refuses silently corrupted model state.
@@ -382,8 +401,7 @@ def load_snapshot(path: str | Path, *, expected_class: type | None = None) -> An
                 arrays = {key: stored[key] for key in stored.files}
             except ValueError as exc:  # an object array, which only pickle can load
                 raise SnapshotError(f"snapshot at {path} refused: {exc}") from exc
-    decoder = _Decoder(manifest.get("objects", []), arrays)
-    model = decoder.decode(manifest["state"])
+    model = decode_model(manifest, arrays)
     if expected_class is not None and not isinstance(model, expected_class):
         raise TypeError(
             f"snapshot at {path} holds a {type(model).__name__}, "

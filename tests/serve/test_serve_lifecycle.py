@@ -37,6 +37,7 @@ from repro.serve import (
     clone_model,
 )
 from repro.serve.sinks import read_events
+from repro.serve.snapshot import encode_model, load_snapshot, save_snapshot
 
 
 @pytest.fixture()
@@ -166,6 +167,68 @@ class TestPolicies:
 
     def test_no_refit_declines(self, fitted_detector):
         assert NoRefit().refit(fitted_detector, np.zeros((10, 5))) is None
+
+
+class TestCloneModelInMemory:
+    """``clone_model`` gives what a disk round trip gives, without the disk."""
+
+    @pytest.fixture(params=["iforest", "cndids"])
+    def model(self, request, rng):
+        if request.param == "iforest":
+            return IsolationForest(n_estimators=20, random_state=rng).fit(
+                rng.normal(size=(300, 5))
+            )
+        method = CNDIDS(
+            input_dim=5, latent_dim=8, hidden_dims=(16,), epochs=1,
+            n_clusters=2, max_clean_normal=200, random_state=0,
+        )
+        method.setup(rng.normal(size=(200, 5)))
+        method.fit_experience(rng.normal(size=(150, 5)))
+        return method
+
+    def test_scores_like_the_disk_round_trip(self, model, rng, tmp_path):
+        X = rng.normal(size=(80, 5)) * 3.0
+        from_disk = load_snapshot(save_snapshot(model, tmp_path / "model"))
+        clone = clone_model(model)
+        assert clone.score_samples(X).tobytes() == from_disk.score_samples(X).tobytes()
+        assert encode_model(clone)[0] == encode_model(from_disk)[0]
+        types = lambda obj: {name: type(v) for name, v in vars(obj).items()}
+        assert types(clone) == types(from_disk)
+
+    def test_shares_no_array_with_the_original(self, model):
+        original = list(encode_model(model)[1].values())
+        copied = list(encode_model(clone_model(model))[1].values())
+        assert sorted(a.tobytes() for a in original) == sorted(a.tobytes() for a in copied)
+        for array in original:
+            assert not any(np.shares_memory(array, other) for other in copied)
+
+    def test_generator_is_a_distinct_equal_object(self, rng):
+        generator = np.random.default_rng(5)
+        model = IsolationForest(n_estimators=5, random_state=generator).fit(
+            rng.normal(size=(100, 3))
+        )
+        clone = clone_model(model)
+        assert clone.random_state is not generator
+        assert clone.random_state.bit_generator.state == generator.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "value", [np.array([object()], dtype=object), {1, 2}, np.datetime64("2026-01-01")]
+    )
+    def test_refused_value_raises_the_save_error(self, fitted_detector, value, tmp_path):
+        fitted_detector.extra = value
+        with pytest.raises(SnapshotError) as saved:
+            save_snapshot(fitted_detector, tmp_path / "model")
+        with pytest.raises(SnapshotError) as cloned:
+            clone_model(fitted_detector)
+        assert str(cloned.value) == str(saved.value)
+
+    def test_never_writes_an_array_store(self, model, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("clone_model wrote an array store")
+
+        monkeypatch.setattr(np, "savez_compressed", refuse)
+        X = rng.normal(size=(40, 5))
+        assert clone_model(model).score_samples(X).tobytes() == model.score_samples(X).tobytes()
 
 
 # ---------------------------------------------------------------------------

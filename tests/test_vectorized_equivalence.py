@@ -747,8 +747,17 @@ def _assert_same_forest(fast, linked, X):
     np.testing.assert_array_equal(_leaf_values(a), _leaf_values(b))
 
 
+def _forest_arrays(forest):
+    return (forest.feature, forest.threshold, forest.child, forest.value,
+            forest.roots, forest.depths)
+
+
+@pytest.mark.usefixtures("traversal_backend")
 class TestIsolationForestFitMatchesLinkedTrees:
-    """``fit`` grows the flat forest directly, bit for bit as the linked path."""
+    """``fit`` grows the flat forest directly, bit for bit as the linked path.
+
+    Every test runs with the native tree grower and with the NumPy fallback.
+    """
 
     @pytest.mark.parametrize(
         "name,X,params",
@@ -790,6 +799,44 @@ class TestIsolationForestFitMatchesLinkedTrees:
         assert fast_rng.bit_generator.state == linked_rng.bit_generator.state
         assert fast_rng.random(4).tobytes() == linked_rng.random(4).tobytes()
 
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM]
+    )
+    def test_any_bit_generator(self, bit_generator):
+        X = np.random.default_rng(13).normal(size=(500, 7))
+        fast_rng = np.random.Generator(bit_generator(21))
+        linked_rng = np.random.Generator(bit_generator(21))
+        fast = IsolationForest(n_estimators=12, random_state=fast_rng).fit(X)
+        linked = _LinkedIsolationForest(n_estimators=12, random_state=linked_rng).fit(X)
+        _assert_same_forest(fast, linked, X)
+        assert str(fast_rng.bit_generator.state) == str(linked_rng.bit_generator.state)
+        assert fast_rng.random(4).tobytes() == linked_rng.random(4).tobytes()
+
+    @pytest.mark.parametrize(
+        "X,error",
+        [
+            (np.zeros((30, 0)), ValueError),
+            (np.c_[np.where(np.arange(40) % 2, 1e308, -1e308), np.zeros(40)], OverflowError),
+        ],
+        ids=["zero-columns", "range-overflow"],
+    )
+    def test_generator_errors_match_numpy(self, X, error):
+        raised = []
+        for cls in (IsolationForest, _LinkedIsolationForest):
+            rng = np.random.default_rng(17)
+            with pytest.raises(error) as info:
+                cls(n_estimators=4, random_state=rng).fit(X)
+            raised.append((type(info.value), str(info.value), str(rng.bit_generator.state)))
+        assert raised[0] == raised[1]
+
+    def test_forest_arrays_own_exactly_their_nodes(self):
+        X = np.random.default_rng(14).normal(size=(600, 9))
+        forest = IsolationForest(n_estimators=10, max_samples=200).fit(X).forest_
+        n_nodes = int(forest.child.shape[0])
+        for array, length in zip(_forest_arrays(forest), [n_nodes] * 4 + [10, 10]):
+            assert array.base is None
+            assert array.shape[0] == length
+
     def test_deep_isolation_forest_end_to_end(self, monkeypatch):
         X = np.random.default_rng(9).normal(size=(300, 6))
         fast_rng, linked_rng = np.random.default_rng(12), np.random.default_rng(12)
@@ -811,3 +858,29 @@ class TestIsolationForestFitMatchesLinkedTrees:
         assert table.tobytes() == scalar.tobytes()
         assert table[0] == table[1] == 0.0
 
+
+@pytest.mark.parametrize(
+    "X,params",
+    [
+        (np.random.default_rng(31).normal(size=(4096, 56)), {}),
+        (np.random.default_rng(32).normal(size=(900, 6)) * [1e-9, 1e-3, 1, 1e3, 1e9, 1e15], {}),
+        # Splits of two near-equal large values can round onto the minimum
+        # and leave an empty left child.
+        (1e16 + 2.0 * np.random.default_rng(33).integers(0, 3, size=(500, 3)), {}),
+        (np.random.default_rng(34).integers(0, 4, size=(700, 5)).astype(float), {"max_samples": 200}),
+    ],
+    ids=["perfbench-window", "scaled", "large-few-valued", "few-valued-psi-200"],
+)
+def test_isolation_forest_fit_is_bit_identical_across_backends(X, params, monkeypatch):
+    from repro.ml import native
+
+    if not native.available():
+        pytest.skip("native kernels unavailable (no C compiler)")
+    fits = []
+    for disable in ("", "1"):
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", disable)
+        rng = np.random.default_rng(7)
+        model = IsolationForest(n_estimators=25, random_state=rng, **params).fit(X)
+        fits.append(([a.tobytes() for a in _forest_arrays(model.forest_)], model.threshold_,
+                     rng.random(3).tobytes()))
+    assert fits[0] == fits[1]
