@@ -14,6 +14,7 @@ End-to-end and per-layer numbers live in ``perfbench/``.
 
 from __future__ import annotations
 
+import io
 import time
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.serve.lifecycle import FullRefit
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import DetectionService
 from repro.serve.sinks import ListSink
+from repro.serve.snapshot import encode_model
 from repro.serve.telemetry import (
     MetricsRegistry,
     SpanBuffer,
@@ -227,6 +229,26 @@ def test_native_tree_grower_beats_fallback(monkeypatch):
     monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
     fallback_s = _best_seconds(fit)
     assert fallback_s / native_s >= 3.0, f"{fallback_s / native_s:.2f}x vs fallback"
+
+
+def test_publish_costs_a_fraction_of_deflating(tmp_path):
+    """``ModelRegistry.publish`` of a refit-sized forest vs deflating its arrays.
+
+    A 100-tree forest fitted on perfbench's refit window shape (4096 x 56,
+    psi = 256).  Publish stores the arrays uncompressed and hashes them in
+    memory; the whole publish (encode, write, hash, manifest, rename)
+    measured ~1/8 of ``np.savez_compressed`` on the same arrays alone on a
+    2-vCPU x86-64 host, and 1/4 is the ceiling.
+    """
+    X = np.random.default_rng(4).normal(size=(4096, 56))
+    model = IsolationForest(n_estimators=100, max_samples=256, random_state=0).fit(X)
+    registry = ModelRegistry(tmp_path / "registry")
+    publish_s = _best_seconds(lambda: registry.publish(model, "bench"), repeats=5)
+    arrays = encode_model(model)[1]
+    deflate_s = _best_seconds(
+        lambda: np.savez_compressed(io.BytesIO(), **arrays), repeats=5
+    )
+    assert publish_s / deflate_s <= 0.25, f"publish at {publish_s / deflate_s:.2f}x deflate"
 
 
 def test_service_overhead_over_raw_scoring(iforest):

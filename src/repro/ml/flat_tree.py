@@ -184,7 +184,7 @@ class FlatForest:
     ``ValueError``.
     """
 
-    _snapshot_transient_ = ("_kernel",)
+    _snapshot_transient_ = ("_kernel", "_value_flat")
 
     def __init__(
         self,
@@ -203,10 +203,9 @@ class FlatForest:
         self.roots = roots
         self.depths = depths
         self.strict = strict
-        # Contiguous scalar payload for the native sum kernel.
-        self._value_flat = (
-            np.ascontiguousarray(value[:, 0]) if value.shape[1] == 1 else None
-        )
+        # Contiguous scalar payload for the native sum kernel, derived from
+        # ``value`` by ``_bound`` and never persisted.
+        self._value_flat: np.ndarray | None = None
         self._kernel: native.ForestKernel | None = None
 
     @property
@@ -289,8 +288,12 @@ class FlatForest:
         # threshold and walk out of a self-looping leaf into foreign nodes.
         if not np.all(np.isfinite(X)):
             raise ValueError("X contains NaN or infinite values")
+        # Loaded and cloned forests come back with ``_value_flat`` as None.
+        value_flat = self._value_flat
+        if value_flat is None and self.value_dim == 1:
+            value_flat = self._value_flat = np.ascontiguousarray(self.value[:, 0])
         arrays = (
-            self.feature, self.threshold, self.child, self._value_flat,
+            self.feature, self.threshold, self.child, value_flat,
             self.roots, self.depths,
         )
         # Snapshots written before the binding existed lack the attribute.
@@ -314,7 +317,7 @@ class FlatForest:
         n = X.shape[0]
         if n == 0:
             return np.zeros((0, self.value_dim))
-        if self._value_flat is not None:
+        if self.value_dim == 1:
             X, kernel = self._bound(X)
             total = native.forest_sum(X, kernel)
             if total is not None:

@@ -195,7 +195,11 @@ class IsolationForest(NoveltyDetector):
 
     def score_samples(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "forest_")
-        X = check_array(X, name="X", allow_empty=True)
+        # No finite scan here: the forest's bind raises check_array's
+        # ValueError on a NaN or infinite value, on both backends.
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError(f"X must be a 2-D array, got shape {X.shape}")
         check_n_features(X, self.n_features_, fitted_with="forest was fitted")
         if X.shape[0] == 0:
             return np.empty(0)

@@ -12,6 +12,7 @@ post-drift data.
 from __future__ import annotations
 
 import shutil
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -226,7 +227,8 @@ class TestCloneModelInMemory:
         def refuse(*args, **kwargs):
             raise AssertionError("clone_model wrote an array store")
 
-        monkeypatch.setattr(np, "savez_compressed", refuse)
+        # Every .npz writer, stored or deflated, opens a zipfile.ZipFile.
+        monkeypatch.setattr(zipfile, "ZipFile", refuse)
         X = rng.normal(size=(40, 5))
         assert clone_model(model).score_samples(X).tobytes() == model.score_samples(X).tobytes()
 

@@ -6,11 +6,13 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import zipfile
 
 import numpy as np
 import pytest
 
 import repro
+from repro.ml.flat_tree import FlatForest
 from repro.nn.layers import LeakyReLU, Linear, ReLU, Sigmoid, Tanh
 from repro.novelty import (
     DeepIsolationForest,
@@ -21,6 +23,8 @@ from repro.novelty import (
     OneClassSVM,
     PCAReconstructionDetector,
 )
+from repro.serve.lifecycle import clone_model
+from repro.serve.registry import ModelRegistry
 from repro.serve.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SnapshotError,
@@ -311,6 +315,111 @@ class TestManifestFormat:
         save_snapshot(method, tmp_path / "m")
         loaded = load_snapshot(tmp_path / "m")
         assert loaded._rng is loaded.cfe._rng
+
+
+class TestArrayStore:
+    """``arrays.npz`` is written stored, hashed from the bytes written."""
+
+    @staticmethod
+    def _forest(data):
+        return DETECTOR_FACTORIES["iforest"]().fit(data[0])
+
+    def test_members_are_stored_uncompressed(self, data, tmp_path):
+        path = save_snapshot(self._forest(data), tmp_path / "m")
+        with zipfile.ZipFile(path / "arrays.npz") as store:
+            members = store.infolist()
+        assert members
+        assert {member.compress_type for member in members} == {zipfile.ZIP_STORED}
+
+    def test_manifest_hash_is_the_file_on_disk(self, data, tmp_path):
+        path = save_snapshot(self._forest(data), tmp_path / "m")
+        digest = hashlib.sha256((path / "arrays.npz").read_bytes()).hexdigest()
+        assert read_manifest(path)["artifacts"]["arrays.npz"]["sha256"] == digest
+
+    def test_unserializable_metadata_writes_nothing(self, data, tmp_path):
+        with pytest.raises(SnapshotError, match="not JSON-serializable"):
+            save_snapshot(self._forest(data), tmp_path / "m", metadata={"x": object()})
+        assert not (tmp_path / "m" / "arrays.npz").exists()
+
+    def test_deflated_store_loads_and_recovers(self, data, tmp_path):
+        """Snapshots written before the store went uncompressed stay valid."""
+        _, _, X_query = data
+        detector = self._forest(data)
+        registry = ModelRegistry(tmp_path / "registry")
+        path = registry.publish(detector, "m").path
+        arrays_path = path / "arrays.npz"
+        with np.load(arrays_path) as stored:
+            arrays = {key: stored[key] for key in stored.files}
+        with open(arrays_path, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        with zipfile.ZipFile(arrays_path) as store:
+            assert {m.compress_type for m in store.infolist()} == {zipfile.ZIP_DEFLATED}
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["artifacts"]["arrays.npz"]["sha256"] = hashlib.sha256(
+            arrays_path.read_bytes()
+        ).hexdigest()
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        assert ModelRegistry(tmp_path / "registry", recover=False).recover() == []
+        loaded = registry.load("m")
+        assert loaded.score_samples(X_query).tobytes() == (
+            detector.score_samples(X_query).tobytes()
+        )
+
+
+class TestForestSnapshotLayout:
+    """A forest persists ``value`` once; the sum kernel's flat copy is derived."""
+
+    @staticmethod
+    def _forest_arrays(path):
+        manifest = read_manifest(path)
+        (entry,) = [
+            obj for obj in manifest["objects"]
+            if obj.get("cls") == "repro.ml.flat_tree:FlatForest"
+        ]
+        return {
+            name for name, spec in entry["attrs"].items()
+            if isinstance(spec, dict) and spec.get("t") == "nd"
+        }
+
+    def test_forest_stores_six_arrays(self, data, tmp_path):
+        path = save_snapshot(DETECTOR_FACTORIES["iforest"]().fit(data[0]), tmp_path / "m")
+        assert self._forest_arrays(path) == {
+            "feature", "threshold", "child", "value", "roots", "depths"
+        }
+        with np.load(path / "arrays.npz") as stored:
+            assert len(stored.files) == 6
+
+    def test_loaded_and_cloned_forests_score_bit_identically(
+        self, data, tmp_path, traversal_backend, monkeypatch
+    ):
+        X_train, _, X_query = data
+        detector = DETECTOR_FACTORIES["iforest"]().fit(X_train)
+        expected = detector.score_samples(X_query).tobytes()
+        restored = [load_snapshot(save_snapshot(detector, tmp_path / "m")), clone_model(detector)]
+        if traversal_backend == "native":
+            # The native sum kernel, never the apply-then-gather fallback.
+            def refuse(*args, **kwargs):
+                raise AssertionError("scalar-payload forest fell back to apply()")
+
+            monkeypatch.setattr(FlatForest, "apply", refuse)
+        for model in restored:
+            assert model.forest_._value_flat is None
+            assert model.score_samples(X_query).tobytes() == expected
+            assert model.forest_._value_flat is not None
+
+    def test_old_layout_with_value_flat_still_loads(
+        self, data, tmp_path, traversal_backend, monkeypatch
+    ):
+        X_train, _, X_query = data
+        detector = DETECTOR_FACTORIES["iforest"]().fit(X_train)
+        expected = detector.score_samples(X_query).tobytes()
+        with monkeypatch.context() as old_layout:
+            old_layout.setattr(FlatForest, "_snapshot_transient_", ("_kernel",))
+            path = save_snapshot(detector, tmp_path / "m")
+        assert "_value_flat" in self._forest_arrays(path)
+        loaded = load_snapshot(path)
+        assert loaded.forest_._value_flat is not None
+        assert loaded.score_samples(X_query).tobytes() == expected
 
 
 def _declaring_classes() -> set[type]:
