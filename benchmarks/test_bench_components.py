@@ -15,13 +15,14 @@ End-to-end and per-layer numbers live in ``perfbench/``.
 from __future__ import annotations
 
 import io
+import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.core import CNDLossConfig, ContinualFeatureExtractor, compute_pseudo_labels
-from repro.ml import PCA, KMeans, pairwise_squared_euclidean
+from repro.ml import PCA, KMeans, native, pairwise_squared_euclidean
 from repro.novelty import (
     DeepIsolationForest,
     IsolationForest,
@@ -219,8 +220,6 @@ def test_native_tree_grower_beats_fallback(monkeypatch):
     Both backends grow the same forest; the C grower measured ~7-10x faster
     on a 2-vCPU x86-64 host, and 3x is the floor.
     """
-    from repro.ml import native
-
     if not native.available():
         pytest.skip("native kernels unavailable (no C compiler)")
     X = np.random.default_rng(4).normal(size=(4096, 56))
@@ -229,6 +228,53 @@ def test_native_tree_grower_beats_fallback(monkeypatch):
     monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
     fallback_s = _best_seconds(fit)
     assert fallback_s / native_s >= 3.0, f"{fallback_s / native_s:.2f}x vs fallback"
+
+
+@pytest.fixture(scope="module")
+def served_forest():
+    """A 100-tree forest bound to its kernel, and 40,000 rows of 56 features."""
+    if not native.available():
+        pytest.skip("native kernels unavailable (no C compiler)")
+    rng = np.random.default_rng(5)
+    model = IsolationForest(n_estimators=100, max_samples=256, random_state=0)
+    model.fit(rng.normal(size=(4096, 56)))
+    X = rng.normal(size=(40_000, 56))
+    model.score_samples(X[:8])  # binds the kernel
+    return model.forest_._kernel, X
+
+
+def test_forest_walk_row_cost_does_not_grow_with_the_batch(served_forest):
+    """One thread: a row of a 40,000-row batch vs a row of a 256-row batch.
+
+    The walk runs every tree over one tile of rows before the next tile, so
+    a large ``X`` is read from memory once, not once per tree.  Walking all
+    40,000 rows per tree measured ~3x the 256-row cost per row on a 2-vCPU
+    x86-64 host; tiled it measured ~1.0x, and 1.5x is the ceiling.
+    """
+    kernel, X = served_forest
+    batch = np.ascontiguousarray(X[:256])
+    batch_s = _best_seconds(
+        lambda: native.forest_sum(batch, kernel, n_threads=1), repeats=5, inner=40
+    )
+    whole_s = _best_seconds(lambda: native.forest_sum(X, kernel, n_threads=1), repeats=5)
+    ratio = (whole_s / X.shape[0]) / (batch_s / batch.shape[0])
+    assert ratio <= 1.5, f"a 40,000-row batch costs {ratio:.2f}x per row"
+
+
+def test_two_threads_walk_a_serving_batch_faster(served_forest):
+    """A 256-row batch on 2 threads vs 1: measured ~0.6x, 0.8x is the ceiling."""
+    if (os.cpu_count() or 1) < 2 or not native.openmp_enabled():
+        pytest.skip("needs 2 CPUs and an OpenMP build")
+    kernel, X = served_forest
+    batch = np.ascontiguousarray(X[:256])
+    assert native._effective_threads(batch.shape[0], 2) == 2
+    one_s = _best_seconds(
+        lambda: native.forest_sum(batch, kernel, n_threads=1), repeats=7, inner=40
+    )
+    two_s = _best_seconds(
+        lambda: native.forest_sum(batch, kernel, n_threads=2), repeats=7, inner=40
+    )
+    assert two_s / one_s <= 0.8, f"2 threads at {two_s / one_s:.2f}x of 1"
 
 
 def test_publish_costs_a_fraction_of_deflating(tmp_path):

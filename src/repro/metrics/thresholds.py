@@ -93,7 +93,16 @@ def best_f_threshold(
 
 
 def quantile_threshold(scores: np.ndarray, quantile: float = 0.95) -> float:
-    """Label-free threshold at the given quantile of the score distribution."""
+    """Label-free threshold at the given quantile of the score distribution.
+
+    Equal bit for bit to ``float(np.quantile(scores, quantile))`` (method
+    ``"linear"``), without its per-call Python layer: one partition places
+    the two order statistics around NumPy's virtual index ``(n-1)*quantile``,
+    and NumPy's ``_lerp`` blends them.  The partition takes NumPy's own
+    positions (those two, the first and the last), so even ``-0.0`` and
+    ``0.0``, which compare equal, land where NumPy puts them.  A NaN sorts
+    last and makes the threshold NaN, as in NumPy.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ValueError(f"scores must be 1-D, got shape {scores.shape}")
@@ -101,4 +110,15 @@ def quantile_threshold(scores: np.ndarray, quantile: float = 0.95) -> float:
         raise ValueError("scores must not be empty")
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must be strictly between 0 and 1")
-    return float(np.quantile(scores, quantile))
+    n = scores.size
+    index = (n - 1) * quantile  # below n - 1 whenever n > 1, as quantile < 1
+    lo = int(index)
+    hi = min(lo + 1, n - 1)
+    # NumPy reads a single score as index -1, so its weight is then 1, not 0.
+    gamma = index - lo if n > 1 else 1.0
+    ordered = np.partition(scores, sorted({0, lo, hi, n - 1}))
+    if np.isnan(ordered[n - 1]):
+        return float(ordered[n - 1])
+    a, b = ordered[lo], ordered[hi]
+    diff = b - a
+    return float(b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma)

@@ -312,14 +312,18 @@ class FlatForest:
             return leaves.astype(np.int64, copy=False)
         return self._apply_numpy(X)
 
-    def sum_values(self, X: np.ndarray) -> np.ndarray:
-        """``(n_samples, value_dim)`` sum of leaf payloads over all trees."""
+    def sum_values(self, X: np.ndarray, n_threads: int | None = None) -> np.ndarray:
+        """``(n_samples, value_dim)`` sum of leaf payloads over all trees.
+
+        ``n_threads`` caps the native walk's threads (``None`` reads
+        ``REPRO_NUM_THREADS``); any value gives the same bits.
+        """
         n = X.shape[0]
         if n == 0:
             return np.zeros((0, self.value_dim))
         if self.value_dim == 1:
             X, kernel = self._bound(X)
-            total = native.forest_sum(X, kernel)
+            total = native.forest_sum(X, kernel, n_threads)
             if total is not None:
                 return total[:, None]
         # Multi-payload fallback: walk with apply() (native kernel or threaded

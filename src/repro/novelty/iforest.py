@@ -183,6 +183,10 @@ class IsolationForest(NoveltyDetector):
         self._path_norm: float | None = None
 
     def fit(self, X: np.ndarray) -> "IsolationForest":
+        return self._fit(X, None)
+
+    def _fit(self, X: np.ndarray, n_threads: int | None) -> "IsolationForest":
+        """:meth:`fit`, scoring the training rows on at most ``n_threads``."""
         X = check_array(X, name="X")
         self.n_features_ = X.shape[1]
         rng = check_random_state(self.random_state)
@@ -190,10 +194,16 @@ class IsolationForest(NoveltyDetector):
         self.forest_ = _grow_forest(X, self.n_estimators, psi, rng)
         self.subsample_size_ = psi
         self._path_norm = None
-        self._set_default_threshold(self.score_samples(X))
+        # The default goes through the public method, the one tracers wrap.
+        scores = self.score_samples(X) if n_threads is None else self._score_samples(X, n_threads)
+        self._set_default_threshold(scores)
         return self
 
     def score_samples(self, X: np.ndarray) -> np.ndarray:
+        return self._score_samples(X, None)
+
+    def _score_samples(self, X: np.ndarray, n_threads: int | None) -> np.ndarray:
+        """:meth:`score_samples` with the forest walk capped at ``n_threads``."""
         check_fitted(self, "forest_")
         # No finite scan here: the forest's bind raises check_array's
         # ValueError on a NaN or infinite value, on both backends.
@@ -203,7 +213,7 @@ class IsolationForest(NoveltyDetector):
         check_n_features(X, self.n_features_, fitted_with="forest was fitted")
         if X.shape[0] == 0:
             return np.empty(0)
-        mean_depth = self.forest_.sum_values(X)[:, 0] / self.forest_.n_trees
+        mean_depth = self.forest_.sum_values(X, n_threads)[:, 0] / self.forest_.n_trees
         # Snapshots written before the cache existed lack the attribute.
         norm = getattr(self, "_path_norm", None)
         if norm is None:

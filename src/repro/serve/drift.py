@@ -199,25 +199,31 @@ class DriftMonitor:
         stream start, the *bootstrapped reference* — silencing or misfiring
         the monitor for the rest of the window.  (The serving layer
         quarantines such rows before scoring; this guard covers monitors fed
-        directly.)  A batch that is finite throughout — always the case behind
-        that quarantine — is checked with one flat ``isfinite(...).all()``
-        per array and enters the windows as is, without a per-row mask or
-        copy.
+        directly.)  When ``X`` has one row per score, a row with a non-finite
+        score or feature leaves both windows; an ``X`` with another row count
+        drops its own non-finite rows.  A batch that is finite throughout —
+        always the case behind that quarantine — is checked with one flat
+        ``isfinite(...).all()`` per array and enters the windows as is,
+        without a per-row mask or copy.
         """
         scores = np.asarray(scores, dtype=np.float64).ravel()
-        if X is not None and self.track_features:
+        tracked = X is not None and self.track_features
+        if tracked:
             X = np.asarray(X, dtype=np.float64)
-        paired = X is not None and self.track_features and X.shape[0] == scores.shape[0]
-        if not (np.isfinite(scores).all() and (not paired or np.isfinite(X).all())):
+        if not (np.isfinite(scores).all() and (not tracked or np.isfinite(X).all())):
             finite = np.isfinite(scores)
-            if paired:
-                finite &= np.isfinite(X).all(axis=1)
-                X = X[finite]
+            if tracked:
+                finite_rows = np.isfinite(X).all(axis=1)
+                if X.shape[0] == scores.shape[0]:
+                    # Paired rows: a row enters both windows or neither.
+                    finite &= finite_rows
+                    finite_rows = finite
+                X = X[finite_rows]
             scores = scores[finite]
         if self._scores is None:
             self._scores = _RingBuffer(self.window, 1)
         self._scores.extend(scores[:, None])
-        if X is not None and self.track_features:
+        if tracked:
             if self._features is None:
                 self._features = _RingBuffer(self.window, X.shape[1])
             self._features.extend(X)
@@ -233,6 +239,7 @@ class DriftMonitor:
         if (
             self._feature_ref is None
             and self._features is not None
+            and self._features.count
             and self._n_seen >= self.min_samples
         ):
             window_features = self._features.values()

@@ -157,10 +157,83 @@ class TestBestFThreshold:
         assert achieved == pytest.approx(best_f)
 
 
+def _same_float(a: float, b: float) -> bool:
+    """Equal bits: NaN matches NaN, and -0.0 does not match 0.0."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+_QUANTILE_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+)
+
+
 class TestQuantileThreshold:
     def test_matches_numpy_quantile(self):
         scores = np.linspace(0, 1, 101)
-        assert quantile_threshold(scores, 0.95) == pytest.approx(np.quantile(scores, 0.95))
+        assert quantile_threshold(scores, 0.95) == np.quantile(scores, 0.95)
+
+    @given(
+        st.lists(_QUANTILE_VALUES, min_size=1, max_size=300),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_equals_numpy_quantile_bit_for_bit(self, values, q):
+        scores = np.asarray(values, dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            expected = float(np.quantile(scores, q))
+            got = quantile_threshold(scores.copy(), q)
+        assert _same_float(got, expected), (got, expected)
+
+    # (n, q): n = 1 and 2; g exactly 0 (index 1.0 of 5) and 0.5 (index 0.5
+    # of 3); q near 0 and near 1.
+    EDGE_CASES = [
+        (1, 0.5), (1, 1e-12), (2, 0.5), (2, 0.25), (2, 0.75), (5, 0.25), (3, 0.25),
+        (4096, 0.95), (4096, 5e-324), (4096, 1e-12),
+        (4096, np.nextafter(1.0, 0.0)), (7, np.nextafter(1.0, 0.0)),
+    ]
+
+    @pytest.mark.parametrize("n, q", EDGE_CASES)
+    @pytest.mark.parametrize(
+        "fill", ["normal", "ties", "signed_zeros", "infinities", "nan"]
+    )
+    def test_edge_cases_equal_numpy_quantile(self, n, q, fill):
+        rng = np.random.default_rng(n)
+        if fill == "normal":
+            scores = rng.normal(size=n)
+        elif fill == "ties":
+            scores = rng.integers(0, 3, size=n).astype(np.float64)
+        elif fill == "signed_zeros":
+            scores = rng.choice([0.0, -0.0, 1.0], size=n)
+        elif fill == "infinities":
+            scores = rng.choice([-np.inf, np.inf, 0.0, 2.5], size=n)
+        else:
+            scores = rng.normal(size=n)
+            scores[rng.integers(n)] = np.nan
+        with np.errstate(invalid="ignore"):
+            expected = float(np.quantile(scores, q))
+            got = quantile_threshold(scores, q)
+        assert _same_float(got, expected), (got, expected)
+
+    def test_signed_zeros_land_where_numpy_puts_them(self):
+        # -0.0 == 0.0, so which of them a partition leaves at a position
+        # depends on the positions it was asked to place.
+        for seed in range(8):
+            scores = np.random.default_rng(seed).choice([0.0, -0.0, 1.0], size=1000)
+            for q in (0.25, 0.5):
+                expected = float(np.quantile(scores, q))
+                assert _same_float(quantile_threshold(scores, q), expected), (seed, q)
+
+    def test_gamma_is_exact_where_the_index_is_whole_or_half(self):
+        scores = np.array([4.0, 1.0, 3.0, 2.0, 0.0])
+        assert quantile_threshold(scores, 0.25) == 1.0  # index 1.0, g = 0
+        assert quantile_threshold(scores[:3], 0.25) == 2.0  # index 0.5, g = 0.5
+        assert np.isnan(quantile_threshold(np.array([1.0, np.nan, 2.0]), 0.1))
+
+    def test_does_not_reorder_its_input(self):
+        scores = np.random.default_rng(0).normal(size=100)
+        before = scores.copy()
+        quantile_threshold(scores, 0.9)
+        np.testing.assert_array_equal(scores, before)
 
     def test_invalid_quantile_raises(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,8 @@ per-row arithmetic.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -187,15 +189,32 @@ def _random_tree(rng: np.random.Generator, strict: bool, max_depth: int) -> Flat
     )
 
 
-class TestNativeKernelMatchesNumpy:
-    """The eight-row native walk equals the NumPy backend bit for bit.
+def _row_tile() -> int:
+    """The C walk's tile length, read from the kernel source."""
+    return int(re.search(r"#define ROW_TILE (\d+)", native._C_SOURCE).group(1))
 
-    Row counts around multiples of eight reach the interleaved groups, the
-    single-row tail and, from ``MIN_PARALLEL_ROWS`` on, thread ranges whose
-    lengths are not multiples of eight.
+
+def _around(*counts: int) -> set[int]:
+    return {n + k for n in counts for k in (-1, 0, 1)}
+
+
+class TestNativeKernelMatchesNumpy:
+    """The tiled, eight-row native walk equals the NumPy backend bit for bit.
+
+    Row counts around multiples of eight reach the interleaved groups and
+    the single-row tail.  Counts around ``MIN_ROWS_PER_THREAD`` and
+    ``MIN_PARALLEL_ROWS`` cross from one thread to several, and counts
+    around multiples of the row tile end a thread's range on a full tile,
+    one row into a new tile, or one row short of it.  From
+    ``MIN_PARALLEL_ROWS`` on, thread ranges have lengths that are not
+    multiples of eight or of the tile.
     """
 
-    ROWS = [1, 3, 7, 8, 9, 15, 17, 255, 256, 257, 2049, 6001]
+    ROWS = sorted(
+        {1, 3, 7, 8, 9, 15, 17, 2049, 6001}
+        | _around(native.MIN_ROWS_PER_THREAD, native.MIN_PARALLEL_ROWS)
+        | _around(_row_tile(), 2 * _row_tile(), 4 * _row_tile())
+    )
 
     @pytest.fixture(autouse=True)
     def require_native(self):
@@ -227,6 +246,37 @@ class TestNativeKernelMatchesNumpy:
             leaves = native.forest_apply(X, kernel)
             np.testing.assert_array_equal(sums, expected_sum)
             np.testing.assert_array_equal(leaves, expected_leaves)
+
+
+class TestEffectiveThreads:
+    """How many threads a forest walk of ``n_rows`` rows gets."""
+
+    FLOOR = native.MIN_ROWS_PER_THREAD
+
+    def test_min_parallel_rows_is_two_floors(self):
+        assert native.MIN_PARALLEL_ROWS == 2 * self.FLOOR
+
+    def test_one_thread_without_openmp(self, monkeypatch):
+        monkeypatch.setattr(native, "_openmp", False)
+        assert native._effective_threads(100 * self.FLOOR, 8) == 1
+
+    def test_one_thread_below_min_parallel_rows(self, monkeypatch):
+        monkeypatch.setattr(native, "_openmp", True)
+        for n in (0, 1, self.FLOOR, native.MIN_PARALLEL_ROWS - 1):
+            assert native._effective_threads(n, 8) == 1
+        assert native._effective_threads(native.MIN_PARALLEL_ROWS, 8) == 2
+
+    def test_capped_by_threads_and_by_rows_per_thread(self, monkeypatch):
+        monkeypatch.setattr(native, "_openmp", True)
+        assert native._effective_threads(100 * self.FLOOR, 3) == 3
+        assert native._effective_threads(100 * self.FLOOR, 1) == 1
+        assert native._effective_threads(3 * self.FLOOR + 5, 64) == 3
+        assert native._effective_threads(4 * self.FLOOR - 1, 64) == 3
+
+    def test_unset_thread_count_reads_the_environment(self, monkeypatch):
+        monkeypatch.setattr(native, "_openmp", True)
+        monkeypatch.setenv("REPRO_NUM_THREADS", "3")
+        assert native._effective_threads(100 * self.FLOOR, None) == 3
 
 
 class TestPairwiseTopkParallel:

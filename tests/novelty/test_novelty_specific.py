@@ -219,3 +219,21 @@ class TestDeepIsolationForest:
     def test_invalid_block_size_raises(self):
         with pytest.raises(ValueError):
             DeepIsolationForest(block_size=0)
+
+    def test_forests_walk_on_one_thread(self, monkeypatch):
+        # The walks alternate with the networks' multi-threaded BLAS calls,
+        # where an OpenMP team spinning between walks would take a core.
+        from repro.ml import native
+
+        calls = []
+        forest_sum = native.forest_sum
+
+        def recording(X, kernel, n_threads=None):
+            calls.append(n_threads)
+            return forest_sum(X, kernel, n_threads)
+
+        monkeypatch.setattr(native, "forest_sum", recording)
+        X = np.random.default_rng(5).normal(size=(600, 6))
+        detector = DeepIsolationForest(n_representations=2, random_state=0).fit(X)
+        detector.score_samples(X)
+        assert calls and set(calls) == {1}

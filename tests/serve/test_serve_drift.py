@@ -155,9 +155,12 @@ class _MaskedDriftMonitor(DriftMonitor):
         if X is not None and self.track_features:
             X = np.asarray(X, dtype=np.float64)
         finite = np.isfinite(scores)
-        if X is not None and self.track_features and X.shape[0] == scores.shape[0]:
-            finite &= np.isfinite(X).all(axis=1)
-            X = X[finite]
+        if X is not None and self.track_features:
+            finite_rows = np.isfinite(X).all(axis=1)
+            if X.shape[0] == scores.shape[0]:
+                finite &= finite_rows
+                finite_rows = finite
+            X = X[finite_rows]
         scores = scores[finite]
         if self._scores is None:
             self._scores = _RingBuffer(self.window, 1)
@@ -176,6 +179,7 @@ class _MaskedDriftMonitor(DriftMonitor):
         if (
             self._feature_ref is None
             and self._features is not None
+            and self._features.count
             and self._n_seen >= self.min_samples
         ):
             window_features = self._features.values()
@@ -286,3 +290,34 @@ class TestFiniteFastPath:
         assert report == masked.update(scores, X)
         assert report.n_samples_seen == 46 + 9
         assert _window_state(fast) == _window_state(masked)
+
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_unpaired_nan_rows_are_dropped_from_the_feature_window(self, with_reference):
+        # X with another row count than the scores is filtered by its own
+        # rows, even when every score is finite.
+        rng = np.random.default_rng(5)
+        fast = DriftMonitor(window=64, min_samples=4)
+        masked = _MaskedDriftMonitor(window=64, min_samples=4)
+        if with_reference:
+            ref_scores, ref_X = rng.normal(size=50), rng.normal(size=(50, 3))
+            fast.set_reference(ref_scores, ref_X)
+            masked.set_reference(ref_scores, ref_X)
+        scores, X = rng.normal(size=4), rng.normal(size=(5, 3))
+        X[2, 1] = np.nan
+        report = fast.update(scores, X)
+        assert report == masked.update(scores, X)
+        np.testing.assert_array_equal(fast._features.values(), X[[0, 1, 3, 4]])
+        assert np.isfinite(fast._features.mean()).all()
+        assert np.isfinite(report.feature_shift)
+        # A later finite batch still reports a finite shift, and its report
+        # serializes as strict JSON.
+        report = fast.update(rng.normal(size=6), rng.normal(size=(3, 3)))
+        assert np.isfinite(report.feature_shift)
+        json.dumps(report.to_dict(), allow_nan=False)
+        # An unpaired X whose rows are all non-finite leaves the feature
+        # window (and the bootstrapped reference) empty instead of NaN.
+        empty = DriftMonitor(window=64, min_samples=4)
+        report = empty.update(rng.normal(size=8), np.full((2, 3), np.inf))
+        assert empty._features.count == 0
+        assert report.feature_shift == 0.0
+        assert empty._feature_ref is None
