@@ -31,6 +31,7 @@ from repro.novelty import (
 from repro.serve.faults import ResilientSink, call_with_retry
 from repro.serve.lifecycle import FullRefit
 from repro.serve.registry import ModelRegistry
+from repro.serve import service as service_module
 from repro.serve.service import DetectionService
 from repro.serve.sinks import ListSink
 from repro.serve.snapshot import encode_model
@@ -42,7 +43,6 @@ from repro.serve.telemetry import (
     render_prometheus,
     trace_span,
 )
-from repro.serve.telemetry.metrics import DISABLED
 from repro.supervised import (
     DecisionTreeClassifier,
     GradientBoostingClassifier,
@@ -338,15 +338,41 @@ def test_refit_and_swap_costs(iforest):
     assert _best_seconds(lambda: service.reload_detector(candidate), inner=100) < 1.0
 
 
-def test_telemetry_overhead(iforest):
+class _NullSpan:
+    """Stand-in for ``trace_span`` that times and records nothing."""
+
+    ctx = None
+    rows = 0
+
+    def __init__(self, *args, **kwargs) -> None:
+        pass
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+
+def test_telemetry_overhead(iforest, monkeypatch):
     clean = np.random.default_rng(3).normal(size=(4096, 16))
     services = {
-        "off": DetectionService(iforest, telemetry=DISABLED),
+        "off": DetectionService(iforest),
         "on": DetectionService(iforest),
         "traced": DetectionService(iforest, tracer=SpanBuffer()),
     }
-    for service in services.values():
-        service.process_batch(clean)  # warm-up, untimed
+
+    def timed(name: str) -> float:
+        # The "off" arm serves with every span swapped for a null one.
+        with monkeypatch.context() as patch:
+            if name == "off":
+                patch.setattr(service_module, "trace_span", _NullSpan)
+            start = time.perf_counter()
+            services[name].process_batch(clean)
+            return time.perf_counter() - start
+
+    for name in services:
+        timed(name)  # warm-up
     # One batch per service per round, in a rotating order: a slow stretch of
     # a shared host slows the three calls of a round alike, and the median of
     # the per-round ratios cancels it.  Per-batch (not per-row)
@@ -356,11 +382,10 @@ def test_telemetry_overhead(iforest):
     for round_index in range(15):
         seconds = {}
         for name in names[round_index % 3 :] + names[: round_index % 3]:
-            start = time.perf_counter()
-            services[name].process_batch(clean)
-            seconds[name] = time.perf_counter() - start
+            seconds[name] = timed(name)
         for name, per_round in ratios.items():
             per_round.append(seconds[name] / seconds["off"])
+    assert not services["off"].telemetry.snapshot()["histograms"]  # no span ran
     assert np.median(ratios["on"]) < 1.15
     assert np.median(ratios["traced"]) < 1.15
 
@@ -380,7 +405,4 @@ def test_telemetry_unit_costs(iforest):
     # A /metrics scrape renders the full snapshot.
     assert _best_seconds(lambda: render_prometheus(metrics)) < 0.1
 
-    summary = service.report().to_dict()
-    assert _best_seconds(
-        lambda: render_markdown(build_report(summary, metrics=metrics))
-    ) < 1.0
+    assert _best_seconds(lambda: render_markdown(build_report(metrics))) < 1.0

@@ -1,19 +1,15 @@
-"""Flattened decision-tree arrays with iterative, frontier-based batch traversal.
+"""Flattened decision-tree arrays with iterative batch traversal.
 
 The supervised trees in this library are grown as linked ``_TreeNode``
 objects, which is convenient for construction but forces per-sample Python
 recursion at inference time.  :func:`flatten_tree` compiles such a tree once,
 at the end of ``fit()``, into a :class:`FlatTree`: five contiguous NumPy arrays
 (``feature``, ``threshold``, ``left``, ``right``, ``value``) indexed by node
-id.  Batch prediction then routes *all* rows through the tree level by level
-("frontier" traversal): every iteration advances the still-active rows one
-level with a handful of vectorized gathers/compares, so the interpreter cost
-is O(depth) instead of O(n_samples x depth).
-
-Ensembles (and single trees on hot paths) are compiled one step further into
-a :class:`FlatForest`: all trees' nodes concatenated into shared arrays with
-consecutive children (``right = left + 1``) and self-looping leaves, the
-layout consumed by the optional native kernels in :mod:`repro.ml.native`.
+id.  A :class:`FlatTree` is only the compile-time container: every tree, an
+ensemble's or a single one, is walked as a :class:`FlatForest`, all trees'
+nodes concatenated into shared arrays with consecutive children
+(``right = left + 1``) and self-looping leaves, the layout consumed by the
+optional native kernels in :mod:`repro.ml.native`.
 :class:`~repro.novelty.iforest.IsolationForest` skips both steps: it grows
 its isolation trees straight into this layout and builds the
 :class:`FlatForest` directly.
@@ -22,10 +18,6 @@ Complexity and memory
 ---------------------
 * ``flatten_tree`` / ``FlatForest.from_flat_trees``: O(n_nodes) time and
   memory, paid once per fit.
-* ``FlatTree.apply``/``predict``: O(n_samples x depth) comparisons executed
-  in at most ``depth`` NumPy calls; peak extra memory is O(n_samples) for the
-  per-row node cursor plus the shrinking active-row index (no per-node or
-  per-sample Python objects are allocated).
 * ``FlatForest.sum_values``/``apply``: O(n_samples x depth x n_trees) node
   steps; with the native kernel each step is ~2 loads, otherwise it runs as
   ``depth`` NumPy passes per tree.  Peak extra memory is O(n_samples x
@@ -65,8 +57,8 @@ class FlatTree:
     left, right:
         ``(n_nodes,)`` child node ids; ``-1`` at leaves.
     value:
-        ``(n_nodes, value_dim)`` payload returned by :meth:`predict`; only
-        leaf rows are ever gathered.
+        ``(n_nodes, value_dim)`` leaf payloads; only leaf rows are ever
+        gathered.
     strict:
         When ``False`` (CART convention) a row goes left iff
         ``x[feature] <= threshold``; when ``True`` (isolation-tree
@@ -83,29 +75,6 @@ class FlatTree:
     @property
     def n_nodes(self) -> int:
         return int(self.feature.shape[0])
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id reached by every row of ``X`` (frontier traversal)."""
-        n = X.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        if n == 0 or self.left[0] < 0:
-            return node
-        rows = np.arange(n)
-        while rows.size:
-            current = node[rows]
-            column = X[rows, self.feature[current]]
-            if self.strict:
-                go_left = column < self.threshold[current]
-            else:
-                go_left = column <= self.threshold[current]
-            nxt = np.where(go_left, self.left[current], self.right[current])
-            node[rows] = nxt
-            rows = rows[self.left[nxt] >= 0]
-        return node
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """``(n_samples, value_dim)`` leaf payloads for every row of ``X``."""
-        return self.value[self.apply(X)]
 
 
 def flatten_tree(

@@ -1,6 +1,6 @@
 """Optional native (C) kernels: tree-ensemble traversal and three training loops.
 
-The pure-NumPy frontier traversal in :mod:`repro.ml.flat_tree` is bound by
+The pure-NumPy self-loop walk in :mod:`repro.ml.flat_tree` is bound by
 the number of NumPy passes per tree level (~7 array operations per level per
 (tree, row) pair).  A tiny C kernel removes that floor: the compiled walk
 needs ~2 loads per node step, takes the rows in tiles of ``ROW_TILE`` (256)
@@ -9,7 +9,7 @@ tables stay cache-resident across the tile and the tile stays
 cache-resident across the trees, and walks eight rows per tree concurrently
 (manual 8-way interleave) so the dependent node->child load chains of
 independent rows overlap.  On a 10k-sample batch this is roughly an order of
-magnitude faster than both the NumPy frontier and the recursive reference.
+magnitude faster than both the NumPy walk and the recursive reference.
 
 When the toolchain supports OpenMP (probed at compile time with
 ``-fopenmp``), the kernels additionally parallelize over *rows*: the batch is

@@ -30,7 +30,7 @@ fitted detector into something that can be *deployed*:
   deterministic :class:`FaultInjector` chaos harness behind
   ``repro serve --inject-faults``,
 * :mod:`repro.serve.telemetry` — the observability layer over all of the
-  above: a metrics registry (counters, gauges, log-bucketed latency
+  above: a metrics registry (counters and log-bucketed latency
   histograms), span
   tracing of every pipeline stage (``serve --trace-file``, analyzed and
   budget-gated by ``repro trace``), and auditable run reports with

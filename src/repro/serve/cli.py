@@ -312,7 +312,6 @@ def _write_run_artifacts(
     args: argparse.Namespace,
     *,
     service,
-    report,
     dataset,
     detector,
     registry: ModelRegistry | None,
@@ -343,7 +342,6 @@ def _write_run_artifacts(
         config,
         stream=stream_info,
         model=model_info,
-        service_report=report.to_dict(),
         metrics=service.metrics_snapshot(),
     )
     (run_dir / "run_summary.json").write_text(
@@ -398,6 +396,33 @@ def _run_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--status-port must be >= 0 (0 picks a free port)")
     if args.health_deadline <= 0:
         raise SystemExit("--health-deadline must be positive")
+    for flag, value in (
+        ("--batch-size", args.batch_size),
+        ("--micro-batch-size", args.micro_batch_size),
+        ("--refit-window", args.refit_window),
+    ):
+        if value < 1:
+            raise SystemExit(f"{flag} must be at least 1, got {value}")
+    if not 0.0 < args.rolling_quantile < 1.0:
+        raise SystemExit(
+            f"--rolling-quantile must be strictly between 0 and 1, "
+            f"got {args.rolling_quantile}"
+        )
+    if args.drift_strength < 0:
+        raise SystemExit(
+            f"--drift-strength must be non-negative, got {args.drift_strength}"
+        )
+    try:
+        threshold: float | str = float(args.threshold)
+    except ValueError:
+        threshold = args.threshold
+        if threshold not in ("auto", "rolling"):
+            raise SystemExit(
+                f"--threshold must be 'auto', 'rolling' or a number, "
+                f"got {threshold!r}"
+            ) from None
+    if threshold != threshold:  # NaN: no score would ever exceed it
+        raise SystemExit("--threshold must not be nan: it would flag nothing")
     if args.refit == "continual" and args.model is None:
         # An unfitted factory instance answers this as well as a fitted one.
         _require_continual(DETECTOR_FACTORIES[args.detector]())
@@ -457,11 +482,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 print(f"fault injection: {FaultInjector.tear_version(info.path)}")
                 _print_recovered(registry.recover(info.name))
                 serving_version = None
-
-    try:
-        threshold: float | str = float(args.threshold)
-    except ValueError:
-        threshold = args.threshold
 
     sinks = [JsonlSink(args.alerts)] if args.alerts is not None else []
     if injector is not None:
@@ -584,8 +604,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     # still flushes its partial report (and the partial run artifacts) so an
     # operator sees what was processed, then exits with the conventional
     # signal code — no raw traceback.
-    report = service.report()
-    print(report.summary())
+    print(service.report().summary())
     if not interrupted:
         if lifecycle is not None:
             for event in lifecycle.events:
@@ -608,7 +627,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         _write_run_artifacts(
             args,
             service=service,
-            report=report,
             dataset=dataset,
             detector=detector,
             registry=registry,

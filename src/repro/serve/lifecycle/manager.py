@@ -39,7 +39,6 @@ from repro.serve.lifecycle.buffer import WindowBuffer
 from repro.serve.lifecycle.gate import GateResult, QualityGate
 from repro.serve.lifecycle.policy import RefitPolicy
 from repro.serve.telemetry.tracing import trace_span
-from repro.utils.timing import Timer
 
 __all__ = ["LifecycleEvent", "LifecycleManager"]
 
@@ -151,8 +150,8 @@ class LifecycleManager:
         self.n_skipped_ = 0
         #: Telemetry channel for the refit/gate/publish spans.  Left unset
         #: here: the ``DetectionService`` that adopts this manager wires its
-        #: own registry/tracer in on construction; unwired, the spans are
-        #: no-ops.
+        #: own registry/tracer in on construction; unwired, the spans only
+        #: time their blocks (``refit_latency_s`` reads the ``refit`` span).
         self.telemetry = None
         self.tracer = None
 
@@ -231,10 +230,9 @@ class LifecycleManager:
                 action=action, policy=self.policy.name,
                 n_window_rows=n_rows, reason=reason,
             )
-        timer = Timer()
-        with timer, trace_span(
+        with trace_span(
             "refit", metrics=self.telemetry, tracer=self.tracer, rows=n_rows
-        ):
+        ) as refit_span:
             candidate = self.policy.refit(current, window)
         if candidate is None:
             fallback, declined = self._reload_fallback()
@@ -244,7 +242,7 @@ class LifecycleManager:
             action = "reload" if fallback is not None else "skipped"
             return fallback, LifecycleEvent(
                 action=action, policy=self.policy.name, n_window_rows=n_rows,
-                refit_latency_s=timer.total,
+                refit_latency_s=refit_span.seconds,
                 reason=reason,
             )
         with trace_span(
@@ -256,13 +254,13 @@ class LifecycleManager:
             # registry version here would mask a bad refit behind churn.
             return None, LifecycleEvent(
                 action="rejected", policy=self.policy.name, n_window_rows=n_rows,
-                refit_latency_s=timer.total, gate=gate_result,
+                refit_latency_s=refit_span.seconds, gate=gate_result,
                 reason=gate_result.reason,
             )
         version = self._publish_candidate(candidate, n_rows, gate_result)
         return candidate, LifecycleEvent(
             action="refit", policy=self.policy.name, n_window_rows=n_rows,
-            published_version=version, refit_latency_s=timer.total,
+            published_version=version, refit_latency_s=refit_span.seconds,
             gate=gate_result,
         )
 

@@ -19,19 +19,23 @@ online scorer with the operational pieces a deployment needs:
   :class:`~repro.serve.registry.ModelRegistry` — belongs to an optional
   :class:`~repro.serve.lifecycle.LifecycleManager`, the one path that swaps
   the served detector;
-* **throughput/latency counters** built on
-  :meth:`repro.utils.timing.Timer.throughput`;
-* **telemetry** (:mod:`repro.serve.telemetry`) — every pipeline stage
-  (quarantine scan, scoring, threshold update, drift check, sink emit)
-  runs under a :func:`~repro.serve.telemetry.trace_span`
-  feeding a :class:`~repro.serve.telemetry.MetricsRegistry`
-  (``metrics_snapshot()``), with optional JSONL span traces (``tracer``).
+* **telemetry** (:mod:`repro.serve.telemetry`) — each batch, and every
+  pipeline stage inside it (quarantine scan, scoring, threshold update,
+  drift check, sink emit), runs under a
+  :func:`~repro.serve.telemetry.trace_span` feeding the service's
+  :class:`~repro.serve.telemetry.MetricsRegistry`, with optional JSONL span
+  traces (``tracer``).  Each serving fact has one store: counts live in the
+  service's ``n_*_`` attributes, times in the span histograms.
+  ``metrics_snapshot()`` joins the two (the attributes become the
+  ``pipeline.*`` counters), and :meth:`DetectionService.report` reads its
+  totals off that snapshot with
+  :func:`~repro.serve.telemetry.report.run_totals`, as the run report does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,8 +46,8 @@ from repro.serve.faults import QuarantinedRows, emit_resilient, wrap_sinks
 from repro.serve.sinks import _ENCODER
 from repro.serve.telemetry.context import TraceContext
 from repro.serve.telemetry.metrics import MetricsRegistry
+from repro.serve.telemetry.report import run_totals
 from repro.serve.telemetry.tracing import SpanBuffer, SpanTracer, trace_span
-from repro.utils.timing import Timer
 
 __all__ = [
     "Alert",
@@ -147,7 +151,6 @@ class BatchResult:
     threshold: float
     alerts: tuple[Alert, ...]
     drift: DriftReport | None
-    latency_s: float
     model_epoch: int = 0
     #: Row indices (within the incoming batch) diverted to quarantine before
     #: scoring — rows with a non-finite feature.
@@ -167,7 +170,12 @@ class BatchResult:
 
 @dataclass
 class ServiceReport:
-    """Aggregate counters after a stream has been fully processed."""
+    """Aggregate counters after a stream has been fully processed.
+
+    Built by :meth:`DetectionService.report` from
+    :func:`~repro.serve.telemetry.report.run_totals`: the times cover whole
+    ``batch`` spans.
+    """
 
     n_batches: int = 0
     n_samples: int = 0
@@ -184,21 +192,7 @@ class ServiceReport:
     n_disabled_sinks: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "n_batches": self.n_batches,
-            "n_samples": self.n_samples,
-            "n_alerts": self.n_alerts,
-            "n_drift_events": self.n_drift_events,
-            "drift_batches": list(self.drift_batches),
-            "total_time_s": self.total_time_s,
-            "throughput_samples_per_sec": self.throughput_samples_per_sec,
-            "mean_batch_latency_s": self.mean_batch_latency_s,
-            "batch_latency_p50_s": self.batch_latency_p50_s,
-            "batch_latency_p95_s": self.batch_latency_p95_s,
-            "batch_latency_p99_s": self.batch_latency_p99_s,
-            "n_quarantined": self.n_quarantined,
-            "n_disabled_sinks": self.n_disabled_sinks,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         """Human-readable one-paragraph report."""
@@ -259,12 +253,6 @@ class DetectionService:
         hot-swaps (see :mod:`repro.serve.lifecycle`).
         ``LifecycleManager(NoRefit())`` with a registry reloads the
         registry's pinned or latest version instead of refitting.
-    telemetry:
-        Optional :class:`~repro.serve.telemetry.MetricsRegistry` to record
-        into; a fresh registry is created when omitted (telemetry is always
-        on — its hot-path cost is a few microseconds per batch).  Pass
-        :data:`~repro.serve.telemetry.DISABLED` to switch instrumentation
-        off entirely.  ``metrics_snapshot()`` exports the registry.
     tracer:
         Optional :class:`~repro.serve.telemetry.SpanTracer` (or an
         in-memory :class:`~repro.serve.telemetry.SpanBuffer`); when set,
@@ -288,11 +276,12 @@ class DetectionService:
         drift_monitor: DriftMonitor | None = None,
         sinks: Sequence[Any] = (),
         lifecycle: Any = None,
-        telemetry: MetricsRegistry | None = None,
         tracer: SpanTracer | SpanBuffer | None = None,
     ) -> None:
         if isinstance(threshold, str) and threshold not in ("auto", "rolling"):
             raise ValueError("threshold must be a float, 'auto' or 'rolling'")
+        if not isinstance(threshold, str) and math.isnan(threshold):
+            raise ValueError("threshold must not be NaN: no score exceeds it")
         if rolling_window < 2:
             raise ValueError("rolling_window must be at least 2")
         if not 0.0 < rolling_quantile < 1.0:
@@ -310,28 +299,15 @@ class DetectionService:
         self.drift_monitor = drift_monitor
         self.sinks = wrap_sinks(sinks)
         self.lifecycle = lifecycle
-        self.telemetry = MetricsRegistry() if telemetry is None else telemetry
+        #: Span times of this service and its lifecycle manager; counts are
+        #: the ``n_*_`` attributes below, rendered by :meth:`metrics_snapshot`.
+        self.telemetry = MetricsRegistry()
         self.tracer = tracer
         self.trace_context = None if tracer is None else TraceContext.root()
         #: Optional liveness hook (``repro serve --status-port``): the
         #: watchdog beats once per completed batch.  A plain attribute so
         #: the CLI can attach it without widening every signature.
         self.heartbeat: Any = None
-        # Instrument handles are resolved once: the per-batch path must not
-        # pay a registry dict lookup per counter.
-        self._m_batches = self.telemetry.counter("pipeline.batches", unit="batches")
-        self._m_rows = self.telemetry.counter("pipeline.rows", unit="rows")
-        self._m_alerts = self.telemetry.counter("pipeline.alerts", unit="alerts")
-        self._m_drift = self.telemetry.counter("pipeline.drift_events", unit="events")
-        self._m_quarantined = self.telemetry.counter(
-            "pipeline.quarantined_rows", unit="rows"
-        )
-        self._m_batch_seconds = self.telemetry.histogram(
-            "pipeline.batch_seconds", unit="seconds"
-        )
-        self._m_batch_rows = self.telemetry.histogram(
-            "pipeline.batch_rows", unit="rows"
-        )
         # The lifecycle manager inherits this service's telemetry channel
         # unless it was wired to its own (refit/gate/publish spans land in
         # the same registry the batch spans do).
@@ -340,15 +316,12 @@ class DetectionService:
             if getattr(lifecycle, "tracer", None) is None:
                 lifecycle.tracer = tracer
 
-        self.timer = Timer()
         self.epoch_ = 0
         self.n_features_: int | None = None
         self.n_batches_ = 0
         self.n_samples_ = 0
         self.n_alerts_ = 0
-        self.n_drift_events_ = 0
         self.n_quarantined_ = 0
-        self.n_disabled_sinks_ = 0
         self.drift_batches_: list[int] = []
         self._rolling = _RingBuffer(rolling_window, 1)
 
@@ -450,7 +423,7 @@ class DetectionService:
             tracer=self.tracer,
             context=self.trace_context,
         ):
-            self.n_disabled_sinks_ += len(emit_resilient(self.sinks, *events))
+            emit_resilient(self.sinks, *events)
 
     def process_batch(self, X: np.ndarray) -> BatchResult:
         """Score one batch: thresholds, alerts, drift, counters.
@@ -472,7 +445,9 @@ class DetectionService:
         the stage spans inside nest under it, so every batch forms one
         subtree of the trace.  When the batch fires the drift monitor, the
         lifecycle's reaction (refit, gate, publish, swap) runs after that
-        span closes, so the span times serving alone.  The heartbeat
+        span closes, so the span times serving alone.  The span's
+        ``stage.batch.seconds`` histogram is the service's one clock:
+        :meth:`report` reads throughput and latency off it.  The heartbeat
         watchdog (when attached) beats once per completed batch, after both.
         """
         with trace_span(
@@ -512,7 +487,6 @@ class DetectionService:
             if quarantined:
                 quarantine_reason = "non-finite feature values"
                 self.n_quarantined_ += len(quarantined)
-                self._m_quarantined.inc(len(quarantined))
                 self._emit(
                     QuarantinedRows(
                         batch_index=self.n_batches_,
@@ -522,38 +496,35 @@ class DetectionService:
                 )
         batch_index = self.n_batches_
         offset = self.n_samples_
-        accumulated = self.timer.total
         n_rows = int(X.shape[0])
         batch_span.rows = n_rows
-        with self.timer:
-            if n_rows:
-                with trace_span(
-                    "score",
-                    metrics=self.telemetry,
-                    tracer=self.tracer,
-                    rows=n_rows,
-                    batch_index=batch_index,
-                    context=ctx,
-                ):
-                    scores = self._score_micro_batched(X)
-                # Threshold comes from the window *before* this batch (else a
-                # burst of anomalies would inflate its own threshold and evade
-                # alerting); only then does the batch enter the window.
-                with trace_span(
-                    "threshold_update",
-                    metrics=self.telemetry,
-                    tracer=self.tracer,
-                    batch_index=batch_index,
-                    context=ctx,
-                ):
-                    threshold = self._current_threshold(scores)
-                    self._rolling.extend(scores[:, None])
-                predictions = (scores > threshold).astype(np.int64)
-            else:
-                scores = np.empty(0, dtype=np.float64)
-                threshold = float("nan")
-                predictions = np.empty(0, dtype=np.int64)
-        latency = self.timer.total - accumulated
+        if n_rows:
+            with trace_span(
+                "score",
+                metrics=self.telemetry,
+                tracer=self.tracer,
+                rows=n_rows,
+                batch_index=batch_index,
+                context=ctx,
+            ):
+                scores = self._score_micro_batched(X)
+            # Threshold comes from the window *before* this batch (else a
+            # burst of anomalies would inflate its own threshold and evade
+            # alerting); only then does the batch enter the window.
+            with trace_span(
+                "threshold_update",
+                metrics=self.telemetry,
+                tracer=self.tracer,
+                batch_index=batch_index,
+                context=ctx,
+            ):
+                threshold = self._current_threshold(scores)
+                self._rolling.extend(scores[:, None])
+            predictions = (scores > threshold).astype(np.int64)
+        else:
+            scores = np.empty(0, dtype=np.float64)
+            threshold = float("nan")
+            predictions = np.empty(0, dtype=np.int64)
         flagged = np.flatnonzero(predictions)
         alerts = tuple(
             Alert(batch_index, sample_index, score, threshold)
@@ -580,19 +551,12 @@ class DetectionService:
         if self.lifecycle is not None and scores.size:
             self.lifecycle.observe_batch(X, scores, threshold, drift_report)
         if drift_report is not None and drift_report.drifted:
-            self.n_drift_events_ += 1
-            self._m_drift.inc()
             self.drift_batches_.append(batch_index)
             self._emit(DriftEvent(batch_index=batch_index, report=drift_report))
 
         self.n_batches_ += 1
         self.n_samples_ += int(scores.shape[0])
         self.n_alerts_ += len(alerts)
-        self._m_batches.inc()
-        self._m_rows.inc(int(scores.shape[0]))
-        self._m_alerts.inc(len(alerts))
-        self._m_batch_seconds.observe(latency)
-        self._m_batch_rows.observe(float(scores.shape[0]))
         return BatchResult(
             index=batch_index,
             scores=scores,
@@ -600,7 +564,6 @@ class DetectionService:
             threshold=threshold,
             alerts=alerts,
             drift=drift_report,
-            latency_s=latency,
             model_epoch=self.epoch_,
             quarantined=quarantined,
             quarantine_reason=quarantine_reason,
@@ -630,38 +593,41 @@ class DetectionService:
                     sink.close()
         return self.report()
 
+    @property
+    def n_drift_events_(self) -> int:
+        return len(self.drift_batches_)
+
+    @property
+    def n_disabled_sinks_(self) -> int:
+        """Sinks disabled so far, by this service or by a lifecycle manager
+        sharing its sink wrappers."""
+        return sum(sink.disabled_ for sink in self.sinks)
+
     def metrics_snapshot(self) -> dict:
-        """Dict export of this service's metrics registry."""
-        return self.telemetry.snapshot()
+        """Dict export of the span metrics plus the ``pipeline.*`` counters.
+
+        The counters are rendered from the service's own attributes, the one
+        store of each count.
+        """
+        snapshot = self.telemetry.snapshot()
+        counters = snapshot["counters"]
+        for name, unit, value in (
+            ("batches", "batches", self.n_batches_),
+            ("rows", "rows", self.n_samples_),
+            ("alerts", "alerts", self.n_alerts_),
+            ("drift_events", "events", self.n_drift_events_),
+            ("quarantined_rows", "rows", self.n_quarantined_),
+            ("disabled_sinks", "sinks", self.n_disabled_sinks_),
+        ):
+            counters[f"pipeline.{name}"] = {"value": value, "unit": unit}
+        snapshot["counters"] = dict(sorted(counters.items()))
+        return snapshot
 
     def report(self) -> ServiceReport:
-        """Aggregate counters so far (usable mid-stream as well)."""
-        # Throughput comes from the batch-latency histogram's exact sum — the
-        # true accumulated scoring time — with Timer.total as the fallback
-        # when telemetry is DISABLED.  With no samples the rate is 0.0, not
-        # an "immeasurably fast" inf (which would also leak non-strict JSON
-        # through to_dict()); a measured-as-zero elapsed keeps the historical
-        # inf semantics.
-        hist = self._m_batch_seconds
-        if self.n_samples_:
-            elapsed = hist.sum if hist.count else self.timer.total
-            throughput = (
-                self.n_samples_ / elapsed if elapsed > 0.0 else float("inf")
-            )
-        else:
-            throughput = 0.0
+        """Aggregate counters so far (usable mid-stream as well), read off
+        :meth:`metrics_snapshot` by
+        :func:`~repro.serve.telemetry.report.run_totals`."""
         return ServiceReport(
-            n_batches=self.n_batches_,
-            n_samples=self.n_samples_,
-            n_alerts=self.n_alerts_,
-            n_drift_events=self.n_drift_events_,
+            **run_totals(self.metrics_snapshot()),
             drift_batches=list(self.drift_batches_),
-            total_time_s=self.timer.total,
-            throughput_samples_per_sec=throughput,
-            mean_batch_latency_s=self.timer.mean,
-            batch_latency_p50_s=hist.percentile(0.50),
-            batch_latency_p95_s=hist.percentile(0.95),
-            batch_latency_p99_s=hist.percentile(0.99),
-            n_quarantined=self.n_quarantined_,
-            n_disabled_sinks=self.n_disabled_sinks_,
         )

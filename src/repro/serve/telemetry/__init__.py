@@ -1,10 +1,14 @@
 """Serving telemetry: metrics registry, span tracing and run reports.
 
-The observability substrate for :mod:`repro.serve`, in five pieces:
+The observability substrate for :mod:`repro.serve`, in five pieces.  Each
+serving fact is recorded once: counts in the service's ``n_*_``
+attributes, times in the span histograms; ``/metrics``, the run summary,
+``ServiceReport`` and the run report are views over the one snapshot that
+joins them (``DetectionService.metrics_snapshot()``).
 
 * :mod:`~repro.serve.telemetry.metrics` — process-local
-  :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments behind
-  a :class:`MetricsRegistry` with a dict :meth:`~MetricsRegistry.snapshot`
+  :class:`Counter` / :class:`Histogram` instruments behind a
+  :class:`MetricsRegistry` with a dict :meth:`~MetricsRegistry.snapshot`
   (served live on ``/metrics`` and written to ``run_summary.json``).
 * :mod:`~repro.serve.telemetry.tracing` / :mod:`~repro.serve.telemetry.context`
   — :func:`trace_span` wraps each pipeline stage, recording wall time + rows
@@ -22,6 +26,8 @@ The observability substrate for :mod:`repro.serve`, in five pieces:
   :class:`StatusServer` answers ``/metrics`` (:func:`render_prometheus`),
   ``/health`` (:class:`HeartbeatWatchdog`) and ``/status``.
 * :mod:`~repro.serve.telemetry.report` — auditable run reports:
+  :func:`run_totals` derives the run totals from a snapshot (for
+  ``DetectionService.report()`` and the report alike),
   :func:`build_report` / :func:`render_markdown` produce sectioned
   MET/NOT_MET verdicts with evidence (``report.json`` + ``report.md``),
   :func:`build_run_summary` records reproducibility hashes, and
@@ -31,14 +37,7 @@ The observability substrate for :mod:`repro.serve`, in five pieces:
 
 from .context import TraceContext
 from .exposition import render_prometheus
-from .metrics import (
-    DISABLED,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    log_spaced_buckets,
-)
+from .metrics import Counter, Histogram, MetricsRegistry, log_spaced_buckets
 from .report import (
     build_report,
     build_run_summary,
@@ -46,6 +45,7 @@ from .report import (
     load_run_dir,
     render_markdown,
     render_run_report,
+    run_totals,
     write_report_files,
 )
 from .statusd import HeartbeatWatchdog, StatusServer
@@ -54,8 +54,6 @@ from .traceview import stage_aggregate
 
 __all__ = [
     "Counter",
-    "DISABLED",
-    "Gauge",
     "HeartbeatWatchdog",
     "Histogram",
     "MetricsRegistry",
@@ -71,6 +69,7 @@ __all__ = [
     "render_markdown",
     "render_prometheus",
     "render_run_report",
+    "run_totals",
     "stage_aggregate",
     "trace_span",
     "write_report_files",

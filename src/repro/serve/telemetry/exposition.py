@@ -1,7 +1,7 @@
 """Prometheus text exposition rendered from a metrics snapshot.
 
 :func:`render_prometheus` is a pure function from
-:meth:`MetricsRegistry.snapshot() <repro.serve.telemetry.metrics.MetricsRegistry.snapshot>`
+:meth:`DetectionService.metrics_snapshot() <repro.serve.service.DetectionService.metrics_snapshot>`
 output to the Prometheus `text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ (version
 0.0.4) — the ``/metrics`` endpoint of the live status server calls it on
@@ -52,12 +52,6 @@ def render_prometheus(snapshot: Mapping[str, Any]) -> str:
         name = _name(raw, suffix="_total")
         lines.append(f"# HELP {name} {raw} ({entry.get('unit', 'count')})")
         lines.append(f"# TYPE {name} counter")
-        lines.append(f"{name} {_value(entry.get('value', 0))}")
-
-    for raw, entry in snapshot.get("gauges", {}).items():
-        name = _name(raw)
-        lines.append(f"# HELP {name} {raw} ({entry.get('unit', 'value')})")
-        lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name} {_value(entry.get('value', 0))}")
 
     for raw, entry in snapshot.get("histograms", {}).items():

@@ -1,18 +1,23 @@
 """Process-local metrics primitives for the serving stack.
 
-:class:`MetricsRegistry` holds named :class:`Counter` / :class:`Gauge` /
-:class:`Histogram` instruments with a flat dict export
-(:meth:`MetricsRegistry.snapshot`).  Two properties shape the design:
+:class:`MetricsRegistry` holds named :class:`Counter` and :class:`Histogram`
+instruments with a flat dict export (:meth:`MetricsRegistry.snapshot`).
+Every instrument is written by a :func:`~repro.serve.telemetry.trace_span`:
+each span adds its wall time to a ``stage.<name>.seconds`` histogram and
+its rows to a ``stage.<name>.rows`` counter.  The service's own counts
+(batches, rows, alerts, ...) are not kept here; ``metrics_snapshot()`` adds
+them to the snapshot as the ``pipeline.*`` counters.  Two properties shape
+the design:
 
-* **O(1) memory** — histograms bucket observations into a *fixed* log-spaced
-  boundary grid (:func:`log_spaced_buckets`); only the per-bucket counts plus
-  exact ``count``/``sum``/``min``/``max`` accumulate, never the samples.
-  Percentiles (:meth:`Histogram.percentile`) are estimated from the bucket
-  counts by geometric interpolation, clamped to the observed range.
-* **Deterministic counter values** — counts (batches, rows, events, span
-  calls) depend only on the stream, never on timing, so two runs over the
-  same stream produce identical values; only wall-time *observations*
-  differ run to run.
+* **O(1) memory** — histograms bucket observations into one *fixed*
+  log-spaced grid of seconds (:data:`SECONDS_BUCKETS`); only the per-bucket
+  counts plus exact ``count``/``sum``/``min``/``max`` accumulate, never the
+  samples.  Percentiles (:meth:`Histogram.percentile`) are estimated from
+  the bucket counts by geometric interpolation, clamped to the observed
+  range.
+* **Deterministic counter values** — counts (rows, span calls) depend only
+  on the stream, never on timing, so two runs over the same stream produce
+  identical values; only wall-time *observations* differ run to run.
 
 A snapshot leaves the process two ways: ``/metrics`` of the status endpoint
 (:mod:`~repro.serve.telemetry.statusd`) while a run is live, and the
@@ -22,12 +27,10 @@ A snapshot leaves the process two ways: ``/metrics`` of the status endpoint
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Iterable
+from typing import Any
 
 __all__ = [
     "Counter",
-    "DISABLED",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "log_spaced_buckets",
@@ -47,25 +50,19 @@ def log_spaced_buckets(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(lo * ratio ** (i / (n - 1)) for i in range(n))
 
 
-#: Default bucket grids by unit: 1 µs .. 100 s for latencies (5 per decade)
-#: and 1 .. ~1M for row counts (powers of two).
-DEFAULT_BUCKETS: dict[str | None, tuple[float, ...]] = {
-    "seconds": log_spaced_buckets(1e-6, 100.0, 41),
-    "rows": tuple(float(2**k) for k in range(21)),
-}
-_GENERIC_BUCKETS = log_spaced_buckets(1e-3, 1e6, 46)
+#: The bucket grid of every histogram: 1 µs .. 100 s, 5 bounds per decade.
+SECONDS_BUCKETS = log_spaced_buckets(1e-6, 100.0, 41)
 
 
 class Counter:
     """Monotonic count."""
 
-    __slots__ = ("name", "unit", "help", "value")
+    __slots__ = ("name", "unit", "value")
     kind = "counter"
 
-    def __init__(self, name: str, *, unit: str = "count", help: str = "") -> None:
+    def __init__(self, name: str, *, unit: str = "count") -> None:
         self.name = name
         self.unit = unit
-        self.help = help
         self.value = 0
 
     def inc(self, amount: int | float = 1) -> None:
@@ -77,53 +74,22 @@ class Counter:
         return {"value": self.value, "unit": self.unit}
 
 
-class Gauge:
-    """Last-set value."""
-
-    __slots__ = ("name", "unit", "help", "value")
-    kind = "gauge"
-
-    def __init__(self, name: str, *, unit: str = "value", help: str = "") -> None:
-        self.name = name
-        self.unit = unit
-        self.help = help
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def export(self) -> dict:
-        return {"value": self.value, "unit": self.unit}
-
-
 class Histogram:
-    """Fixed-bucket histogram with exact ``count``/``sum``/``min``/``max``.
+    """Histogram of durations in seconds, with exact ``count``/``sum``/``min``/``max``.
 
-    ``bounds`` are inclusive upper edges; one overflow bucket past the last
-    edge catches everything larger.  Memory is ``len(bounds) + 1`` integers
-    regardless of how many values are observed.
+    :data:`SECONDS_BUCKETS` are inclusive upper edges; one overflow bucket
+    past the last edge catches everything larger.  Memory is
+    ``len(SECONDS_BUCKETS) + 1`` integers regardless of how many values are
+    observed.
     """
 
-    __slots__ = ("name", "unit", "help", "bounds", "counts", "count", "sum",
-                 "min", "max")
+    __slots__ = ("name", "counts", "count", "sum", "min", "max")
     kind = "histogram"
+    unit = "seconds"
+    bounds = SECONDS_BUCKETS
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        unit: str = "seconds",
-        buckets: Iterable[float] | None = None,
-        help: str = "",
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.unit = unit
-        self.help = help
-        if buckets is None:
-            buckets = DEFAULT_BUCKETS.get(unit, _GENERIC_BUCKETS)
-        self.bounds = tuple(float(b) for b in buckets)
-        if list(self.bounds) != sorted(set(self.bounds)):
-            raise ValueError("histogram buckets must be strictly increasing")
         self.counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.sum = 0.0
@@ -182,127 +148,39 @@ class Histogram:
         }
 
 
-class _NullInstrument:
-    """No-op stand-in with every instrument's write API (see :data:`DISABLED`)."""
-
-    __slots__ = ()
-    bounds: tuple[float, ...] = ()
-    value = 0
-    count = 0
-    sum = 0.0
-    min = 0.0
-    max = 0.0
-
-    def inc(self, amount: int | float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def percentile(self, q: float) -> float:
-        return 0.0
-
-    def export(self) -> dict:
-        return {}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
 class MetricsRegistry:
     """Named instruments with get-or-create access and a dict snapshot.
 
-    Instruments are created on first use (``registry.counter("pipeline.rows",
+    Instruments are created on first use (``registry.counter("stage.score.rows",
     unit="rows").inc(n)``); asking for an existing name with a different kind
     raises — one name, one meaning.
     """
 
     def __init__(self) -> None:
         self._instruments: dict[str, Any] = {}
-        self.enabled = True
 
     def _get(self, name: str, kind: str, factory: Any) -> Any:
         instrument = self._instruments.get(name)
         if instrument is None:
-            instrument = factory()
-            self._instruments[name] = instrument
-            return instrument
-        if instrument.kind != kind:
+            instrument = self._instruments[name] = factory()
+        elif instrument.kind != kind:
             raise ValueError(
                 f"metric {name!r} already registered as a {instrument.kind}"
             )
         return instrument
 
-    def counter(self, name: str, *, unit: str = "count", help: str = "") -> Counter:
-        return self._get(name, "counter", lambda: Counter(name, unit=unit, help=help))
+    def counter(self, name: str, *, unit: str = "count") -> Counter:
+        return self._get(name, "counter", lambda: Counter(name, unit=unit))
 
-    def gauge(self, name: str, *, unit: str = "value", help: str = "") -> Gauge:
-        return self._get(name, "gauge", lambda: Gauge(name, unit=unit, help=help))
-
-    def histogram(
-        self,
-        name: str,
-        *,
-        unit: str = "seconds",
-        buckets: Iterable[float] | None = None,
-        help: str = "",
-    ) -> Histogram:
-        return self._get(
-            name,
-            "histogram",
-            lambda: Histogram(name, unit=unit, buckets=buckets, help=help),
-        )
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    def __len__(self) -> int:
-        return len(self._instruments)
-
-    def names(self) -> list[str]:
-        return sorted(self._instruments)
+    def histogram(self, name: str) -> Histogram:
+        return self._get(name, "histogram", lambda: Histogram(name))
 
     # -- export ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Flat dict export: ``{"counters": ..., "gauges": ..., "histograms":
-        ...}``, names sorted, every value JSON-serializable."""
-        counters: dict[str, dict] = {}
-        gauges: dict[str, dict] = {}
-        histograms: dict[str, dict] = {}
+        """Flat dict export: ``{"counters": ..., "histograms": ...}``, names
+        sorted, every value JSON-serializable."""
+        snapshot: dict[str, dict] = {"counters": {}, "histograms": {}}
         for name in sorted(self._instruments):
             instrument = self._instruments[name]
-            {"counter": counters, "gauge": gauges, "histogram": histograms}[
-                instrument.kind
-            ][name] = instrument.export()
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
-class _DisabledRegistry(MetricsRegistry):
-    """The no-op registry: every instrument lookup returns one shared null
-    object, so instrumented code paths cost a dict-free method call and
-    nothing else.  Used by the telemetry benchmark's "uninstrumented" arm
-    (``DetectionService(telemetry=DISABLED)``)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.enabled = False
-
-    def counter(self, name: str, **kwargs: Any) -> Any:  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **kwargs: Any) -> Any:  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, **kwargs: Any) -> Any:  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-#: Shared disabled registry: pass as ``telemetry=DISABLED`` to switch a
-#: service's instrumentation off entirely.
-DISABLED = _DisabledRegistry()
+            snapshot[instrument.kind + "s"][name] = instrument.export()
+        return snapshot

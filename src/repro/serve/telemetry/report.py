@@ -1,7 +1,7 @@
 """Auditable run reports: sectioned MET/NOT_MET verdicts with evidence.
 
-A serving run already leaves alerts, lifecycle lineage and (with telemetry)
-a metrics snapshot behind — this module folds them into one reviewable
+A serving run leaves alerts, lifecycle lineage and a metrics snapshot
+behind — this module folds them into one reviewable
 artifact pair, ``report.json`` (machine-readable) + ``report.md``
 (human-readable), in the style of the dac_agent review exemplar: every
 section carries an explicit verdict, every check carries its severity and
@@ -9,9 +9,9 @@ the evidence it was judged on.  Sections:
 
 1. **Throughput** — did the stream complete with scored batches, and at
    what rate?
-2. **Latency** — batch p50/p95/p99 and the per-stage span table from the
-   metrics snapshot.  The span tree in ``trace.jsonl`` is analyzed and
-   gated on per-stage budgets by ``repro trace``, not here.
+2. **Latency** — batch p50/p95/p99 and the per-stage span table.  The
+   span tree in ``trace.jsonl`` is analyzed and gated on per-stage budgets
+   by ``repro trace``, not here.
 3. **Timeline** — ordered alert/drift/quarantine/sink/swap events, with
    checks on degradations (no sink disabled, quarantine fraction bounded).
 4. **Lifecycle** — the count of each lifecycle action; every swap carries a
@@ -22,7 +22,13 @@ the evidence it was judged on.  Sections:
 Verdicts roll up mechanically: a section is **NOT_MET** when any *major*
 check fails, **PARTIALLY_MET** when only *minor* checks fail, **MET**
 otherwise; the overall verdict applies the same rule across all checks.
-:func:`build_report` is pure (dict in, dict out — the golden-report test
+
+Every number of the report is read off the metrics snapshot by
+:func:`run_totals`, the same function that fills
+:meth:`DetectionService.report() <repro.serve.service.DetectionService.report>`:
+counts from the ``pipeline.*`` counters, times from the ``batch`` span's
+``stage.batch.seconds`` histogram.  A counter or histogram the snapshot
+lacks reads 0.  :func:`build_report` is pure (dict in, dict out — the golden-report test
 locks its output for fixed inputs), :func:`render_markdown` is presentation
 only, and :func:`render_run_report` re-renders after the fact from a run
 directory's ``run_summary.json`` + ``events.jsonl`` (the ``repro serve
@@ -46,6 +52,7 @@ __all__ = [
     "load_run_dir",
     "render_markdown",
     "render_run_report",
+    "run_totals",
     "write_report_files",
 ]
 
@@ -118,7 +125,6 @@ def build_run_summary(
     *,
     stream: Mapping[str, Any] | None = None,
     model: Mapping[str, Any] | None = None,
-    service_report: Mapping[str, Any] | None = None,
     metrics: Mapping[str, Any] | None = None,
     generated_at: str | None = None,
 ) -> dict:
@@ -127,7 +133,9 @@ def build_run_summary(
     ``config`` is hashed (:func:`config_sha256`); ``model`` should carry the
     snapshot-manifest facts (``name``, ``version``, ``artifacts`` mapping
     artifact names to SHA-256 hex digests); ``stream`` records the data
-    source (dataset, scale, seed, batch size ...).
+    source (dataset, scale, seed, batch size ...); ``metrics`` is the
+    service's ``metrics_snapshot()``, the run's one record of counts and
+    times.
     """
     return {
         "format_version": FORMAT_VERSION,
@@ -136,8 +144,40 @@ def build_run_summary(
         "config_sha256": config_sha256(config),
         "stream": dict(stream) if stream else None,
         "model": dict(model) if model else None,
-        "service_report": dict(service_report) if service_report else None,
         "metrics": dict(metrics) if metrics else None,
+    }
+
+
+def run_totals(metrics: Mapping[str, Any] | None) -> dict:
+    """The run's totals, read off one metrics snapshot.
+
+    Counts come from the ``pipeline.*`` counters; the run time, throughput
+    and batch-latency percentiles from the ``batch`` span's
+    ``stage.batch.seconds`` histogram, so every batch is timed end to end by
+    one clock.  Anything the snapshot lacks reads 0.
+    """
+    counters = (metrics or {}).get("counters", {})
+    batch = (metrics or {}).get("histograms", {}).get("stage.batch.seconds", {})
+
+    def count(name: str) -> int:
+        return int(counters.get(f"pipeline.{name}", {}).get("value", 0))
+
+    n_samples = count("rows")
+    total = float(batch.get("sum", 0.0))
+    n_timed = int(batch.get("count", 0))
+    return {
+        "n_batches": count("batches"),
+        "n_samples": n_samples,
+        "n_alerts": count("alerts"),
+        "n_drift_events": count("drift_events"),
+        "n_quarantined": count("quarantined_rows"),
+        "n_disabled_sinks": count("disabled_sinks"),
+        "total_time_s": total,
+        "throughput_samples_per_sec": n_samples / total if total > 0.0 else 0.0,
+        "mean_batch_latency_s": total / n_timed if n_timed else 0.0,
+        "batch_latency_p50_s": float(batch.get("p50", 0.0)),
+        "batch_latency_p95_s": float(batch.get("p95", 0.0)),
+        "batch_latency_p99_s": float(batch.get("p99", 0.0)),
     }
 
 
@@ -223,9 +263,8 @@ def _stage_table(metrics: Mapping[str, Any] | None) -> dict[str, dict]:
 
 
 def build_report(
-    summary: Mapping[str, Any],
+    metrics: Mapping[str, Any] | None,
     *,
-    metrics: Mapping[str, Any] | None = None,
     events: Sequence[Mapping[str, Any]] = (),
     run_info: Mapping[str, Any] | None = None,
     max_quarantined_fraction: float = 0.10,
@@ -235,15 +274,14 @@ def build_report(
 ) -> dict:
     """Build the ``report.json`` payload (pure: dict in, dict out).
 
-    ``summary`` is a ``ServiceReport.to_dict()``; ``events`` are sink-fabric
-    event dicts in emission order (e.g. read back from ``events.jsonl``),
-    lifecycle lineage included; ``run_info`` is a :func:`build_run_summary`
-    payload.
+    ``metrics`` is the service's ``metrics_snapshot()`` (its totals are
+    :func:`run_totals`); ``events`` are sink-fabric event dicts in emission
+    order (e.g. read back from ``events.jsonl``), lifecycle lineage
+    included; ``run_info`` is a :func:`build_run_summary` payload.
     """
-    summary = dict(summary)
-    n_batches = int(summary.get("n_batches", 0))
-    n_samples = int(summary.get("n_samples", 0))
-    throughput = float(summary.get("throughput_samples_per_sec", 0.0))
+    totals = run_totals(metrics)
+    n_batches = totals["n_batches"]
+    n_samples = totals["n_samples"]
 
     # -- 1. throughput ---------------------------------------------------------
     throughput_checks = [
@@ -254,25 +292,27 @@ def build_report(
             evidence={
                 "n_batches": n_batches,
                 "n_samples": n_samples,
-                "total_time_s": summary.get("total_time_s", 0.0),
+                "total_time_s": totals["total_time_s"],
             },
         )
     ]
     throughput_data: dict[str, Any] = {
-        "throughput_samples_per_sec": _round(throughput)
+        "throughput_samples_per_sec": _round(totals["throughput_samples_per_sec"])
     }
 
     # -- 2. latency ------------------------------------------------------------
-    p50 = float(summary.get("batch_latency_p50_s", 0.0))
-    p95 = float(summary.get("batch_latency_p95_s", 0.0))
-    p99 = float(summary.get("batch_latency_p99_s", 0.0))
+    p50 = totals["batch_latency_p50_s"]
     stages = _stage_table(metrics)
     latency_checks = [
         _check(
             "LAT-01",
             "Batch latency percentiles measured",
             n_batches == 0 or p50 > 0.0,
-            evidence={"p50_s": p50, "p95_s": p95, "p99_s": p99},
+            evidence={
+                "p50_s": p50,
+                "p95_s": totals["batch_latency_p95_s"],
+                "p99_s": totals["batch_latency_p99_s"],
+            },
         ),
         _check(
             "LAT-02",
@@ -292,11 +332,8 @@ def build_report(
         kind = event.get("type")
         if kind in _TIMELINE_TYPES:
             event_counts[kind] = event_counts.get(kind, 0) + 1
-    n_disabled = max(
-        int(summary.get("n_disabled_sinks", 0)),
-        event_counts.get("sink_disabled", 0),
-    )
-    n_quarantined = int(summary.get("n_quarantined", 0))
+    n_disabled = totals["n_disabled_sinks"]
+    n_quarantined = totals["n_quarantined"]
     seen_rows = n_samples + n_quarantined
     quarantined_fraction = n_quarantined / seen_rows if seen_rows else 0.0
     timeline_checks = [
@@ -399,17 +436,7 @@ def build_report(
         "title": title,
         "generated_at": generated_at if generated_at is not None else _now_utc(),
         "overall": _section_verdict(all_checks),
-        "run": _round(
-            {
-                "n_batches": n_batches,
-                "n_samples": n_samples,
-                "n_alerts": summary.get("n_alerts", 0),
-                "n_drift_events": summary.get("n_drift_events", 0),
-                "n_quarantined": n_quarantined,
-                "throughput_samples_per_sec": throughput,
-                "total_time_s": summary.get("total_time_s", 0.0),
-            }
-        ),
+        "run": _round(totals),
         "sections": sections,
     }
 
@@ -538,8 +565,7 @@ def render_run_report(
     """
     run_summary, events = load_run_dir(run_dir)
     report = build_report(
-        run_summary.get("service_report") or {},
-        metrics=run_summary.get("metrics"),
+        run_summary.get("metrics"),
         events=events,
         run_info=run_summary,
         generated_at=generated_at,

@@ -14,11 +14,9 @@ routes:
 
 The server never *writes* service state: it holds two callables and a
 watchdog, so a scrape can race a batch at worst into a slightly stale
-snapshot.  Each route renders under its own span — ``metrics_render`` for
-``/metrics``, ``heartbeat`` for ``/health``, ``status_render`` for
-``/status`` — recorded into the server's **own private registry**: scrape
-counts are wall-clock-driven and must never leak into the service
-registry, whose counters are deterministic per stream.
+snapshot.  It records nothing either: scrapes are wall-clock-driven and
+must never reach the service registry, whose counters are deterministic
+per stream.
 
 :class:`HeartbeatWatchdog` reads :func:`time.monotonic` — a monotonic
 duration clock (it measures "how long since the last beat", never "what
@@ -34,8 +32,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Mapping
 
 from .exposition import render_prometheus
-from .metrics import MetricsRegistry
-from .tracing import trace_span
 
 __all__ = ["HeartbeatWatchdog", "StatusServer"]
 
@@ -95,17 +91,14 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         try:
             if path == "/metrics":
-                with trace_span("metrics_render", metrics=owner.telemetry):
-                    body = render_prometheus(owner.snapshot_fn())
+                body = render_prometheus(owner.snapshot_fn())
                 self._send(200, "text/plain; version=0.0.4; charset=utf-8", body)
             elif path == "/health":
-                with trace_span("heartbeat", metrics=owner.telemetry):
-                    verdict = owner.health()
+                verdict = owner.health()
                 status = 200 if verdict["status"] == "OK" else 503
                 self._send(status, "application/json", json.dumps(verdict) + "\n")
             elif path in ("/", "/status"):
-                with trace_span("status_render", metrics=owner.telemetry):
-                    body = json.dumps(owner.status(), sort_keys=True, default=str)
+                body = json.dumps(owner.status(), sort_keys=True, default=str)
                 self._send(200, "application/json", body + "\n")
             else:
                 self._send(404, "text/plain", "not found\n")
@@ -134,7 +127,6 @@ class StatusServer:
         self.snapshot_fn = snapshot_fn
         self.status_fn = status_fn
         self.watchdog = watchdog
-        self.telemetry = MetricsRegistry()
         self._server = ThreadingHTTPServer((host, int(port)), _Handler)
         self._server.daemon_threads = True
         self._server.owner = self  # type: ignore[attr-defined]

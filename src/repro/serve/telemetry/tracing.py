@@ -35,7 +35,7 @@ from typing import Any
 
 from ..sinks import JsonlSink
 from .context import TraceContext
-from .metrics import DISABLED, MetricsRegistry
+from .metrics import MetricsRegistry
 
 __all__ = ["SpanBuffer", "SpanTracer", "trace_span"]
 
@@ -98,9 +98,11 @@ class SpanBuffer:
 class trace_span:
     """Context manager timing one pipeline stage into the metrics registry.
 
-    ``with trace_span("score", metrics=registry, rows=len(X)): ...`` records
-    the block's wall time into the ``stage.score.seconds`` histogram and adds
-    ``rows`` to the ``stage.score.rows`` counter; with a ``tracer`` it also
+    ``with trace_span("score", metrics=registry, rows=len(X)) as span: ...``
+    records the block's wall time into the ``stage.score.seconds`` histogram
+    and adds ``rows`` to the ``stage.score.rows`` counter (without a registry
+    it records nothing there); the same wall time stays readable as
+    ``span.seconds`` after the block.  With a ``tracer`` it also
     appends ``{"stage", "seconds", "rows", "batch_index", "t_offset_s",
     "error"}`` as one JSONL line.  With a ``context`` the record additionally
     carries ``trace_id``/``span_id``/``parent_span_id`` and ``span.ctx`` is
@@ -118,6 +120,7 @@ class trace_span:
         "batch_index",
         "context",
         "span_id",
+        "seconds",
         "_child",
         "_t0",
     )
@@ -133,12 +136,13 @@ class trace_span:
         context: TraceContext | None = None,
     ) -> None:
         self.stage = stage
-        self.metrics = DISABLED if metrics is None else metrics
+        self.metrics = metrics
         self.tracer = tracer
         self.rows = int(rows)
         self.batch_index = batch_index
         self.context = context
         self.span_id: str | None = None
+        self.seconds = 0.0
         self._child: TraceContext | None = None
         self._t0 = 0.0
 
@@ -157,13 +161,14 @@ class trace_span:
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        elapsed = perf_counter() - self._t0
+        self.seconds = elapsed = perf_counter() - self._t0
         metrics = self.metrics
-        metrics.histogram(f"stage.{self.stage}.seconds", unit="seconds").observe(
-            elapsed
-        )
-        if self.rows:
-            metrics.counter(f"stage.{self.stage}.rows", unit="rows").inc(self.rows)
+        if metrics is not None:
+            metrics.histogram(f"stage.{self.stage}.seconds").observe(elapsed)
+            if self.rows:
+                metrics.counter(f"stage.{self.stage}.rows", unit="rows").inc(
+                    self.rows
+                )
         tracer = self.tracer
         if tracer is not None:
             span: dict[str, Any] = {

@@ -94,9 +94,12 @@ class GradientBoostingClassifier:
                 max_depth=self.max_depth, min_samples_leaf=5, random_state=rng
             )
             tree.fit(X[idx], residual[idx])
-            # X was validated once above; traverse the freshly compiled flat
-            # tree directly rather than re-validating per round.
-            raw += self.learning_rate * tree.flat_.predict(X)[:, 0]
+            # X was validated once above; walk the freshly compiled tree as a
+            # one-tree forest rather than re-validating per round.
+            raw += (
+                self.learning_rate
+                * FlatForest.from_flat_trees([tree.flat_]).sum_values(X)[:, 0]
+            )
             trees.append(tree)
         self.trees_ = trees
         # Compile the rounds into one flat forest: the additive score is a

@@ -104,10 +104,10 @@ class _BaseTree:
         self._rng = check_random_state(self.random_state)
         self.root_ = self._grow(X, y, depth=0)
         # Compile the linked nodes into contiguous arrays once, so that batch
-        # prediction is frontier traversal (or a native kernel walk) instead
+        # prediction is a flat-array walk (native kernel or NumPy) instead
         # of per-row recursion.  The single-tree FlatForest is compiled
-        # lazily: ensemble members are traversed via flat_ or their
-        # ensemble's compiled forest and never need their own.
+        # lazily: ensemble members are traversed via their ensemble's
+        # compiled forest and never need their own.
         self.flat_ = flatten_tree(self.root_, lambda node, depth: node.value)
         self._forest_: FlatForest | None = None
 

@@ -276,7 +276,8 @@ def test_each_sink_is_disabled_once(run):
     """
     disabled = [e for e in run["events"] if e.get("type") == "sink_disabled"]
     assert [e["sink"] for e in disabled] == ["RaisingSink"]
-    assert run["summary"]["service_report"]["n_disabled_sinks"] == 1
+    counters = run["summary"]["metrics"]["counters"]
+    assert counters["pipeline.disabled_sinks"]["value"] == 1
     assert not (run["root"] / "alerts.jsonl").exists()
 
 

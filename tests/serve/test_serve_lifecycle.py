@@ -497,6 +497,14 @@ class TestLifecycleManager:
             if batch + 1 < len(results):
                 assert results[batch + 1].model_epoch == event.epoch
 
+    def test_refit_latency_is_the_refit_span(self, tmp_path, rng):
+        """``refit_latency_s`` is the wall time the ``refit`` span recorded."""
+        service, manager, _, _ = _refit_run(tmp_path, rng)
+        spans = service.metrics_snapshot()["histograms"]["stage.refit.seconds"]
+        latencies = [e.refit_latency_s for e in manager.events if e.refit_latency_s]
+        assert latencies and len(latencies) == spans["count"]
+        assert sum(latencies) == spans["sum"]
+
     def test_event_record_fields(self):
         event = LifecycleEvent(action="refit", policy="full", swapped=True, epoch=1)
         assert event.to_dict() == {

@@ -23,10 +23,11 @@ import pytest
 
 from repro.datasets.streaming import FlowStream
 from repro.novelty import IsolationForest
+from repro.serve import cli
 from repro.serve.cli import main
 from repro.serve.faults import FaultInjector
 from repro.serve.service import DetectionService
-from repro.serve.sinks import ListSink
+from repro.serve.sinks import ListSink, read_events
 from repro.serve.telemetry import (
     MetricsRegistry,
     build_report,
@@ -34,6 +35,7 @@ from repro.serve.telemetry import (
     config_sha256,
     load_run_dir,
     render_markdown,
+    render_prometheus,
     render_run_report,
     write_report_files,
 )
@@ -55,32 +57,25 @@ def golden_inputs() -> dict:
         PY
     """
     registry = MetricsRegistry()
-    batches = registry.counter("pipeline.batches", unit="batches")
-    rows = registry.counter("pipeline.rows", unit="rows")
-    latency = registry.histogram("pipeline.batch_seconds", unit="seconds")
-    score = registry.histogram("stage.score.seconds", unit="seconds")
+    batch = registry.histogram("stage.batch.seconds")
+    score = registry.histogram("stage.score.seconds")
     for value in (0.001, 0.002, 0.004, 0.008):
-        batches.inc()
-        rows.inc(256)
-        latency.observe(value)
+        batch.observe(value)
         score.observe(value * 0.75)
     registry.counter("stage.score.rows", unit="rows").inc(1024)
-    registry.counter("pipeline.quarantined_rows", unit="rows").inc(6)
     metrics = registry.snapshot()
+    # The service's attributes, as DetectionService.metrics_snapshot()
+    # renders them.
+    for name, unit, value in (
+        ("batches", "batches", 4),
+        ("rows", "rows", 1024),
+        ("alerts", "alerts", 37),
+        ("drift_events", "events", 1),
+        ("quarantined_rows", "rows", 6),
+        ("disabled_sinks", "sinks", 0),
+    ):
+        metrics["counters"][f"pipeline.{name}"] = {"value": value, "unit": unit}
 
-    summary = {
-        "n_batches": 4,
-        "n_samples": 1024,
-        "n_alerts": 37,
-        "n_drift_events": 1,
-        "n_quarantined": 6,
-        "n_disabled_sinks": 0,
-        "throughput_samples_per_sec": 50000.0,
-        "total_time_s": 0.02048,
-        "batch_latency_p50_s": 0.002,
-        "batch_latency_p95_s": 0.008,
-        "batch_latency_p99_s": 0.008,
-    }
     events = [
         {"type": "quarantined_rows", "batch_index": 0,
          "row_indices": [1, 2, 3], "reason": "non-finite feature values"},
@@ -101,12 +96,10 @@ def golden_inputs() -> dict:
             "version": 2,
             "artifacts": {"arrays.npz": {"sha256": "ab" * 32}},
         },
-        service_report=summary,
         metrics=metrics,
         generated_at=GENERATED_AT,
     )
     return {
-        "summary": summary,
         "metrics": metrics,
         "events": events,
         "run_info": run_info,
@@ -116,8 +109,7 @@ def golden_inputs() -> dict:
 def build_golden_report() -> dict:
     inputs = golden_inputs()
     return build_report(
-        inputs["summary"],
-        metrics=inputs["metrics"],
+        inputs["metrics"],
         events=inputs["events"],
         run_info=inputs["run_info"],
         generated_at=GENERATED_AT,
@@ -157,10 +149,10 @@ class TestBuildReport:
     def test_minor_failure_rolls_up_to_partially_met(self):
         inputs = golden_inputs()
         # Quarantine 30% of traffic: TL-03 is a *minor* check.
-        summary = dict(inputs["summary"], n_quarantined=500)
+        metrics = inputs["metrics"]
+        metrics["counters"]["pipeline.quarantined_rows"]["value"] = 500
         report = build_report(
-            summary,
-            metrics=inputs["metrics"],
+            metrics,
             events=inputs["events"],
             run_info=inputs["run_info"],
             generated_at=GENERATED_AT,
@@ -176,9 +168,10 @@ class TestBuildReport:
         events = inputs["events"] + [
             {"type": "sink_disabled", "sink": "JsonlSink", "n_errors": 3}
         ]
+        metrics = inputs["metrics"]
+        metrics["counters"]["pipeline.disabled_sinks"]["value"] = 1
         report = build_report(
-            inputs["summary"],
-            metrics=inputs["metrics"],
+            metrics,
             events=events,
             run_info=inputs["run_info"],
             generated_at=GENERATED_AT,
@@ -215,7 +208,7 @@ class TestBuildReport:
             {"type": "drift", "batch_index": i} for i in range(30)
         ]
         report = build_report(
-            inputs["summary"],
+            inputs["metrics"],
             events=events,
             run_info=inputs["run_info"],
             max_timeline_events=10,
@@ -233,7 +226,7 @@ class TestBuildReport:
         run_info = dict(inputs["run_info"], model=None)
         run_info["config_sha256"] = "not-a-hash"
         report = build_report(
-            inputs["summary"], run_info=run_info, generated_at=GENERATED_AT
+            inputs["metrics"], run_info=run_info, generated_at=GENERATED_AT
         )
         repro = next(
             s for s in report["sections"] if s["title"] == "Reproducibility"
@@ -298,8 +291,7 @@ class TestChaosRunReport:
 
         events = [event.to_dict() for event in healthy.events]
         report = build_report(
-            service_report.to_dict(),
-            metrics=service.metrics_snapshot(),
+            service.metrics_snapshot(),
             events=events,
             generated_at=GENERATED_AT,
         )
@@ -385,6 +377,91 @@ class TestCliRoundTrip:
         # every stage meets passes, a budget on an untraced stage fails.
         assert main(["trace", str(trace), "--budget", "batch=1e9"]) == 0
         assert main(["trace", str(trace), "--budget", "no_such_stage=1"]) == 1
+
+    def test_every_view_reads_the_same_numbers(self, tmp_path, monkeypatch):
+        """``ServiceReport``, ``/metrics`` and ``report.json`` agree.
+
+        The served stream has quarantined rows, alerts, a drift firing and
+        a disabled sink, so no count agrees by being zero everywhere.
+        """
+        services = []
+
+        class RecordedService(DetectionService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                services.append(self)
+
+        monkeypatch.setattr(cli, "DetectionService", RecordedService)
+        run_dir = tmp_path / "run"
+        assert main([
+            "serve", "--scale", "0.002", "--batch-size", "128",
+            "--drift-strength", "3", "--threshold", "rolling",
+            "--inject-faults", "sink_raise@every=1;nan_rows@rate=0.05",
+            "--alerts", str(tmp_path / "alerts.jsonl"),
+            "--run-dir", str(run_dir),
+        ]) == 0
+        (service,) = services
+
+        report = service.report()
+        from_report = {
+            "batches": report.n_batches,
+            "rows": report.n_samples,
+            "alerts": report.n_alerts,
+            "drift_events": report.n_drift_events,
+            "quarantined_rows": report.n_quarantined,
+            "disabled_sinks": report.n_disabled_sinks,
+        }
+        assert all(from_report.values())
+        assert from_report["disabled_sinks"] == 1
+
+        exposition = render_prometheus(service.metrics_snapshot())
+        from_prometheus = {
+            name: int(
+                next(
+                    line.split()[1]
+                    for line in exposition.splitlines()
+                    if line.startswith(f"repro_pipeline_{name}_total ")
+                )
+            )
+            for name in from_report
+        }
+        assert from_prometheus == from_report
+
+        written = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+        run = written["run"]
+        checks = {
+            check["id"]: check["evidence"]
+            for section in written["sections"]
+            for check in section["checks"]
+        }
+        from_report_json = {
+            "batches": run["n_batches"],
+            "rows": run["n_samples"],
+            "alerts": run["n_alerts"],
+            "drift_events": run["n_drift_events"],
+            "quarantined_rows": run["n_quarantined"],
+            "disabled_sinks": run["n_disabled_sinks"],
+        }
+        assert from_report_json == from_report
+        assert checks["TL-01"]["n_disabled_sinks"] == report.n_disabled_sinks
+        assert checks["TL-03"]["n_quarantined"] == report.n_quarantined
+
+        # The audit files, written record by record, tell the same story.
+        spans = read_events(run_dir / "trace.jsonl")
+        assert [span["stage"] for span in spans].count("batch") == report.n_batches
+        assert report.n_samples == sum(
+            span["rows"] for span in spans if span["stage"] == "score"
+        )
+        events = read_events(run_dir / "events.jsonl")
+        kinds = [event["type"] for event in events]
+        assert kinds.count("alert") == report.n_alerts
+        assert kinds.count("drift") == report.n_drift_events
+        assert kinds.count("sink_disabled") == report.n_disabled_sinks
+        assert report.n_quarantined == sum(
+            len(event["row_indices"])
+            for event in events
+            if event["type"] == "quarantined_rows"
+        )
 
     def test_serve_report_on_missing_dir_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="run_summary.json"):

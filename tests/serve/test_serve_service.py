@@ -114,6 +114,12 @@ class TestThresholds:
         assert result.n_alerts == 0
         assert result.threshold == np.inf
 
+    def test_nan_threshold_is_rejected(self, stream_setup):
+        # No score exceeds NaN: the service would serve without ever alerting.
+        _, _, detector = stream_setup
+        with pytest.raises(ValueError, match="NaN"):
+            DetectionService(detector, threshold=float("nan"))
+
     def test_auto_uses_detector_default(self, stream_setup):
         _, normal, detector = stream_setup
         service = DetectionService(detector, threshold="auto")

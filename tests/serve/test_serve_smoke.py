@@ -170,3 +170,33 @@ def test_scores_survive_registry_round_trip(tiny_dataset, tmp_path):
     np.testing.assert_array_equal(
         loaded.score_samples(tiny_dataset.X), detector.score_samples(tiny_dataset.X)
     )
+
+
+_BAD_FLAGS = [
+    (["--micro-batch-size", "0"], "--micro-batch-size"),
+    (["--rolling-quantile", "1.5", "--threshold", "rolling"], "--rolling-quantile"),
+    (["--refit", "full", "--refit-window", "0"], "--refit-window"),
+    (["--batch-size", "0"], "--batch-size"),
+    (["--threshold", "foo"], "--threshold"),
+    (["--threshold", "nan"], "--threshold"),
+    (["--drift-strength", "-1"], "--drift-strength"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [pytest.param(flags, named, id=" ".join(flags)) for flags, named in _BAD_FLAGS],
+)
+def test_cli_rejects_bad_flag_values_before_loading_data(flags, named, monkeypatch):
+    """A bad flag value exits with one line before the dataset load and the fit."""
+    from repro.serve import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_dataset called before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", *flags])
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(named)

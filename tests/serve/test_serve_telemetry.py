@@ -5,8 +5,8 @@ The contracts under test (see :mod:`repro.serve.telemetry`):
 * instruments are O(1) memory with exact count/sum/min/max;
 * ``trace_span`` records wall time + row counts into the registry and
   (optionally) one JSONL record per span, and never alters control flow;
-* the serving service populates pipeline counters/histograms that agree
-  with their own ``ServiceReport``.
+* the serving service's ``pipeline.*`` counters and ``batch`` span
+  histogram agree with its own ``ServiceReport``.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ from repro.serve.service import DetectionService
 from repro.serve.sinks import ListSink
 from repro.serve.telemetry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     SpanTracer,
     log_spaced_buckets,
     trace_span,
 )
-from repro.serve.telemetry.metrics import DISABLED
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +63,8 @@ class TestPrimitives:
             counter.inc(-1)
         assert counter.export() == {"value": 42, "unit": "rows"}
 
-    def test_gauge_holds_the_last_set_value(self):
-        gauge = Gauge("g", unit="mass")
-        gauge.set(3.5)
-        gauge.set(1)
-        assert gauge.export() == {"value": 1.0, "unit": "mass"}
-
     def test_histogram_exact_aggregates_and_percentiles(self):
-        hist = Histogram("h", unit="seconds")
+        hist = Histogram("h")
         for value in (1e-4, 2e-4, 3e-4, 4e-4, 1e-2):
             hist.observe(value)
         assert hist.count == 5
@@ -86,7 +78,7 @@ class TestPrimitives:
             hist.percentile(1.5)
 
     def test_histogram_single_value_reports_it_everywhere(self):
-        hist = Histogram("h", unit="seconds")
+        hist = Histogram("h")
         hist.observe(0.025)
         for q in (0.0, 0.5, 0.95, 1.0):
             assert hist.percentile(q) == pytest.approx(0.025)
@@ -98,8 +90,8 @@ class TestPrimitives:
         assert export["p50"] == 0.0
 
     def test_histogram_overflow_bucket(self):
-        hist = Histogram("h", buckets=(1.0, 2.0))
-        hist.observe(1e9)
+        hist = Histogram("h")
+        hist.observe(1e9)  # past the 100 s top edge
         assert hist.counts[-1] == 1
         assert hist.percentile(0.5) == pytest.approx(1e9)
 
@@ -110,9 +102,10 @@ class TestRegistry:
         counter = registry.counter("pipeline.rows", unit="rows")
         assert registry.counter("pipeline.rows") is counter
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("pipeline.rows")
-        assert "pipeline.rows" in registry
-        assert registry.names() == ["pipeline.rows"]
+            registry.histogram("pipeline.rows")
+        assert registry.snapshot()["counters"] == {
+            "pipeline.rows": {"value": 0, "unit": "rows"}
+        }
 
     def test_snapshot_is_json_serializable_and_sorted(self):
         registry = MetricsRegistry()
@@ -130,17 +123,6 @@ class TestRegistry:
         clone = pickle.loads(pickle.dumps(registry))
         assert clone.snapshot() == registry.snapshot()
 
-    def test_disabled_registry_is_inert(self):
-        DISABLED.counter("c").inc(5)
-        DISABLED.gauge("g").set(1.0)
-        DISABLED.histogram("h").observe(0.5)
-        assert DISABLED.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
-        assert not DISABLED.enabled
-
 
 class TestTraceSpan:
     def test_records_seconds_and_rows(self):
@@ -152,8 +134,17 @@ class TestTraceSpan:
         assert snapshot["counters"]["stage.score.rows"]["value"] == 128
 
     def test_none_metrics_is_noop(self):
-        with trace_span("score", rows=10):
+        with trace_span("score", rows=10) as span:
             pass  # must not raise nor require a registry
+        assert span.seconds >= 0.0
+
+    def test_span_keeps_the_seconds_it_recorded(self):
+        registry = MetricsRegistry()
+        with trace_span("refit", metrics=registry) as span:
+            sum(range(1000))
+        hist = registry.snapshot()["histograms"]["stage.refit.seconds"]
+        assert span.seconds > 0.0
+        assert hist["sum"] == span.seconds
 
     def test_tracer_writes_jsonl_and_propagates_errors(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -195,7 +186,7 @@ class TestServiceTelemetry:
         assert counters["pipeline.batches"]["value"] == report.n_batches
         assert counters["pipeline.rows"]["value"] == report.n_samples
         assert counters["pipeline.alerts"]["value"] == report.n_alerts
-        hist = snapshot["histograms"]["pipeline.batch_seconds"]
+        hist = snapshot["histograms"]["stage.batch.seconds"]
         assert hist["count"] == report.n_batches
         # The report's percentile fields read off the same histogram.
         assert report.batch_latency_p50_s == pytest.approx(hist["p50"])
@@ -211,24 +202,14 @@ class TestServiceTelemetry:
         stream = FlowStream(dataset, batch_size=97, random_state=0)
         list(service.process(stream))
         report = service.report()
-        hist = service.telemetry.histogram("pipeline.batch_seconds")
+        hist = service.metrics_snapshot()["histograms"]["stage.batch.seconds"]
+        assert report.total_time_s == hist["sum"]
         assert report.throughput_samples_per_sec == pytest.approx(
-            report.n_samples / hist.sum
+            report.n_samples / hist["sum"]
         )
-
-    def test_disabled_telemetry_records_nothing(self, stream_setup):
-        dataset, _, detector = stream_setup
-        service = DetectionService(detector, threshold="auto", telemetry=DISABLED)
-        stream = FlowStream(dataset, batch_size=97, random_state=0)
-        results = list(service.process(stream))
-        assert results
-        assert service.metrics_snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
-        # The report still works off the wall-clock timer fallback.
-        assert service.report().throughput_samples_per_sec > 0
+        assert report.mean_batch_latency_s == pytest.approx(
+            hist["sum"] / report.n_batches
+        )
 
     def test_disabled_sink_shows_in_the_report(self, stream_setup):
         class Broken:

@@ -193,8 +193,8 @@ class TestSequentialTraceTree:
         assert serve_once() == first
 
 
-#: Every stage a traced serve run emits: the service's per-batch pipeline,
-#: the lifecycle's refit path, and the status endpoint's span per route.
+#: Every stage a traced serve run emits: the service's per-batch pipeline
+#: and the lifecycle's refit path.  Status-endpoint scrapes add none.
 EXPECTED_STAGES = frozenset(
     {
         "batch",
@@ -206,9 +206,6 @@ EXPECTED_STAGES = frozenset(
         "refit",
         "gate",
         "registry_publish",
-        "heartbeat",
-        "metrics_render",
-        "status_render",
     }
 )
 
@@ -277,11 +274,10 @@ class TestStageSet:
         assert any(event.published_version for event in lifecycle.events)
 
     def test_run_emits_exactly_the_expected_stages(self, run):
-        service, _, tracer, server = run
+        service, _, tracer, _ = run
         traced = {span["stage"] for span in tracer.spans}
         assert traced == _histogram_stages(service.metrics_snapshot())
-        scraped = _histogram_stages(server.telemetry.snapshot())
-        assert traced | scraped == EXPECTED_STAGES
+        assert traced == EXPECTED_STAGES
 
     def test_refit_runs_outside_the_batch_spans(self, run):
         """A ``batch`` span times serving only: the drift reaction follows it."""

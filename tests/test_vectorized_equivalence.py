@@ -94,18 +94,6 @@ class TestFlatTreeEquivalence:
         tree = DecisionTreeClassifier(max_depth=4, random_state=0).fit(X, y)
         assert tree._predict_values(np.empty((0, X.shape[1]))).shape == (0, 2)
 
-    def test_flat_tree_frontier_traversal_matches_naive(self):
-        # FlatTree.apply/predict is the mid-level NumPy frontier traversal;
-        # keep it equivalent even though hot paths compile to FlatForest.
-        X, y, rng = _random_data(5)
-        tree = DecisionTreeClassifier(max_depth=6, random_state=0).fit(X, y)
-        X_query = rng.normal(size=(200, X.shape[1]))
-        np.testing.assert_array_equal(
-            tree.flat_.predict(X_query), tree._predict_values_naive(X_query)
-        )
-        leaves = tree.flat_.apply(X_query)
-        assert np.all(tree.flat_.left[leaves] == -1)
-
     def test_flat_forest_rejects_non_finite_input(self):
         # The self-looping-leaf layout requires finite features; the public
         # FlatForest entry points must reject inf/NaN like check_array does.
