@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.parallel import map_row_blocks
-
 __all__ = ["pairwise_euclidean", "pairwise_squared_euclidean", "pairwise_topk"]
 
 
@@ -53,7 +51,9 @@ def pairwise_topk(
     matrix.  Within a block the ``k`` smallest entries per row are selected
     with ``np.argpartition`` — O(``len(B)``) per row — and only those ``k``
     are sorted, so the per-row cost is O(``len(B)`` + ``k`` log ``k``) rather
-    than the O(``len(B)`` log ``len(B)``) of a full ``argsort``.
+    than the O(``len(B)`` log ``len(B)``) of a full ``argsort``.  The blocks
+    run one after another on the calling thread; BLAS threads each block's
+    product on its own.
 
     Parameters
     ----------
@@ -90,7 +90,8 @@ def pairwise_topk(
     out_idx = np.empty((n, k), dtype=np.int64)
     out_dist = np.empty((n, k), dtype=np.float64)
 
-    def _topk_block(start: int, stop: int) -> None:
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
         block = A[start:stop]
         d2 = np.sum(block**2, axis=1)[:, None] + sq_b - 2.0 * (block @ B.T)
         np.maximum(d2, 0.0, out=d2)
@@ -111,14 +112,6 @@ def pairwise_topk(
             order = np.argsort(d2, axis=1)
             out_idx[start:stop] = order
             out_dist[start:stop] = np.take_along_axis(d2, order, axis=1)
-
-    # Blocks are defined by block_size alone (so the per-block arithmetic is
-    # unchanged) and write disjoint output slices; running them on the shared
-    # thread pool is therefore bit-identical to the sequential loop.
-    bounds = [
-        (start, min(start + block_size, n)) for start in range(0, n, block_size)
-    ]
-    map_row_blocks(_topk_block, bounds)
     if not squared:
         np.sqrt(out_dist, out=out_dist)
     return out_idx, out_dist

@@ -18,17 +18,18 @@ Complexity and memory
 ---------------------
 * ``flatten_tree`` / ``FlatForest.from_flat_trees``: O(n_nodes) time and
   memory, paid once per fit.
-* ``FlatForest.sum_values``/``apply``: O(n_samples x depth x n_trees) node
-  steps; with the native kernel each step is ~2 loads, otherwise it runs as
-  ``depth`` NumPy passes per tree.  Peak extra memory is O(n_samples x
-  n_trees) ids for ``apply`` and O(n_samples) for ``sum_values``.
+* ``FlatForest.sum_values``: O(n_samples x depth x n_trees) node steps;
+  with the native kernel each step is ~2 loads, otherwise it runs as
+  ``depth`` NumPy passes per tree.  Peak extra memory is
+  O(n_samples x value_dim) for the sums plus, on the NumPy backend,
+  O(n_samples) node ids.
 
-Both the native and the NumPy backend parallelize large batches over
-contiguous *row blocks* (OpenMP in the kernel, the shared thread pool of
-:mod:`repro.ml.parallel` here).  Every block computes exactly what the
-sequential walk computes for those rows — per-row accumulation order over
-trees never changes — so results are bit-identical for any
-``REPRO_NUM_THREADS``.
+Both backends add each row's leaf payloads over the trees in tree order,
+from zero, so they return the same bits.  Only the native walk uses several
+threads (OpenMP, over contiguous row ranges, capped by
+``REPRO_NUM_THREADS``); a row's arithmetic never depends on its range, so
+any thread count gives the same bits too.  The NumPy backend runs on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.ml import native
-from repro.ml.parallel import run_row_blocks
 
 __all__ = ["FlatTree", "FlatForest", "flatten_tree"]
 
@@ -93,7 +93,7 @@ def flatten_tree(
     node_value:
         ``node_value(node, depth) -> scalar or 1-D array`` payload stored for
         every node; all payloads must share one length.  Only leaf payloads
-        are observable through :meth:`FlatTree.predict`.
+        are observable, through :meth:`FlatForest.sum_values`.
     strict:
         Comparator convention, see :class:`FlatTree`.
     """
@@ -141,19 +141,19 @@ class FlatForest:
 
     The self-looping-leaf trick relies on every comparison against the
     ``+inf`` leaf threshold being false, which only holds for *finite*
-    feature values; :meth:`apply` and :meth:`sum_values` therefore reject
-    non-finite input (every detector already does, via ``check_array``).
+    feature values; :meth:`sum_values` therefore rejects non-finite input
+    (every detector already does, via ``check_array``).
 
-    Use :meth:`from_flat_trees` to build one; traversal automatically uses
-    the compiled kernels from :mod:`repro.ml.native` when available and falls
-    back to per-tree NumPy passes otherwise.  The kernels are bound to the
-    node arrays on first use (a :class:`~repro.ml.native.ForestKernel`, kept
-    out of snapshots) and re-bound when one of the arrays is replaced.  On
-    both backends an ``X`` narrower than the highest split feature raises
+    Use :meth:`from_flat_trees` to build one; :meth:`sum_values` uses the
+    compiled walk from :mod:`repro.ml.native` when available and falls back
+    to per-tree NumPy passes otherwise.  The walk is bound to the node arrays
+    on first use (a :class:`~repro.ml.native.ForestKernel`, kept out of
+    snapshots) and re-bound when one of the arrays is replaced.  On both
+    backends an ``X`` narrower than the highest split feature raises
     ``ValueError``.
     """
 
-    _snapshot_transient_ = ("_kernel", "_value_flat")
+    _snapshot_transient_ = ("_kernel",)
 
     def __init__(
         self,
@@ -172,9 +172,6 @@ class FlatForest:
         self.roots = roots
         self.depths = depths
         self.strict = strict
-        # Contiguous scalar payload for the native sum kernel, derived from
-        # ``value`` by ``_bound`` and never persisted.
-        self._value_flat: np.ndarray | None = None
         self._kernel: native.ForestKernel | None = None
 
     @property
@@ -251,92 +248,42 @@ class FlatForest:
         )
 
     # -- traversal -----------------------------------------------------------
-    def _bound(self, X: np.ndarray) -> tuple[np.ndarray, native.ForestKernel]:
-        """``X`` as C-contiguous float64, and the kernel bound to this forest."""
-        # A non-finite feature value would compare against the +inf leaf
-        # threshold and walk out of a self-looping leaf into foreign nodes.
-        if not np.all(np.isfinite(X)):
-            raise ValueError("X contains NaN or infinite values")
-        # Loaded and cloned forests come back with ``_value_flat`` as None.
-        value_flat = self._value_flat
-        if value_flat is None and self.value_dim == 1:
-            value_flat = self._value_flat = np.ascontiguousarray(self.value[:, 0])
-        arrays = (
-            self.feature, self.threshold, self.child, value_flat,
-            self.roots, self.depths,
-        )
-        # Snapshots written before the binding existed lack the attribute.
-        kernel = getattr(self, "_kernel", None)
-        if kernel is None or not kernel.binds(arrays, self.strict):
-            kernel = self._kernel = native.ForestKernel(*arrays, self.strict)
-        return np.ascontiguousarray(X, dtype=np.float64), kernel
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """``(n_trees, n_samples)`` absolute leaf ids for every row of ``X``."""
-        if X.shape[0] == 0:
-            return np.empty((self.n_trees, 0), dtype=np.int64)
-        X, kernel = self._bound(X)
-        leaves = native.forest_apply(X, kernel)
-        if leaves is not None:
-            return leaves.astype(np.int64, copy=False)
-        return self._apply_numpy(X)
-
     def sum_values(self, X: np.ndarray, n_threads: int | None = None) -> np.ndarray:
         """``(n_samples, value_dim)`` sum of leaf payloads over all trees.
 
         ``n_threads`` caps the native walk's threads (``None`` reads
         ``REPRO_NUM_THREADS``); any value gives the same bits.
         """
-        n = X.shape[0]
-        if n == 0:
+        if X.shape[0] == 0:
             return np.zeros((0, self.value_dim))
-        if self.value_dim == 1:
-            X, kernel = self._bound(X)
-            total = native.forest_sum(X, kernel, n_threads)
-            if total is not None:
-                return total[:, None]
-        # Multi-payload fallback: walk with apply() (native kernel or threaded
-        # NumPy) and accumulate tree by tree, so peak extra memory stays
-        # O(n x value_dim) plus the leaf ids, instead of a
-        # (n_trees, n, value_dim) gather.  Row blocks are independent and
-        # accumulate trees in the same order, so the threaded accumulation is
-        # bit-identical to the sequential one.
-        leaves = self.apply(X)
-        out = np.zeros((n, self.value_dim))
+        # A non-finite feature value would compare against the +inf leaf
+        # threshold and walk out of a self-looping leaf into foreign nodes.
+        if not np.all(np.isfinite(X)):
+            raise ValueError("X contains NaN or infinite values")
+        arrays = (
+            self.feature, self.threshold, self.child, self.value, self.roots, self.depths,
+        )
+        # Snapshots written before the binding existed lack the attribute.
+        kernel = getattr(self, "_kernel", None)
+        if kernel is None or not kernel.binds(arrays, self.strict):
+            kernel = self._kernel = native.ForestKernel(*arrays, self.strict)
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        total = native.forest_sum(X, kernel, n_threads)
+        return total if total is not None else self._sum_numpy(X)
 
-        def _sum_block(start: int, stop: int) -> None:
-            block_out = out[start:stop]
-            for t in range(self.n_trees):
-                block_out += self.value[leaves[t, start:stop]]
-
-        run_row_blocks(_sum_block, n)
-        return out
-
-    def _walk_rows(self, X: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Fixed-depth self-loop walk of rows ``[start, stop)``, per tree."""
-        block = X[start:stop]
-        n = block.shape[0]
+    def _sum_numpy(self, X: np.ndarray) -> np.ndarray:
+        """NumPy fallback: each tree's fixed-depth self-loop walk, then its payloads."""
+        n = X.shape[0]
         rows = np.arange(n)
-        leaves = np.empty((self.n_trees, n), dtype=np.int64)
+        out = np.zeros((n, self.value_dim))
         for t in range(self.n_trees):
             node = np.full(n, self.roots[t], dtype=np.int64)
             for _ in range(int(self.depths[t])):
-                column = block[rows, self.feature[node]]
+                column = X[rows, self.feature[node]]
                 if self.strict:
                     go_right = column >= self.threshold[node]
                 else:
                     go_right = column > self.threshold[node]
                 node = self.child[node] + go_right
-            leaves[t] = node
-        return leaves
-
-    def _apply_numpy(self, X: np.ndarray) -> np.ndarray:
-        """NumPy fallback: self-loop walk over threaded row blocks."""
-        n = X.shape[0]
-        leaves = np.empty((self.n_trees, n), dtype=np.int64)
-
-        def _apply_block(start: int, stop: int) -> None:
-            leaves[:, start:stop] = self._walk_rows(X, start, stop)
-
-        run_row_blocks(_apply_block, n)
-        return leaves
+            out += self.value[node]
+        return out

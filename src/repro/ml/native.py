@@ -1,4 +1,4 @@
-"""Optional native (C) kernels: tree-ensemble traversal and three training loops.
+"""Optional native (C) kernels: tree-ensemble sums and three training loops.
 
 The pure-NumPy self-loop walk in :mod:`repro.ml.flat_tree` is bound by
 the number of NumPy passes per tree level (~7 array operations per level per
@@ -12,16 +12,17 @@ independent rows overlap.  On a 10k-sample batch this is roughly an order of
 magnitude faster than both the NumPy walk and the recursive reference.
 
 When the toolchain supports OpenMP (probed at compile time with
-``-fopenmp``), the kernels additionally parallelize over *rows*: the batch is
+``-fopenmp``), the walk additionally parallelizes over *rows*: the batch is
 split into one contiguous row range per thread, each thread walking its
 range tile by tile.  Each thread gets at least :data:`MIN_ROWS_PER_THREAD`
 rows, so a batch needs :data:`MIN_PARALLEL_ROWS` rows to run on two threads.
 Because every row's leaf-payload accumulation still runs over trees in the
 same order, the parallel result is **bit-identical** to the single-thread
 walk — threading and tiling change scheduling, not arithmetic.
-``REPRO_NUM_THREADS`` caps the thread count (default: all CPUs); toolchains
-without OpenMP compile the same source sequentially and simply ignore the
-requested thread count.
+``REPRO_NUM_THREADS`` caps the walk's OpenMP threads (default: all CPUs,
+:func:`get_num_threads`); it is the only thread setting of this library,
+which runs no thread pool of its own.  Toolchains without OpenMP compile the
+same source sequentially and simply ignore the requested thread count.
 
 The kernel is compiled on first use with the system C compiler (``$CC`` when
 set, else ``cc``) into a cache directory next to this module and loaded
@@ -34,11 +35,13 @@ stderr (or spawn error) is kept in :data:`last_compile_error` and logged at
 DEBUG level, so "why is scoring slow?" is answerable from a log instead of a
 rebuild.
 
-Both traversal kernels operate on the :class:`repro.ml.flat_tree.FlatForest`
-layout: consecutive children (``right = left + 1``), self-looping leaves with
-a ``+inf`` threshold (so a fixed ``depth``-iteration walk is branch-free and
-needs no leaf test), and node ids that are absolute into the concatenated
-per-tree arrays.
+The walk, ``forest_sum``, operates on the
+:class:`repro.ml.flat_tree.FlatForest` layout: consecutive children
+(``right = left + 1``), self-looping leaves with a ``+inf`` threshold (so a
+fixed ``depth``-iteration walk is branch-free and needs no leaf test), and
+node ids that are absolute into the concatenated per-tree arrays.  It adds
+each row's leaf payloads of any width, a scalar one (isolation depths,
+boosting margins) on a walk of its own.
 
 Two training kernels replace NumPy passes in Algorithm 1: ``adam_step``
 updates the first and second moments and the parameters of
@@ -74,9 +77,9 @@ from call to call:
 
 * :class:`ForestKernel` binds a forest's six node and tree arrays, once per
   :class:`~repro.ml.flat_tree.FlatForest` (which re-binds when one of its
-  arrays is replaced).  :func:`forest_sum` and :func:`forest_apply` check
-  ``X`` per call — float64, C-contiguous, at least as wide as the highest
-  split feature — and allocate the output;
+  arrays is replaced).  :func:`forest_sum` checks ``X`` per call — float64,
+  C-contiguous, at least as wide as the highest split feature — and
+  allocates the output;
 * :class:`AdamStep` binds the optimizer's four flat vectors, once per
   :class:`~repro.nn.optim.Adam`; a call passes only the step's scalars;
 * :class:`KMeansAssign` binds the data, its norms and the outputs, once per
@@ -87,8 +90,8 @@ from call to call:
 
 The forest and Adam bindings hold no library handle: they may outlive a
 change of ``REPRO_DISABLE_NATIVE``, so each call looks the library up, and
-:func:`forest_sum`/:func:`forest_apply` check ``X`` first, so a bad ``X``
-raises the same error on both backends.
+:func:`forest_sum` checks ``X`` first, so a bad ``X`` raises the same error
+on both backends.
 """
 
 from __future__ import annotations
@@ -103,15 +106,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ml.parallel import get_num_threads
-
 __all__ = [
     "AdamStep",
     "ForestKernel",
     "ITreeGrower",
     "available",
     "forest_sum",
-    "forest_apply",
+    "get_num_threads",
     "itree_grower",
     "kmeans_assign",
     "last_compile_error",
@@ -202,28 +203,30 @@ int64_t repro_openmp_enabled(void)
 #endif
 }
 
-/* Accumulate the scalar leaf payload of every tree into out[i]. */
+/* Add the leaf payload of every tree, in tree order, into row i's value_dim
+ * outputs out[i * value_dim ..].  value is the forest's (n_nodes, value_dim)
+ * payload, row-major.  A scalar payload takes its own walk, so the serving
+ * walk's inner step stays one load and one add. */
 void forest_sum(const double *X, int64_t n, int64_t d,
                 const int32_t *feature, const double *threshold,
-                const int32_t *child, const double *value,
+                const int32_t *child, const double *value, int64_t value_dim,
                 const int64_t *roots, const int64_t *depths, int64_t n_trees,
                 int strict, int64_t n_threads, double *out)
 {
+    if (value_dim == 1) {
 #define EMIT_SUM(i, node) out[i] += value[node]
-    if (strict) { WALK_PARALLEL(>=, EMIT_SUM) } else { WALK_PARALLEL(>, EMIT_SUM) }
+        if (strict) { WALK_PARALLEL(>=, EMIT_SUM) } else { WALK_PARALLEL(>, EMIT_SUM) }
 #undef EMIT_SUM
-}
-
-/* Write the absolute leaf id of every (tree, row) pair, tree-major. */
-void forest_apply(const double *X, int64_t n, int64_t d,
-                  const int32_t *feature, const double *threshold,
-                  const int32_t *child,
-                  const int64_t *roots, const int64_t *depths, int64_t n_trees,
-                  int strict, int64_t n_threads, int32_t *out_leaf)
-{
-#define EMIT_LEAF(i, node) out_leaf[t * n + (i)] = node
-    if (strict) { WALK_PARALLEL(>=, EMIT_LEAF) } else { WALK_PARALLEL(>, EMIT_LEAF) }
-#undef EMIT_LEAF
+    } else {
+#define EMIT_SUMS(i, node) do { \
+            double *sum = out + (i) * value_dim; \
+            const double *leaf = value + (int64_t)(node) * value_dim; \
+            for (int64_t j = 0; j < value_dim; ++j) \
+                sum[j] += leaf[j]; \
+        } while (0)
+        if (strict) { WALK_PARALLEL(>=, EMIT_SUMS) } else { WALK_PARALLEL(>, EMIT_SUMS) }
+#undef EMIT_SUMS
+    }
 }
 
 /* One Adam step over n parameters.  Per element this is the NumPy fallback's
@@ -482,27 +485,28 @@ def _compile_and_load() -> ctypes.CDLL | None:
                 logger.debug("native kernel compile failed: %s", plain_error)
                 return None
         tmp_path.replace(lib_path)  # atomic: concurrent imports race safely
-    lib = ctypes.CDLL(str(lib_path))
+    lib = _declare(ctypes.CDLL(str(lib_path)))
+    last_compile_error = None
+    return lib
 
+
+def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """``lib`` with the C signature of every kernel declared."""
     # Every kernel takes raw addresses; the bindings below check the arrays.
     pointer, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.repro_openmp_enabled.argtypes = []
     lib.repro_openmp_enabled.restype = i64
     lib.forest_sum.argtypes = [
-        pointer, i64, i64, *[pointer] * 6, i64, ctypes.c_int, i64, pointer,
+        pointer, i64, i64, *[pointer] * 4, i64, pointer, pointer, i64, ctypes.c_int,
+        i64, pointer,
     ]
     lib.forest_sum.restype = None
-    lib.forest_apply.argtypes = [
-        pointer, i64, i64, *[pointer] * 5, i64, ctypes.c_int, i64, pointer,
-    ]
-    lib.forest_apply.restype = None
     lib.adam_step.argtypes = [*[pointer] * 4, i64, *[f64] * 6]
     lib.adam_step.restype = None
     lib.kmeans_assign.argtypes = [*[pointer] * 4, *[i64] * 3, *[pointer] * 4]
     lib.kmeans_assign.restype = None
     lib.grow_itree.argtypes = [pointer, *[i64] * 3, *[pointer] * 11]
     lib.grow_itree.restype = i64
-    last_compile_error = None
     return lib
 
 
@@ -532,6 +536,22 @@ def openmp_enabled() -> bool:
     return _get_lib() is not None and _openmp
 
 
+def get_num_threads() -> int:
+    """Thread cap of the forest walk: ``REPRO_NUM_THREADS`` or all CPUs.
+
+    Invalid or non-positive values fall back to ``1`` (sequential), so a
+    misconfigured environment degrades to the slow-but-correct path instead
+    of raising mid-stream.
+    """
+    raw = os.environ.get("REPRO_NUM_THREADS")
+    if raw:
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            return 1
+    return os.cpu_count() or 1
+
+
 def _effective_threads(n_rows: int, n_threads: int | None) -> int:
     if not _openmp or n_rows < MIN_PARALLEL_ROWS:
         return 1
@@ -548,14 +568,14 @@ def _address(array: np.ndarray, dtype: type = np.float64) -> int:
 
 
 class ForestKernel:
-    """``forest_sum`` and ``forest_apply`` bound to one forest's node arrays.
+    """``forest_sum`` bound to one forest's node arrays.
 
-    Binding checks ``feature`` and ``child`` (int32), ``threshold`` and
-    ``value`` (float64; ``value`` may be ``None`` when the payload is not
-    scalar), ``roots`` and ``depths`` (int64) once, and keeps them with their
-    addresses.  The owner re-binds when :meth:`binds` says one of its arrays
-    is no longer the bound one.  Each call checks only ``X``: float64,
-    C-contiguous and at least :attr:`n_features` columns wide.
+    Binding checks ``feature`` and ``child`` (int32), ``threshold`` (float64),
+    ``value`` (float64, ``(n_nodes, value_dim)``), ``roots`` and ``depths``
+    (int64) once, all C-contiguous, and keeps them with their addresses.  The
+    owner re-binds when :meth:`binds` says one of its arrays is no longer the
+    bound one.  Each call checks only ``X``: float64, C-contiguous and at
+    least :attr:`n_features` columns wide.
     """
 
     def __init__(
@@ -563,23 +583,26 @@ class ForestKernel:
         feature: np.ndarray,
         threshold: np.ndarray,
         child: np.ndarray,
-        value: np.ndarray | None,
+        value: np.ndarray,
         roots: np.ndarray,
         depths: np.ndarray,
         strict: bool,
     ) -> None:
-        nodes = [feature, threshold, child] + ([] if value is None else [value])
-        if len({a.shape for a in nodes}) != 1 or roots.shape != depths.shape:
+        if (
+            value.ndim != 2
+            or len({feature.shape, threshold.shape, child.shape, value.shape[:1]}) != 1
+            or roots.shape != depths.shape
+        ):
             raise ValueError("node arrays and tree arrays must each share one length")
         self.arrays = (feature, threshold, child, value, roots, depths)
         self.strict = strict
-        self.n_trees = int(roots.shape[0])
+        self.value_dim = int(value.shape[1])
         #: Columns every row needs: the walk reads ``row[feature[node]]``.
         self.n_features = int(feature.max()) + 1
-        self._nodes = (_address(feature, np.int32), _address(threshold), _address(child, np.int32))
-        self._value = None if value is None else _address(value)
-        self._trees = (
-            _address(roots, np.int64), _address(depths, np.int64), self.n_trees, int(strict),
+        self._args = (
+            _address(feature, np.int32), _address(threshold), _address(child, np.int32),
+            _address(value), self.value_dim, _address(roots, np.int64),
+            _address(depths, np.int64), int(roots.shape[0]), int(strict),
         )
 
     def __reduce__(self) -> tuple:
@@ -604,45 +627,23 @@ class ForestKernel:
 def forest_sum(
     X: np.ndarray, kernel: ForestKernel, n_threads: int | None = None
 ) -> np.ndarray | None:
-    """Sum of scalar leaf payloads over all trees, or ``None`` if unavailable.
+    """``(n_samples, value_dim)`` sum of leaf payloads over all trees, or ``None``.
 
-    ``X`` is checked before the library is looked up, so a bad ``X`` raises
-    the same error with and without the native path.  ``n_threads`` caps the
-    OpenMP row parallelism (``None`` reads ``REPRO_NUM_THREADS``); any thread
-    count returns bit-identical sums.
+    ``None`` means the native path is unavailable.  ``X`` is checked before
+    the library is looked up, so a bad ``X`` raises the same error with and
+    without the native path.  ``n_threads`` caps the OpenMP row parallelism
+    (``None`` reads ``REPRO_NUM_THREADS``); any thread count returns
+    bit-identical sums, each row's added over the trees in order from zero.
     """
     address = kernel.check(X)
-    if kernel._value is None:
-        raise ValueError("forest_sum needs a scalar leaf payload")
     lib = _get_lib()
     if lib is None:
         return None
     n = X.shape[0]
-    out = np.zeros(n)
+    out = np.zeros((n, kernel.value_dim))
     lib.forest_sum(
-        address, n, X.shape[1], *kernel._nodes, kernel._value, *kernel._trees,
-        _effective_threads(n, n_threads), out.ctypes.data,
-    )
-    return out
-
-
-def forest_apply(
-    X: np.ndarray, kernel: ForestKernel, n_threads: int | None = None
-) -> np.ndarray | None:
-    """``(n_trees, n_samples)`` absolute leaf ids, or ``None`` if unavailable.
-
-    Checks ``X`` like :func:`forest_sum`; leaf ids are identical for any
-    thread count.
-    """
-    address = kernel.check(X)
-    lib = _get_lib()
-    if lib is None:
-        return None
-    n = X.shape[0]
-    out = np.empty((kernel.n_trees, n), dtype=np.int32)
-    lib.forest_apply(
-        address, n, X.shape[1], *kernel._nodes, *kernel._trees,
-        _effective_threads(n, n_threads), out.ctypes.data,
+        address, n, X.shape[1], *kernel._args, _effective_threads(n, n_threads),
+        out.ctypes.data,
     )
     return out
 

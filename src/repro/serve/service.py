@@ -499,11 +499,12 @@ class DetectionService:
         n_rows = int(X.shape[0])
         batch_span.rows = n_rows
         if n_rows:
+            # The batch span carries the scored rows; score and drift_check
+            # always see the same rows and record none of their own.
             with trace_span(
                 "score",
                 metrics=self.telemetry,
                 tracer=self.tracer,
-                rows=n_rows,
                 batch_index=batch_index,
                 context=ctx,
             ):
@@ -540,7 +541,6 @@ class DetectionService:
                 "drift_check",
                 metrics=self.telemetry,
                 tracer=self.tracer,
-                rows=int(scores.size),
                 batch_index=batch_index,
                 context=ctx,
             ):

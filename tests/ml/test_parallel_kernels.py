@@ -1,28 +1,24 @@
-"""Multi-core kernel layer: thread-pool helpers, bit-identical parallel scoring.
+"""The forest walk on several cores: bit-identical sums for any thread count.
 
-The determinism contract under test: for any ``REPRO_NUM_THREADS``, both
-traversal backends (native/OpenMP and pure NumPy) and the blockwise
-``pairwise_topk`` produce **bit-identical** results to their sequential runs,
-because parallelism only distributes disjoint row blocks and never reorders
-per-row arithmetic.
+The determinism contract under test: for any ``REPRO_NUM_THREADS`` and any
+leaf-payload width, the native walk (OpenMP, or the sequential build of the
+same source) and the pure-NumPy fallback return **bit-identical** sums,
+because threads only take disjoint row ranges and every row adds its
+payloads over the trees in the same order.
 """
 
 from __future__ import annotations
 
+import ctypes
 import re
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.ml import native
-from repro.ml.distances import pairwise_topk
 from repro.ml.flat_tree import FlatForest, FlatTree
-from repro.ml.parallel import (
-    get_num_threads,
-    map_row_blocks,
-    row_block_bounds,
-    run_row_blocks,
-)
+from repro.ml.native import get_num_threads
 
 
 class TestThreadConfig:
@@ -41,50 +37,6 @@ class TestThreadConfig:
 
         monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
         assert get_num_threads() == (os.cpu_count() or 1)
-
-
-class TestRowBlocks:
-    def test_bounds_cover_range_disjointly(self):
-        for n, blocks in [(10, 3), (7, 7), (100, 1), (5, 8)]:
-            bounds = row_block_bounds(n, blocks)
-            flat = [i for start, stop in bounds for i in range(start, stop)]
-            assert flat == list(range(n))
-
-    def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            row_block_bounds(-1, 2)
-        with pytest.raises(ValueError):
-            row_block_bounds(10, 0)
-
-    def test_small_batches_stay_on_calling_thread(self):
-        import threading
-
-        seen = []
-
-        def kernel(start, stop):
-            seen.append((start, stop, threading.current_thread().name))
-
-        used_pool = run_row_blocks(kernel, 100, n_threads=8, min_block_rows=1024)
-        assert not used_pool
-        assert seen == [(0, 100, threading.main_thread().name)]
-
-    def test_large_batches_split_and_cover(self):
-        out = np.zeros(10_000)
-
-        def kernel(start, stop):
-            out[start:stop] += 1.0
-
-        run_row_blocks(kernel, 10_000, n_threads=4, min_block_rows=1000)
-        np.testing.assert_array_equal(out, np.ones(10_000))
-
-    def test_kernel_exception_propagates(self):
-        def kernel(start, stop):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError, match="boom"):
-            run_row_blocks(kernel, 10_000, n_threads=4, min_block_rows=1000)
-        with pytest.raises(RuntimeError, match="boom"):
-            map_row_blocks(kernel, [(0, 5), (5, 10)], n_threads=4)
 
 
 def _toy_forest(value_dim: int, n_trees: int, seed: int) -> FlatForest:
@@ -125,7 +77,7 @@ def backend(request, monkeypatch):
 
 
 class TestForestParallelEquivalence:
-    N_ROWS = 6000  # above MIN_PARALLEL_ROWS / MIN_BLOCK_ROWS so threading engages
+    N_ROWS = 6000  # above MIN_PARALLEL_ROWS so threading engages
 
     @pytest.mark.parametrize("value_dim", [1, 3])
     def test_sum_values_bit_identical_any_thread_count(
@@ -139,19 +91,11 @@ class TestForestParallelEquivalence:
         threaded = forest.sum_values(X)
         np.testing.assert_array_equal(sequential, threaded)
 
-    def test_apply_bit_identical_any_thread_count(self, backend, monkeypatch):
-        forest = _toy_forest(1, n_trees=4, seed=2)
-        X = np.random.default_rng(3).normal(size=(self.N_ROWS, 2))
-        monkeypatch.setenv("REPRO_NUM_THREADS", "1")
-        sequential = forest.apply(X)
-        monkeypatch.setenv("REPRO_NUM_THREADS", "5")
-        threaded = forest.apply(X)
-        np.testing.assert_array_equal(sequential, threaded)
-
-    def test_backends_agree(self, monkeypatch):
+    @pytest.mark.parametrize("value_dim", [1, 3])
+    def test_backends_agree(self, monkeypatch, value_dim):
         if not native.available():
             pytest.skip("native kernels unavailable in this environment")
-        forest = _toy_forest(1, n_trees=5, seed=4)
+        forest = _toy_forest(value_dim, n_trees=5, seed=4)
         X = np.random.default_rng(5).normal(size=(self.N_ROWS, 2))
         monkeypatch.setenv("REPRO_NUM_THREADS", "4")
         native_out = forest.sum_values(X)
@@ -160,7 +104,9 @@ class TestForestParallelEquivalence:
         np.testing.assert_array_equal(native_out, numpy_out)
 
 
-def _random_tree(rng: np.random.Generator, strict: bool, max_depth: int) -> FlatTree:
+def _random_tree(
+    rng: np.random.Generator, strict: bool, max_depth: int, value_dim: int = 1
+) -> FlatTree:
     """A random unbalanced tree whose integer thresholds tie with integer X."""
     feature, threshold, left, right, value = [], [], [], [], []
 
@@ -170,7 +116,7 @@ def _random_tree(rng: np.random.Generator, strict: bool, max_depth: int) -> Flat
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append([rng.normal()])
+        value.append(rng.normal(size=value_dim))
         if depth < max_depth and rng.random() < 0.75:
             feature[node] = int(rng.integers(3))
             threshold[node] = float(rng.integers(-2, 3))
@@ -201,6 +147,8 @@ def _around(*counts: int) -> set[int]:
 class TestNativeKernelMatchesNumpy:
     """The tiled, eight-row native walk equals the NumPy backend bit for bit.
 
+    Payloads one wide take the walk's scalar step, wider ones its loop over
+    the payload; both are checked.
     Row counts around multiples of eight reach the interleaved groups and
     the single-row tail.  Counts around ``MIN_ROWS_PER_THREAD`` and
     ``MIN_PARALLEL_ROWS`` cross from one thread to several, and counts
@@ -222,30 +170,56 @@ class TestNativeKernelMatchesNumpy:
             pytest.skip("native kernels unavailable in this environment")
 
     @staticmethod
-    def _forest(strict: bool) -> FlatForest:
+    def _forest(strict: bool, value_dim: int) -> FlatForest:
         rng = np.random.default_rng(11 if strict else 12)
-        trees = [_random_tree(rng, strict, max_depth=6) for _ in range(13)]
+        trees = [_random_tree(rng, strict, 6, value_dim) for _ in range(13)]
         return FlatForest.from_flat_trees(trees)
 
+    @pytest.mark.parametrize("value_dim", [1, 3])
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("n", ROWS)
-    def test_sum_and_apply_equal_numpy_any_thread_count(self, monkeypatch, strict, n):
-        forest = self._forest(strict)
+    def test_sum_equals_numpy_any_thread_count(self, monkeypatch, strict, n, value_dim):
+        forest = self._forest(strict, value_dim)
         X = np.random.default_rng(n).integers(-3, 4, size=(n, 3)).astype(np.float64)
         monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-        expected_sum = forest.sum_values(X)[:, 0]
-        expected_leaves = forest.apply(X)
+        expected = forest.sum_values(X)
         monkeypatch.delenv("REPRO_DISABLE_NATIVE")
+        kernel = native.ForestKernel(
+            forest.feature, forest.threshold, forest.child,
+            forest.value, forest.roots, forest.depths, strict,
+        )
         for threads in (1, 2, 5):
             monkeypatch.setenv("REPRO_NUM_THREADS", str(threads))
+            sums = native.forest_sum(X, kernel)
+            assert sums.tobytes() == expected.tobytes()
+
+
+class TestSequentialBuild:
+    """The kernel source built without ``-fopenmp``, as toolchains lacking it build it."""
+
+    def test_sums_match_the_loaded_build(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+        if shutil.which(native._compiler()) is None or not native.available():
+            pytest.skip("no C compiler, or no loaded native build to compare with")
+        src = tmp_path / "kernel.c"
+        src.write_text(native._C_SOURCE)
+        error = native._try_compile(native._compiler(), src, tmp_path / "seq.so", openmp=False)
+        assert error is None, error
+        sequential = native._declare(ctypes.CDLL(str(tmp_path / "seq.so")))
+        assert sequential.repro_openmp_enabled() == 0
+        X = np.random.default_rng(7).integers(-3, 4, size=(3001, 3)).astype(np.float64)
+        for value_dim in (1, 3):
+            forest = TestNativeKernelMatchesNumpy._forest(True, value_dim)
             kernel = native.ForestKernel(
                 forest.feature, forest.threshold, forest.child,
-                forest._value_flat, forest.roots, forest.depths, strict,
+                forest.value, forest.roots, forest.depths, forest.strict,
             )
-            sums = native.forest_sum(X, kernel)
-            leaves = native.forest_apply(X, kernel)
-            np.testing.assert_array_equal(sums, expected_sum)
-            np.testing.assert_array_equal(leaves, expected_leaves)
+            expected = native.forest_sum(X, kernel, 2)
+            with monkeypatch.context() as swapped:
+                swapped.setattr(native, "_lib", sequential)
+                swapped.setattr(native, "_openmp", False)
+                sums = native.forest_sum(X, kernel, 2)
+            assert sums.tobytes() == expected.tobytes()
 
 
 class TestEffectiveThreads:
@@ -277,29 +251,6 @@ class TestEffectiveThreads:
         monkeypatch.setattr(native, "_openmp", True)
         monkeypatch.setenv("REPRO_NUM_THREADS", "3")
         assert native._effective_threads(100 * self.FLOOR, None) == 3
-
-
-class TestPairwiseTopkParallel:
-    def test_threaded_blocks_bit_identical(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        A = rng.normal(size=(4000, 6))
-        B = rng.normal(size=(300, 6))
-        monkeypatch.setenv("REPRO_NUM_THREADS", "1")
-        idx_seq, dist_seq = pairwise_topk(A, B, 4, block_size=256)
-        monkeypatch.setenv("REPRO_NUM_THREADS", "6")
-        idx_par, dist_par = pairwise_topk(A, B, 4, block_size=256)
-        np.testing.assert_array_equal(idx_seq, idx_par)
-        np.testing.assert_array_equal(dist_seq, dist_par)
-
-    def test_exclude_self_threaded(self, monkeypatch):
-        rng = np.random.default_rng(1)
-        A = rng.normal(size=(2500, 4))
-        monkeypatch.setenv("REPRO_NUM_THREADS", "1")
-        seq = pairwise_topk(A, A, 3, block_size=200, exclude_self=True)
-        monkeypatch.setenv("REPRO_NUM_THREADS", "4")
-        par = pairwise_topk(A, A, 3, block_size=200, exclude_self=True)
-        np.testing.assert_array_equal(seq[0], par[0])
-        np.testing.assert_array_equal(seq[1], par[1])
 
 
 class TestNativeCompileDiagnostics:

@@ -36,10 +36,6 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
-#: Name prefix of the process-wide row-block pool's threads
-#: (``repro.ml.parallel``): shared by design, started by the first parallel
-#: call and never shut down.
-_SHARED_POOL_PREFIX = "repro-rowblock"
 #: Seconds a test's threads get, together, to finish exiting.
 _THREAD_EXIT_GRACE_S = 2.0
 
@@ -52,7 +48,7 @@ def no_leaked_threads():
     deadline = time.monotonic() + _THREAD_EXIT_GRACE_S
     leaked = []
     for thread in threading.enumerate():
-        if thread in before or thread.name.startswith(_SHARED_POOL_PREFIX):
+        if thread in before:
             continue
         thread.join(max(0.0, deadline - time.monotonic()))
         if thread.is_alive():

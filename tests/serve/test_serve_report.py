@@ -62,7 +62,7 @@ def golden_inputs() -> dict:
     for value in (0.001, 0.002, 0.004, 0.008):
         batch.observe(value)
         score.observe(value * 0.75)
-    registry.counter("stage.score.rows", unit="rows").inc(1024)
+    registry.counter("stage.batch.rows", unit="rows").inc(1024)
     metrics = registry.snapshot()
     # The service's attributes, as DetectionService.metrics_snapshot()
     # renders them.
@@ -450,7 +450,19 @@ class TestCliRoundTrip:
         spans = read_events(run_dir / "trace.jsonl")
         assert [span["stage"] for span in spans].count("batch") == report.n_batches
         assert report.n_samples == sum(
-            span["rows"] for span in spans if span["stage"] == "score"
+            span["rows"] for span in spans if span["stage"] == "batch"
+        )
+        # The batch span alone counts the scored rows; the quarantine scan
+        # counts the rows before quarantine, which differ.
+        counters = service.metrics_snapshot()["counters"]
+        assert counters["stage.batch.rows"]["value"] == report.n_samples
+        assert counters["stage.quarantine_scan.rows"]["value"] == (
+            report.n_samples + report.n_quarantined
+        )
+        assert "stage.score.rows" not in counters
+        assert "stage.drift_check.rows" not in counters
+        assert not any(
+            span["rows"] for span in spans if span["stage"] in ("score", "drift_check")
         )
         events = read_events(run_dir / "events.jsonl")
         kinds = [event["type"] for event in events]

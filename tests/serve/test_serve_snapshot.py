@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.ml.flat_tree import FlatForest
 from repro.nn.layers import LeakyReLU, Linear, ReLU, Sigmoid, Tanh
 from repro.novelty import (
     DeepIsolationForest,
@@ -367,7 +366,7 @@ class TestArrayStore:
 
 
 class TestForestSnapshotLayout:
-    """A forest persists ``value`` once; the sum kernel's flat copy is derived."""
+    """A forest persists its six arrays; the walk binds ``value`` itself."""
 
     @staticmethod
     def _forest_arrays(path):
@@ -390,36 +389,33 @@ class TestForestSnapshotLayout:
             assert len(stored.files) == 6
 
     def test_loaded_and_cloned_forests_score_bit_identically(
-        self, data, tmp_path, traversal_backend, monkeypatch
+        self, data, tmp_path, traversal_backend
     ):
         X_train, _, X_query = data
         detector = DETECTOR_FACTORIES["iforest"]().fit(X_train)
         expected = detector.score_samples(X_query).tobytes()
         restored = [load_snapshot(save_snapshot(detector, tmp_path / "m")), clone_model(detector)]
-        if traversal_backend == "native":
-            # The native sum kernel, never the apply-then-gather fallback.
-            def refuse(*args, **kwargs):
-                raise AssertionError("scalar-payload forest fell back to apply()")
-
-            monkeypatch.setattr(FlatForest, "apply", refuse)
         for model in restored:
-            assert model.forest_._value_flat is None
             assert model.score_samples(X_query).tobytes() == expected
-            assert model.forest_._value_flat is not None
 
-    def test_old_layout_with_value_flat_still_loads(
-        self, data, tmp_path, traversal_backend, monkeypatch
+    @pytest.mark.parametrize("value_flat", ["none", "array"])
+    def test_forest_carrying_the_old_value_flat_still_loads(
+        self, data, tmp_path, traversal_backend, value_flat
     ):
+        """Older forests kept a flat copy of ``value``: empty in their snapshots,
+        stored as a seventh array in earlier ones.  Either loads and scores as
+        the forest it came from."""
         X_train, _, X_query = data
         detector = DETECTOR_FACTORIES["iforest"]().fit(X_train)
         expected = detector.score_samples(X_query).tobytes()
-        with monkeypatch.context() as old_layout:
-            old_layout.setattr(FlatForest, "_snapshot_transient_", ("_kernel",))
-            path = save_snapshot(detector, tmp_path / "m")
-        assert "_value_flat" in self._forest_arrays(path)
-        loaded = load_snapshot(path)
-        assert loaded.forest_._value_flat is not None
-        assert loaded.score_samples(X_query).tobytes() == expected
+        forest = detector.forest_
+        forest._value_flat = (
+            None if value_flat == "none" else np.ascontiguousarray(forest.value[:, 0])
+        )
+        path = save_snapshot(detector, tmp_path / "m")
+        stored = self._forest_arrays(path)
+        assert ("_value_flat" in stored) == (value_flat == "array")
+        assert load_snapshot(path).score_samples(X_query).tobytes() == expected
 
 
 def _declaring_classes() -> set[type]:

@@ -35,7 +35,7 @@ REMOVED = {
         "matthews_corrcoef", "balanced_accuracy_score", "false_positive_rate",
         "detection_rate_at_fpr", "fpr_at_recall",
     ),
-    "repro.ml": ("batch_bin_right", "histogram_log_densities"),
+    "repro.ml": ("batch_bin_right", "histogram_log_densities", "get_num_threads"),
     "repro.nn": ("Dropout", "BatchNorm1d", "StepLR", "ExponentialLR", "EarlyStopping"),
     "repro.novelty": ("AutoencoderDetector", "KNNDetector", "HBOS", "LODA"),
     "repro.serve": (

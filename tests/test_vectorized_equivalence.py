@@ -96,7 +96,7 @@ class TestFlatTreeEquivalence:
 
     def test_flat_forest_rejects_non_finite_input(self):
         # The self-looping-leaf layout requires finite features; the public
-        # FlatForest entry points must reject inf/NaN like check_array does.
+        # FlatForest entry point must reject inf/NaN like check_array does.
         X, y, _ = _random_data(6)
         tree = DecisionTreeClassifier(max_depth=4, random_state=0).fit(X, y)
         bad_rows = [np.full((1, X.shape[1]), np.inf), np.full((1, X.shape[1]), np.nan)]
@@ -104,8 +104,6 @@ class TestFlatTreeEquivalence:
         for bad in bad_rows:
             with pytest.raises(ValueError, match="NaN or infinite"):
                 tree._forest_.sum_values(bad)
-            with pytest.raises(ValueError, match="NaN or infinite"):
-                tree._forest_.apply(bad)
 
     def test_stump_and_pure_leaf(self, traversal_backend):
         X, y, rng = _random_data(4)
@@ -494,7 +492,7 @@ class TestKMeansAssignChecks:
 
 
 class TestForestKernelChecks:
-    """The forest kernels take raw addresses, so their binding checks every array."""
+    """The forest kernel takes raw addresses, so its binding checks every array."""
 
     @staticmethod
     def _fitted():
@@ -507,7 +505,7 @@ class TestForestKernelChecks:
 
         arrays = {
             "feature": forest.feature, "threshold": forest.threshold, "child": forest.child,
-            "value": forest._value_flat, "roots": forest.roots, "depths": forest.depths,
+            "value": forest.value, "roots": forest.roots, "depths": forest.depths,
         }
         return native.ForestKernel(**{**arrays, **replace}, strict=forest.strict)
 
@@ -525,28 +523,30 @@ class TestForestKernelChecks:
             self._kernel(forest, threshold=forest.threshold[::-1])
         with pytest.raises(ValueError):
             self._kernel(forest, depths=forest.depths[:-1])
+        with pytest.raises(ValueError):
+            self._kernel(forest, value=forest.value[:, 0])
+        with pytest.raises(ValueError):
+            self._kernel(forest, value=forest.value[:-1])
+        with pytest.raises(TypeError):
+            self._kernel(forest, value=np.repeat(forest.value, 2, axis=1)[:, ::2])
         kernel = self._kernel(forest)
         assert kernel.n_features == int(forest.feature.max()) + 1 > 1
-        for call in (native.forest_sum, native.forest_apply):
-            with pytest.raises(TypeError):
-                call(X.astype(np.float32), kernel)
-            with pytest.raises(TypeError):
-                call(np.asfortranarray(X), kernel)
-            with pytest.raises(ValueError, match="splits on feature"):
-                call(np.ascontiguousarray(X[:, : kernel.n_features - 1]), kernel)
-            with pytest.raises(ValueError):
-                call(X[0], kernel)
-        np.testing.assert_array_equal(native.forest_sum(X, kernel), forest.sum_values(X)[:, 0])
+        with pytest.raises(TypeError):
+            native.forest_sum(X.astype(np.float32), kernel)
+        with pytest.raises(TypeError):
+            native.forest_sum(np.asfortranarray(X), kernel)
+        with pytest.raises(ValueError, match="splits on feature"):
+            native.forest_sum(np.ascontiguousarray(X[:, : kernel.n_features - 1]), kernel)
         with pytest.raises(ValueError):
-            native.forest_sum(X, self._kernel(forest, value=None))
+            native.forest_sum(X[0], kernel)
+        np.testing.assert_array_equal(native.forest_sum(X, kernel), forest.sum_values(X))
 
     def test_narrow_X_raises_on_both_backends(self, traversal_backend):
         """Fit on 8 features, then walk 5 columns: the native walk read past each row."""
         X, model = self._fitted()
         narrow = np.ascontiguousarray(X[:, :5])
-        for walk in (model.forest_.sum_values, model.forest_.apply):
-            with pytest.raises(ValueError, match="splits on feature 7"):
-                walk(narrow)
+        with pytest.raises(ValueError, match="splits on feature 7"):
+            model.forest_.sum_values(narrow)
 
     def test_rebinding_an_array_rebinds_the_kernel(self, traversal_backend):
         X, model = self._fitted()
@@ -574,7 +574,7 @@ class TestForestKernelChecks:
         clone = copy.deepcopy(model)
         original = model.forest_._kernel
         assert clone.forest_._kernel.arrays[0] is clone.forest_.feature
-        assert clone.forest_._kernel._nodes != original._nodes
+        assert clone.forest_._kernel._args != original._args
         del model, original
         gc.collect()
         assert clone.score_samples(X).tobytes() == expected
