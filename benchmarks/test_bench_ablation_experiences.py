@@ -8,16 +8,18 @@ from __future__ import annotations
 
 import dataclasses
 
-from bench_config import bench_config, record
+from bench_config import regenerate
 
+from repro.experiments.cli import Experiment
+from repro.experiments.protocol import run_continual_method
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import build_continual_method, build_scenario
-from repro.experiments.protocol import run_continual_method
 
 EXPERIENCE_COUNTS = (2, 3, 5)
 
 
-def _run_sweep(config, dataset_name):
+def _run_sweep(config):
+    dataset_name = "xiiotid" if "xiiotid" in config.datasets else config.datasets[-1]
     rows = []
     for n_experiences in EXPERIENCE_COUNTS:
         swept = dataclasses.replace(config, n_experiences_override=n_experiences)
@@ -36,12 +38,13 @@ def _run_sweep(config, dataset_name):
     return rows
 
 
+ABLATION = Experiment(
+    "ablation_experiences",
+    _run_sweep,
+    lambda rows: format_table(rows, title="Ablation: number of experiences m (CND-IDS)"),
+)
+
+
 def test_bench_ablation_experiences(benchmark):
-    config = bench_config()
-    dataset_name = "xiiotid" if "xiiotid" in config.datasets else config.datasets[-1]
-    rows = benchmark.pedantic(lambda: _run_sweep(config, dataset_name), rounds=1, iterations=1)
-    record(
-        "ablation_experiences",
-        format_table(rows, title="Ablation: number of experiences m (CND-IDS)"),
-    )
+    rows = regenerate(benchmark, ABLATION)
     assert [row["n_experiences"] for row in rows] == list(EXPERIENCE_COUNTS)

@@ -6,16 +6,18 @@ sweeps the ratio to document how sensitive the result is to that choice.
 
 from __future__ import annotations
 
-from bench_config import bench_config, record
+from bench_config import regenerate
 
+from repro.experiments.cli import Experiment
+from repro.experiments.protocol import run_continual_method
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import build_continual_method, get_scenario
-from repro.experiments.protocol import run_continual_method
 
 VARIANCE_LEVELS = (0.90, 0.95, 0.99)
 
 
-def _run_sweep(config, dataset_name):
+def _run_sweep(config):
+    dataset_name = config.datasets[0]
     scenario = get_scenario(config, dataset_name)
     rows = []
     for variance in VARIANCE_LEVELS:
@@ -34,13 +36,14 @@ def _run_sweep(config, dataset_name):
     return rows
 
 
+ABLATION = Experiment(
+    "ablation_pca_variance",
+    _run_sweep,
+    lambda rows: format_table(rows, title="Ablation: PCA explained-variance ratio (CND-IDS)"),
+)
+
+
 def test_bench_ablation_pca_variance(benchmark):
-    config = bench_config()
-    dataset_name = config.datasets[0]
-    rows = benchmark.pedantic(lambda: _run_sweep(config, dataset_name), rounds=1, iterations=1)
-    record(
-        "ablation_pca_variance",
-        format_table(rows, title="Ablation: PCA explained-variance ratio (CND-IDS)"),
-    )
+    rows = regenerate(benchmark, ABLATION)
     assert len(rows) == len(VARIANCE_LEVELS)
     assert all(0.0 <= row["avg_f1"] <= 1.0 for row in rows)

@@ -8,12 +8,13 @@ a real deployment would face.
 
 from __future__ import annotations
 
-from bench_config import bench_config, record
+from bench_config import regenerate
 
 from repro.core.thresholding import BestFThresholding, QuantileThresholding
+from repro.experiments.cli import Experiment
+from repro.experiments.protocol import run_continual_method
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import build_continual_method, get_scenario
-from repro.experiments.protocol import run_continual_method
 
 STRATEGIES = {
     "best_f": BestFThresholding(),
@@ -22,7 +23,8 @@ STRATEGIES = {
 }
 
 
-def _run_sweep(config, dataset_name):
+def _run_sweep(config):
+    dataset_name = config.datasets[0]
     scenario = get_scenario(config, dataset_name)
     rows = []
     for name, strategy in STRATEGIES.items():
@@ -40,14 +42,15 @@ def _run_sweep(config, dataset_name):
     return rows
 
 
+ABLATION = Experiment(
+    "ablation_threshold",
+    _run_sweep,
+    lambda rows: format_table(rows, title="Ablation: thresholding strategy (CND-IDS)"),
+)
+
+
 def test_bench_ablation_threshold(benchmark):
-    config = bench_config()
-    dataset_name = config.datasets[0]
-    rows = benchmark.pedantic(lambda: _run_sweep(config, dataset_name), rounds=1, iterations=1)
-    record(
-        "ablation_threshold",
-        format_table(rows, title="Ablation: thresholding strategy (CND-IDS)"),
-    )
+    rows = regenerate(benchmark, ABLATION)
     by_name = {row["thresholding"]: row for row in rows}
     # Best-F is an upper bound on the label-free strategies by construction.
     assert by_name["best_f"]["avg_f1"] >= by_name["quantile_0.95"]["avg_f1"] - 1e-9

@@ -7,15 +7,13 @@ families it was trained on and drops sharply on families it has never seen.
 from __future__ import annotations
 
 import numpy as np
-from bench_config import fig1_config, record
+from bench_config import regenerate
 
-from repro.experiments import format_fig1, run_fig1
+from repro.experiments.cli import EXPERIMENTS
 
 
 def test_bench_fig1_known_unknown(benchmark):
-    config = fig1_config()
-    rows = benchmark.pedantic(lambda: run_fig1(config), rounds=1, iterations=1)
-    record("fig1_known_unknown", format_fig1(rows))
+    rows = regenerate(benchmark, EXPERIMENTS["fig1"])
 
     known = np.array([row["known_accuracy"] for row in rows])
     unknown = np.array([row["unknown_accuracy"] for row in rows])

@@ -6,15 +6,13 @@ Paper shape: CND-IDS has the best AVG and FwdTrans on every dataset.
 from __future__ import annotations
 
 import numpy as np
-from bench_config import bench_config, record
+from bench_config import regenerate
 
-from repro.experiments import format_fig3, run_fig3
+from repro.experiments.cli import EXPERIMENTS
 
 
 def test_bench_fig3_cl_comparison(benchmark):
-    config = bench_config()
-    rows = benchmark.pedantic(lambda: run_fig3(config), rounds=1, iterations=1)
-    record("fig3_cl_comparison", format_fig3(rows))
+    rows = regenerate(benchmark, EXPERIMENTS["fig3"])
 
     by_method = {
         method: [row for row in rows if row["method"] == method]

@@ -7,15 +7,13 @@ dataset; PCA (and DIF in the paper) are the strongest static baselines.
 from __future__ import annotations
 
 import numpy as np
-from bench_config import bench_config, record
+from bench_config import regenerate
 
-from repro.experiments import format_fig4, run_fig4
+from repro.experiments.cli import EXPERIMENTS
 
 
 def test_bench_fig4_nd_comparison(benchmark):
-    config = bench_config()
-    rows = benchmark.pedantic(lambda: run_fig4(config), rounds=1, iterations=1)
-    record("fig4_nd_comparison", format_fig4(rows))
+    rows = regenerate(benchmark, EXPERIMENTS["fig4"])
 
     def mean_f1(method: str) -> float:
         return float(np.mean([row["mean_f1"] for row in rows if row["method"] == method]))

@@ -7,15 +7,13 @@ artefact of the Best-F thresholding.
 from __future__ import annotations
 
 import numpy as np
-from bench_config import bench_config, record
+from bench_config import regenerate
 
-from repro.experiments import format_fig5, run_fig5
+from repro.experiments.cli import EXPERIMENTS
 
 
 def test_bench_fig5_prauc(benchmark):
-    config = bench_config()
-    rows = benchmark.pedantic(lambda: run_fig5(config), rounds=1, iterations=1)
-    record("fig5_prauc", format_fig5(rows))
+    rows = regenerate(benchmark, EXPERIMENTS["fig5"])
 
     def mean_prauc(method: str) -> float:
         return float(np.mean([row["mean_prauc"] for row in rows if row["method"] == method]))

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from bench_config import bench_config, record
+from bench_config import regenerate
 
-from repro.experiments import format_table1, run_table1
+from repro.experiments.cli import EXPERIMENTS
 
 
 def test_bench_table1_datasets(benchmark):
-    config = bench_config()
-    rows = benchmark.pedantic(lambda: run_table1(config), rounds=1, iterations=1)
-    record("table1_datasets", format_table1(rows))
+    rows = regenerate(benchmark, EXPERIMENTS["table1"])
 
     assert len(rows) == 4
     for row in rows:

@@ -7,23 +7,15 @@ the largest gains on WUSTL-IIoT.
 from __future__ import annotations
 
 import numpy as np
-from bench_config import bench_config, record
+from bench_config import regenerate
 
-from repro.experiments import format_table2, run_table2
-from repro.experiments.reporting import format_table
+from repro.experiments.cli import EXPERIMENTS
 from repro.experiments.table2_improvement import mean_improvements
 
 
 def test_bench_table2_improvement(benchmark):
-    config = bench_config()
-    rows = benchmark.pedantic(lambda: run_table2(config), rounds=1, iterations=1)
+    rows = regenerate(benchmark, EXPERIMENTS["table2"])
     summary = mean_improvements(rows)
-    text = format_table2(rows) + "\n\n" + format_table(
-        [dict(metric=key, mean_improvement=value) for key, value in summary.items()],
-        title="Mean improvement across datasets",
-        precision=2,
-    )
-    record("table2_improvement", text)
 
     finite = [row["avg_improvement"] for row in rows if np.isfinite(row["avg_improvement"])]
     assert finite, "at least one finite improvement factor expected"

@@ -6,15 +6,13 @@ negative backward transfer (catastrophic forgetting) even if AVG looks fine.
 
 from __future__ import annotations
 
-from bench_config import bench_config, record
+from bench_config import regenerate
 
-from repro.experiments import format_table3, run_table3
+from repro.experiments.cli import EXPERIMENTS
 
 
 def test_bench_table3_ablation(benchmark):
-    config = bench_config()
-    rows = benchmark.pedantic(lambda: run_table3(config), rounds=1, iterations=1)
-    record("table3_ablation", format_table3(rows))
+    rows = regenerate(benchmark, EXPERIMENTS["table3"])
 
     by_strategy = {row["strategy"]: row for row in rows}
     full = by_strategy["CND-IDS"]

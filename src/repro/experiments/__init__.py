@@ -2,8 +2,11 @@
 
 Each ``figN_*`` / ``tableN_*`` module exposes a ``run_*`` function returning a
 list of row dictionaries plus a ``format_*`` helper that renders the same
-rows/series the paper reports.  The benchmark modules under ``benchmarks/``
-call these runners with a quick configuration.
+rows/series the paper reports.  :data:`repro.experiments.cli.EXPERIMENTS`
+pairs each with the name of its committed result file, and
+:func:`repro.experiments.cli.run_experiment` is the one writer of those
+files: ``repro all --seed 0 --output benchmarks/results`` and the bench tests
+under ``benchmarks/`` both call it.
 """
 
 from repro.experiments.config import ExperimentConfig

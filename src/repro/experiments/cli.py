@@ -4,14 +4,18 @@ Usage::
 
     python -m repro.experiments.cli table1
     python -m repro.experiments.cli fig3 --profile quick
-    python -m repro.experiments.cli all --profile paper --output results/
+    python -m repro.experiments.cli all --seed 0 --output benchmarks/results
     python -m repro.experiments.cli serve --dataset wustl_iiot --detector iforest
     python -m repro.experiments.cli registry list --registry ./models
     python -m repro.experiments.cli trace ./run/trace.jsonl --budget score=50
 
-Each experiment prints its formatted table; ``--output`` additionally writes
-one text file per experiment.  The ``serve`` and ``registry`` subcommands are
-handled by :mod:`repro.serve.cli` (fit or load a detector, stream a drifted
+Each experiment prints its formatted table; ``--output DIR`` additionally
+writes it to ``DIR/<file_name>.txt``, the name of its committed copy in
+``benchmarks/results/``.  :func:`run_experiment` is the one writer of those
+files: the CLI and every bench test under ``benchmarks/`` call it.
+
+The ``serve`` and ``registry`` subcommands are handled by
+:mod:`repro.serve.cli` (fit or load a detector, stream a drifted
 :class:`~repro.datasets.streaming.FlowStream` through a
 :class:`~repro.serve.service.DetectionService`, manage model snapshots); the
 ``repro`` console script maps to this entry point.
@@ -22,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fig1_known_unknown import format_fig1, run_fig1
@@ -34,18 +38,27 @@ from repro.experiments.table2_improvement import format_table2, run_table2
 from repro.experiments.table3_ablation import format_table3, run_table3
 from repro.experiments.table4_overhead import format_table4, run_table4
 
-__all__ = ["EXPERIMENTS", "build_config", "main"]
+__all__ = ["EXPERIMENTS", "Experiment", "build_config", "main", "run_experiment"]
 
-#: Experiment id -> (runner, formatter).
-EXPERIMENTS: dict[str, tuple[Callable, Callable]] = {
-    "table1": (run_table1, format_table1),
-    "fig1": (run_fig1, format_fig1),
-    "fig3": (run_fig3, format_fig3),
-    "table2": (run_table2, format_table2),
-    "fig4": (run_fig4, format_fig4),
-    "fig5": (run_fig5, format_fig5),
-    "table3": (run_table3, format_table3),
-    "table4": (run_table4, format_table4),
+
+class Experiment(NamedTuple):
+    """A result file: its name (without ``.txt``), its runner and its formatter."""
+
+    file_name: str
+    run: Callable[[ExperimentConfig], list[dict[str, object]]]
+    format: Callable[[list[dict[str, object]]], str]
+
+
+#: Experiment id -> the paper's table or figure it regenerates.
+EXPERIMENTS: dict[str, Experiment] = {
+    "table1": Experiment("table1_datasets", run_table1, format_table1),
+    "fig1": Experiment("fig1_known_unknown", run_fig1, format_fig1),
+    "fig3": Experiment("fig3_cl_comparison", run_fig3, format_fig3),
+    "table2": Experiment("table2_improvement", run_table2, format_table2),
+    "fig4": Experiment("fig4_nd_comparison", run_fig4, format_fig4),
+    "fig5": Experiment("fig5_prauc", run_fig5, format_fig5),
+    "table3": Experiment("table3_ablation", run_table3, format_table3),
+    "table4": Experiment("table4_overhead", run_table4, format_table4),
 }
 
 _PROFILES = {
@@ -53,6 +66,22 @@ _PROFILES = {
     "default": ExperimentConfig,
     "paper": ExperimentConfig.paper,
 }
+
+
+def run_experiment(
+    experiment: Experiment, config: ExperimentConfig, output: Path | None = None
+) -> tuple[list[dict[str, object]], str]:
+    """Run, format and (when ``output`` is given) write one result file.
+
+    Returns the rows and the formatted text; the file holds the text plus a
+    final newline.
+    """
+    rows = experiment.run(config)
+    text = experiment.format(rows)
+    if output is not None:
+        output.mkdir(parents=True, exist_ok=True)
+        (output / f"{experiment.file_name}.txt").write_text(text + "\n")
+    return rows, text
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -104,14 +133,9 @@ def main(argv: list[str] | None = None) -> int:
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
 
     for name in names:
-        runner, formatter = EXPERIMENTS[name]
-        rows = runner(config)
-        text = formatter(rows)
+        _, text = run_experiment(EXPERIMENTS[name], config, args.output)
         print(text)
         print()
-        if args.output is not None:
-            args.output.mkdir(parents=True, exist_ok=True)
-            (args.output / f"{name}.txt").write_text(text + "\n")
     return 0
 
 

@@ -30,6 +30,10 @@ __all__ = ["run_fig1", "format_fig1", "split_known_unknown"]
 #: Display names follow the paper; GradientBoosting stands in for XGBoost.
 FIG1_MODEL_NAMES: tuple[str, ...] = ("XGBoost", "RandomForest", "DNN")
 
+#: Fig. 1 trains supervised tree ensembles per dataset, which would dominate
+#: a full regeneration's runtime, so it never runs above this dataset scale.
+FIG1_MAX_SCALE = 0.002
+
 
 def _build_model(name: str, seed: int):
     if name == "XGBoost":
@@ -108,11 +112,12 @@ def _evaluate_dataset(
 
 
 def run_fig1(config: ExperimentConfig | None = None) -> list[dict[str, object]]:
-    """Reproduce Fig. 1 for every configured dataset."""
+    """Reproduce Fig. 1 for every configured dataset, at most at ``FIG1_MAX_SCALE``."""
     config = config or ExperimentConfig()
+    scale = min(config.scale, FIG1_MAX_SCALE)
     rows: list[dict[str, object]] = []
     for dataset_name in config.datasets:
-        dataset = load_dataset(dataset_name, scale=config.scale, seed=config.seed)
+        dataset = load_dataset(dataset_name, scale=scale, seed=config.seed)
         rows.extend(_evaluate_dataset(dataset, config))
     return rows
 

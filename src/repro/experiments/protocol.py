@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from repro.metrics.ranking import pr_auc_score
 from repro.metrics.thresholds import best_f_threshold
 from repro.ml.scalers import StandardScaler
 from repro.novelty.base import NoveltyDetector
-from repro.utils.timing import Timer
 
 __all__ = [
     "MethodRunResult",
@@ -205,25 +205,23 @@ def run_static_detector(
 
 
 def measure_inference_time(
-    score_fn,
-    X: np.ndarray,
+    calls: Mapping[str, tuple[Callable[[np.ndarray], object], np.ndarray]],
     *,
-    n_repeats: int = 3,
-) -> float:
-    """Median per-sample inference time (milliseconds) of ``score_fn`` over ``X``.
+    n_rounds: int = 31,
+) -> dict[str, float]:
+    """Median per-sample time (milliseconds) of each ``score_fn(X)`` in ``calls``.
 
-    The rate math is shared with the serving loop's throughput report via
-    :meth:`repro.utils.timing.Timer.throughput`.
+    Each of the ``n_rounds`` rounds calls every entry once, in order, so a
+    slow spell of the host falls on every method alike rather than on the one
+    being timed.  An empty ``X`` gives ``nan``.
     """
-    if X.shape[0] == 0:
-        return float("nan")
-    rates = []
-    for _ in range(max(n_repeats, 1)):
-        timer = Timer()
-        with timer:
+    elapsed: dict[str, list[float]] = {name: [] for name in calls}
+    for _ in range(max(n_rounds, 1)):
+        for name, (score_fn, X) in calls.items():
+            start = time.perf_counter()
             score_fn(X)
-        rates.append(timer.throughput(X.shape[0]))
-    median_rate = float(np.median(rates))
-    if median_rate <= 0.0 or not np.isfinite(median_rate):
-        return 0.0
-    return 1000.0 / median_rate
+            elapsed[name].append(time.perf_counter() - start)
+    return {
+        name: 1000.0 * float(np.median(elapsed[name])) / len(X) if len(X) else float("nan")
+        for name, (_, X) in calls.items()
+    }

@@ -90,8 +90,8 @@ def mean_improvements(rows: list[dict[str, object]]) -> dict[str, float]:
 
 
 def format_table2(rows: list[dict[str, object]]) -> str:
-    """Render the Table II reproduction as text."""
-    return format_table(
+    """Render the Table II reproduction and its per-baseline means as text."""
+    table = format_table(
         rows,
         columns=[
             "baseline",
@@ -104,3 +104,12 @@ def format_table2(rows: list[dict[str, object]]) -> str:
         title="Table II: CND-IDS improvement over UCL baselines (x factors)",
         precision=2,
     )
+    means = format_table(
+        [
+            {"metric": key, "mean_improvement": value}
+            for key, value in mean_improvements(rows).items()
+        ],
+        title="Mean improvement across datasets",
+        precision=2,
+    )
+    return table + "\n\n" + means

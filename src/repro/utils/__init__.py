@@ -1,7 +1,6 @@
-"""Shared utilities: validation, random state handling, timing."""
+"""Shared utilities: validation and random state handling."""
 
 from repro.utils.random import check_random_state
-from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_array,
     check_binary_labels,
@@ -11,7 +10,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "check_random_state",
-    "Timer",
     "check_array",
     "check_binary_labels",
     "check_consistent_length",

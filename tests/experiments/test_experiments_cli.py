@@ -63,7 +63,7 @@ class TestCLIMain:
             ["table1", "--profile", "quick", "--scale", "0.001", "--output", str(tmp_path)]
         )
         assert exit_code == 0
-        assert (tmp_path / "table1.txt").exists()
+        assert (tmp_path / "table1_datasets.txt").exists()
 
     def test_fig3_quick_run(self, capsys):
         exit_code = main(

@@ -3,14 +3,18 @@
 These are structural tests: every runner must return the rows the paper's
 table/figure needs, with values in valid ranges.  The benchmark harness under
 ``benchmarks/`` exercises the same runners at a larger scale and records the
-actual paper-vs-measured comparison.
+actual paper-vs-measured comparison.  The last test runs the writer that
+both share twice and requires the same bytes under the committed file names.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.datasets import load_dataset
 from repro.experiments import (
     ExperimentConfig,
     format_fig1,
@@ -30,10 +34,10 @@ from repro.experiments import (
     run_table3,
     run_table4,
 )
+from repro.experiments.cli import EXPERIMENTS, run_experiment
 from repro.experiments.fig1_known_unknown import FIG1_MODEL_NAMES, split_known_unknown
 from repro.experiments.runner import clear_cache
 from repro.experiments.table2_improvement import improvement_ratio, mean_improvements
-from repro.datasets import load_dataset
 
 QUICK = ExperimentConfig.quick(
     datasets=("wustl_iiot",),
@@ -116,7 +120,8 @@ class TestFig3AndTable2:
     def test_formatters(self):
         fig3_rows = run_fig3(QUICK)
         assert "Fig. 3" in format_fig3(fig3_rows)
-        assert "Table II" in format_table2(run_table2(QUICK, fig3_rows=fig3_rows))
+        table2 = format_table2(run_table2(QUICK, fig3_rows=fig3_rows))
+        assert "Table II" in table2 and "Mean improvement across datasets" in table2
 
 
 class TestFig4AndFig5:
@@ -158,10 +163,30 @@ class TestTable3:
 
 class TestTable4:
     def test_all_methods_timed(self):
-        rows = run_table4(QUICK, batch_size=300, n_repeats=1)
+        rows = run_table4(QUICK, batch_size=300, n_rounds=1)
         assert [row["method"] for row in rows] == ["CND-IDS", "ADCN", "LwF", "DIF", "PCA"]
         for row in rows:
             assert row["inference_time_ms"] > 0.0
 
     def test_format(self):
-        assert "Table IV" in format_table4(run_table4(QUICK, batch_size=200, n_repeats=1))
+        assert "Table IV" in format_table4(run_table4(QUICK, batch_size=200, n_rounds=1))
+
+
+#: Result files the ablation benches write; every other one is in ``EXPERIMENTS``.
+ABLATION_FILES = {"ablation_experiences", "ablation_pca_variance", "ablation_threshold"}
+RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+
+
+def test_writer_is_deterministic_and_names_the_committed_files(tmp_path):
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for output in runs:
+        clear_cache()
+        for experiment in EXPERIMENTS.values():
+            run_experiment(experiment, QUICK, output)
+
+    names = {experiment.file_name for experiment in EXPERIMENTS.values()}
+    assert names | ABLATION_FILES == {path.stem for path in RESULTS_DIR.glob("*.txt")}
+    assert {path.stem for path in runs[0].iterdir()} == names
+    for name in names - {EXPERIMENTS["table4"].file_name}:
+        first, second = (output / f"{name}.txt" for output in runs)
+        assert first.read_bytes() == second.read_bytes(), f"{name}.txt differs between runs"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import CNDIDS
 from repro.experiments import (
@@ -106,11 +105,20 @@ class TestRunStaticDetector:
 class TestMeasureInferenceTime:
     def test_positive_time(self):
         X = np.random.default_rng(0).normal(size=(500, 4))
-        time_ms = measure_inference_time(lambda batch: batch.sum(axis=1), X)
-        assert time_ms > 0.0
+        times = measure_inference_time({"sum": (lambda batch: batch.sum(axis=1), X)})
+        assert times["sum"] > 0.0
+
+    def test_rounds_interleave_every_call(self):
+        order = []
+        X = np.ones((4, 2))
+        calls = {name: (lambda batch, name=name: order.append(name), X) for name in "ab"}
+        times = measure_inference_time(calls, n_rounds=3)
+        assert order == ["a", "b"] * 3
+        assert set(times) == {"a", "b"}
 
     def test_empty_batch_gives_nan(self):
-        assert np.isnan(measure_inference_time(lambda batch: batch, np.empty((0, 3))))
+        times = measure_inference_time({"id": (lambda batch: batch, np.empty((0, 3)))})
+        assert np.isnan(times["id"])
 
 
 class TestFormatTable:

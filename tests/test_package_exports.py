@@ -48,6 +48,7 @@ REMOVED = {
         "configure_logging", "get_logger", "log_event", "logger",
         "build_forest", "critical_path", "stage_multiset", "tree_shape",
     ),
+    "repro.utils": ("Timer",),
 }
 
 #: deleted command-line surface: each invocation must be a usage error

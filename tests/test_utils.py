@@ -1,14 +1,11 @@
-"""Tests for repro.utils: random-state handling, validation, timing."""
+"""Tests for repro.utils: random-state handling and validation."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
 from repro.utils import (
-    Timer,
     check_array,
     check_binary_labels,
     check_consistent_length,
@@ -129,39 +126,3 @@ class TestCheckFitted:
             attr = 1.0
 
         check_fitted(Dummy(), "attr")
-
-
-class TestTimer:
-    def test_accumulates_time(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.01)
-        with timer:
-            time.sleep(0.01)
-        assert timer.n_calls == 2
-        assert timer.total >= 0.02
-        assert timer.mean == pytest.approx(timer.total / 2)
-
-    def test_mean_without_calls_is_zero(self):
-        assert Timer().mean == 0.0
-
-    def test_reset(self):
-        timer = Timer()
-        with timer:
-            pass
-        timer.reset()
-        assert timer.total == 0.0
-        assert timer.n_calls == 0
-
-    def test_throughput_is_items_per_second(self):
-        timer = Timer(total=2.0, n_calls=1)
-        assert timer.throughput(1000) == pytest.approx(500.0)
-
-    def test_throughput_accumulates_over_blocks(self):
-        # Two timed blocks of the same batch size halve nothing: the rate is
-        # items-per-block divided by the mean block time.
-        timer = Timer(total=4.0, n_calls=2)
-        assert timer.throughput(1000) == pytest.approx(500.0)
-
-    def test_throughput_without_time_is_zero(self):
-        assert Timer().throughput(1000) == 0.0
