@@ -4,7 +4,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.cli import EXPERIMENTS, build_config, main
+from repro.experiments import cli
+from repro.experiments.cli import (
+    EXPERIMENTS,
+    Experiment,
+    build_config,
+    main,
+    run_experiment,
+)
+
+
+def _stub(file_name):
+    return Experiment(
+        file_name,
+        lambda config: [{"seed": config.seed}],
+        lambda rows: f"{file_name}: seed {rows[0]['seed']}",
+    )
 
 
 class TestBuildConfig:
@@ -88,3 +103,31 @@ class TestCLIMain:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+
+class TestRunExperiment:
+    def test_returns_rows_and_text_without_writing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = build_config(TestBuildConfig()._args(seed=3))
+        rows, text = run_experiment(_stub("demo"), config)
+        assert rows == [{"seed": 3}]
+        assert text == "demo: seed 3"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writes_text_with_final_newline(self, tmp_path):
+        output = tmp_path / "nested" / "results"
+        config = build_config(TestBuildConfig()._args(seed=4))
+        _, text = run_experiment(_stub("demo"), config, output)
+        assert (output / "demo.txt").read_text() == text + "\n"
+
+    def test_all_writes_every_experiment_under_its_file_name(self, tmp_path, monkeypatch, capsys):
+        stubs = {name: _stub(experiment.file_name) for name, experiment in EXPERIMENTS.items()}
+        monkeypatch.setattr(cli, "EXPERIMENTS", stubs)
+        exit_code = main(["all", "--profile", "quick", "--seed", "7", "--output", str(tmp_path)])
+        assert exit_code == 0
+        written = {path.name: path.read_text() for path in tmp_path.iterdir()}
+        assert written == {
+            f"{stub.file_name}.txt": f"{stub.file_name}: seed 7\n" for stub in stubs.values()
+        }
+        out = capsys.readouterr().out
+        assert all(f"{stub.file_name}: seed 7" in out for stub in stubs.values())

@@ -17,6 +17,7 @@ import pytest
 from repro.datasets import load_dataset
 from repro.experiments import (
     ExperimentConfig,
+    fig1_known_unknown,
     format_fig1,
     format_fig3,
     format_fig4,
@@ -35,7 +36,11 @@ from repro.experiments import (
     run_table4,
 )
 from repro.experiments.cli import EXPERIMENTS, run_experiment
-from repro.experiments.fig1_known_unknown import FIG1_MODEL_NAMES, split_known_unknown
+from repro.experiments.fig1_known_unknown import (
+    FIG1_MAX_SCALE,
+    FIG1_MODEL_NAMES,
+    split_known_unknown,
+)
 from repro.experiments.runner import clear_cache
 from repro.experiments.table2_improvement import improvement_ratio, mean_improvements
 
@@ -85,6 +90,19 @@ class TestFig1:
         known, unknown = split_known_unknown(dataset, seed=0)
         assert set(known).isdisjoint(unknown)
         assert set(known) | set(unknown) == set(dataset.attack_type_names)
+
+    @pytest.mark.parametrize("scale", [0.001, 0.01])
+    def test_scale_capped(self, scale, monkeypatch):
+        loaded = []
+
+        def fake_load(name, *, scale, seed):
+            loaded.append(scale)
+            return name
+
+        monkeypatch.setattr(fig1_known_unknown, "load_dataset", fake_load)
+        monkeypatch.setattr(fig1_known_unknown, "_evaluate_dataset", lambda dataset, config: [])
+        run_fig1(ExperimentConfig(scale=scale, datasets=("wustl_iiot",)))
+        assert loaded == [min(scale, FIG1_MAX_SCALE)]
 
     def test_format(self, fig1_rows):
         assert "Fig. 1" in format_fig1(fig1_rows)

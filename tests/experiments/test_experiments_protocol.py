@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core import CNDIDS
 from repro.experiments import (
     ExperimentConfig,
     format_table,
     measure_inference_time,
+    protocol,
     run_continual_method,
     run_static_detector,
 )
@@ -115,6 +117,17 @@ class TestMeasureInferenceTime:
         times = measure_inference_time(calls, n_rounds=3)
         assert order == ["a", "b"] * 3
         assert set(times) == {"a", "b"}
+
+    def test_reports_the_median_round(self, monkeypatch):
+        clock = [0.0]
+        monkeypatch.setattr(protocol.time, "perf_counter", lambda: clock[0])
+        durations = iter([0.004, 1.0, 0.002, 0.003, 0.5])
+
+        def score_fn(batch):
+            clock[0] += next(durations)
+
+        times = measure_inference_time({"fn": (score_fn, np.ones((2, 1)))}, n_rounds=5)
+        assert times["fn"] == pytest.approx(1000.0 * 0.004 / 2)
 
     def test_empty_batch_gives_nan(self):
         times = measure_inference_time({"id": (lambda batch: batch, np.empty((0, 3)))})
